@@ -25,6 +25,7 @@ from .cutting import cut_set, labeled_cut
 from .errors import SpringerCellsError
 from .fqoracle import FqConfig, cross_check_cells, full_flag_count
 from .matchings import (
+    Arc,
     JordanType,
     Matching,
     bt_word,
@@ -111,12 +112,18 @@ def cmd_cell(args, parser) -> int:
     return 0
 
 
-def cmd_cut(args, parser) -> int:
-    m, jt = _matching_from_args(args, parser)
-    arcs = [a for a in m.arcs if (a.init, a.term) in set(textio.parse_arcs(args.arcs))]
+def _arcs_from_args(args, parser, m: Matching) -> list[Arc]:
+    """The arcs of m that --arcs names; naming an arc not in m is an error."""
     wanted = set(textio.parse_arcs(args.arcs))
+    arcs = [a for a in m.arcs if (a.init, a.term) in wanted]
     if len(arcs) != len(wanted):
         parser.error(f"arcs {sorted(wanted)} not all present in the matching")
+    return arcs
+
+
+def cmd_cut(args, parser) -> int:
+    m, jt = _matching_from_args(args, parser)
+    arcs = _arcs_from_args(args, parser, m)
     if args.labels:
         piece = labeled_cut(m, arcs, jt)
         payload = textio.piece_json(piece)
@@ -202,7 +209,7 @@ def cmd_closure(args, parser) -> int:
 
 def cmd_limit(args, parser) -> int:
     m, jt = _matching_from_args(args, parser)
-    arcs = [a for a in m.arcs if (a.init, a.term) in set(textio.parse_arcs(args.arcs))]
+    arcs = _arcs_from_args(args, parser, m)
     target = {}
     if args.target:
         for part in args.target.split(";"):
@@ -301,8 +308,14 @@ def cmd_verify(args, parser) -> int:
     return 0 if payload["passed"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Report a usage error in one line on stderr and exit 2."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="springer-cells",
         description="Two-row Springer Schubert cells: enumeration, cutting, closures.",
     )
@@ -363,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fqcount)
 
     p = sub.add_parser("verify", help="run a property suite")
-    p.add_argument("--suite", default="all", help=f"{sorted(SUITES)} or all")
+    p.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     p.add_argument("--max-N", type=int, default=None, dest="max_N")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["table", "json"], default="table")
@@ -376,15 +389,17 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
         return args.func(args, parser)
-    except SystemExit as exc:  # parser.error inside handlers
+    except SystemExit as exc:  # usage errors, including parser.error in handlers
         return int(exc.code) if exc.code else 0
     except SpringerCellsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        # the library raises ValueError for malformed input: a matching, a
+        # word, a Jordan type, a prime or a number given on the command line
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

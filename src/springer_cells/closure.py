@@ -33,7 +33,7 @@ from .cells import (
     instantiate,
     prefix_span_basis,
 )
-from .cutting import LabeledPiece, ZERO, labeled_cut, piece_matrix
+from .cutting import LabeledPiece, ZERO, labeled_cut, piece_matrix, swap_letters
 from .errors import (
     CurveNotFound,
     DegenerateCurve,
@@ -119,15 +119,11 @@ def swap_candidates(m: Matching, jt: JordanType) -> set[str]:
     only these cells can meet the closure of the cell of m.
     """
     word = bt_word(m, jt)
-    out = set()
-    for r in range(len(m) + 1):
-        for combo in itertools.combinations(m.arcs, r):
-            letters = list(word)
-            for a in combo:
-                i, j = a.init - 1, a.term - 1
-                letters[i], letters[j] = letters[j], letters[i]
-            out.add("".join(letters))
-    return out
+    return {
+        swap_letters(word, combo)
+        for r in range(len(m) + 1)
+        for combo in itertools.combinations(m.arcs, r)
+    }
 
 
 # ---------------------------------------------------------------------------

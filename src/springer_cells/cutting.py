@@ -67,7 +67,8 @@ class LabeledPiece:
         return len({l for l in self.labels.values() if l is not ZERO})
 
 
-def _swap_letters(word: str, arcs: Iterable[Arc]) -> str:
+def swap_letters(word: str, arcs: Iterable[Arc]) -> str:
+    """Swap the letters at the two endpoints of each arc."""
     letters = list(word)
     for a in arcs:
         i, j = a.init - 1, a.term - 1
@@ -78,7 +79,7 @@ def _swap_letters(word: str, arcs: Iterable[Arc]) -> str:
 def cut(m: Matching, arc: Arc, jt: JordanType) -> Matching:
     if arc not in m:
         raise ArcNotInMatching(f"{arc} not in {m.arcs}")
-    return word_to_matching(_swap_letters(bt_word(m, jt), [arc]))
+    return word_to_matching(swap_letters(bt_word(m, jt), [arc]))
 
 
 def cut_set(m: Matching, arcs: Iterable[Arc], jt: JordanType) -> Matching:
@@ -89,7 +90,7 @@ def cut_set(m: Matching, arcs: Iterable[Arc], jt: JordanType) -> Matching:
     for a in arcs:
         if a not in m:
             raise ArcNotInMatching(f"{a} not in {m.arcs}")
-    return word_to_matching(_swap_letters(bt_word(m, jt), arcs))
+    return word_to_matching(swap_letters(bt_word(m, jt), arcs))
 
 
 def contravariant_order(m: Matching, arcs: Iterable[Arc]) -> list[Arc]:

@@ -1,26 +1,35 @@
-"""Property-suite runner behind the ``verify`` CLI command.
+"""Property suites behind the ``verify`` CLI command and the test suite.
 
-Each check exercises one documented invariant of the library at a size cap
-and returns a count of instances checked.  Checks are independent; the
-runner can fan them out over a thread pool capped by the
-SPRINGER_CELLS_THREADS environment variable and merges results in check-id
-order, so output is deterministic for a fixed seed.
+Each check is the one implementation of an invariant of the library.  It
+sweeps the instances up to a size cap, draws what it samples from the
+``random.Random`` it is given, and returns a CheckResult counting the
+instances it covered.  A check's result carries the same id whether it
+passes or fails; on the first failing instance, ``detail`` names the
+instance and, for checks of several sub-properties, the one that failed.
+
+``verify_suite`` runs the checks of a suite one after another, each from a
+fresh ``random.Random(seed)``, and sorts the results by id, so the report is
+byte-identical for a fixed seed.  A check that raises becomes a failed
+result whose detail names the exception.  The tests call the same checks at
+their own caps and seeds.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 from .cells import (
     NOT_COORDINATE,
     apply_nilpotent,
     build_template,
+    cell_matrix,
     instantiate,
     prefix_span_basis,
     verify_canonical,
@@ -28,6 +37,7 @@ from .cells import (
 )
 from .closure import (
     INFINITY,
+    check_necessary_conditions,
     chi_embed,
     chi_split,
     closure_decomposition,
@@ -37,7 +47,7 @@ from .closure import (
     valid_split_indices,
     verify_limit_curve,
 )
-from .cutting import ZERO, cut, cut_set, labeled_cut, piece_matrix
+from .cutting import ZERO, contravariant_order, cut, cut_set, labeled_cut, piece_matrix
 from .exact import (
     POLY_RING,
     QQ,
@@ -59,6 +69,7 @@ from .matchings import (
     enumerate_words,
     j_functions,
     matching_permutation,
+    nesting_depth,
     parent,
     word_to_matching,
 )
@@ -73,11 +84,32 @@ class CheckResult:
     detail: str = ""
 
 
-def max_workers() -> int:
-    env = os.environ.get("SPRINGER_CELLS_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
+class _Failed(Exception):
+    """Raised by a check body at its first failing instance."""
+
+    def __init__(self, count: int, detail: str):
+        super().__init__(detail)
+        self.count = count
+        self.detail = detail
+
+
+def _check(check_id: str):
+    """Give a check body its one id.  The body returns the number of
+    instances it covered, or raises _Failed at the first failing one.
+    """
+
+    def wrap(body):
+        @functools.wraps(body)
+        def check(max_n: int, rng, **kwargs) -> CheckResult:
+            try:
+                return CheckResult(check_id, True, body(max_n, rng, **kwargs))
+            except _Failed as failure:
+                return CheckResult(check_id, False, failure.count, failure.detail)
+
+        check.check_id = check_id
+        return check
+
+    return wrap
 
 
 def _jordan_types(max_n: int):
@@ -86,109 +118,115 @@ def _jordan_types(max_n: int):
             yield JordanType(n, N)
 
 
-def _proper_jordan_types(max_n: int):
+def _cells(max_n: int):
+    """(jt, m) for every matching of every proper type with N <= max_n."""
     for N in range(2, max_n + 1):
         for n in range(1, N):
-            yield JordanType(n, N)
+            jt = JordanType(n, N)
+            for m in enumerate_matchings(jt):
+                yield jt, m
+
+
+def _subsets(arcs):
+    for r in range(len(arcs) + 1):
+        yield from itertools.combinations(arcs, r)
 
 
 # --- combinatorics ---------------------------------------------------------
 
 
-def check_word_roundtrip(max_n: int, rng) -> CheckResult:
+@_check("combinatorics.word_roundtrip")
+def check_word_roundtrip(max_n: int, rng) -> int:
     count = 0
     for jt in _jordan_types(max_n):
         for word in enumerate_words(jt.N, jt.n):
             count += 1
-            m = word_to_matching(word)
-            if bt_word(m, jt) != word:
-                return CheckResult("combinatorics.word_roundtrip", False, count, word)
-    return CheckResult("combinatorics.word_roundtrip", True, count)
+            if bt_word(word_to_matching(word), jt) != word:
+                raise _Failed(count, word)
+    return count
 
 
-def check_matching_roundtrip(max_n: int, rng) -> CheckResult:
+@_check("combinatorics.matching_roundtrip")
+def check_matching_roundtrip(max_n: int, rng) -> int:
     count = 0
     for jt in _jordan_types(max_n):
         for m in enumerate_matchings(jt):
             count += 1
             if word_to_matching(bt_word(m, jt)).arcs != m.arcs:
-                return CheckResult(
-                    "combinatorics.matching_roundtrip", False, count, str(m.arcs)
-                )
-    return CheckResult("combinatorics.matching_roundtrip", True, count)
+                raise _Failed(count, str(m.arcs))
+    return count
 
 
-def check_counts(max_n: int, rng) -> CheckResult:
+@_check("combinatorics.count")
+def check_counts(max_n: int, rng) -> int:
+    """C(N, n) words and C(N, n) distinct matchings for each type."""
     count = 0
     for jt in _jordan_types(max_n):
         count += 1
         found = enumerate_matchings(jt)
+        if len(enumerate_words(jt.N, jt.n)) != comb(jt.N, jt.n):
+            raise _Failed(count, f"words: {jt}")
         if len(found) != comb(jt.N, jt.n) or len(set(m.arcs for m in found)) != len(found):
-            return CheckResult("combinatorics.count", False, count, str(jt))
-    return CheckResult("combinatorics.count", True, count)
+            raise _Failed(count, f"matchings: {jt}")
+    return count
 
 
-def check_ancestor_counts(max_n: int, rng) -> CheckResult:
+@_check("combinatorics.ancestor_count")
+def check_ancestor_counts(max_n: int, rng) -> int:
     count = 0
-    for jt in _proper_jordan_types(max_n):
-        for m in enumerate_matchings(jt):
-            prof = j_functions(m)
-            for arc in m.arcs:
-                count += 1
-                starts = prof.jbeg[arc.init] + 1  # the arc itself starts here
-                ends = prof.jend[arc.init]
-                if len(ancestors(m, arc)) != starts - ends:
-                    return CheckResult(
-                        "combinatorics.ancestor_count", False, count, f"{m.arcs} {arc}"
-                    )
-    return CheckResult("combinatorics.ancestor_count", True, count)
+    for _, m in _cells(max_n):
+        prof = j_functions(m)
+        for arc in m.arcs:
+            count += 1
+            starts = prof.jbeg[arc.init] + 1  # the arc itself starts here
+            ends = prof.jend[arc.init]
+            if len(ancestors(m, arc)) != starts - ends:
+                raise _Failed(count, f"{m.arcs} {arc}")
+    return count
 
 
-def check_ancestor_shift(max_n: int, rng) -> CheckResult:
+@_check("combinatorics.ancestor_shift")
+def check_ancestor_shift(max_n: int, rng) -> int:
     """Consecutive arcs share ancestor chains after an offset of the gap
     between their start points minus two.
     """
     count = 0
-    for jt in _proper_jordan_types(max_n):
-        for m in enumerate_matchings(jt):
-            for prev, arc in zip(m.arcs, m.arcs[1:]):
-                if parent(m, arc) is None:
-                    continue
-                r = arc.init - prev.init - 2
-                chain_prev = ancestors(m, prev)
-                chain_cur = ancestors(m, arc)
-                count += 1
-                for j in range(1, len(chain_cur)):
-                    if j + r >= len(chain_prev) or chain_cur[j] != chain_prev[j + r]:
-                        return CheckResult(
-                            "combinatorics.ancestor_shift",
-                            False,
-                            count,
-                            f"{m.arcs} {arc}",
-                        )
-    return CheckResult("combinatorics.ancestor_shift", True, count)
-
-
-def check_pivot_blocks_increase(max_n: int, rng) -> CheckResult:
-    count = 0
-    for jt in _proper_jordan_types(max_n):
-        for m in enumerate_matchings(jt):
+    for _, m in _cells(max_n):
+        for prev, arc in zip(m.arcs, m.arcs[1:]):
+            if parent(m, arc) is None:
+                continue
+            r = arc.init - prev.init - 2
+            chain_prev = ancestors(m, prev)
+            chain_cur = ancestors(m, arc)
             count += 1
-            w = matching_permutation(m, jt).w
-            inv = {row: col for col, row in enumerate(w, start=1)}
-            tops = [inv[r] for r in range(1, jt.n + 1)]
-            bots = [inv[r] for r in range(jt.n + 1, jt.N + 1)]
-            if tops != sorted(tops) or bots != sorted(bots):
-                return CheckResult(
-                    "combinatorics.pivot_blocks", False, count, str(m.arcs)
-                )
-    return CheckResult("combinatorics.pivot_blocks", True, count)
+            if not all(
+                j + r < len(chain_prev) and chain_cur[j] == chain_prev[j + r]
+                for j in range(1, len(chain_cur))
+            ):
+                raise _Failed(count, f"{m.arcs} {arc}")
+    return count
+
+
+@_check("combinatorics.pivot_blocks")
+def check_pivot_blocks_increase(max_n: int, rng) -> int:
+    count = 0
+    for jt, m in _cells(max_n):
+        count += 1
+        w = matching_permutation(m, jt).w
+        inv = {row: col for col, row in enumerate(w, start=1)}
+        tops = [inv[r] for r in range(1, jt.n + 1)]
+        bots = [inv[r] for r in range(jt.n + 1, jt.N + 1)]
+        if tops != sorted(tops) or bots != sorted(bots):
+            raise _Failed(count, str(m.arcs))
+    return count
 
 
 # --- geometry --------------------------------------------------------------
 
 
-def check_canonical_reduce(max_n: int, rng) -> CheckResult:
+@_check("geometry.canonical_reduce")
+def check_canonical_reduce(max_n: int, rng) -> int:
+    """canonical_reduce is idempotent and keeps every prefix span."""
     count = 0
     for _ in range(200):
         n = rng.randint(1, min(max_n, 8))
@@ -196,337 +234,297 @@ def check_canonical_reduce(max_n: int, rng) -> CheckResult:
         reduced = canonical_reduce(g, QQ)
         count += 1
         if canonical_reduce(reduced, QQ) != reduced:
-            return CheckResult("geometry.canonical_idempotent", False, count, str(g))
+            raise _Failed(count, f"idempotent: {g}")
         for i in range(1, n + 1):
             cols_g = [[g[r][j] for r in range(n)] for j in range(i)]
             cols_h = [[reduced[r][j] for r in range(n)] for j in range(i)]
             if rank(cols_g + cols_h, QQ) != i:
-                return CheckResult(
-                    "geometry.canonical_spans", False, count, f"n={n} i={i}"
-                )
-    return CheckResult("geometry.canonical_reduce", True, count)
+                raise _Failed(count, f"prefix spans: n={n} i={i}")
+    return count
 
 
-def check_cell_membership(max_n: int, rng) -> CheckResult:
+@_check("geometry.cell_membership")
+def check_cell_membership(max_n: int, rng) -> int:
+    """20 random points of every cell are canonical Springer flags."""
     count = 0
-    for jt in _proper_jordan_types(max_n):
-        for m in enumerate_matchings(jt):
-            template = build_template(m, jt)
-            for _ in range(20):
-                g = instantiate(template, random_params(m.arcs, rng, nonzero=False))
-                count += 1
-                if not verify_canonical(g) or not verify_springer(g, jt):
-                    return CheckResult(
-                        "geometry.cell_membership", False, count, str(m.arcs)
-                    )
-    return CheckResult("geometry.cell_membership", True, count)
+    for jt, m in _cells(max_n):
+        template = build_template(m, jt)
+        for _ in range(20):
+            g = instantiate(template, random_params(m.arcs, rng, nonzero=False))
+            count += 1
+            if not verify_canonical(g) or not verify_springer(g, jt):
+                raise _Failed(count, str(m.arcs))
+    return count
 
 
-def check_cell_injectivity(max_n: int, rng) -> CheckResult:
+@_check("geometry.cell_injectivity")
+def check_cell_injectivity(max_n: int, rng) -> int:
     count = 0
-    for jt in _proper_jordan_types(max_n):
-        for m in enumerate_matchings(jt):
-            if not m.arcs:
-                continue
-            template = build_template(m, jt)
-            for _ in range(5):
-                u = random_params(m.arcs, rng, nonzero=False)
-                v = random_params(m.arcs, rng, nonzero=False)
-                count += 1
-                if u != v and instantiate(template, u).rows == instantiate(template, v).rows:
-                    return CheckResult(
-                        "geometry.cell_injectivity", False, count, str(m.arcs)
-                    )
-    return CheckResult("geometry.cell_injectivity", True, count)
+    for jt, m in _cells(max_n):
+        if not m.arcs:
+            continue
+        template = build_template(m, jt)
+        for _ in range(5):
+            u = random_params(m.arcs, rng, nonzero=False)
+            v = random_params(m.arcs, rng, nonzero=False)
+            count += 1
+            if u != v and instantiate(template, u).rows == instantiate(template, v).rows:
+                raise _Failed(count, str(m.arcs))
+    return count
 
 
-def check_template_support(max_n: int, rng) -> CheckResult:
+@_check("geometry.template_support")
+def check_template_support(max_n: int, rng) -> int:
     """Lowest structurally nonzero row of an arc's column is the top offset
     plus the ancestor-chain length.
     """
     count = 0
-    for jt in _proper_jordan_types(max_n):
-        for m in enumerate_matchings(jt):
-            template = build_template(m, jt)
-            for arc in m.arcs:
-                count += 1
-                expected = template.top_offset[arc] + len(ancestors(m, arc))
-                got = max(
-                    (r for (r, c), _ in template.slots.items() if c == arc.init),
-                    default=0,
-                )
-                if got != expected:
-                    return CheckResult(
-                        "geometry.template_support", False, count, f"{m.arcs} {arc}"
-                    )
-    return CheckResult("geometry.template_support", True, count)
+    for jt, m in _cells(max_n):
+        template = build_template(m, jt)
+        for arc in m.arcs:
+            count += 1
+            expected = template.top_offset[arc] + len(ancestors(m, arc))
+            got = max(
+                (r for (r, c), _ in template.slots.items() if c == arc.init),
+                default=0,
+            )
+            if got != expected:
+                raise _Failed(count, f"{m.arcs} {arc}")
+    return count
 
 
-def check_coordinate_prefixes(max_n: int, rng) -> CheckResult:
+@_check("geometry.coordinate_prefix")
+def check_coordinate_prefixes(max_n: int, rng) -> int:
     """At indices with no arc overhead, the prefix span is a coordinate
     subspace independent of the parameters, with top part counted by T's.
     """
     count = 0
-    for jt in _proper_jordan_types(max_n):
-        for m in enumerate_matchings(jt):
-            template = build_template(m, jt)
-            word = bt_word(m, jt)
-            indices = [i for i in valid_split_indices(m)] + [m.N]
-            sets = {}
-            for _ in range(10):
-                g = instantiate(template, random_params(m.arcs, rng))
-                for i in indices:
-                    count += 1
-                    got = prefix_span_basis(g, i)
-                    if got is NOT_COORDINATE:
-                        return CheckResult(
-                            "geometry.coordinate_prefix", False, count, f"{m.arcs} i={i}"
-                        )
-                    top = sum(1 for r in got if r <= jt.n)
-                    if top != word[:i].count(T) or sets.setdefault(i, got) != got:
-                        return CheckResult(
-                            "geometry.coordinate_prefix", False, count, f"{m.arcs} i={i}"
-                        )
-    return CheckResult("geometry.coordinate_prefix", True, count)
+    for jt, m in _cells(max_n):
+        template = build_template(m, jt)
+        word = bt_word(m, jt)
+        indices = valid_split_indices(m) + [m.N]
+        sets = {}
+        for _ in range(10):
+            g = instantiate(template, random_params(m.arcs, rng))
+            for i in indices:
+                count += 1
+                got = prefix_span_basis(g, i)
+                if (
+                    got is NOT_COORDINATE
+                    or sum(1 for r in got if r <= jt.n) != word[:i].count(T)
+                    or sets.setdefault(i, got) != got
+                ):
+                    raise _Failed(count, f"{m.arcs} i={i}")
+    return count
 
 
-def check_nested_column_shift(max_n: int, rng) -> CheckResult:
+@_check("geometry.nested_shift")
+def check_nested_column_shift(max_n: int, rng) -> int:
     """For the j-th arc nested under a given arc, the j-fold shift of its
     column differs from the outer arc's column by something supported in
     the rows above the outer arc's variable block.
     """
     count = 0
-    for jt in _proper_jordan_types(max_n):
-        for m in enumerate_matchings(jt):
-            template = build_template(m, jt)
-            g = instantiate(template, random_params(m.arcs, rng))
-            for arc in m.arcs:
-                under = [b for b in m.arcs if arc.init < b.init and b.term < arc.term]
-                under.sort(key=lambda b: b.init)
-                r0 = template.top_offset[arc]
-                for j, b in enumerate(under, start=1):
-                    col = g.col(b.init)
-                    for _ in range(j):
-                        col = apply_nilpotent(jt, col)
-                    diff = [x - y for x, y in zip(col, g.col(arc.init))]
-                    count += 1
-                    if any(diff[r] != 0 for r in range(r0, jt.N)):
-                        return CheckResult(
-                            "geometry.nested_shift", False, count, f"{m.arcs} {arc} {b}"
-                        )
-    return CheckResult("geometry.nested_shift", True, count)
+    for jt, m in _cells(max_n):
+        template = build_template(m, jt)
+        g = instantiate(template, random_params(m.arcs, rng))
+        for arc in m.arcs:
+            under = [b for b in m.arcs if arc.init < b.init and b.term < arc.term]
+            under.sort(key=lambda b: b.init)
+            r0 = template.top_offset[arc]
+            for j, b in enumerate(under, start=1):
+                col = g.col(b.init)
+                for _ in range(j):
+                    col = apply_nilpotent(jt, col)
+                diff = [x - y for x, y in zip(col, g.col(arc.init))]
+                count += 1
+                if any(diff[r] != 0 for r in range(r0, jt.N)):
+                    raise _Failed(count, f"{m.arcs} {arc} {b}")
+    return count
 
 
-def check_leading_direction_numeric(max_n: int, rng) -> CheckResult:
+@_check("geometry.leading_direction")
+def check_leading_direction_numeric(max_n: int, rng) -> int:
     """Exact leading directions agree with numeric evaluation at t = 1e6."""
     count = 0
-    for jt in _proper_jordan_types(min(max_n, 6)):
-        for m in enumerate_matchings(jt):
-            if not m.arcs:
-                continue
-            template = build_template(m, jt)
-            curve = {
-                a: Poly([random_rational(rng), random_rational(rng), random_rational(rng)])
-                for a in m.arcs
-            }
-            g = instantiate(template, curve, POLY_RING)
-            for i in range(1, jt.N + 1):
-                mv = minor_vector(g.rows, i, POLY_RING)
-                exact = [float(x) for x in leading_direction(mv)]
-                numeric = [p(1e6) for p in mv]
-                lead = next(x for x in numeric if abs(x) > 0)
-                numeric = [x / lead for x in numeric]
-                count += 1
-                err = max(
-                    abs(a - b) / max(1.0, abs(a)) for a, b in zip(exact, numeric)
-                )
-                if err > 1e-6:
-                    return CheckResult(
-                        "geometry.leading_direction", False, count, f"{m.arcs} i={i}"
-                    )
-    return CheckResult("geometry.leading_direction", True, count)
+    for jt, m in _cells(min(max_n, 6)):
+        if not m.arcs:
+            continue
+        template = build_template(m, jt)
+        curve = {
+            a: Poly([random_rational(rng), random_rational(rng), random_rational(rng)])
+            for a in m.arcs
+        }
+        g = instantiate(template, curve, POLY_RING)
+        for i in range(1, jt.N + 1):
+            mv = minor_vector(g.rows, i, POLY_RING)
+            exact = [float(x) for x in leading_direction(mv)]
+            numeric = [p(1e6) for p in mv]
+            lead = next(x for x in numeric if abs(x) > 0)
+            numeric = [x / lead for x in numeric]
+            count += 1
+            err = max(abs(a - b) / max(1.0, abs(a)) for a, b in zip(exact, numeric))
+            if err > 1e-6:
+                raise _Failed(count, f"{m.arcs} i={i}")
+    return count
 
 
 # --- cutting ---------------------------------------------------------------
 
 
-def check_cut_order_independence(max_n: int, rng) -> CheckResult:
-    count = 0
-    for jt in _proper_jordan_types(max_n):
-        for m in enumerate_matchings(jt):
-            arcs = list(m.arcs)
-            for r in range(len(arcs) + 1):
-                for combo in itertools.combinations(arcs, r):
-                    base = cut_set(m, combo, jt)
-                    orders = list(itertools.permutations(combo)) if r <= 3 else [
-                        tuple(rng.sample(combo, r)) for _ in range(6)
-                    ]
-                    for order in orders:
-                        count += 1
-                        word = bt_word(m, jt)
-                        letters = list(word)
-                        for a in order:
-                            i, j = a.init - 1, a.term - 1
-                            letters[i], letters[j] = letters[j], letters[i]
-                        if word_to_matching("".join(letters)).arcs != base.arcs:
-                            return CheckResult(
-                                "cutting.order_independence", False, count, str(m.arcs)
-                            )
-    return CheckResult("cutting.order_independence", True, count)
-
-
-def check_unnesting(max_n: int, rng) -> CheckResult:
-    count = 0
-    for jt in _proper_jordan_types(max_n):
-        for m in enumerate_matchings(jt):
-            for arc in m.arcs:
-                par = parent(m, arc)
-                if par is None:
-                    continue
-                count += 1
-                expected = set(m.arcs) - {arc, par}
-                expected |= {Arc(par.init, arc.init), Arc(arc.term, par.term)}
-                if set(cut(m, arc, jt).arcs) != expected:
-                    return CheckResult("cutting.unnesting", False, count, f"{m.arcs} {arc}")
-    return CheckResult("cutting.unnesting", True, count)
-
-
-def check_cut_distinctness(max_n: int, rng) -> CheckResult:
-    count = 0
-    for jt in _proper_jordan_types(max_n):
-        for m in enumerate_matchings(jt):
-            seen = set()
-            for r in range(len(m.arcs) + 1):
-                for combo in itertools.combinations(m.arcs, r):
-                    seen.add(cut_set(m, combo, jt).arcs)
-            count += 1
-            if len(seen) != 2 ** len(m.arcs):
-                return CheckResult("cutting.distinctness", False, count, str(m.arcs))
-    return CheckResult("cutting.distinctness", True, count)
-
-
-def check_label_properties(max_n: int, rng) -> CheckResult:
-    """Non-ZERO labels are exactly the uncut arcs; dimension is the number
-    of uncut arcs; only a cut arc's parent repeats; any top-down order
-    gives the same labels.
+@_check("cutting.order_independence")
+def check_cut_order_independence(max_n: int, rng) -> int:
+    """Cutting the arcs one at a time in any top-down order gives the
+    piece of the default order, whose base is the simultaneous cut_set;
+    labeled_cut refuses an order that cuts an arc after one nested below
+    it.  Every order of up to three arcs is tried; above that, six random
+    top-down orders.
     """
     count = 0
-    for jt in _proper_jordan_types(max_n):
-        for m in enumerate_matchings(jt):
-            for r in range(len(m.arcs) + 1):
-                for combo in itertools.combinations(m.arcs, r):
-                    piece = labeled_cut(m, combo, jt)
-                    count += 1
-                    nonzero = [l for l in piece.labels.values() if l is not ZERO]
-                    if set(nonzero) != set(m.arcs) - set(combo):
-                        return CheckResult(
-                            "cutting.label_image", False, count, f"{m.arcs} {combo}"
-                        )
-                    if piece.dimension != len(m.arcs) - r:
-                        return CheckResult(
-                            "cutting.label_dimension", False, count, f"{m.arcs} {combo}"
-                        )
-                    repeats = {l for l in nonzero if nonzero.count(l) > 1}
-                    # a label duplicates only when its arc was the parent of
-                    # some cut arc at cut time: an uncut ancestor of the cut
-                    allowed = set()
-                    for a in combo:
-                        allowed.update(
-                            b for b in ancestors(m, a)[1:] if b not in combo
-                        )
-                    if not repeats <= allowed:
-                        return CheckResult(
-                            "cutting.label_multiplicity", False, count, f"{m.arcs} {combo}"
-                        )
-                    if r <= 3:
-                        for order in itertools.permutations(combo):
-                            try:
-                                alt = labeled_cut(m, combo, jt, order=list(order))
-                            except ValueError:
-                                continue  # not a top-down order
-                            if alt.labels != piece.labels:
-                                return CheckResult(
-                                    "cutting.label_order", False, count, f"{m.arcs} {combo}"
-                                )
-    return CheckResult("cutting.labels", True, count)
+    for jt, m in _cells(max_n):
+        above = {a: ancestors(m, a)[1:] for a in m.arcs}
+        for combo in _subsets(m.arcs):
+            piece = labeled_cut(m, combo, jt)
+            if piece.base.arcs != cut_set(m, combo, jt).arcs:
+                raise _Failed(count, f"cut_set: {m.arcs} {combo}")
+            default = contravariant_order(m, combo)
+            if len(combo) <= 3:
+                orders = itertools.permutations(combo)
+            else:
+                depth = functools.partial(nesting_depth, m)
+                orders = [sorted(rng.sample(combo, len(combo)), key=depth) for _ in range(6)]
+            for order in map(list, orders):
+                count += 1
+                if order == default:
+                    continue  # that is piece
+                top_down = not any(
+                    later in above[a] for a, later in itertools.combinations(order, 2)
+                )
+                try:
+                    alt = labeled_cut(m, combo, jt, order=order)
+                except ValueError:
+                    alt = None
+                if (alt is not None) != top_down:
+                    verdict = "refused top-down" if top_down else "accepted bottom-up"
+                    raise _Failed(count, f"{verdict} order {order}: {m.arcs}")
+                if alt is not None and (alt.base, alt.labels) != (piece.base, piece.labels):
+                    raise _Failed(count, f"order {order}: {m.arcs}")
+    return count
+
+
+@_check("cutting.unnesting")
+def check_unnesting(max_n: int, rng) -> int:
+    count = 0
+    for jt, m in _cells(max_n):
+        for arc in m.arcs:
+            par = parent(m, arc)
+            if par is None:
+                continue
+            count += 1
+            expected = set(m.arcs) - {arc, par}
+            expected |= {Arc(par.init, arc.init), Arc(arc.term, par.term)}
+            if set(cut(m, arc, jt).arcs) != expected:
+                raise _Failed(count, f"{m.arcs} {arc}")
+    return count
+
+
+@_check("cutting.distinctness")
+def check_cut_distinctness(max_n: int, rng) -> int:
+    count = 0
+    for jt, m in _cells(max_n):
+        seen = {cut_set(m, combo, jt).arcs for combo in _subsets(m.arcs)}
+        count += 1
+        if len(seen) != 2 ** len(m.arcs):
+            raise _Failed(count, str(m.arcs))
+    return count
+
+
+@_check("cutting.labels")
+def check_label_properties(max_n: int, rng) -> int:
+    """Non-ZERO labels are exactly the uncut arcs; dimension is the number
+    of uncut arcs; only a cut arc's parent repeats.
+    """
+    count = 0
+    for jt, m in _cells(max_n):
+        for combo in _subsets(m.arcs):
+            piece = labeled_cut(m, combo, jt)
+            count += 1
+            nonzero = [l for l in piece.labels.values() if l is not ZERO]
+            if set(nonzero) != set(m.arcs) - set(combo):
+                raise _Failed(count, f"image: {m.arcs} {combo}")
+            if piece.dimension != len(m.arcs) - len(combo):
+                raise _Failed(count, f"dimension: {m.arcs} {combo}")
+            repeats = {l for l in nonzero if nonzero.count(l) > 1}
+            # a label duplicates only when its arc was the parent of some
+            # cut arc at cut time: an uncut ancestor of the cut
+            allowed = {b for a in combo for b in ancestors(m, a)[1:] if b not in combo}
+            if not repeats <= allowed:
+                raise _Failed(count, f"multiplicity: {m.arcs} {combo}")
+    return count
 
 
 # --- closure ---------------------------------------------------------------
 
 
-def check_swap_candidate_bijection(max_n: int, rng) -> CheckResult:
+@_check("closure.swap_bijection")
+def check_swap_candidate_bijection(max_n: int, rng) -> int:
+    """The pieces' base words are the swap candidates, and no two pieces
+    share a base.
+    """
     count = 0
-    for jt in _proper_jordan_types(max_n):
-        for m in enumerate_matchings(jt):
+    for jt, m in _cells(max_n):
+        count += 1
+        dec = closure_decomposition(m, jt)
+        piece_words = {bt_word(dec.pieces[s].base, jt) for s in dec.subsets()}
+        if piece_words != swap_candidates(m, jt):
+            raise _Failed(count, f"words: {m.arcs}")
+        bases = [dec.pieces[s].base.arcs for s in dec.subsets()]
+        if len(set(bases)) != len(bases):
+            raise _Failed(count, f"disjointness: {m.arcs}")
+    return count
+
+
+@_check("closure.chi_compatibility")
+def check_chi_compatibility(max_n: int, rng) -> int:
+    """Splitting at an index with no arc overhead, the end included, splits
+    the word; pasting the halves' cells gives a canonical matrix, the
+    whole cell's permutation at zero and the whole cell's matrix at the
+    joined parameters.
+    """
+    count = 0
+    for jt, m in _cells(max_n):
+        word = bt_word(m, jt)
+        w_full = matching_permutation(m, jt).w
+        template = build_template(m, jt)
+        for i in valid_split_indices(m) + [m.N]:
             count += 1
-            dec = closure_decomposition(m, jt)
-            piece_words = {
-                bt_word(dec.pieces[s].base, jt) for s in dec.subsets()
-            }
-            if piece_words != swap_candidates(m, jt):
-                return CheckResult("closure.swap_bijection", False, count, str(m.arcs))
-            bases = [dec.pieces[s].base.arcs for s in dec.subsets()]
-            if len(set(bases)) != len(bases):
-                return CheckResult("closure.disjointness", False, count, str(m.arcs))
-    return CheckResult("closure.swap_bijection", True, count)
+            split = chi_split(m, jt, i)
+            halves = (bt_word(split.mL, split.jtL), bt_word(split.mR, split.jtR))
+            if halves != (word[:i], word[i:]):
+                raise _Failed(count, f"word: {m.arcs} i={i}")
+            tL = build_template(split.mL, split.jtL)
+            tR = build_template(split.mR, split.jtR)
+            zeros = chi_embed(
+                instantiate(tL, dict.fromkeys(split.mL.arcs, Fraction(0))),
+                instantiate(tR, dict.fromkeys(split.mR.arcs, Fraction(0))),
+                split,
+            )
+            if pivot_pattern(zeros.rows) != w_full:
+                raise _Failed(count, f"permutation: {m.arcs} i={i}")
+            uL = random_params(split.mL.arcs, rng)
+            uR = random_params(split.mR.arcs, rng)
+            emb = chi_embed(instantiate(tL, uL), instantiate(tR, uR), split)
+            if not verify_canonical(emb):
+                raise _Failed(count, f"canonical: {m.arcs} i={i}")
+            u = dict(uL)
+            u.update({Arc(a.init + i, a.term + i): v for a, v in uR.items()})
+            if emb.rows != instantiate(template, u).rows:
+                raise _Failed(count, f"square: {m.arcs} i={i}")
+    return count
 
 
-def check_chi_compatibility(max_n: int, rng) -> CheckResult:
-    count = 0
-    for jt in _proper_jordan_types(max_n):
-        for m in enumerate_matchings(jt):
-            word = bt_word(m, jt)
-            for i in valid_split_indices(m):
-                split = chi_split(m, jt, i)
-                if bt_word(split.mL, split.jtL) != word[:i]:
-                    return CheckResult("closure.chi_word", False, count, f"{m.arcs} i={i}")
-                if bt_word(split.mR, split.jtR) != word[i:]:
-                    return CheckResult("closure.chi_word", False, count, f"{m.arcs} i={i}")
-                wL = matching_permutation(split.mL, split.jtL).w
-                wR = matching_permutation(split.mR, split.jtR).w
-                gL = instantiate(
-                    build_template(split.mL, split.jtL),
-                    random_params(split.mL.arcs, rng),
-                )
-                gR = instantiate(
-                    build_template(split.mR, split.jtR),
-                    random_params(split.mR.arcs, rng),
-                )
-                emb = chi_embed(gL, gR, split)
-                count += 1
-                if not verify_canonical(emb):
-                    return CheckResult("closure.chi_canonical", False, count, f"{m.arcs}")
-                # permutation part and full matrix both commute with pasting
-                perm_emb = chi_embed(
-                    instantiate(build_template(split.mL, split.jtL), {a: Fraction(0) for a in split.mL.arcs}),
-                    instantiate(build_template(split.mR, split.jtR), {a: Fraction(0) for a in split.mR.arcs}),
-                    split,
-                )
-                w_full = matching_permutation(m, jt).w
-                if pivot_pattern(perm_emb.rows) != w_full:
-                    return CheckResult("closure.chi_perm", False, count, f"{m.arcs} i={i}")
-                params = {}
-                for a in split.mL.arcs:
-                    params[a] = gL[
-                        build_template(split.mL, split.jtL).top_offset[a] + 1, a.init
-                    ]
-                full_params = {}
-                for a in m.arcs:
-                    if a.term <= i:
-                        full_params[a] = params[a]
-                    else:
-                        shifted = Arc(a.init - i, a.term - i)
-                        full_params[a] = gR[
-                            build_template(split.mR, split.jtR).top_offset[shifted] + 1,
-                            shifted.init,
-                        ]
-                direct = instantiate(build_template(m, jt), full_params)
-                if direct.rows != emb.rows:
-                    return CheckResult("closure.chi_square", False, count, f"{m.arcs} i={i}")
-    return CheckResult("closure.chi_compatibility", True, count)
-
-
-def check_phi_cell_law(max_n: int, rng) -> CheckResult:
+@_check("closure.phi_cell_law")
+def check_phi_cell_law(max_n: int, rng) -> int:
     count = 0
     for N in range(4, max_n + 1, 2):
         jt = JordanType(N // 2, N)
@@ -539,37 +537,31 @@ def check_phi_cell_law(max_n: int, rng) -> CheckResult:
                 expected_word = (
                     "T" + inner_word + "B" if a is INFINITY else "B" + inner_word + "T"
                 )
-                expected_w = matching_permutation(
-                    word_to_matching(expected_word), jt
-                ).w
+                expected_w = matching_permutation(word_to_matching(expected_word), jt).w
                 count += 1
                 if pivot_pattern(out.rows) != expected_w:
-                    return CheckResult(
-                        "closure.phi_cell_law", False, count, f"{inner.arcs} a={a}"
-                    )
-    return CheckResult("closure.phi_cell_law", True, count)
+                    raise _Failed(count, f"{inner.arcs} a={a}")
+    return count
 
 
-def check_certification(max_n: int, rng, targets_per_piece: int = 2) -> CheckResult:
+@_check("closure.certification")
+def check_certification(max_n: int, rng, targets_per_piece: int = 2) -> int:
     count = 0
-    for jt in _proper_jordan_types(max_n):
-        for m in enumerate_matchings(jt):
-            for r in range(len(m.arcs) + 1):
-                for combo in itertools.combinations(m.arcs, r):
-                    piece = labeled_cut(m, combo, jt)
-                    uncut = [a for a in m.arcs if a not in combo]
-                    for _ in range(targets_per_piece if r else 1):
-                        target = random_params(uncut, rng)
-                        count += 1
-                        curve = synthesize_limit_curve(m, jt, combo, target)
-                        if not verify_limit_curve(m, jt, curve, piece, target):
-                            return CheckResult(
-                                "closure.certification", False, count, f"{m.arcs} {combo}"
-                            )
-    return CheckResult("closure.certification", True, count)
+    for jt, m in _cells(max_n):
+        for combo in _subsets(m.arcs):
+            piece = labeled_cut(m, combo, jt)
+            uncut = [a for a in m.arcs if a not in combo]
+            for _ in range(targets_per_piece if combo else 1):
+                target = random_params(uncut, rng)
+                count += 1
+                curve = synthesize_limit_curve(m, jt, combo, target)
+                if not verify_limit_curve(m, jt, curve, piece, target):
+                    raise _Failed(count, f"{m.arcs} {combo}")
+    return count
 
 
-def check_numeric_agreement(max_n: int, rng) -> CheckResult:
+@_check("closure.numeric_agreement")
+def check_numeric_agreement(max_n: int, rng) -> int:
     """Certified curves drive the numeric oracle below the membership
     threshold at their own evaluations.
     """
@@ -580,55 +572,44 @@ def check_numeric_agreement(max_n: int, rng) -> CheckResult:
     count = 0
     jt = JordanType(2, 4)
     for m in enumerate_matchings(jt):
-        if not m.arcs:
-            continue
-        for r in range(1, len(m.arcs) + 1):
-            for combo in itertools.combinations(m.arcs, r):
-                piece = labeled_cut(m, combo, jt)
-                uncut = [a for a in m.arcs if a not in combo]
-                target = random_params(uncut, rng)
-                curve = synthesize_limit_curve(m, jt, combo, target)
-                flag = piece_matrix(piece, target)
-                value = numeric_infimum(
-                    m,
-                    jt,
-                    flag,
-                    budget=8,
-                    rng=np.random.default_rng(count),
-                    seeds=curve_seed_points(curve, m.arcs),
-                )
-                count += 1
-                if value >= MEMBERSHIP_THRESHOLD:
-                    return CheckResult(
-                        "closure.numeric_agreement", False, count, f"{m.arcs} {combo}"
-                    )
-    return CheckResult("closure.numeric_agreement", True, count)
+        for combo in _subsets(m.arcs):
+            if not combo:
+                continue
+            piece = labeled_cut(m, combo, jt)
+            uncut = [a for a in m.arcs if a not in combo]
+            target = random_params(uncut, rng)
+            curve = synthesize_limit_curve(m, jt, combo, target)
+            flag = piece_matrix(piece, target)
+            value = numeric_infimum(
+                m,
+                jt,
+                flag,
+                budget=8,
+                rng=np.random.default_rng(count),
+                seeds=curve_seed_points(curve, m.arcs),
+            )
+            count += 1
+            if value >= MEMBERSHIP_THRESHOLD:
+                raise _Failed(count, f"{m.arcs} {combo}")
+    return count
 
 
-def check_necessary_condition_suite(max_n: int, rng) -> CheckResult:
-    from .closure import check_necessary_conditions
-
+@_check("closure.necessary_conditions")
+def check_necessary_condition_suite(max_n: int, rng) -> int:
     count = 0
-    for jt in _proper_jordan_types(min(max_n, 5)):
-        for m in enumerate_matchings(jt):
-            dec = closure_decomposition(m, jt)
-            report = check_necessary_conditions(dec, rng, samples=3)
-            count += len(report.entries)
-            if not report.all_pass:
-                return CheckResult(
-                    "closure.necessary_conditions",
-                    False,
-                    count,
-                    str(report.failures()[:1]),
-                )
-    return CheckResult("closure.necessary_conditions", True, count)
+    for jt, m in _cells(min(max_n, 5)):
+        report = check_necessary_conditions(closure_decomposition(m, jt), rng, samples=3)
+        count += len(report.entries)
+        if not report.all_pass:
+            raise _Failed(count, str(report.failures()[:1]))
+    return count
 
 
 # --- finite-field oracle ---------------------------------------------------
 
 
-def check_fq_oracle(max_n: int, rng) -> CheckResult:
-    count = 0
+@_check("oracle.fq_cross_check")
+def check_fq_oracle(max_n: int, rng) -> int:
     configs = [
         (q, JordanType(n, N))
         for q in (2, 3)
@@ -641,16 +622,12 @@ def check_fq_oracle(max_n: int, rng) -> CheckResult:
         (2, JordanType(2, 6)),
         (3, JordanType(3, 6)),
     ]
-    seen = set()
-    for q, jt in configs:
-        if (q, jt) in seen:
-            continue
-        seen.add((q, jt))
+    count = 0
+    for q, jt in dict.fromkeys(configs):
         count += 1
-        report = cross_check_cells(FqConfig(q, jt))
-        if not report.all_pass:
-            return CheckResult("oracle.fq_cross_check", False, count, f"q={q} {jt}")
-    return CheckResult("oracle.fq_cross_check", True, count)
+        if not cross_check_cells(FqConfig(q, jt)).all_pass:
+            raise _Failed(count, f"q={q} {jt}")
+    return count
 
 
 SUITES: dict[str, list] = {
@@ -699,26 +676,24 @@ DEFAULT_MAX_N = {
 }
 
 
-def verify_suite(
-    suite: str, max_n: int | None = None, seed: int = 0
-) -> list[CheckResult]:
+def _run(check, cap: int, seed: int) -> CheckResult:
+    try:
+        return check(cap, random.Random(seed))
+    except Exception as exc:  # one broken check must not hide the others
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}"
+        return CheckResult(
+            check.check_id, False, 0, f"raised {type(exc).__name__}: {exc} ({where})"
+        )
+
+
+def verify_suite(suite: str, max_n: int | None = None, seed: int = 0) -> list[CheckResult]:
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; options: {sorted(SUITES)} or all")
     names = list(SUITES) if suite == "all" else [suite]
-    for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; options: {sorted(SUITES)} or all")
-    results: list[CheckResult] = []
-    jobs = []
-    for name in names:
-        cap = max_n if max_n is not None else DEFAULT_MAX_N[name]
-        for check in SUITES[name]:
-            jobs.append((check, cap))
-    workers = max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(check, cap, random.Random(seed)) for check, cap in jobs
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [check(cap, random.Random(seed)) for check, cap in jobs]
+    results = [
+        _run(check, max_n if max_n is not None else DEFAULT_MAX_N[name], seed)
+        for name in names
+        for check in SUITES[name]
+    ]
     return sorted(results, key=lambda r: r.check_id)

@@ -11,28 +11,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from springer_cells.cells import build_template, cell_matrix, instantiate, verify_canonical, verify_springer
+from springer_cells.cells import cell_matrix
 from springer_cells.closure import (
-    INFINITY,
-    chi_embed,
-    chi_split,
     closure_decomposition,
-    phi_embed,
     swap_candidates,
     synthesize_limit_curve,
-    valid_split_indices,
     verify_limit_curve,
 )
 from springer_cells.cutting import ZERO, cut, cut_set, labeled_cut, piece_matrix
-from springer_cells.errors import CurveNotFound
 from springer_cells.fqoracle import FqConfig, cross_check_cells
 from springer_cells.matchings import (
     Arc,
     JordanType,
     ancestor_function,
-    bt_word,
-    enumerate_matchings,
-    enumerate_words,
     j_functions,
     matching,
     matching_permutation,
@@ -40,8 +31,20 @@ from springer_cells.matchings import (
 )
 from springer_cells.numeric import curve_seed_points, numeric_infimum
 from springer_cells.sampling import random_params
-
-from springer_cells.exact import pivot_pattern
+from springer_cells.verify import (
+    check_cell_membership,
+    check_certification,
+    check_chi_compatibility,
+    check_counts,
+    check_cut_distinctness,
+    check_cut_order_independence,
+    check_fq_oracle,
+    check_label_properties,
+    check_matching_roundtrip,
+    check_phi_cell_law,
+    check_unnesting,
+    check_word_roundtrip,
+)
 
 from helpers import Q
 
@@ -218,40 +221,22 @@ def test_criterion_1_golden_examples():
 
 @criterion(2, "word/matching bijection and counts for all N up to 12, under 10 s")
 def test_criterion_2_bijection_suite():
-    from math import comb
-
     start = time.perf_counter()
-    for N in range(2, 13):
-        for n in range(1, N):
-            jt = JordanType(n, N)
-            words = enumerate_words(N, n)
-            assert len(words) == comb(N, n)
-            seen = set()
-            for word in words:
-                m = word_to_matching(word)
-                assert bt_word(m, jt) == word
-                seen.add(m.arcs)
-            assert len(seen) == comb(N, n)
-            for m in enumerate_matchings(jt):
-                assert word_to_matching(bt_word(m, jt)).arcs == m.arcs
+    for result in (
+        check_word_roundtrip(12, random.Random(0)),
+        check_matching_roundtrip(12, random.Random(0)),
+        check_counts(12, random.Random(0)),
+    ):
+        assert result.passed, result
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"bijection suite took {elapsed:.2f}s"
 
 
 @criterion(3, "20 random points of every cell with N up to 8 are canonical Springer flags")
 def test_criterion_3_cell_membership():
-    rng = random.Random(2024)
-    failures = 0
-    for N in range(2, 9):
-        for n in range(1, N):
-            jt = JordanType(n, N)
-            for m in enumerate_matchings(jt):
-                template = build_template(m, jt)
-                for _ in range(20):
-                    g = instantiate(template, random_params(m.arcs, rng, nonzero=False))
-                    if not (verify_canonical(g) and verify_springer(g, jt)):
-                        failures += 1
-    assert failures == 0
+    result = check_cell_membership(8, random.Random(2024))
+    assert result.passed, result
+    assert result.count == 9880
 
 
 @criterion(4, "the two Jordan-type-(2,2) closures decompose into the expected labeled pieces")
@@ -278,73 +263,22 @@ def test_criterion_4_small_closure_decompositions():
 
 @criterion(5, "cut algebra: order independence, unnesting, distinctness, dimension, N up to 10")
 def test_criterion_5_cut_algebra():
-    rng = random.Random(77)
-    for N in range(2, 11):
-        for n in range(1, N):
-            jt = JordanType(n, N)
-            for m in enumerate_matchings(jt):
-                word = bt_word(m, jt)
-                from springer_cells.matchings import parent
-
-                for arc in m.arcs:
-                    par = parent(m, arc)
-                    if par is not None:
-                        expected = set(m.arcs) - {arc, par}
-                        expected |= {Arc(par.init, arc.init), Arc(arc.term, par.term)}
-                        assert set(cut(m, arc, jt).arcs) == expected
-                k = len(m.arcs)
-                subsets = [
-                    combo
-                    for r in range(k + 1)
-                    for combo in itertools.combinations(m.arcs, r)
-                ]
-                if len(subsets) > 64:
-                    subsets = rng.sample(subsets, 64)
-                seen_all = {
-                    cut_set(m, combo, jt).arcs
-                    for r in range(k + 1)
-                    for combo in itertools.combinations(m.arcs, r)
-                }
-                assert len(seen_all) == 2**k
-                for combo in subsets:
-                    piece = labeled_cut(m, combo, jt)
-                    assert piece.dimension == k - len(combo)
-                    orders = (
-                        list(itertools.permutations(combo))
-                        if len(combo) <= 3
-                        else [tuple(rng.sample(combo, len(combo))) for _ in range(6)]
-                    )
-                    for order in orders:
-                        letters = list(word)
-                        for a in order:
-                            i, j = a.init - 1, a.term - 1
-                            letters[i], letters[j] = letters[j], letters[i]
-                        assert word_to_matching("".join(letters)).arcs == piece.base.arcs
+    for result in (
+        check_cut_order_independence(10, random.Random(77)),
+        check_unnesting(10, random.Random(77)),
+        check_cut_distinctness(10, random.Random(77)),
+        check_label_properties(10, random.Random(77)),
+    ):
+        assert result.passed, result
 
 
 @criterion(6, "every piece of every cell with N up to 6 certified by an exact limit curve")
 def test_criterion_6_closure_certification():
     start = time.perf_counter()
-    rng = random.Random(123)
-    certified = 0
-    for N in range(2, 7):
-        for n in range(1, N):
-            jt = JordanType(n, N)
-            for m in enumerate_matchings(jt):
-                for r in range(len(m.arcs) + 1):
-                    for combo in itertools.combinations(m.arcs, r):
-                        piece = labeled_cut(m, combo, jt)
-                        uncut = [a for a in m.arcs if a not in combo]
-                        for _ in range(5 if r else 1):
-                            target = random_params(uncut, rng)
-                            try:
-                                curve = synthesize_limit_curve(m, jt, combo, target)
-                            except CurveNotFound as exc:
-                                raise AssertionError(f"no curve: {exc}") from exc
-                            assert verify_limit_curve(m, jt, curve, piece, target)
-                            certified += 1
+    result = check_certification(6, random.Random(123), targets_per_piece=5)
     elapsed = time.perf_counter() - start
-    assert certified >= 1149
+    assert result.passed, result
+    assert result.count >= 1149
     assert elapsed < 300.0, f"certification took {elapsed:.1f}s"
 
 
@@ -416,66 +350,16 @@ def test_criterion_7_numeric_cross_oracle():
 
 @criterion(8, "finite-field oracle: patterns, bucket sizes and totals for all listed types")
 def test_criterion_8_fq_oracle():
-    configs = [
-        (q, n, N)
-        for q in (2, 3)
-        for n, N in [(1, 2), (2, 3), (2, 4), (3, 5), (3, 6)]
-    ] + [(2, 2, 6)]
-    for q, n, N in configs:
-        jt = JordanType(n, N)
-        report = cross_check_cells(FqConfig(q, jt))
-        assert report.patterns_match, (q, n, N)
-        assert report.sizes_match, (q, n, N)
-        assert report.instantiation_match, (q, n, N)
-        assert report.sum_matches, (q, n, N)
-        if (n, N) == (2, 4):
-            assert report.total == {2: 15, 3: 28}[q]
+    result = check_fq_oracle(6, random.Random(0))
+    assert result.passed, result
+    for q, total in ((2, 15), (3, 28)):
+        assert cross_check_cells(FqConfig(q, JT4)).total == total
 
 
 @criterion(9, "structure maps: splitting words and permutations, pasted cells, line embedding")
 def test_criterion_9_structure_maps():
-    rng = random.Random(31)
-    for N in range(2, 9):
-        for n in range(1, N):
-            jt = JordanType(n, N)
-            for m in enumerate_matchings(jt):
-                word = bt_word(m, jt)
-                w_full = matching_permutation(m, jt).w
-                for i in valid_split_indices(m) + [m.N]:
-                    split = chi_split(m, jt, i)
-                    assert bt_word(split.mL, split.jtL) == word[:i]
-                    assert bt_word(split.mR, split.jtR) == word[i:]
-                    zeroL = {a: Fraction(0) for a in split.mL.arcs}
-                    zeroR = {a: Fraction(0) for a in split.mR.arcs}
-                    pasted = chi_embed(
-                        cell_matrix(split.mL, split.jtL, zeroL),
-                        cell_matrix(split.mR, split.jtR, zeroR),
-                        split,
-                    )
-                    assert pivot_pattern(pasted.rows) == w_full
-                    uL = random_params(split.mL.arcs, rng)
-                    uR = random_params(split.mR.arcs, rng)
-                    u = dict(uL)
-                    u.update({Arc(a.init + i, a.term + i): v for a, v in uR.items()})
-                    assert (
-                        chi_embed(
-                            cell_matrix(split.mL, split.jtL, uL),
-                            cell_matrix(split.mR, split.jtR, uR),
-                            split,
-                        ).rows
-                        == cell_matrix(m, jt, u).rows
-                    )
-    for N in (4, 6):
-        jt = JordanType(N // 2, N)
-        inner_jt = JordanType(N // 2 - 1, N - 2)
-        for inner in enumerate_matchings(inner_jt):
-            word = bt_word(inner, inner_jt)
-            g = cell_matrix(inner, inner_jt, random_params(inner.arcs, rng))
-            for a, expected in (
-                (Fraction(5, 2), "B" + word + "T"),
-                (INFINITY, "T" + word + "B"),
-            ):
-                out = phi_embed(a, g, jt)
-                assert pivot_pattern(out.rows) == matching_permutation(
-                    word_to_matching(expected), jt
-                ).w
+    for result in (
+        check_chi_compatibility(8, random.Random(31)),
+        check_phi_cell_law(6, random.Random(31)),
+    ):
+        assert result.passed, result

@@ -5,9 +5,11 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
+import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+from springer_cells import verify
 from springer_cells.cli import run
 
 
@@ -48,6 +50,23 @@ def test_usage_error_exits_two():
     assert code == 2
     code, _, _ = invoke(["bogus"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cell", "--matching", "(1,3)", "--n", "1"],
+        ["enumerate", "--N", "3", "--n", "5"],
+        ["word", "--word", "BXT"],
+        ["verify", "--suite", "nope"],
+        ["limit", "--matching", "(1,4)(2,3)", "--n", "2", "--arcs", "(7,8)"],
+    ],
+)
+def test_bad_input_exits_two_with_one_line(argv):
+    code, out, err = invoke(argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "error" in err
 
 
 def test_library_error_exits_one():
@@ -202,6 +221,21 @@ def test_verify_command_json():
     payload = json.loads(out)
     validate(payload, "verify.json")
     assert payload["passed"] is True
+
+
+def test_verify_reports_raising_check(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "cut", broken)
+    code, out, _ = invoke(["verify", "--suite", "cutting", "--max-N", "4", "--format", "json"])
+    assert code == 1
+    payload = json.loads(out)
+    validate(payload, "verify.json")
+    rows = {row["check"]: row for row in payload["results"]}
+    assert not rows["cutting.unnesting"]["passed"]
+    assert "RuntimeError: boom" in rows["cutting.unnesting"]["detail"]
+    assert all(row["passed"] for check, row in rows.items() if check != "cutting.unnesting")
 
 
 def test_json_determinism():

@@ -1,6 +1,5 @@
 """Closure decompositions, structure maps and exact limit certificates."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -17,22 +16,18 @@ from springer_cells.closure import (
     phi_embed,
     swap_candidates,
     synthesize_limit_curve,
-    valid_split_indices,
     verify_limit_curve,
 )
 from springer_cells.cutting import ZERO, labeled_cut
 from springer_cells.errors import InvalidSplitIndex, OddN
-from springer_cells.exact import Poly, pivot_pattern
-from springer_cells.matchings import (
-    Arc,
-    JordanType,
-    bt_word,
-    enumerate_matchings,
-    matching,
-    matching_permutation,
-    word_to_matching,
+from springer_cells.exact import Poly
+from springer_cells.matchings import Arc, JordanType, bt_word, matching, word_to_matching
+from springer_cells.verify import (
+    check_certification,
+    check_chi_compatibility,
+    check_phi_cell_law,
+    check_swap_candidate_bijection,
 )
-from springer_cells.sampling import random_params
 
 from helpers import Q
 
@@ -79,15 +74,7 @@ def test_swap_candidates_examples():
 
 
 def test_piece_words_are_swap_candidates_up_to_ten():
-    for N in range(2, 11):
-        for n in range(1, N):
-            jt = JordanType(n, N)
-            for m in enumerate_matchings(jt):
-                dec = closure_decomposition(m, jt)
-                words = {bt_word(dec.pieces[s].base, jt) for s in dec.subsets()}
-                assert words == swap_candidates(m, jt)
-                bases = [dec.pieces[s].base.arcs for s in dec.subsets()]
-                assert len(set(bases)) == len(bases)
+    assert check_swap_candidate_bijection(10, random.Random(0)).passed
 
 
 def test_necessary_conditions_pass_on_pieces():
@@ -166,22 +153,7 @@ def test_chi_embed_identity_interleaving():
 
 
 def test_chi_commutes_with_instantiation():
-    rng = random.Random(4)
-    for N in range(2, 9):
-        for n in range(1, N):
-            jt = JordanType(n, N)
-            for m in enumerate_matchings(jt):
-                for i in valid_split_indices(m):
-                    split = chi_split(m, jt, i)
-                    uL = random_params(split.mL.arcs, rng)
-                    uR = random_params(split.mR.arcs, rng)
-                    gL = cell_matrix(split.mL, split.jtL, uL)
-                    gR = cell_matrix(split.mR, split.jtR, uR)
-                    u = dict(uL)
-                    u.update(
-                        {Arc(a.init + i, a.term + i): v for a, v in uR.items()}
-                    )
-                    assert chi_embed(gL, gR, split).rows == cell_matrix(m, jt, u).rows
+    assert check_chi_compatibility(8, random.Random(4)).passed
 
 
 def test_phi_embed_examples():
@@ -200,21 +172,7 @@ def test_phi_embed_examples():
 
 
 def test_phi_cell_law_small():
-    rng = random.Random(8)
-    for N in (4, 6):
-        jt = JordanType(N // 2, N)
-        inner_jt = JordanType(N // 2 - 1, N - 2)
-        for inner in enumerate_matchings(inner_jt):
-            word = bt_word(inner, inner_jt)
-            g = cell_matrix(inner, inner_jt, random_params(inner.arcs, rng))
-            for a, expected in (
-                (Fraction(4, 3), "B" + word + "T"),
-                (INFINITY, "T" + word + "B"),
-            ):
-                out = phi_embed(a, g, jt)
-                assert pivot_pattern(out.rows) == matching_permutation(
-                    word_to_matching(expected), jt
-                ).w
+    assert check_phi_cell_law(6, random.Random(8)).passed
 
 
 CURVE_CASES = [
@@ -255,15 +213,4 @@ def test_constant_curve_certifies_full_piece():
 
 
 def test_certification_sweep_small():
-    rng = random.Random(12)
-    for N in range(2, 6):
-        for n in range(1, N):
-            jt = JordanType(n, N)
-            for m in enumerate_matchings(jt):
-                for r in range(len(m.arcs) + 1):
-                    for combo in itertools.combinations(m.arcs, r):
-                        piece = labeled_cut(m, combo, jt)
-                        uncut = [a for a in m.arcs if a not in combo]
-                        target = random_params(uncut, rng)
-                        curve = synthesize_limit_curve(m, jt, combo, target)
-                        assert verify_limit_curve(m, jt, curve, piece, target)
+    assert check_certification(5, random.Random(12), targets_per_piece=1).passed

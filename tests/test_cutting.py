@@ -1,6 +1,5 @@
 """Cutting arcs, label propagation and cut-cell matrices."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -15,15 +14,12 @@ from springer_cells.cutting import (
     piece_matrix,
 )
 from springer_cells.errors import ArcNotInMatching, MissingParameter
-from springer_cells.matchings import (
-    Arc,
-    JordanType,
-    ancestors,
-    bt_word,
-    enumerate_matchings,
-    matching,
-    parent,
-    word_to_matching,
+from springer_cells.matchings import Arc, JordanType, matching
+from springer_cells.verify import (
+    check_cut_distinctness,
+    check_cut_order_independence,
+    check_label_properties,
+    check_unnesting,
 )
 
 from helpers import Q
@@ -82,77 +78,24 @@ def test_piece_matrix_examples():
         piece_matrix(whole, {Arc(1, 4): Fraction(2)})
 
 
-def _all_matchings(max_n):
-    for N in range(2, max_n + 1):
-        for n in range(1, N):
-            jt = JordanType(n, N)
-            for m in enumerate_matchings(jt):
-                yield jt, m
-
-
 def test_order_independence_of_letter_cuts():
-    for jt, m in _all_matchings(7):
-        word = bt_word(m, jt)
-        for r in range(len(m.arcs) + 1):
-            for combo in itertools.combinations(m.arcs, r):
-                expected = cut_set(m, combo, jt).arcs
-                for order in itertools.permutations(combo):
-                    letters = list(word)
-                    for a in order:
-                        i, j = a.init - 1, a.term - 1
-                        letters[i], letters[j] = letters[j], letters[i]
-                    assert word_to_matching("".join(letters)).arcs == expected
+    assert check_cut_order_independence(7, random.Random(0)).passed
 
 
 def test_unnesting_identity():
-    for jt, m in _all_matchings(8):
-        for arc in m.arcs:
-            par = parent(m, arc)
-            if par is None:
-                continue
-            expected = set(m.arcs) - {arc, par}
-            expected |= {Arc(par.init, arc.init), Arc(arc.term, par.term)}
-            assert set(cut(m, arc, jt).arcs) == expected
+    assert check_unnesting(8, random.Random(0)).passed
 
 
 def test_cut_subsets_distinct():
-    for jt, m in _all_matchings(8):
-        seen = {
-            cut_set(m, combo, jt).arcs
-            for r in range(len(m.arcs) + 1)
-            for combo in itertools.combinations(m.arcs, r)
-        }
-        assert len(seen) == 2 ** len(m.arcs)
+    assert check_cut_distinctness(8, random.Random(0)).passed
 
 
 def test_label_image_and_dimension():
-    for jt, m in _all_matchings(7):
-        for r in range(len(m.arcs) + 1):
-            for combo in itertools.combinations(m.arcs, r):
-                piece = labeled_cut(m, combo, jt)
-                nonzero = [l for l in piece.labels.values() if l is not ZERO]
-                assert set(nonzero) == set(m.arcs) - set(combo)
-                assert piece.dimension == len(m.arcs) - r
-                repeats = {l for l in nonzero if nonzero.count(l) > 1}
-                allowed = set()
-                for a in combo:
-                    allowed.update(b for b in ancestors(m, a)[1:] if b not in combo)
-                assert repeats <= allowed
+    assert check_label_properties(7, random.Random(0)).passed
 
 
 def test_labels_agree_across_topdown_orders():
-    rng = random.Random(1)
-    for jt, m in _all_matchings(6):
-        for r in range(len(m.arcs) + 1):
-            for combo in itertools.combinations(m.arcs, r):
-                piece = labeled_cut(m, combo, jt)
-                for order in itertools.permutations(combo):
-                    try:
-                        alt = labeled_cut(m, combo, jt, order=list(order))
-                    except ValueError:
-                        continue  # not top-down
-                    assert alt.labels == piece.labels
-                    assert alt.base.arcs == piece.base.arcs
+    assert check_cut_order_independence(6, random.Random(1)).passed
 
 
 def test_contravariant_order_rejects_bottom_up():

@@ -1,0 +1,70 @@
+"""The property checks of ``verify``: stable ids, and a guard that the
+test suite calls every check.
+"""
+
+import ast
+import random
+from pathlib import Path
+
+import pytest
+
+from springer_cells import verify
+from springer_cells.verify import (
+    SUITES,
+    check_ancestor_counts,
+    check_ancestor_shift,
+    check_canonical_reduce,
+    check_coordinate_prefixes,
+    check_leading_direction_numeric,
+    check_necessary_condition_suite,
+    check_nested_column_shift,
+    check_numeric_agreement,
+    check_pivot_blocks_increase,
+    check_swap_candidate_bijection,
+    check_template_support,
+)
+
+# checks that no other test calls, each at a small cap
+SMALL_CAPS = [
+    (check_ancestor_counts, 8),
+    (check_ancestor_shift, 8),
+    (check_pivot_blocks_increase, 8),
+    (check_template_support, 6),
+    (check_coordinate_prefixes, 4),
+    (check_nested_column_shift, 6),
+    (check_leading_direction_numeric, 5),
+    (check_necessary_condition_suite, 4),
+    (check_numeric_agreement, 4),
+]
+
+
+@pytest.mark.parametrize("check,cap", SMALL_CAPS, ids=[c.__name__ for c, _ in SMALL_CAPS])
+def test_check_passes_at_small_cap(check, cap):
+    result = check(cap, random.Random(0))
+    assert result.passed, result
+
+
+def test_every_check_is_called_by_a_test():
+    called = {check.__name__ for check, _ in SMALL_CAPS}
+    for path in Path(__file__).parent.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                called.add(node.func.id)
+    checks = [check.__name__ for suite in SUITES.values() for check in suite]
+    assert [name for name in checks if name not in called] == []
+
+
+@pytest.mark.parametrize(
+    "check,name,fake,detail",
+    [
+        (check_canonical_reduce, "canonical_reduce", lambda g, ring: g[::-1], "idempotent"),
+        (check_swap_candidate_bijection, "swap_candidates", lambda m, jt: set(), "words"),
+    ],
+)
+def test_failing_check_keeps_its_id(monkeypatch, check, name, fake, detail):
+    passing = check(4, random.Random(0))
+    monkeypatch.setattr(verify, name, fake)
+    failing = check(4, random.Random(0))
+    assert passing.passed and not failing.passed
+    assert failing.check_id == passing.check_id == check.check_id
+    assert failing.detail.startswith(detail)
