@@ -36,7 +36,6 @@ from .cutting import LabeledPiece, ZERO, cut, cut_set, labeled_cut, piece_matrix
 from .errors import (
     ArcNotInMatching,
     CurveNotFound,
-    DegenerateCurve,
     DimensionMismatch,
     Infeasible,
     InvalidSplitIndex,
@@ -55,8 +54,7 @@ from .exact import (
     RatFunc,
     canonical_reduce,
     in_span,
-    leading_direction,
-    minor_vector,
+    limit_flag,
 )
 from .fqoracle import FqConfig, cross_check_cells, enumerate_springer_flags
 from .matchings import (

@@ -154,17 +154,13 @@ def verify_springer(g: FlagMatrix, jt: JordanType, ring=QQ) -> bool:
     """Each column's image under the nilpotent stays in the flag subspace
     spanned by the columns up to and including it.
     """
-    cols = g.cols()
     span = SpanBasis(ring)
-    full_rank = SpanBasis(ring)
-    for c in cols:
-        if not full_rank.add(c):
+    contained = True
+    for c in g.cols():
+        if not span.add(c):
             raise Singular("columns are linearly dependent")
-    for j, c in enumerate(cols, start=1):
-        span.add(c)
-        if not span.contains(apply_nilpotent(jt, c, ring)):
-            return False
-    return True
+        contained = contained and span.contains(apply_nilpotent(jt, c, ring))
+    return contained
 
 
 def prefix_span_basis(g: FlagMatrix, i: int, ring=QQ):

@@ -5,8 +5,9 @@ A of M, of the labeled pieces cut(cell, A).  Two independent certifiers
 back this up:
 
 * exact polynomial limit curves: a curve v(t) inside the cell whose flag
-  converges, projectively and per subspace, to a chosen point of a piece,
-  checked with leading terms of minor vectors and no tolerance at all;
+  converges, subspace by subspace, to a chosen point of a piece, checked
+  without tolerance by reading the limit flag off the curve
+  (``exact.limit_flag``) and testing each piece column against it;
 * a numeric infimum oracle (see ``numeric``) that minimizes a projector
   distance to the target flag.
 
@@ -36,7 +37,6 @@ from .cells import (
 from .cutting import LabeledPiece, ZERO, labeled_cut, piece_matrix, swap_letters
 from .errors import (
     CurveNotFound,
-    DegenerateCurve,
     DimensionMismatch,
     InvalidSplitIndex,
     MissingParameter,
@@ -51,10 +51,8 @@ from .exact import (
     RatFunc,
     SpanBasis,
     canonical_reduce,
-    leading_direction,
+    limit_flag,
     mat_from_rows,
-    minor_vector,
-    normalize_direction,
     pivot_pattern,
 )
 from .matchings import (
@@ -336,8 +334,8 @@ def verify_limit_curve(
     target: Mapping[Arc, Fraction],
 ) -> bool:
     """Exact, tolerance-free check that the curve's flag converges to the
-    labeled piece at the target values: for every i, the leading direction
-    of the minor vector of the first i columns matches projectively.
+    labeled piece at the target values: for every i, column i of the piece
+    matrix lies in the limit of the span of the curve's first i columns.
     """
     missing = [a for a in m.arcs if a not in curve]
     if missing:
@@ -345,11 +343,10 @@ def verify_limit_curve(
     template = build_template(m, jt)
     moving = instantiate(template, dict(curve), POLY_RING)
     fixed = piece_matrix(piece, target)
-    for i in range(1, m.N + 1):
-        mv = minor_vector(moving.rows, i, POLY_RING)
-        if all(p.is_zero() for p in mv):
-            raise DegenerateCurve(f"minor vector at i={i} vanishes identically")
-        if leading_direction(mv) != normalize_direction(minor_vector(fixed.rows, i, QQ)):
+    limit = SpanBasis()
+    for b, col in zip(limit_flag(moving.cols()), fixed.cols()):
+        limit.add(b)
+        if not limit.contains(col):
             return False
     return True
 
@@ -364,7 +361,7 @@ def _inner_matching(m: Matching) -> Matching:
 
 
 def _twisted_inner_coords(
-    inner_m: Matching, inner_jt: JordanType, inner_curve: Mapping[Arc, Poly]
+    inner_m: Matching, inner_jt: JordanType, inner_curve: Mapping[Arc, RatFunc]
 ) -> dict[Arc, Poly] | None:
     """Inner cell coordinates after the frame change at the outer cut.
 
@@ -380,10 +377,10 @@ def _twisted_inner_coords(
         return {}
     half = h // 2
     template = build_template(inner_m, inner_jt)
-    w_rows = instantiate(template, dict(inner_curve), POLY_RING).rows
-    t2 = Poly.t(2)
-    t1 = Poly.t(1)
-    twisted = [[Poly()] * h for _ in range(h)]
+    w_rows = instantiate(template, dict(inner_curve), FUNCTION_FIELD).rows
+    t2 = RatFunc(Poly.t(2))
+    t1 = RatFunc(Poly.t(1))
+    twisted = [[FUNCTION_FIELD.zero] * h for _ in range(h)]
     for c in range(h):
         for r in range(half):
             twisted[r][c] = -(t2 * w_rows[half + r][c])
@@ -392,9 +389,8 @@ def _twisted_inner_coords(
             if s + 1 < half:
                 val = val + t1 * w_rows[half + s + 1][c]
             twisted[half + s][c] = val
-    as_rf = tuple(tuple(RatFunc(p) for p in row) for row in twisted)
     try:
-        reduced = canonical_reduce(as_rf, FUNCTION_FIELD)
+        reduced = canonical_reduce(mat_from_rows(twisted), FUNCTION_FIELD)
         pattern = pivot_pattern(reduced, FUNCTION_FIELD)
     except Exception:
         return None
@@ -527,7 +523,15 @@ def _synthesize(
         out = {outer: Poly.const(target[outer])}
         out.update({_shift_arc(a, 1): p for a, p in inner.items()})
         return out
-    twisted = _twisted_inner_coords(inner_m, inner_jt, inner)
+    germs = {a: RatFunc(p) for a, p in inner.items()}
+    twisted = _twisted_inner_coords(inner_m, inner_jt, germs)
+    zeros = [a for a in inner_target if inner[a].is_zero()]
+    if twisted is None and zeros:
+        # the frame change scales the inner coordinates by -t^2, so an arc
+        # held at 0 can stay 0 and leave the inner cell; approaching 0
+        # along 1/t instead keeps the inner limit
+        germs.update({a: RatFunc(Poly.const(1), Poly.t(1)) for a in zeros})
+        twisted = _twisted_inner_coords(inner_m, inner_jt, germs)
     if twisted is None:
         raise CurveNotFound(
             f"frame change left the inner cell for {m.arcs} cutting {sorted(cut_arcs)}"
@@ -535,36 +539,6 @@ def _synthesize(
     out = {outer: Poly.t(1)}
     out.update({_shift_arc(a, 1): p for a, p in twisted.items()})
     return out
-
-
-def _ansatz_search(
-    m: Matching,
-    jt: JordanType,
-    cut_arcs: frozenset[Arc],
-    target: Mapping[Arc, Fraction],
-    piece: LabeledPiece,
-    max_degree: int,
-    budget: int = 4096,
-) -> dict[Arc, Poly] | None:
-    """Bounded fallback: monomial ansatz per cut arc, uncut arcs constant."""
-    cut_list = sorted(cut_arcs)
-    options = []
-    for d in range(1, max_degree + 1):
-        options.append(Poly.t(d))
-        options.append(Poly.t(d, -1))
-    tried = 0
-    for combo in itertools.product(options, repeat=len(cut_list)):
-        tried += 1
-        if tried > budget:
-            return None
-        curve = {a: Poly.const(target[a]) for a in target}
-        curve.update(dict(zip(cut_list, combo)))
-        try:
-            if verify_limit_curve(m, jt, curve, piece, target):
-                return curve
-        except DegenerateCurve:
-            continue
-    return None
 
 
 def synthesize_limit_curve(
@@ -576,9 +550,9 @@ def synthesize_limit_curve(
     """A polynomial curve in the cell of m whose flag limit is the piece
     cut(cell, A) at the target values, certified by verify_limit_curve.
 
-    Raises CurveNotFound when neither the recursive construction nor the
-    bounded monomial search produces a verified curve; the failure is
-    surfaced, never silently absorbed.
+    Raises CurveNotFound when the recursive construction gives no curve or
+    a curve that does not verify; the failure is surfaced, never silently
+    absorbed.
     """
     cut_set_ = frozenset(cut_arcs)
     for a in cut_set_:
@@ -590,15 +564,9 @@ def synthesize_limit_curve(
         raise MissingParameter(f"no target value for {missing}")
     target = {a: Fraction(target[a]) for a in uncut}
     piece = labeled_cut(m, cut_set_, jt)
-    try:
-        curve = _synthesize(m, jt, cut_set_, target)
-        if verify_limit_curve(m, jt, curve, piece, target):
-            return curve
-    except CurveNotFound:
-        pass
-    found = _ansatz_search(m, jt, cut_set_, target, piece, max_degree=2 * max(len(m), 1))
-    if found is None:
+    curve = _synthesize(m, jt, cut_set_, target)
+    if not verify_limit_curve(m, jt, curve, piece, target):
         raise CurveNotFound(
             f"no certified curve for {m.arcs} cutting {sorted(cut_set_)} at {target}"
         )
-    return found
+    return curve

@@ -38,11 +38,7 @@ class OddN(SpringerCellsError):
 
 
 class CurveNotFound(SpringerCellsError):
-    """Limit-curve synthesis exhausted its search without a certificate."""
-
-
-class DegenerateCurve(SpringerCellsError):
-    """A candidate curve has an identically-zero coordinate vector."""
+    """Limit-curve synthesis produced no certified curve."""
 
 
 class Infeasible(SpringerCellsError):

@@ -5,11 +5,15 @@ over a small ring/field protocol: a ring object exposes ``zero``, ``one``
 and ``of(int)`` and its elements support ``+ - * ==`` (fields also ``/``).
 ``fractions.Fraction`` plays that role for Q; ``GFElement``, ``Poly`` and
 ``RatFunc`` implement it for F_q, Q[t] and Q(t).
+
+On top of that protocol sit incremental spans (``SpanBasis``), linear
+solves, the canonical coset form of a flag matrix, and ``limit_flag``: the
+limit as t -> oo of the flag spanned by polynomial columns, read off by
+column reduction at t = oo.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -130,9 +134,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_const(self) -> bool:
-        return len(self.coeffs) <= 1
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -170,12 +171,6 @@ class Poly:
     def scale(self, c) -> "Poly":
         c = Fraction(c)
         return Poly([c * a for a in self.coeffs])
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by t^k."""
-        if not self.coeffs:
-            return self
-        return Poly([Fraction(0)] * k + list(self.coeffs))
 
     def __call__(self, x):
         """Evaluate at x (Fraction/int for exact, float for numeric work)."""
@@ -268,10 +263,6 @@ class RatFunc:
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
 
-    @staticmethod
-    def of_poly(p: Poly) -> "RatFunc":
-        return RatFunc(p)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -347,27 +338,6 @@ def mat_cols(m: Matrix) -> list[list]:
 def mat_from_cols(cols) -> Matrix:
     n_rows = len(cols[0])
     return tuple(tuple(col[r] for col in cols) for r in range(n_rows))
-
-
-def mat_mul(a: Matrix, b: Matrix, ring=QQ) -> Matrix:
-    if len(a[0]) != len(b):
-        raise DimensionMismatch(f"{len(a[0])} columns vs {len(b)} rows")
-    out = []
-    for r in range(len(a)):
-        row = []
-        for j in range(len(b[0])):
-            acc = ring.zero
-            for k in range(len(b)):
-                acc = acc + a[r][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def identity_matrix(n: int, ring=QQ) -> Matrix:
-    return tuple(
-        tuple(ring.one if r == j else ring.zero for j in range(n)) for r in range(n)
-    )
 
 
 class SpanBasis:
@@ -515,63 +485,47 @@ def pivot_pattern(g: Matrix, ring=QQ) -> tuple[int, ...]:
     return tuple(pattern)
 
 
-def row_subsets(n: int, i: int) -> list[tuple[int, ...]]:
-    """Size-i subsets of {1..n} in lexicographic order; fixes minor order."""
-    return [tuple(x + 1 for x in c) for c in itertools.combinations(range(n), i)]
+def limit_flag(cols: Sequence[Sequence[Poly]]) -> list[tuple[Fraction, ...]]:
+    """Vectors b_1, b_2, ... over Q with span(b_1..b_i) the limit as t -> oo
+    of the span of the first i polynomial columns.
 
-
-def minor_vector(g: Matrix, i: int, ring=QQ) -> list:
-    """All i x i minors of the first i columns, by lexicographic row subset.
-
-    Works over any commutative ring (Q, F_q, Q[t]): the minors are
-    accumulated as a wedge product of the columns, one column at a time.
+    Column reduction at t = oo (Kailath, *Linear Systems*, 1980, 6.3): each
+    column is written as a polynomial vector in s = 1/t, its coefficients
+    reversed at its top degree; Q-multiples of the earlier reduced vectors
+    clear its value at s = 0 at their pivots, and it is divided by s while
+    that value is 0.  The value left is b_i.  Raises Singular when the
+    columns are dependent over Q(t).
     """
-    n_rows = len(g)
-    if len(g[0]) < i:
-        raise DimensionMismatch(f"need at least {i} columns, got {len(g[0])}")
-    if i == 0:
-        return [ring.one]
-    wedge: dict[tuple[int, ...], object] = {(): ring.one}
-    for j in range(i):
-        nxt: dict[tuple[int, ...], object] = {}
-        for subset, val in wedge.items():
-            for r in range(n_rows):
-                entry = g[r][j]
-                if entry == ring.zero or r in subset:
-                    continue
-                swaps = sum(1 for s in subset if s > r)
-                term = val * entry
-                if swaps % 2:
-                    term = ring.zero - term
-                key = tuple(sorted(subset + (r,)))
-                if key in nxt:
-                    nxt[key] = nxt[key] + term
-                else:
-                    nxt[key] = term
-        wedge = nxt
-    zero = ring.zero
-    return [
-        wedge.get(tuple(x - 1 for x in subset), zero)
-        for subset in row_subsets(n_rows, i)
-    ]
-
-
-def leading_direction(vec: Sequence[Poly]) -> tuple[Fraction, ...]:
-    """Top-degree coefficient vector of a polynomial vector, normalized so
-    the first nonzero entry is 1.  This is the projective limit as t -> oo.
-    """
-    degrees = [p.degree for p in vec]
-    top = max(degrees)
-    if top == NEG_INFINITY:
-        raise ZeroVector("identically zero vector has no direction")
-    raw = [p.coeff(int(top)) for p in vec]
-    lead = next(c for c in raw if c != 0)
-    return tuple(c / lead for c in raw)
-
-
-def normalize_direction(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Scale an exact vector so its first nonzero entry is 1."""
-    lead = next((c for c in vec if c != 0), None)
-    if lead is None:
-        raise ZeroVector("cannot normalize the zero vector")
-    return tuple(c / lead for c in vec)
+    reduced: list[tuple[int, list[list[Fraction]]]] = []  # (pivot, s-coefficients)
+    flag = []
+    # an independent prefix is divided by s at most its sum of top degrees
+    budget = 0
+    for j, col in enumerate(cols, start=1):
+        degree = max(p.degree for p in col)
+        if degree == NEG_INFINITY:
+            raise Singular(f"column {j} is zero")
+        top = int(degree)
+        budget += top
+        v = [[p.coeff(top - k) for p in col] for k in range(top + 1)]
+        while True:
+            for piv, r in reduced:
+                c = v[0][piv]
+                if c:
+                    v.extend([Fraction(0)] * len(col) for _ in range(len(r) - len(v)))
+                    for vk, rk in zip(v, r):
+                        for row, x in enumerate(rk):
+                            if x:
+                                vk[row] -= c * x
+            piv = next((row for row, x in enumerate(v[0]) if x), None)
+            if piv is not None:
+                break
+            if budget == 0 or len(v) == 1:
+                raise Singular(f"column {j} is dependent on earlier columns")
+            budget -= 1
+            del v[0]  # divide by s
+        inv = 1 / v[0][piv]
+        v = [[inv * x for x in vk] for vk in v]
+        reduced.append((piv, v))
+        reduced.sort(key=lambda e: e[0])
+        flag.append(tuple(v[0]))
+    return flag

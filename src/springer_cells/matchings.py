@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 
 from .errors import ArcNotInMatching, TooManyArcs
 
@@ -86,7 +85,11 @@ class Matching:
         return iter(self.arcs)
 
     def __contains__(self, arc: Arc) -> bool:
-        return arc in self.arcs
+        return arc in self._arc_set
+
+    @cached_property
+    def _arc_set(self) -> frozenset[Arc]:
+        return frozenset(self.arcs)
 
     @cached_property
     def endpoint_map(self) -> dict[int, Arc]:
@@ -284,7 +287,3 @@ def enumerate_matchings(jt: JordanType) -> list[Matching]:
     exactly the matchings indexing nonempty cells for the Jordan type.
     """
     return [word_to_matching(w) for w in enumerate_words(jt.N, jt.n)]
-
-
-def matching_count(jt: JordanType) -> int:
-    return comb(jt.N, jt.n)

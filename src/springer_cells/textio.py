@@ -26,11 +26,7 @@ def format_matching(m: Matching) -> str:
 
 
 def parse_matching(text: str, N: int | None = None) -> Matching:
-    text = text.strip()
-    pairs = [(int(a), int(b)) for a, b in _ARC_RE.findall(text)]
-    leftover = _ARC_RE.sub("", text).strip()
-    if leftover:
-        raise ValueError(f"unparsed matching text: {leftover!r}")
+    pairs = parse_arcs(text)
     top = max((b for _, b in pairs), default=0)
     if N is None:
         N = top
@@ -40,6 +36,12 @@ def parse_matching(text: str, N: int | None = None) -> Matching:
 
 
 def parse_arcs(text: str) -> list[tuple[int, int]]:
+    """Arcs "(i,j)", optionally separated by commas and whitespace;
+    ValueError on any other text.
+    """
+    leftover = _ARC_RE.sub("", text).replace(",", "").strip()
+    if leftover:
+        raise ValueError(f"unparsed arc text: {leftover!r}")
     return [(int(a), int(b)) for a, b in _ARC_RE.findall(text)]
 
 

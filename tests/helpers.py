@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from fractions import Fraction
 
 
@@ -16,17 +18,16 @@ def brute_det(rows):
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
-    total = None
+    total = rows[0][0] - rows[0][0]
     for perm in itertools.permutations(range(n)):
+        factors = [rows[r][perm[r]] for r in range(n)]
+        if not all(factors):
+            continue  # a zero factor: the term vanishes
+        term = functools.reduce(operator.mul, factors)
         inv = sum(
             1 for a, b in itertools.combinations(range(n), 2) if perm[a] > perm[b]
         )
-        term = rows[0][perm[0]]
-        for r in range(1, n):
-            term = term * rows[r][perm[r]]
-        if inv % 2:
-            term = -term
-        total = term if total is None else total + term
+        total = total - term if inv % 2 else total + term
     return total
 
 

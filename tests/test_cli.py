@@ -60,6 +60,8 @@ def test_usage_error_exits_two():
         ["word", "--word", "BXT"],
         ["verify", "--suite", "nope"],
         ["limit", "--matching", "(1,4)(2,3)", "--n", "2", "--arcs", "(7,8)"],
+        ["cut", "--matching", "(1,4)(2,3)", "--n", "2", "--arcs", "foo"],
+        ["limit", "--matching", "(1,4)(2,3)", "--n", "2", "--arcs", "(1,4) junk"],
     ],
 )
 def test_bad_input_exits_two_with_one_line(argv):

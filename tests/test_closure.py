@@ -1,11 +1,12 @@
 """Closure decompositions, structure maps and exact limit certificates."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from springer_cells.cells import cell_matrix, verify_canonical
+from springer_cells.cells import build_template, cell_matrix, instantiate, verify_canonical
 from springer_cells.closure import (
     INFINITY,
     check_necessary_conditions,
@@ -18,10 +19,18 @@ from springer_cells.closure import (
     synthesize_limit_curve,
     verify_limit_curve,
 )
-from springer_cells.cutting import ZERO, labeled_cut
+from springer_cells.cutting import ZERO, labeled_cut, piece_matrix
 from springer_cells.errors import InvalidSplitIndex, OddN
-from springer_cells.exact import Poly
-from springer_cells.matchings import Arc, JordanType, bt_word, matching, word_to_matching
+from springer_cells.exact import POLY_RING, Poly
+from springer_cells.matchings import (
+    Arc,
+    JordanType,
+    bt_word,
+    enumerate_matchings,
+    matching,
+    word_to_matching,
+)
+from springer_cells.sampling import random_params, random_rational
 from springer_cells.verify import (
     check_certification,
     check_chi_compatibility,
@@ -29,7 +38,7 @@ from springer_cells.verify import (
     check_swap_candidate_bijection,
 )
 
-from helpers import Q
+from helpers import Q, brute_minors
 
 JT4 = JordanType(2, 4)
 NESTED4 = matching(4, [(1, 4), (2, 3)])
@@ -184,6 +193,8 @@ CURVE_CASES = [
         {Arc(2, 3): Fraction(7, 3)},
         {Arc(1, 4): Poly.t(), Arc(2, 3): Poly.t(2, Fraction(-3, 7))},
     ),
+    # a zero inner target is approached along 1/t before the frame change
+    (NESTED4, [Arc(1, 4)], {Arc(2, 3): Fraction(0)}, {Arc(1, 4): Poly.t(), Arc(2, 3): Poly.t(3, -1)}),
 ]
 
 
@@ -214,3 +225,85 @@ def test_constant_curve_certifies_full_piece():
 
 def test_certification_sweep_small():
     assert check_certification(5, random.Random(12), targets_per_piece=1).passed
+
+
+def test_certification_at_coincident_targets():
+    """Coincident target values leave an inner target of 0.  Every piece of
+    every cell with N <= 6 certifies at all-zero, all-one and all-equal
+    targets; so do an N = 10 zero beside a deeper cut arc whose curve is 0
+    (only the uncut zero may take the germ 1/t) and an N = 12 inner zero
+    that the frame change keeps (the germ would lose it).
+    """
+    cases = [
+        (jt, m, cut_arcs, {a: Fraction(v) for a in m.arcs if a not in cut_arcs})
+        for jt in (JordanType(n, N) for N in range(2, 7) for n in range(1, N))
+        for m in enumerate_matchings(jt)
+        for cut_arcs in closure_decomposition(m, jt).pieces
+        for v in (0, 1, -3)
+    ]
+    deep = matching(10, [(1, 10), (2, 7), (3, 6), (4, 5), (8, 9)])
+    cases.append((JordanType(5, 10), deep, deep.arcs[:4], {Arc(8, 9): Fraction(0)}))
+    kept = matching(12, [(1, 12), (2, 11), (3, 10), (4, 5), (6, 9), (7, 8)])
+    target = {Arc(3, 10): Fraction(4), Arc(4, 5): Fraction(-3, 4), Arc(7, 8): Fraction(3)}
+    cases.append((JordanType(6, 12), kept, [Arc(1, 12), Arc(2, 11), Arc(6, 9)], target))
+    for jt, m, cut_arcs, target in cases:
+        curve = synthesize_limit_curve(m, jt, cut_arcs, target)
+        assert verify_limit_curve(m, jt, curve, labeled_cut(m, cut_arcs, jt), target)
+
+
+def _projective(vec):
+    lead = next(c for c in vec if c)
+    return [c / lead for c in vec]
+
+
+def _minor_verdict(moving_minors, fixed):
+    """The Plucker test: for every i, the top-degree coefficients of the
+    curve's i x i minors are proportional to the piece point's minors.
+    """
+    for i, minors in enumerate(moving_minors, start=1):
+        top = max(p.degree for p in minors)
+        if _projective([p.coeff(top) for p in minors]) != _projective(brute_minors(fixed, i)):
+            return False
+    return True
+
+
+def test_certifier_agrees_with_minor_vectors():
+    """Every piece of every cell with N <= 6, three ways: the synthesized
+    curve at a seeded target, the same curve with every target value + 1,
+    and a seeded random curve.
+    """
+    rng = random.Random(6)
+    verdicts = []
+    for N, n in ((N, n) for N in range(2, 7) for n in range(1, N)):
+        jt = JordanType(n, N)
+        for m in enumerate_matchings(jt):
+            template = build_template(m, jt)
+            for cut_arcs, piece in closure_decomposition(m, jt).pieces.items():
+                target = random_params([a for a in m.arcs if a not in cut_arcs], rng)
+                shifted = {a: v + 1 for a, v in target.items()}
+                synthesized = synthesize_limit_curve(m, jt, cut_arcs, target)
+                random_curve = {
+                    a: Poly([random_rational(rng) for _ in range(rng.randint(1, 3))])
+                    for a in m.arcs
+                }
+                for curve, points in ((synthesized, (target, shifted)), (random_curve, (target,))):
+                    rows = instantiate(template, curve, POLY_RING).rows
+                    minors = [brute_minors(rows, i) for i in range(1, N + 1)]
+                    for point in points:
+                        expected = _minor_verdict(minors, piece_matrix(piece, point).rows)
+                        assert verify_limit_curve(m, jt, curve, piece, point) == expected
+                        verdicts.append(expected)
+    assert True in verdicts and False in verdicts
+
+
+def test_nested_sixteen_certifies_quickly():
+    # the fully nested cell (1,16)(2,15)...(8,9), cutting (1,16) and (3,14)
+    jt = JordanType(8, 16)
+    m = matching(16, [(i, 17 - i) for i in range(1, 9)])
+    cut_arcs = [Arc(1, 16), Arc(3, 14)]
+    uncut = [a for a in m.arcs if a not in cut_arcs]
+    target = {a: Fraction(k) for k, a in enumerate(uncut, start=1)}
+    start = time.perf_counter()
+    curve = synthesize_limit_curve(m, jt, cut_arcs, target)
+    assert verify_limit_curve(m, jt, curve, labeled_cut(m, cut_arcs, jt), target)
+    assert time.perf_counter() - start < 10

@@ -1,30 +1,26 @@
-"""Exact scalars, canonical forms, minors and leading directions."""
+"""Exact scalars, canonical forms and limit flags."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from springer_cells.errors import Singular, ZeroVector
+from springer_cells.errors import Singular
 from springer_cells.exact import (
     FUNCTION_FIELD,
-    POLY_RING,
     NEG_INFINITY,
     Poly,
     PrimeField,
     RatFunc,
     canonical_reduce,
     in_span,
-    leading_direction,
-    minor_vector,
-    normalize_direction,
+    limit_flag,
     poly_gcd,
-    row_subsets,
     solve_linear_system,
 )
 from springer_cells.verify import check_canonical_reduce
 
-from helpers import Q, brute_minors
+from helpers import Q
 
 
 def test_canonical_reduce_identity():
@@ -62,64 +58,21 @@ def test_in_span_examples():
     assert in_span(shifted, [col1])
 
 
-def test_minor_vector_single_column():
-    t = Poly.t()
-    g = ((t,), (Poly(),), (Poly([1]),), (Poly(),))
-    cols = tuple((row[0],) for row in g)
-    assert minor_vector(cols, 1, POLY_RING) == [t, Poly(), Poly([1]), Poly()]
+def test_limit_flag_examples():
+    t, zero, one = Poly.t(), Poly(), Poly([1])
+    # columns t e1 + e3 and -(t^2/2) e1 + t e2 + e4: the top term of the
+    # second is parallel to the first, so its limit comes from lower terms
+    cols = [(t, zero, one, zero), (Poly([0, 0, Fraction(-1, 2)]), t, zero, one)]
+    assert limit_flag(cols) == [(1, 0, 0, 0), (0, 1, Fraction(1, 2), 0)]
+    assert limit_flag([(one, t), (t, zero)]) == [(0, 1), (1, 0)]
 
 
-def test_minor_vector_wedge_frozen():
-    # columns t*e1 + e3 and b*e1 + t*e2 + e4 with b = 7; frozen from the
-    # permutation-expansion oracle in helpers
-    t, b = Poly.t(), Poly.const(7)
-    zero, one = Poly(), Poly([1])
-    rows = (
-        (t, b),
-        (zero, t),
-        (one, zero),
-        (zero, one),
-    )
-    got = minor_vector(rows, 2, POLY_RING)
-    assert got == brute_minors(rows, 2)
-    assert got == [t * t, -b, t, -t, zero, one]
-    assert row_subsets(4, 2) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-
-
-def test_minor_vector_identity_prefix():
-    ident = Q([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert minor_vector(ident, 2) == [Fraction(1), 0, 0]
-
-
-def test_minor_vector_matches_brute_force_randomly():
-    rng = random.Random(5)
-    for _ in range(25):
-        n = rng.randint(2, 5)
-        rows = Q([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
-        for i in range(1, n + 1):
-            assert minor_vector(rows, i) == brute_minors(rows, i)
-
-
-def test_leading_direction_examples():
-    t2 = Poly.t(2)
-    t = Poly.t()
-    b = Poly.const(-3)
-    assert leading_direction([t2, t, b]) == (1, 0, 0)
-    assert leading_direction([t2, t, Poly([0, 0, Fraction(1, 2)])]) == (1, 0, Fraction(1, 2))
-    # minors of (t e1 + e3, -(t^2/2) e1 + t e2 + e4), proportional to (2,1,0,0,0,0)
-    rows = (
-        (t, Poly([0, 0, Fraction(-1, 2)])),
-        (Poly(), t),
-        (Poly([1]), Poly()),
-        (Poly(), Poly([1])),
-    )
-    direction = leading_direction(minor_vector(rows, 2, POLY_RING))
-    assert normalize_direction((2, 1, 0, 0, 0, 0)) == direction
-
-
-def test_leading_direction_zero_vector():
-    with pytest.raises(ZeroVector):
-        leading_direction([Poly(), Poly()])
+def test_limit_flag_dependent_columns():
+    t, one = Poly.t(), Poly([1])
+    with pytest.raises(Singular):
+        limit_flag([(t, one), (t * t, t)])
+    with pytest.raises(Singular):
+        limit_flag([(Poly(), Poly())])
 
 
 def test_poly_arithmetic():

@@ -49,7 +49,8 @@ def test_single_point_fiber():
 
 
 def test_cross_checks_small_types():
-    assert check_fq_oracle(4, random.Random(0)).passed
+    result = check_fq_oracle(4, random.Random(0))
+    assert result.passed and result.count == 12
 
 
 def test_feasibility_guard():

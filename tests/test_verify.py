@@ -15,6 +15,7 @@ from springer_cells.verify import (
     check_ancestor_shift,
     check_canonical_reduce,
     check_coordinate_prefixes,
+    check_fq_oracle,
     check_leading_direction_numeric,
     check_necessary_condition_suite,
     check_nested_column_shift,
@@ -68,3 +69,19 @@ def test_failing_check_keeps_its_id(monkeypatch, check, name, fake, detail):
     assert passing.passed and not failing.passed
     assert failing.check_id == passing.check_id == check.check_id
     assert failing.detail.startswith(detail)
+
+
+def test_leading_direction_check_needs_reduction(monkeypatch):
+    # the top-degree coefficient vectors of the columns, unreduced, are
+    # close to the right spans but not a flag of the right dimensions
+    def top_coefficients(cols):
+        return [tuple(p.coeff(max(q.degree for q in col)) for p in col) for col in cols]
+
+    assert check_leading_direction_numeric(5, random.Random(0)).passed
+    monkeypatch.setattr(verify, "limit_flag", top_coefficients)
+    assert not check_leading_direction_numeric(5, random.Random(0)).passed
+
+
+def test_max_n_bounds_the_oracle_checks():
+    assert check_fq_oracle(2, random.Random(0)).count == 2
+    assert check_numeric_agreement(2, random.Random(0)).count == 0
