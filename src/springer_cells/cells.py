@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import DimensionMismatch, MissingParameter, Singular
-from .exact import QQ, Matrix, SpanBasis, in_span, mat_from_rows
+from .exact import QQ, Matrix, SpanBasis, in_span, mat_from_rows, rank
 from .matchings import (
     Arc,
     JordanType,
@@ -166,20 +166,16 @@ def verify_springer(g: FlagMatrix, jt: JordanType, ring=QQ) -> bool:
 def prefix_span_basis(g: FlagMatrix, i: int, ring=QQ):
     """Sorted indices {r: e_r in V_i} when V_i is a coordinate subspace,
     else NOT_COORDINATE.
+
+    V_i lies in the span of the e_r for the rows r where its first i
+    columns are nonzero, and equals it when both have dimension i.
     """
     if not (0 <= i <= g.N):
         raise DimensionMismatch(f"index {i} outside 0..{g.N}")
     cols = g.cols()[:i]
-    basis = SpanBasis(ring)
-    for c in cols:
-        basis.add(c)
-    members = []
-    for r in range(1, g.N + 1):
-        e_r = tuple(ring.one if s == r else ring.zero for s in range(1, g.N + 1))
-        if basis.contains(e_r):
-            members.append(r)
-    if len(members) == i:
-        return tuple(members)
+    rows = tuple(r for r in range(1, g.N + 1) if any(c[r - 1] != ring.zero for c in cols))
+    if rank(cols, ring) == len(rows) == i:
+        return rows
     return NOT_COORDINATE
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from fractions import Fraction
 
 from . import textio
 from .cells import build_template
@@ -60,6 +59,13 @@ def _matching_from_args(args, parser) -> tuple[Matching, JordanType]:
         parser.error("--n is required with --matching")
     m = textio.parse_matching(args.matching, args.N)
     return m, JordanType(args.n, m.N)
+
+
+def _positive_int(text: str) -> int:
+    """The argparse type of --max-N: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _emit(args, payload: dict, table: str) -> None:
@@ -224,7 +230,7 @@ def cmd_limit(args, parser) -> int:
             arc = next((a for a in m.arcs if (a.init, a.term) == (i, j)), None)
             if arc is None:
                 parser.error(f"target arc ({i},{j}) not in matching")
-            target[arc] = Fraction(value)
+            target[arc] = textio.parse_scalar(value)
     rng = random.Random(args.seed)
     for a in m.arcs:
         if a not in target and a not in arcs:
@@ -377,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a property suite")
     p.add_argument("--suite", default="all", choices=[*SUITES, "all"])
-    p.add_argument("--max-N", type=int, default=None, dest="max_N")
+    p.add_argument("--max-N", type=_positive_int, default=None, dest="max_N")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(func=cmd_verify)

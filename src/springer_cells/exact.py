@@ -6,10 +6,11 @@ and ``of(int)`` and its elements support ``+ - * ==`` (fields also ``/``).
 ``fractions.Fraction`` plays that role for Q; ``GFElement``, ``Poly`` and
 ``RatFunc`` implement it for F_q, Q[t] and Q(t).
 
-On top of that protocol sit incremental spans (``SpanBasis``), linear
-solves, the canonical coset form of a flag matrix, and ``limit_flag``: the
-limit as t -> oo of the flag spanned by polynomial columns, read off by
-column reduction at t = oo.
+On top of that protocol, one Gaussian elimination (``SpanBasis``) sits
+under span tests, the canonical coset form of a flag matrix and the
+coordinate-subspace test of ``cells.prefix_span_basis``; beside it sit
+linear solves and ``limit_flag``: the limit as t -> oo of the flag spanned
+by polynomial columns, read off by column reduction at t = oo.
 """
 
 from __future__ import annotations
@@ -341,14 +342,19 @@ def mat_from_cols(cols) -> Matrix:
 
 
 class SpanBasis:
-    """Incrementally built span of vectors with exact membership tests."""
+    """Incrementally built span of vectors with exact membership tests.
+
+    Each added vector is reduced against the stored ones in insertion order
+    and pivots on its lowest nonzero entry, scaled to 1: the stored vectors
+    of a matrix's columns are its canonical coset form.
+    """
 
     def __init__(self, ring=QQ):
         self.ring = ring
-        self.echelon: list[tuple[int, list]] = []
+        self.echelon: list[tuple[int, list]] = []  # (pivot, vector) in insertion order
 
     def residual(self, vec: Sequence) -> list:
-        """vec minus its projection onto the span; linear in vec."""
+        """vec minus a vector of the span; linear in vec, zero exactly on the span."""
         v = list(vec)
         for piv, basis_vec in self.echelon:
             c = v[piv]
@@ -362,12 +368,11 @@ class SpanBasis:
     def add(self, vec: Sequence) -> bool:
         """Add vec to the span; True if it enlarged the span."""
         res = self.residual(vec)
-        piv = next((i for i, a in enumerate(res) if a != self.ring.zero), None)
+        piv = next((i for i in range(len(res) - 1, -1, -1) if res[i] != self.ring.zero), None)
         if piv is None:
             return False
         inv = self.ring.one / res[piv]
         self.echelon.append((piv, [inv * x for x in res]))
-        self.echelon.sort(key=lambda t: t[0])
         return True
 
     @property
@@ -446,27 +451,11 @@ def canonical_reduce(g: Matrix, ring=QQ) -> Matrix:
     n = len(g)
     if any(len(row) != n for row in g):
         raise DimensionMismatch("canonical form needs a square matrix")
-    cols = mat_cols(g)
-    done: list[tuple[int, list]] = []  # (pivot row, canonical column)
-    out_cols: list[list] = []
-    for j in range(n):
-        col = list(cols[j])
-        for piv, prev in done:
-            c = col[piv]
-            if c != ring.zero:
-                col = [a - c * b for a, b in zip(col, prev)]
-        piv = None
-        for r in range(n - 1, -1, -1):
-            if col[r] != ring.zero:
-                piv = r
-                break
-        if piv is None:
-            raise Singular(f"column {j + 1} is dependent on earlier columns")
-        inv = ring.one / col[piv]
-        col = [inv * a for a in col]
-        done.append((piv, col))
-        out_cols.append(col)
-    return mat_from_cols(out_cols)
+    span = SpanBasis(ring)
+    for j, col in enumerate(mat_cols(g), start=1):
+        if not span.add(col):
+            raise Singular(f"column {j} is dependent on earlier columns")
+    return mat_from_cols([vec for _, vec in span.echelon])
 
 
 def pivot_pattern(g: Matrix, ring=QQ) -> tuple[int, ...]:

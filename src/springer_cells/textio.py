@@ -50,7 +50,11 @@ def format_scalar(x) -> str:
 
 
 def parse_scalar(text: str) -> Fraction:
-    return Fraction(text)
+    """An exact rational such as ``3``, ``-7/3`` or ``0.5``; ValueError if malformed."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def matrix_json(g: FlagMatrix) -> list[list[str]]:

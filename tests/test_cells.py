@@ -17,6 +17,7 @@ from springer_cells.cells import (
     verify_springer,
 )
 from springer_cells.errors import MissingParameter, Singular
+from springer_cells.exact import PrimeField
 from springer_cells.matchings import (
     Arc,
     JordanType,
@@ -149,6 +150,24 @@ def test_prefix_span_basis_examples():
     assert prefix_span_basis(g, 5) == (1, 2, 3, 5, 6)
     assert prefix_span_basis(g, 2) is NOT_COORDINATE
     assert prefix_span_basis(g, 8) == (1, 2, 3, 4, 5, 6, 7, 8)
+
+
+def test_prefix_span_basis_edge_cases():
+    g = FlagMatrix(Q([[1, 1, 0], [1, -1, 0], [0, 0, 1]]))
+    assert prefix_span_basis(g, 0) == ()
+    # columns (1,1,0) and (1,-1,0) are not unit vectors but span e1, e2
+    assert prefix_span_basis(g, 1) is NOT_COORDINATE
+    assert prefix_span_basis(g, 2) == (1, 2)
+    # dependent columns nonzero in exactly two rows span a line
+    dependent = FlagMatrix(Q([[1, 2, 0], [1, 2, 0], [0, 0, 1]]))
+    assert prefix_span_basis(dependent, 2) is NOT_COORDINATE
+    # (1,1,0) and (1,-2,0) are independent over Q but not over F_3
+    gf3 = PrimeField(3)
+    rows = [[1, 1, 0], [1, -2, 0], [0, 0, 1]]
+    assert prefix_span_basis(FlagMatrix(Q(rows)), 2) == (1, 2)
+    over_f3 = FlagMatrix(tuple(tuple(gf3.of(x) for x in row) for row in rows))
+    assert prefix_span_basis(over_f3, 2, gf3) is NOT_COORDINATE
+    assert prefix_span_basis(over_f3, 3, gf3) is NOT_COORDINATE
 
 
 def test_membership_and_injectivity_small():

@@ -4,6 +4,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -62,6 +63,8 @@ def test_usage_error_exits_two():
         ["limit", "--matching", "(1,4)(2,3)", "--n", "2", "--arcs", "(7,8)"],
         ["cut", "--matching", "(1,4)(2,3)", "--n", "2", "--arcs", "foo"],
         ["limit", "--matching", "(1,4)(2,3)", "--n", "2", "--arcs", "(1,4) junk"],
+        ["limit", "--matching", "(1,4)(2,3)", "--n", "2", "--arcs", "(1,4)", "--target", "(2,3)=1/0"],
+        ["verify", "--max-N", "0"],
     ],
 )
 def test_bad_input_exits_two_with_one_line(argv):
@@ -238,6 +241,25 @@ def test_verify_reports_raising_check(monkeypatch):
     assert not rows["cutting.unnesting"]["passed"]
     assert "RuntimeError: boom" in rows["cutting.unnesting"]["detail"]
     assert all(row["passed"] for check, row in rows.items() if check != "cutting.unnesting")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("verify_all_max5_seed0.json", ["verify", "--suite", "all", "--max-N", "5", "--format", "json", "--seed", "0"]),
+        (
+            "closure_certify_seed0.json",
+            ["closure", "--matching", "(1,8)(2,3)(4,7)(5,6)", "--n", "4", "--certify", "--format", "json", "--seed", "0"],
+        ),
+    ],
+)
+def test_output_matches_golden_bytes(name, argv):
+    code, out, _ = invoke(argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()
 
 
 def test_json_determinism():

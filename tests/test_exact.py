@@ -45,6 +45,28 @@ def test_canonical_reduce_singular():
         canonical_reduce(Q([[1, 2], [2, 4]]))
 
 
+def test_canonical_reduce_over_prime_field():
+    gf5 = PrimeField(5)
+    g = tuple(tuple(gf5.of(x) for x in row) for row in [[1, 2], [3, 4]])
+    # column (1,3) scales its pivot 3 to 1: (2,1); then (2,4) - 4*(2,1) = (4,0) -> (1,0)
+    expected = tuple(tuple(gf5.of(x) for x in row) for row in [[2, 1], [1, 0]])
+    assert canonical_reduce(g, gf5) == expected
+    with pytest.raises(Singular):
+        canonical_reduce(tuple(tuple(gf5.of(x) for x in row) for row in [[1, 2], [3, 1]]), gf5)
+
+
+def test_canonical_reduce_over_function_field():
+    t = RatFunc(Poly.t())
+    one = FUNCTION_FIELD.one
+    # column (1,t) scales its pivot t to 1: (1/t,1); then (1,1) - (1/t,1) = ((t-1)/t,0) -> (1,0)
+    g = ((one, one), (t, one))
+    expected = ((one / t, one), (one, FUNCTION_FIELD.zero))
+    assert canonical_reduce(g, FUNCTION_FIELD) == expected
+    # (1,t) = (t,t^2) / t: dependent over Q(t), though no rational multiple
+    with pytest.raises(Singular):
+        canonical_reduce(((t, one), (t * t, t)), FUNCTION_FIELD)
+
+
 def test_in_span_examples():
     e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     assert in_span(e1, [(1, 1, 0), e2])
