@@ -58,6 +58,8 @@ def _matching_from_args(args, parser) -> tuple[Matching, JordanType]:
     if args.n is None:
         parser.error("--n is required with --matching")
     m = textio.parse_matching(args.matching, args.N)
+    if not (m.is_noncrossing and m.is_standard):
+        parser.error("cell templates require a standard noncrossing matching")
     return m, JordanType(args.n, m.N)
 
 

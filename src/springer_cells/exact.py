@@ -8,9 +8,9 @@ and ``of(int)`` and its elements support ``+ - * ==`` (fields also ``/``).
 
 On top of that protocol, one Gaussian elimination (``SpanBasis``) sits
 under span tests, the canonical coset form of a flag matrix and the
-coordinate-subspace test of ``cells.prefix_span_basis``; beside it sit
-linear solves and ``limit_flag``: the limit as t -> oo of the flag spanned
-by polynomial columns, read off by column reduction at t = oo.
+coordinate-subspace test of ``cells.prefix_span_basis``; beside it sits
+``limit_flag``: the limit as t -> oo of the flag spanned by polynomial
+columns, read off by column reduction at t = oo.
 """
 
 from __future__ import annotations
@@ -332,12 +332,15 @@ def mat_from_rows(rows) -> Matrix:
 
 
 def mat_cols(m: Matrix) -> list[list]:
+    """The columns of m; a matrix with no rows has none."""
     n_rows = len(m)
-    return [[m[r][j] for r in range(n_rows)] for j in range(len(m[0]))]
+    n_cols = len(m[0]) if m else 0
+    return [[m[r][j] for r in range(n_rows)] for j in range(n_cols)]
 
 
 def mat_from_cols(cols) -> Matrix:
-    n_rows = len(cols[0])
+    """The matrix with the given columns; no columns give the 0x0 matrix."""
+    n_rows = len(cols[0]) if cols else 0
     return tuple(tuple(col[r] for col in cols) for r in range(n_rows))
 
 
@@ -378,50 +381,6 @@ class SpanBasis:
     @property
     def rank(self) -> int:
         return len(self.echelon)
-
-
-def solve_linear_system(a_rows: Sequence[Sequence], b: Sequence, ring=QQ):
-    """Solve A x = b over a field; (particular, nullspace basis) or None.
-
-    A is given by rows; the nullspace basis has one vector per free column.
-    """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    aug = [list(row) + [bv] for row, bv in zip(a_rows, b)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if aug[i][c] != ring.zero), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = ring.one / aug[r][c]
-        aug[r] = [inv * x for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != ring.zero:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != ring.zero:
-            return None
-    particular = [ring.zero] * n
-    for pr, pc in pivots:
-        particular[pc] = aug[pr][n]
-    pivot_cols = {pc for _, pc in pivots}
-    null_basis = []
-    for fc in range(n):
-        if fc in pivot_cols:
-            continue
-        vec = [ring.zero] * n
-        vec[fc] = ring.one
-        for pr, pc in pivots:
-            vec[pc] = ring.zero - aug[pr][fc]
-        null_basis.append(vec)
-    return particular, null_basis
 
 
 def rank(vectors: Sequence[Sequence], ring=QQ) -> int:

@@ -7,9 +7,10 @@ already lies in the span of the previous columns, which is exactly the
 flag-stability condition, so the procedure enumerates precisely the
 canonical matrices of Springer flags while skipping dead subtrees early.
 
-The oracle shares only scalars and the flag-matrix wrapper with the main
-path; in particular it never builds cell templates, so agreement between
-its buckets and the matching enumeration is a genuine cross-check.
+The oracle shares with the main path the scalars, the flag-matrix
+wrapper, the elimination ``SpanBasis`` and ``apply_nilpotent``; it never
+builds cell templates, so agreement between its buckets and the matching
+enumeration is a genuine cross-check.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 from .cells import FlagMatrix, apply_nilpotent
 from .errors import Infeasible
-from .exact import PrimeField, SpanBasis, mat_from_cols, solve_linear_system
+from .exact import PrimeField, SpanBasis, mat_from_cols
 from .matchings import JordanType
 
 #: Hard cap on the nominal enumeration size (canonical matrices of the
@@ -38,23 +39,17 @@ class FqConfig:
 
 
 def full_flag_count(q: int, N: int) -> int:
-    """Number of complete flags over F_q, as a sum of q^inversions over all
-    permutations (an independent enumeration, not a closed formula).
+    """Number of complete flags over F_q: the q-factorial
+    [N]_q! = prod_{i<=N} (q^i - 1)/(q - 1) (Stanley, *Enumerative
+    Combinatorics* I, 1.7).
     """
-    total = 0
-    for perm in itertools.permutations(range(N)):
-        inv = sum(
-            1
-            for a, b in itertools.combinations(range(N), 2)
-            if perm[a] > perm[b]
-        )
-        total += q**inv
+    total = 1
+    for i in range(1, N + 1):
+        total *= (q**i - 1) // (q - 1)
     return total
 
 
 def _feasible(cfg: FqConfig) -> None:
-    if cfg.jt.N > 7:
-        raise Infeasible(f"N={cfg.jt.N} too large for brute force")
     if full_flag_count(cfg.q, cfg.jt.N) > MAX_NOMINAL_CANDIDATES:
         raise Infeasible(f"nominal candidate count exceeds {MAX_NOMINAL_CANDIDATES}")
 
@@ -70,9 +65,13 @@ def enumerate_springer_flags(cfg: FqConfig) -> dict[tuple[int, ...], list[FlagMa
     elements = field.elements()
     buckets: dict[tuple[int, ...], list[FlagMatrix]] = {}
 
+    def unit(i: int, size: int) -> list:
+        return [field.one if s == i else field.zero for s in range(size)]
+
+    images = [apply_nilpotent(jt, tuple(unit(r, N)), field) for r in range(N)]
+
     def extend(cols: list[tuple], pivots: tuple[int, ...], span: SpanBasis):
-        j = len(cols)
-        if j == N:
+        if len(cols) == N:
             buckets.setdefault(pivots, []).append(FlagMatrix(mat_from_cols(cols)))
             return
         used = set(pivots)
@@ -80,36 +79,35 @@ def enumerate_springer_flags(cfg: FqConfig) -> dict[tuple[int, ...], list[FlagMa
             if piv in used:
                 continue
             free_rows = [r for r in range(1, piv) if r not in used]
-            base = [field.zero] * N
-            base[piv - 1] = field.one
-            # the shift image of the new column must fall in the prefix
-            # span; that is affine-linear in the free entries, so solve a
-            # linear system instead of enumerating all fillings
-            base_res = span.residual(apply_nilpotent(jt, tuple(base), field))
-            a_cols = []
-            for r in free_rows:
-                e_r = tuple(field.one if s == r else field.zero for s in range(1, N + 1))
-                a_cols.append(span.residual(apply_nilpotent(jt, e_r, field)))
-            a_rows = [[a_cols[c][r] for c in range(len(free_rows))] for r in range(N)]
-            rhs = [field.zero - v for v in base_res]
-            solution = solve_linear_system(a_rows, rhs, field)
-            if solution is None:
+            k = len(free_rows)
+            # the new column is e_piv + sum y_i e_{r_i}, and the shift image
+            # of it must fall in the prefix span: an affine condition on y.
+            # Eliminating (e_i | res X e_{r_i}) with the image block last
+            # leaves the null space as the vectors pivoting in the unit block
+            system = SpanBasis(field)
+            for i, r in enumerate(free_rows):
+                system.add(unit(i, k + 1) + span.residual(images[r - 1]))
+            # (y, 1 | res X e_piv + sum y_i res X e_{r_i}): y solves the
+            # condition exactly when the image part vanishes
+            res = system.residual(unit(k, k + 1) + span.residual(images[piv - 1]))
+            if any(x != field.zero for x in res[k + 1 :]):
                 continue
-            particular, null_basis = solution
+            null_basis = [vec[:k] for p, vec in system.echelon if p < k]
             for coeffs in itertools.product(elements, repeat=len(null_basis)):
-                values = list(particular)
+                values = res[:k]
                 for c, nb in zip(coeffs, null_basis):
                     if c != field.zero:
                         values = [v + c * x for v, x in zip(values, nb)]
-                col = list(base)
+                col = unit(piv - 1, N)
                 for r, v in zip(free_rows, values):
                     col[r - 1] = v
                 col_t = tuple(col)
-                sub_span = SpanBasis(field)
-                for c in cols:
-                    sub_span.add(c)
-                sub_span.add(col_t)
-                extend(cols + [col_t], pivots + (piv,), sub_span)
+                # stored (pivot, vector) pairs are never mutated, so the
+                # child shares the parent's and adds only the new column
+                child = SpanBasis(field)
+                child.echelon = list(span.echelon)
+                child.add(col_t)
+                extend(cols + [col_t], pivots + (piv,), child)
 
     extend([], (), SpanBasis(field))
     return buckets

@@ -31,21 +31,22 @@ def evidence(value: float) -> str:
     return "inconclusive"
 
 
-def _projectors(g: np.ndarray) -> list[np.ndarray]:
-    out = []
-    for i in range(1, g.shape[0] + 1):
-        q, _ = np.linalg.qr(g[:, :i])
-        out.append(q @ q.T)
-    return out
+def _flag_gap(q_target: np.ndarray, candidate: np.ndarray) -> float:
+    """flag_distance with the target's orthonormal basis Q_t given.
+
+    With Q_g from one QR of the candidate, the projectors onto the i-th
+    subspaces differ in Frobenius norm by sqrt(2) ||(Q_t^T Q_g)[i:, :i]||_F
+    (principal angles; Golub & Van Loan, *Matrix Computations*, 6.4).
+    """
+    q_cand, _ = np.linalg.qr(candidate)
+    cross = q_target.T @ q_cand
+    gaps = [np.linalg.norm(cross[i:, :i]) for i in range(1, cross.shape[0])]
+    return float(np.sqrt(2.0) * max(gaps, default=0.0))
 
 
 def flag_distance(target: np.ndarray, candidate: np.ndarray) -> float:
     """max_i ||proj V_i(target) - proj V_i(candidate)||_F."""
-    dists = [
-        float(np.linalg.norm(p - q))
-        for p, q in zip(_projectors(target), _projectors(candidate))
-    ]
-    return max(dists)
+    return _flag_gap(np.linalg.qr(target)[0], candidate)
 
 
 def numeric_infimum(
@@ -72,14 +73,13 @@ def numeric_infimum(
         base[piv - 1, col - 1] = 1.0
     slot_list = [(r - 1, c - 1, template.matching.arcs.index(a)) for (r, c), a in template.slots.items()]
     target_np = np.array([[float(x) for x in row] for row in target.rows])
-    target_projs = _projectors(target_np)
+    q_target, _ = np.linalg.qr(target_np)
 
     def objective(x: np.ndarray) -> float:
         g = base.copy()
         for r, c, idx in slot_list:
             g[r, c] = x[idx]
-        cand = _projectors(g)
-        return max(float(np.linalg.norm(p - q)) for p, q in zip(target_projs, cand))
+        return _flag_gap(q_target, g)
 
     k = len(m)
     if k == 0:

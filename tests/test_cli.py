@@ -65,6 +65,11 @@ def test_usage_error_exits_two():
         ["limit", "--matching", "(1,4)(2,3)", "--n", "2", "--arcs", "(1,4) junk"],
         ["limit", "--matching", "(1,4)(2,3)", "--n", "2", "--arcs", "(1,4)", "--target", "(2,3)=1/0"],
         ["verify", "--max-N", "0"],
+        # matchings outside the paper's domain: crossing or not standard
+        ["closure", "--matching", "(1,3)(2,4)", "--n", "2"],
+        ["limit", "--matching", "(1,3)(2,4)", "--n", "2", "--arcs", "(1,3)"],
+        ["word", "--matching", "(1,4)", "--n", "2"],
+        ["cut", "--matching", "(1,4)", "--n", "2", "--arcs", "(1,4)"],
     ],
 )
 def test_bad_input_exits_two_with_one_line(argv):
@@ -217,6 +222,14 @@ def test_fqcount_json_schema():
     assert payload["total"] == 15
     assert payload["full_flag_count"] == 315
 
+    # the empty type has one flag, the empty one
+    code, out, _ = invoke(["fqcount", "--q", "2", "--N", "0", "--n", "0", "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    validate(payload, "fqcount.json")
+    assert payload["total"] == 1
+    assert payload["full_flag_count"] == 1
+
 
 def test_verify_command_json():
     code, out, _ = invoke(
@@ -254,6 +267,8 @@ GOLDEN = Path(__file__).parent / "golden"
             "closure_certify_seed0.json",
             ["closure", "--matching", "(1,8)(2,3)(4,7)(5,6)", "--n", "4", "--certify", "--format", "json", "--seed", "0"],
         ),
+        ("fqcount_q3_N5_n2.json", ["fqcount", "--q", "3", "--N", "5", "--n", "2", "--json"]),
+        ("fqcount_q2_N7_n3.json", ["fqcount", "--q", "2", "--N", "7", "--n", "3", "--json"]),
     ],
 )
 def test_output_matches_golden_bytes(name, argv):

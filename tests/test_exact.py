@@ -16,7 +16,6 @@ from springer_cells.exact import (
     in_span,
     limit_flag,
     poly_gcd,
-    solve_linear_system,
 )
 from springer_cells.verify import check_canonical_reduce
 
@@ -132,13 +131,3 @@ def test_prime_field_ops():
     with pytest.raises(ValueError):
         PrimeField(6)
 
-
-def test_solve_linear_system():
-    a = Q([[1, 2], [3, 4]])
-    particular, null = solve_linear_system(a, [Fraction(5), Fraction(11)])
-    assert particular == [Fraction(1), Fraction(2)]
-    assert null == []
-    singular = Q([[1, 1], [2, 2]])
-    assert solve_linear_system(singular, [Fraction(1), Fraction(3)]) is None
-    particular, null = solve_linear_system(singular, [Fraction(1), Fraction(2)])
-    assert len(null) == 1

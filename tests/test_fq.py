@@ -1,5 +1,6 @@
 """Finite-field brute-force oracle and its cross-checks."""
 
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,16 @@ from springer_cells.verify import check_fq_oracle
 def test_full_flag_counts():
     assert full_flag_count(2, 4) == 315
     assert full_flag_count(2, 1) == 1
+    assert full_flag_count(2, 0) == 1
     assert full_flag_count(3, 3) == 52  # 1 * 4 * 13
+    # the q-factorial against the Bruhat-cell sum of q^inversions
+    for q in (2, 3, 5):
+        for N in range(6):
+            by_cells = sum(
+                q ** sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+                for perm in itertools.permutations(range(N))
+            )
+            assert full_flag_count(q, N) == by_cells
 
 
 def test_springer_count_q2_type_2_4():
