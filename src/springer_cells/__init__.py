@@ -40,6 +40,7 @@ from .errors import (
     Infeasible,
     InvalidSplitIndex,
     MissingParameter,
+    NotDivisible,
     OddN,
     Singular,
     SpringerCellsError,
@@ -51,7 +52,6 @@ from .exact import (
     Poly,
     PrimeField,
     QQ,
-    RatFunc,
     canonical_reduce,
     in_span,
     limit_flag,

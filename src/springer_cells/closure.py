@@ -16,7 +16,10 @@ arc over it, the flag splits into two independent blocks and the curves
 concatenate.  When the outermost arc spans everything, the flag fibers over
 the line V_1; a finite first coordinate freezes that arc's variable and the
 rest recurses, while cutting the outermost arc sends V_1 to its limit line,
-which twists the inner coordinates by an explicit polynomial frame change.
+which twists the inner coordinates by an explicit polynomial frame change;
+the twisted coordinates are read back by a canonical reduction over Q[t]
+with exact division, and a twist with no polynomial coordinates gives no
+curve.
 """
 
 from __future__ import annotations
@@ -40,15 +43,15 @@ from .errors import (
     DimensionMismatch,
     InvalidSplitIndex,
     MissingParameter,
+    NotDivisible,
     OddN,
+    Singular,
     TooManyArcs,
 )
 from .exact import (
-    FUNCTION_FIELD,
     POLY_RING,
     QQ,
     Poly,
-    RatFunc,
     SpanBasis,
     canonical_reduce,
     limit_flag,
@@ -361,53 +364,56 @@ def _inner_matching(m: Matching) -> Matching:
 
 
 def _twisted_inner_coords(
-    inner_m: Matching, inner_jt: JordanType, inner_curve: Mapping[Arc, RatFunc]
+    inner_m: Matching,
+    inner_jt: JordanType,
+    inner_curve: Mapping[Arc, Poly],
+    germs: Iterable[Arc] = (),
 ) -> dict[Arc, Poly] | None:
     """Inner cell coordinates after the frame change at the outer cut.
 
     When the outermost arc is cut, its variable runs off to infinity and
     V_1 tends to the basis line; reading the limit in the chart around that
-    line multiplies the inner flag by an explicit polynomial frame.  Here
-    the twisted matrix is reduced to canonical form over Q(t) and the cell
-    coordinates are read back off; None signals that the twisted flag left
+    line multiplies the inner flag by an explicit polynomial frame.  The
+    arcs in germs approach 0 along 1/t instead of their (zero) curve: each
+    column holding one of their slots is scaled by t, which puts 1 in that
+    slot and keeps the flag.  The twisted matrix is reduced to canonical
+    form over Q[t] with exact division and the cell coordinates are read
+    back off; None signals that the twisted flag has no polynomial point in
     the inner cell (no polynomial certificate of this shape exists).
     """
     h = inner_m.N
     if h == 0:
         return {}
     half = h // 2
+    t = Poly.t(1)
     template = build_template(inner_m, inner_jt)
-    w_rows = instantiate(template, dict(inner_curve), FUNCTION_FIELD).rows
-    t2 = RatFunc(Poly.t(2))
-    t1 = RatFunc(Poly.t(1))
-    twisted = [[FUNCTION_FIELD.zero] * h for _ in range(h)]
+    w_rows = [list(row) for row in instantiate(template, inner_curve, POLY_RING).rows]
+    germ_slots = [(r, c) for (r, c), arc in template.slots.items() if arc in germs]
+    for c in {c for _, c in germ_slots}:
+        for row in w_rows:
+            row[c - 1] = t * row[c - 1]
+    for r, c in germ_slots:
+        w_rows[r - 1][c - 1] = POLY_RING.one
+    t2 = Poly.t(2)
+    twisted = [[POLY_RING.zero] * h for _ in range(h)]
     for c in range(h):
         for r in range(half):
             twisted[r][c] = -(t2 * w_rows[half + r][c])
         for s in range(half):
             val = w_rows[s][c]
             if s + 1 < half:
-                val = val + t1 * w_rows[half + s + 1][c]
+                val = val + t * w_rows[half + s + 1][c]
             twisted[half + s][c] = val
     try:
-        reduced = canonical_reduce(mat_from_rows(twisted), FUNCTION_FIELD)
-        pattern = pivot_pattern(reduced, FUNCTION_FIELD)
-    except Exception:
+        reduced = canonical_reduce(mat_from_rows(twisted), POLY_RING)
+    except (Singular, NotDivisible):
         return None
-    if pattern != template.w:
+    if pivot_pattern(reduced, POLY_RING) != template.w:
         return None
-    coords: dict[Arc, Poly] = {}
-    for arc in inner_m.arcs:
-        entry = reduced[template.top_offset[arc]][arc.init - 1]
-        if not entry.is_polynomial():
-            return None
-        coords[arc] = entry.as_poly()
+    coords = {arc: reduced[template.top_offset[arc]][arc.init - 1] for arc in inner_m.arcs}
     # the reduced matrix must be exactly the template at these coordinates
-    check = instantiate(template, coords, POLY_RING)
-    for r in range(h):
-        for c in range(h):
-            if RatFunc(check.rows[r][c]) != reduced[r][c]:
-                return None
+    if instantiate(template, coords, POLY_RING).rows != reduced:
+        return None
     return coords
 
 
@@ -447,7 +453,7 @@ def _extract_inner_target(
             rows[r] = [x - a0 * y for x, y in zip(rows[r], rows[half + r])]
         try:
             rows = [list(r) for r in canonical_reduce(mat_from_rows(rows), QQ)]
-        except Exception:
+        except Singular:
             return None
         first_piv, last_piv = half, half - 1
         border_rows = (half - 1, half)
@@ -523,15 +529,13 @@ def _synthesize(
         out = {outer: Poly.const(target[outer])}
         out.update({_shift_arc(a, 1): p for a, p in inner.items()})
         return out
-    germs = {a: RatFunc(p) for a, p in inner.items()}
-    twisted = _twisted_inner_coords(inner_m, inner_jt, germs)
+    twisted = _twisted_inner_coords(inner_m, inner_jt, inner)
     zeros = [a for a in inner_target if inner[a].is_zero()]
     if twisted is None and zeros:
         # the frame change scales the inner coordinates by -t^2, so an arc
         # held at 0 can stay 0 and leave the inner cell; approaching 0
         # along 1/t instead keeps the inner limit
-        germs.update({a: RatFunc(Poly.const(1), Poly.t(1)) for a in zeros})
-        twisted = _twisted_inner_coords(inner_m, inner_jt, germs)
+        twisted = _twisted_inner_coords(inner_m, inner_jt, inner, zeros)
     if twisted is None:
         raise CurveNotFound(
             f"frame change left the inner cell for {m.arcs} cutting {sorted(cut_arcs)}"

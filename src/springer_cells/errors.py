@@ -17,6 +17,10 @@ class Singular(SpringerCellsError):
     """A matrix expected to be invertible is not."""
 
 
+class NotDivisible(SpringerCellsError):
+    """An exact polynomial division leaves a remainder."""
+
+
 class DimensionMismatch(SpringerCellsError):
     pass
 

@@ -1,14 +1,16 @@
-"""Exact scalars and linear algebra over Q, prime fields and Q(t).
+"""Exact scalars and linear algebra over Q, prime fields and Q[t].
 
 Matrices are plain tuples of row tuples.  Every algorithm here is generic
-over a small ring/field protocol: a ring object exposes ``zero``, ``one``
-and ``of(int)`` and its elements support ``+ - * ==`` (fields also ``/``).
-``fractions.Fraction`` plays that role for Q; ``GFElement``, ``Poly`` and
-``RatFunc`` implement it for F_q, Q[t] and Q(t).
+over a small ring protocol: a ring object exposes ``zero``, ``one`` and
+``of(int)`` and its elements support ``+ - * == /``.
+``fractions.Fraction`` plays that role for Q; ``GFElement`` and ``Poly``
+implement it for F_q and Q[t], where ``/`` is exact division and raises
+``NotDivisible`` on a remainder.
 
 On top of that protocol, one Gaussian elimination (``SpanBasis``) sits
 under span tests, the canonical coset form of a flag matrix and the
-coordinate-subspace test of ``cells.prefix_span_basis``; beside it sits
+coordinate-subspace test of ``cells.prefix_span_basis``; over Q[t] it
+yields the canonical form when that form is polynomial.  Beside it sits
 ``limit_flag``: the limit as t -> oo of the flag spanned by polynomial
 columns, read off by column reduction at t = oo.
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionMismatch, Singular, ZeroVector
+from .errors import DimensionMismatch, NotDivisible, Singular, ZeroVector
 
 NEG_INFINITY = float("-inf")
 
@@ -169,10 +171,6 @@ class Poly:
                     out[i + j] += a * b
         return Poly(out)
 
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        return Poly([c * a for a in self.coeffs])
-
     def __call__(self, x):
         """Evaluate at x (Fraction/int for exact, float for numeric work)."""
         numeric = isinstance(x, float)
@@ -181,27 +179,23 @@ class Poly:
             acc = acc * x + (float(c) if numeric else c)
         return acc
 
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
+    def __truediv__(self, other: "Poly") -> "Poly":
+        """The exact quotient; raises NotDivisible when other leaves a remainder."""
+        if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return Poly(), self
-        quot = [Fraction(0)] * (dq + 1)
+        d = len(other.coeffs) - 1
         lead = other.coeffs[-1]
-        for i in range(dq, -1, -1):
-            c = rem[i + len(other.coeffs) - 1] / lead
+        quot = [Fraction(0)] * max(len(rem) - d, 0)
+        for i in range(len(quot) - 1, -1, -1):
+            c = rem[i + d] / lead
             quot[i] = c
             if c:
                 for j, b in enumerate(other.coeffs):
                     rem[i + j] -= c * b
-        return Poly(quot), Poly(rem)
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.leading_coeff)
+        if any(rem[:d]):
+            raise NotDivisible(f"{other!r} does not divide {self!r}")
+        return Poly(quot)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -218,12 +212,6 @@ class Poly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a.monic() if not a.is_zero() else a
-
-
 class _PolyRing:
     zero = Poly()
     one = Poly([1])
@@ -235,93 +223,6 @@ class _PolyRing:
 
 
 POLY_RING = _PolyRing()
-
-
-class RatFunc:
-    """Element of Q(t): a quotient of polynomials in lowest terms.
-
-    The denominator is kept monic and nonzero, and gcd(num, den) = 1.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly = Poly([1])):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            num, den = Poly(), Poly([1])
-        else:
-            g = poly_gcd(num, den)
-            if g.degree not in (0, NEG_INFINITY):
-                num, den = num.divmod(g)[0], den.divmod(g)[0]
-            lead = den.leading_coeff
-            if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0 or self.is_zero()
-
-    def as_poly(self) -> Poly:
-        if not self.is_polynomial():
-            raise ValueError(f"{self!r} is not a polynomial")
-        return self.num  # den is the constant 1 once reduced
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RatFunc)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return self + (-other)
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero in Q(t)")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __repr__(self) -> str:
-        if self.is_polynomial():
-            return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
-
-
-class _FunctionField:
-    zero = RatFunc(Poly())
-    one = RatFunc(Poly([1]))
-    name = "QQ(t)"
-
-    @staticmethod
-    def of(x) -> RatFunc:
-        return RatFunc(Poly.const(x))
-
-
-FUNCTION_FIELD = _FunctionField()
 
 
 Matrix = tuple  # tuple of row tuples; informal alias used in signatures
@@ -348,8 +249,10 @@ class SpanBasis:
     """Incrementally built span of vectors with exact membership tests.
 
     Each added vector is reduced against the stored ones in insertion order
-    and pivots on its lowest nonzero entry, scaled to 1: the stored vectors
-    of a matrix's columns are its canonical coset form.
+    and pivots on its lowest nonzero entry, divided by that entry: the
+    stored vectors of a matrix's columns are its canonical coset form.
+    Over Q[t] the division raises NotDivisible when the stored vector would
+    not be polynomial.
     """
 
     def __init__(self, ring=QQ):
@@ -374,8 +277,8 @@ class SpanBasis:
         piv = next((i for i in range(len(res) - 1, -1, -1) if res[i] != self.ring.zero), None)
         if piv is None:
             return False
-        inv = self.ring.one / res[piv]
-        self.echelon.append((piv, [inv * x for x in res]))
+        lead = res[piv]
+        self.echelon.append((piv, [x / lead for x in res]))
         return True
 
     @property
@@ -405,7 +308,8 @@ def canonical_reduce(g: Matrix, ring=QQ) -> Matrix:
     """The unique coset representative of gB with pivots 1, zeros below
     and to the right of every pivot.  Column-prefix spans are preserved.
 
-    Raises Singular if g is not invertible.
+    Raises Singular if g is not invertible and, over Q[t], NotDivisible if
+    the representative is not polynomial.
     """
     n = len(g)
     if any(len(row) != n for row in g):

@@ -70,6 +70,13 @@ def test_usage_error_exits_two():
         ["limit", "--matching", "(1,3)(2,4)", "--n", "2", "--arcs", "(1,3)"],
         ["word", "--matching", "(1,4)", "--n", "2"],
         ["cut", "--matching", "(1,4)", "--n", "2", "--arcs", "(1,4)"],
+        # a target for a cut arc, and a target given twice
+        ["limit", "--matching", "(1,4)(2,3)", "--n", "2", "--arcs", "(2,3)", "--target", "(2,3)=5;(1,4)=1;(1,4)=2"],
+        ["limit", "--matching", "(1,4)(2,3)", "--n", "2", "--arcs", "(1,4)", "--target", "(2,3)=1;(2,3)=2"],
+        ["closure", "--matching", "(1,2)", "--n", "1", "--dot", "/nonexistent/x.dot"],
+        # more arcs than min(n, N - n)
+        ["cell", "--matching", "(1,4)(2,3)", "--n", "1"],
+        ["cut", "--matching", "(1,2)(3,4)", "--n", "1", "--arcs", "(1,2)"],
     ],
 )
 def test_bad_input_exits_two_with_one_line(argv):
@@ -80,10 +87,8 @@ def test_bad_input_exits_two_with_one_line(argv):
 
 
 def test_library_error_exits_one():
-    # two arcs cannot fit a top block of size one
-    code, _, err = invoke(
-        ["cut", "--matching", "(1,2)(3,4)", "--n", "1", "--arcs", "(1,2)"]
-    )
+    # the brute-force F_q enumeration refuses a type this large
+    code, _, err = invoke(["fqcount", "--q", "2", "--N", "8", "--n", "4"])
     assert code == 1
     assert "error" in err
 
@@ -269,6 +274,14 @@ GOLDEN = Path(__file__).parent / "golden"
         ),
         ("fqcount_q3_N5_n2.json", ["fqcount", "--q", "3", "--N", "5", "--n", "2", "--json"]),
         ("fqcount_q2_N7_n3.json", ["fqcount", "--q", "2", "--N", "7", "--n", "3", "--json"]),
+        (
+            "closure_nested10_certify_seed0.json",
+            ["closure", "--matching", "(1,10)(2,9)(3,8)(4,7)(5,6)", "--n", "5", "--certify", "--format", "json", "--seed", "0"],
+        ),
+        (
+            "limit_coincident_target.json",
+            ["limit", "--matching", "(1,6)(2,5)(3,4)", "--n", "3", "--arcs", "(2,5)", "--target", "(1,6)=1;(3,4)=1", "--format", "json"],
+        ),
     ],
 )
 def test_output_matches_golden_bytes(name, argv):

@@ -5,17 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from springer_cells.errors import Singular
+from springer_cells.errors import NotDivisible, Singular
 from springer_cells.exact import (
-    FUNCTION_FIELD,
     NEG_INFINITY,
+    POLY_RING,
     Poly,
     PrimeField,
-    RatFunc,
     canonical_reduce,
     in_span,
     limit_flag,
-    poly_gcd,
 )
 from springer_cells.verify import check_canonical_reduce
 
@@ -54,16 +52,16 @@ def test_canonical_reduce_over_prime_field():
         canonical_reduce(tuple(tuple(gf5.of(x) for x in row) for row in [[1, 2], [3, 1]]), gf5)
 
 
-def test_canonical_reduce_over_function_field():
-    t = RatFunc(Poly.t())
-    one = FUNCTION_FIELD.one
-    # column (1,t) scales its pivot t to 1: (1/t,1); then (1,1) - (1/t,1) = ((t-1)/t,0) -> (1,0)
-    g = ((one, one), (t, one))
-    expected = ((one / t, one), (one, FUNCTION_FIELD.zero))
-    assert canonical_reduce(g, FUNCTION_FIELD) == expected
-    # (1,t) = (t,t^2) / t: dependent over Q(t), though no rational multiple
+def test_canonical_reduce_over_polynomial_ring():
+    t, one, zero = Poly.t(), POLY_RING.one, POLY_RING.zero
+    # column (t,t) divides by its pivot t: (1,1); then (1,0) is already reduced
+    assert canonical_reduce(((t, one), (t, zero)), POLY_RING) == ((one, one), (one, zero))
+    # column (1,t) would divide 1 by t: the canonical form is not polynomial
+    with pytest.raises(NotDivisible):
+        canonical_reduce(((one, one), (t, one)), POLY_RING)
+    # (t^2,t) = t (t,1): dependent over Q(t), though no rational multiple
     with pytest.raises(Singular):
-        canonical_reduce(((t, one), (t * t, t)), FUNCTION_FIELD)
+        canonical_reduce(((t, t * t), (one, t)), POLY_RING)
 
 
 def test_in_span_examples():
@@ -102,23 +100,22 @@ def test_poly_arithmetic():
     assert (p * q).coeffs == (0, 0, 1, 2)
     assert (p - p).is_zero()
     assert p.degree == 1 and Poly().degree == NEG_INFINITY
-    quot, rem = (p * q + Poly([5])).divmod(p)
-    assert quot == q and rem == Poly([5])
-    assert poly_gcd(p * q, p) == p.monic()
     assert p(Fraction(3)) == 7
     assert Poly([Fraction(1, 2), 1])(2.0) == pytest.approx(2.5)
 
 
-def test_ratfunc_normalization():
-    t = Poly.t()
-    r = RatFunc(t * t, t)  # t^2 / t = t
-    assert r.is_polynomial() and r.as_poly() == t
-    half = RatFunc(Poly([1]), Poly([2]))
-    assert half == RatFunc(Poly([Fraction(1, 2)]))
-    s = RatFunc(Poly([1]), t)
-    assert not s.is_polynomial()
-    assert (s * RatFunc(t)).as_poly() == Poly([1])
-    assert FUNCTION_FIELD.of(3) == RatFunc(Poly([3]))
+def test_poly_exact_division():
+    p = Poly([1, 2])  # 1 + 2t
+    q = Poly([0, 0, 1])  # t^2
+    assert (p * q) / p == q
+    assert (p * q) / Poly([Fraction(1, 2)]) == Poly([0, 0, 2, 4])
+    assert Poly() / p == Poly()
+    with pytest.raises(NotDivisible):
+        (p * q + Poly([5])) / p
+    with pytest.raises(NotDivisible):
+        Poly([1]) / Poly.t()
+    with pytest.raises(ZeroDivisionError):
+        p / Poly()
 
 
 def test_prime_field_ops():
