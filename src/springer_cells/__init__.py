@@ -45,7 +45,6 @@ from .errors import (
     Singular,
     SpringerCellsError,
     TooManyArcs,
-    ZeroVector,
 )
 from .exact import (
     GFElement,

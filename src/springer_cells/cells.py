@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import DimensionMismatch, MissingParameter, Singular
-from .exact import QQ, Matrix, SpanBasis, in_span, mat_from_rows, rank
+from .exact import QQ, Matrix, SpanBasis, in_span, mat_from_rows, pivot_pattern, rank
 from .matchings import (
     Arc,
     JordanType,
@@ -119,51 +119,49 @@ def cell_matrix(m: Matching, jt: JordanType, params: Mapping[Arc, object], ring=
     return instantiate(build_template(m, jt), params, ring)
 
 
-def verify_canonical(g: FlagMatrix, ring=QQ) -> bool:
+def verify_canonical(g: FlagMatrix) -> bool:
     """Unique pivot 1 per row and column, zeros below and right of pivots."""
-    n = g.N
-    pivot_rows = []
-    for j in range(1, n + 1):
-        col = g.col(j)
-        piv = None
-        for r in range(n, 0, -1):
-            if col[r - 1] != ring.zero:
-                piv = r
-                break
-        if piv is None or col[piv - 1] != ring.one:
+    try:
+        pivots = pivot_pattern(g.rows)
+    except Singular:
+        return False
+    for j, piv in enumerate(pivots, start=1):
+        p = g[piv, j]
+        # the only nonzero p with p * p == p is 1
+        if p * p != p or any(g[piv, j2] for j2 in range(j + 1, g.N + 1)):
             return False
-        if any(g[piv, j2] != ring.zero for j2 in range(j + 1, n + 1)):
-            return False
-        pivot_rows.append(piv)
-    return len(set(pivot_rows)) == n
+    return len(set(pivots)) == g.N
 
 
-def apply_nilpotent(jt: JordanType, vec, ring=QQ) -> tuple:
+def apply_nilpotent(jt: JordanType, vec) -> tuple:
     """Image of a coordinate vector under the two-block shift."""
     if len(vec) != jt.N:
         raise DimensionMismatch(f"vector length {len(vec)} vs N={jt.N}")
-    out = [ring.zero] * jt.N
+    if not vec:
+        return ()
+    out = [vec[0] - vec[0]] * jt.N
     for row in range(1, jt.N + 1):
         target = jt.x_image_row(row)
         if target is not None:
-            out[target - 1] = out[target - 1] + vec[row - 1]
+            # no two rows shift to the same row
+            out[target - 1] = vec[row - 1]
     return tuple(out)
 
 
-def verify_springer(g: FlagMatrix, jt: JordanType, ring=QQ) -> bool:
+def verify_springer(g: FlagMatrix, jt: JordanType) -> bool:
     """Each column's image under the nilpotent stays in the flag subspace
     spanned by the columns up to and including it.
     """
-    span = SpanBasis(ring)
+    span = SpanBasis()
     contained = True
     for c in g.cols():
         if not span.add(c):
             raise Singular("columns are linearly dependent")
-        contained = contained and span.contains(apply_nilpotent(jt, c, ring))
+        contained = contained and span.contains(apply_nilpotent(jt, c))
     return contained
 
 
-def prefix_span_basis(g: FlagMatrix, i: int, ring=QQ):
+def prefix_span_basis(g: FlagMatrix, i: int):
     """Sorted indices {r: e_r in V_i} when V_i is a coordinate subspace,
     else NOT_COORDINATE.
 
@@ -173,13 +171,13 @@ def prefix_span_basis(g: FlagMatrix, i: int, ring=QQ):
     if not (0 <= i <= g.N):
         raise DimensionMismatch(f"index {i} outside 0..{g.N}")
     cols = g.cols()[:i]
-    rows = tuple(r for r in range(1, g.N + 1) if any(c[r - 1] != ring.zero for c in cols))
-    if rank(cols, ring) == len(rows) == i:
+    rows = tuple(r for r in range(1, g.N + 1) if any(c[r - 1] for c in cols))
+    if rank(cols) == len(rows) == i:
         return rows
     return NOT_COORDINATE
 
 
-def springer_column_diagnostics(g: FlagMatrix, jt: JordanType, ring=QQ) -> list[str]:
+def springer_column_diagnostics(g: FlagMatrix, jt: JordanType) -> list[str]:
     """Structural facts every canonical Springer matrix satisfies, checked
     column by column; returns human-readable violations (empty when clean).
 
@@ -193,14 +191,11 @@ def springer_column_diagnostics(g: FlagMatrix, jt: JordanType, ring=QQ) -> list[
     issues: list[str] = []
     n, N = jt.n, jt.N
     cols = g.cols()
-    piv = []
-    for j, c in enumerate(cols, start=1):
-        pr = max(r for r in range(1, N + 1) if c[r - 1] != ring.zero)
-        piv.append(pr)
+    piv = pivot_pattern(g.rows)
     for j, c in enumerate(cols, start=1):
         pr = piv[j - 1]
         if pr <= n:
-            if any(c[r] != ring.zero for r in range(N) if r != pr - 1):
+            if any(c[r] for r in range(N) if r != pr - 1):
                 issues.append(f"column {j}: top-block pivot but extra entries")
             earlier = set(piv[: j - 1])
             if not all(r in earlier for r in range(1, pr)):
@@ -211,12 +206,9 @@ def springer_column_diagnostics(g: FlagMatrix, jt: JordanType, ring=QQ) -> list[
                 issues.append(f"column {j}: bottom rows n+1..{pr - 1} not pivoted earlier")
             if pr >= n + 2:
                 k2 = piv.index(pr - 1) + 1
-                diff = tuple(
-                    a - b
-                    for a, b in zip(apply_nilpotent(jt, c, ring), cols[k2 - 1])
-                )
-                if any(diff[r] != ring.zero for r in range(n, N)):
+                diff = tuple(a - b for a, b in zip(apply_nilpotent(jt, c), cols[k2 - 1]))
+                if any(diff[n:]):
                     issues.append(f"column {j}: shifted column minus column {k2} leaves top block")
-                if not in_span(diff, cols[: j - 1], ring):
+                if not in_span(diff, cols[: j - 1]):
                     issues.append(f"column {j}: shifted column minus column {k2} outside prefix span")
     return issues

@@ -171,16 +171,7 @@ def cmd_closure(args, parser) -> int:
             except SpringerCellsError as exc:
                 curve = None
                 failures.append(f"{sorted(subset)}: {exc}")
-            certs.append(
-                {
-                    "cut": [[a.init, a.term] for a in sorted(subset)],
-                    "target": {repr(a): str(v) for a, v in sorted(target.items())},
-                    "certified": curve is not None,
-                    "curve": {repr(a): textio.poly_json(p) for a, p in sorted(curve.items())}
-                    if curve is not None
-                    else None,
-                }
-            )
+            certs.append(textio.certificate_json(subset, target, curve))
         payload["certificates"] = certs
     if args.format == "dot" and not args.dot:
         args.dot = "-"
@@ -242,13 +233,8 @@ def cmd_limit(args, parser) -> int:
     except SpringerCellsError as exc:
         print(textio.dumps({"certified": False, "error": str(exc)}))
         return 1
-    payload = {
-        "matching": textio.format_matching(m),
-        "cut": [[a.init, a.term] for a in sorted(arcs)],
-        "target": {repr(a): str(v) for a, v in sorted(target.items())},
-        "curve": {repr(a): textio.poly_json(p) for a, p in sorted(curve.items())},
-        "certified": True,
-    }
+    payload = textio.certificate_json(arcs, target, curve)
+    payload["matching"] = textio.format_matching(m)
     table_lines = ["certified: True"]
     for a in m.arcs:
         table_lines.append(f"  v{a!r}(t) = {curve[a]!r}")

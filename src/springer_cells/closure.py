@@ -132,24 +132,22 @@ def swap_candidates(m: Matching, jt: JordanType) -> set[str]:
 
 
 def _power_image_contained(
-    jt: JordanType, cols: Sequence, upto: int, power: int, bound: int, ring
+    jt: JordanType, cols: Sequence, upto: int, power: int, bound: int
 ) -> bool:
     """X^power (span of cols[:upto]) inside span of cols[:bound]?"""
-    target = SpanBasis(ring)
+    target = SpanBasis()
     for c in cols[:bound]:
         target.add(c)
     for c in cols[:upto]:
         img = c
         for _ in range(power):
-            img = apply_nilpotent(jt, img, ring)
+            img = apply_nilpotent(jt, img)
         if not target.contains(img):
             return False
     return True
 
 
-def flag_necessary_conditions(
-    m: Matching, jt: JordanType, g: FlagMatrix, ring=QQ
-) -> list[str]:
+def flag_necessary_conditions(m: Matching, jt: JordanType, g: FlagMatrix) -> list[str]:
     """Violations of the closure conditions of the cell of m by the flag g.
 
     Checks, exactly: the frozen coordinate subspace at every index not
@@ -165,19 +163,19 @@ def flag_necessary_conditions(
             continue
         t = word[:i].count(T)
         expected = tuple(range(1, t + 1)) + tuple(range(jt.n + 1, jt.n + (i - t) + 1))
-        got = prefix_span_basis(g, i, ring)
+        got = prefix_span_basis(g, i)
         if got is NOT_COORDINATE or got != expected:
             issues.append(f"split {i}: prefix span is not the frozen coordinate subspace")
     for a in m.arcs:
         k = sum(1 for b in m.arcs if a.init <= b.init and b.term <= a.term)
-        if not _power_image_contained(jt, cols, a.term, k, a.init - 1, ring):
+        if not _power_image_contained(jt, cols, a.term, k, a.init - 1):
             issues.append(f"arc {a}: {k}-fold shift image escapes the prefix span")
     for a in m.arcs:
         par = parent(m, a)
         if par is None:
             continue
         k = (par.term - a.term) // 2
-        if not _power_image_contained(jt, cols, par.term, k + 1, a.term, ring):
+        if not _power_image_contained(jt, cols, par.term, k + 1, a.term):
             issues.append(f"arc {a} under {par}: shift condition between arc ends fails")
     return issues
 
@@ -308,7 +306,7 @@ def phi_embed(a, g: FlagMatrix, jt: JordanType, ring=QQ) -> FlagMatrix:
         for r in range(N - 2):
             for c in range(N - 2):
                 rows[r + 1][c + 1] = g.rows[r][c]
-        return FlagMatrix(canonical_reduce(mat_from_rows(rows), ring))
+        return FlagMatrix(canonical_reduce(mat_from_rows(rows)))
     a = ring.of(a) if isinstance(a, int) else a
     # place inner rows around the two pinned pivot columns
     for c in range(N - 2):
@@ -322,7 +320,7 @@ def phi_embed(a, g: FlagMatrix, jt: JordanType, ring=QQ) -> FlagMatrix:
     for r in range(half):
         for c in range(N):
             rows[r][c] = rows[r][c] + a * rows[half + r][c]
-    return FlagMatrix(canonical_reduce(mat_from_rows(rows), ring))
+    return FlagMatrix(canonical_reduce(mat_from_rows(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +403,10 @@ def _twisted_inner_coords(
                 val = val + t * w_rows[half + s + 1][c]
             twisted[half + s][c] = val
     try:
-        reduced = canonical_reduce(mat_from_rows(twisted), POLY_RING)
+        reduced = canonical_reduce(mat_from_rows(twisted))
     except (Singular, NotDivisible):
         return None
-    if pivot_pattern(reduced, POLY_RING) != template.w:
+    if pivot_pattern(reduced) != template.w:
         return None
     coords = {arc: reduced[template.top_offset[arc]][arc.init - 1] for arc in inner_m.arcs}
     # the reduced matrix must be exactly the template at these coordinates
@@ -452,7 +450,7 @@ def _extract_inner_target(
         for r in range(half):
             rows[r] = [x - a0 * y for x, y in zip(rows[r], rows[half + r])]
         try:
-            rows = [list(r) for r in canonical_reduce(mat_from_rows(rows), QQ)]
+            rows = [list(r) for r in canonical_reduce(mat_from_rows(rows))]
         except Singular:
             return None
         first_piv, last_piv = half, half - 1
@@ -464,7 +462,7 @@ def _extract_inner_target(
         if rows[r][0] != want_first or rows[r][N - 1] != want_last:
             return None
     for r in border_rows:
-        if any(rows[r][c] != QQ.zero for c in range(1, N - 1)):
+        if any(rows[r][1 : N - 1]):
             return None
     inner_rows = mat_from_rows([rows[r][1 : N - 1] for r in inner_row_ids])
     inner_piece = labeled_cut(inner_m, inner_cut, inner_jt)
@@ -474,7 +472,7 @@ def _extract_inner_target(
         lab = inner_piece.labels[gamma]
         val = inner_rows[template.top_offset[gamma]][gamma.init - 1]
         if lab is ZERO:
-            if val != QQ.zero:
+            if val:
                 return None
         elif lab in values:
             if values[lab] != val:
@@ -530,7 +528,7 @@ def _synthesize(
         out.update({_shift_arc(a, 1): p for a, p in inner.items()})
         return out
     twisted = _twisted_inner_coords(inner_m, inner_jt, inner)
-    zeros = [a for a in inner_target if inner[a].is_zero()]
+    zeros = [a for a in inner_target if not inner[a]]
     if twisted is None and zeros:
         # the frame change scales the inner coordinates by -t^2, so an arc
         # held at 0 can stay 0 and leave the inner cell; approaching 0

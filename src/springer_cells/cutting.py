@@ -131,7 +131,8 @@ def labeled_cut(
         order = contravariant_order(m, cut_arcs)
     else:
         order = list(order)
-        if set(order) != set(cut_arcs) or not is_contravariant(m, order):
+        listed_once = len(order) == len(cut_arcs) and set(order) == cut_arcs
+        if not (listed_once and is_contravariant(m, order)):
             raise ValueError("order must list the cut arcs top-down")
     current = m
     labels: dict[Arc, Label] = {a: a for a in m.arcs}

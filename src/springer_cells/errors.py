@@ -25,10 +25,6 @@ class DimensionMismatch(SpringerCellsError):
     pass
 
 
-class ZeroVector(SpringerCellsError):
-    pass
-
-
 class MissingParameter(SpringerCellsError):
     """A parameter vector does not assign a value to every arc."""
 

@@ -1,13 +1,16 @@
 """Exact scalars and linear algebra over Q, prime fields and Q[t].
 
-Matrices are plain tuples of row tuples.  Every algorithm here is generic
-over a small ring protocol: a ring object exposes ``zero``, ``one`` and
-``of(int)`` and its elements support ``+ - * == /``.
-``fractions.Fraction`` plays that role for Q; ``GFElement`` and ``Poly``
-implement it for F_q and Q[t], where ``/`` is exact division and raises
-``NotDivisible`` on a remainder.
+Matrices are plain tuples of row tuples.  Entries carry their own
+arithmetic: they support ``+ - * == /`` and are falsy exactly at zero, so
+every algorithm that only reads or combines entries is generic without
+being told the ring.  ``fractions.Fraction`` is the entry type for Q;
+``GFElement`` and ``Poly`` are those for F_q and Q[t], where ``/`` is exact
+division and raises ``NotDivisible`` on a remainder.  A ring object
+(``QQ``, ``PrimeField(p)``, ``POLY_RING``) only supplies ``zero``, ``one``
+and ``of(int)`` to the constructors that build a matrix out of Python
+values.
 
-On top of that protocol, one Gaussian elimination (``SpanBasis``) sits
+On top of that arithmetic, one Gaussian elimination (``SpanBasis``) sits
 under span tests, the canonical coset form of a flag matrix and the
 coordinate-subspace test of ``cells.prefix_span_basis``; over Q[t] it
 yields the canonical form when that form is polynomial.  Beside it sits
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionMismatch, NotDivisible, Singular, ZeroVector
+from .errors import DimensionMismatch, NotDivisible, Singular
 
 NEG_INFINITY = float("-inf")
 
@@ -31,7 +34,6 @@ class _Rationals:
 
     zero = Fraction(0)
     one = Fraction(1)
-    name = "QQ"
 
     @staticmethod
     def of(x) -> Fraction:
@@ -71,6 +73,9 @@ class GFElement:
     def __neg__(self) -> "GFElement":
         return GFElement((-self.value) % self.p, self.p)
 
+    def __bool__(self) -> bool:
+        return self.value != 0
+
     def __repr__(self) -> str:
         return f"{self.value} (mod {self.p})"
 
@@ -84,7 +89,6 @@ class PrimeField:
         self.p = p
         self.zero = GFElement(0, p)
         self.one = GFElement(1, p)
-        self.name = f"GF({p})"
 
     def of(self, x) -> GFElement:
         return GFElement(int(x) % self.p, self.p)
@@ -127,15 +131,6 @@ class Poly:
         if 0 <= d < len(self.coeffs):
             return self.coeffs[d]
         return Fraction(0)
-
-    @property
-    def leading_coeff(self) -> Fraction:
-        if not self.coeffs:
-            raise ZeroVector("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -215,7 +210,6 @@ class Poly:
 class _PolyRing:
     zero = Poly()
     one = Poly([1])
-    name = "QQ[t]"
 
     @staticmethod
     def of(x) -> Poly:
@@ -255,8 +249,7 @@ class SpanBasis:
     not be polynomial.
     """
 
-    def __init__(self, ring=QQ):
-        self.ring = ring
+    def __init__(self):
         self.echelon: list[tuple[int, list]] = []  # (pivot, vector) in insertion order
 
     def residual(self, vec: Sequence) -> list:
@@ -264,17 +257,17 @@ class SpanBasis:
         v = list(vec)
         for piv, basis_vec in self.echelon:
             c = v[piv]
-            if c != self.ring.zero:
+            if c:
                 v = [a - c * b for a, b in zip(v, basis_vec)]
         return v
 
     def contains(self, vec: Sequence) -> bool:
-        return all(a == self.ring.zero for a in self.residual(vec))
+        return not any(self.residual(vec))
 
     def add(self, vec: Sequence) -> bool:
         """Add vec to the span; True if it enlarged the span."""
         res = self.residual(vec)
-        piv = next((i for i in range(len(res) - 1, -1, -1) if res[i] != self.ring.zero), None)
+        piv = next((i for i in range(len(res) - 1, -1, -1) if res[i]), None)
         if piv is None:
             return False
         lead = res[piv]
@@ -286,25 +279,25 @@ class SpanBasis:
         return len(self.echelon)
 
 
-def rank(vectors: Sequence[Sequence], ring=QQ) -> int:
-    basis = SpanBasis(ring)
+def rank(vectors: Sequence[Sequence]) -> int:
+    basis = SpanBasis()
     for v in vectors:
         basis.add(v)
     return basis.rank
 
 
-def in_span(vector: Sequence, basis_vectors: Sequence[Sequence], ring=QQ) -> bool:
+def in_span(vector: Sequence, basis_vectors: Sequence[Sequence]) -> bool:
     """Exact membership of a vector in the span of the given vectors."""
     sizes = {len(v) for v in basis_vectors} | {len(vector)}
     if len(sizes) > 1:
         raise DimensionMismatch(f"mixed vector lengths {sorted(sizes)}")
-    basis = SpanBasis(ring)
+    basis = SpanBasis()
     for v in basis_vectors:
         basis.add(v)
     return basis.contains(vector)
 
 
-def canonical_reduce(g: Matrix, ring=QQ) -> Matrix:
+def canonical_reduce(g: Matrix) -> Matrix:
     """The unique coset representative of gB with pivots 1, zeros below
     and to the right of every pivot.  Column-prefix spans are preserved.
 
@@ -314,25 +307,20 @@ def canonical_reduce(g: Matrix, ring=QQ) -> Matrix:
     n = len(g)
     if any(len(row) != n for row in g):
         raise DimensionMismatch("canonical form needs a square matrix")
-    span = SpanBasis(ring)
+    span = SpanBasis()
     for j, col in enumerate(mat_cols(g), start=1):
         if not span.add(col):
             raise Singular(f"column {j} is dependent on earlier columns")
     return mat_from_cols([vec for _, vec in span.echelon])
 
 
-def pivot_pattern(g: Matrix, ring=QQ) -> tuple[int, ...]:
+def pivot_pattern(g: Matrix) -> tuple[int, ...]:
     """Row index (1-based) of the lowest nonzero entry of each column."""
-    n = len(g)
     pattern = []
-    for j in range(len(g[0])):
-        piv = None
-        for r in range(n - 1, -1, -1):
-            if g[r][j] != ring.zero:
-                piv = r + 1
-                break
+    for j, col in enumerate(mat_cols(g), start=1):
+        piv = next((r for r in range(len(col), 0, -1) if col[r - 1]), None)
         if piv is None:
-            raise Singular(f"column {j + 1} is zero")
+            raise Singular(f"column {j} is zero")
         pattern.append(piv)
     return tuple(pattern)
 

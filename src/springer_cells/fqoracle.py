@@ -68,7 +68,7 @@ def enumerate_springer_flags(cfg: FqConfig) -> dict[tuple[int, ...], list[FlagMa
     def unit(i: int, size: int) -> list:
         return [field.one if s == i else field.zero for s in range(size)]
 
-    images = [apply_nilpotent(jt, tuple(unit(r, N)), field) for r in range(N)]
+    images = [apply_nilpotent(jt, tuple(unit(r, N))) for r in range(N)]
 
     def extend(cols: list[tuple], pivots: tuple[int, ...], span: SpanBasis):
         if len(cols) == N:
@@ -84,19 +84,19 @@ def enumerate_springer_flags(cfg: FqConfig) -> dict[tuple[int, ...], list[FlagMa
             # of it must fall in the prefix span: an affine condition on y.
             # Eliminating (e_i | res X e_{r_i}) with the image block last
             # leaves the null space as the vectors pivoting in the unit block
-            system = SpanBasis(field)
+            system = SpanBasis()
             for i, r in enumerate(free_rows):
                 system.add(unit(i, k + 1) + span.residual(images[r - 1]))
             # (y, 1 | res X e_piv + sum y_i res X e_{r_i}): y solves the
             # condition exactly when the image part vanishes
             res = system.residual(unit(k, k + 1) + span.residual(images[piv - 1]))
-            if any(x != field.zero for x in res[k + 1 :]):
+            if any(res[k + 1 :]):
                 continue
             null_basis = [vec[:k] for p, vec in system.echelon if p < k]
             for coeffs in itertools.product(elements, repeat=len(null_basis)):
                 values = res[:k]
                 for c, nb in zip(coeffs, null_basis):
-                    if c != field.zero:
+                    if c:
                         values = [v + c * x for v, x in zip(values, nb)]
                 col = unit(piv - 1, N)
                 for r, v in zip(free_rows, values):
@@ -104,12 +104,12 @@ def enumerate_springer_flags(cfg: FqConfig) -> dict[tuple[int, ...], list[FlagMa
                 col_t = tuple(col)
                 # stored (pivot, vector) pairs are never mutated, so the
                 # child shares the parent's and adds only the new column
-                child = SpanBasis(field)
+                child = SpanBasis()
                 child.echelon = list(span.echelon)
                 child.add(col_t)
                 extend(cols + [col_t], pivots + (piv,), child)
 
-    extend([], (), SpanBasis(field))
+    extend([], (), SpanBasis())
     return buckets
 
 

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 from typing import Iterable
 
-from .exact import Matrix, QQ, mat_from_rows, rank
+from .exact import Matrix, mat_from_rows, rank
 from .matchings import Arc
 
 
@@ -27,5 +27,5 @@ def random_params(arcs: Iterable[Arc], rng: random.Random, nonzero: bool = True)
 def random_invertible_matrix(n: int, rng: random.Random) -> Matrix:
     while True:
         rows = [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
-        if rank(rows, QQ) == n:
+        if rank(rows) == n:
             return mat_from_rows(rows)

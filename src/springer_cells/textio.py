@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .cells import CellTemplate, FlagMatrix
 from .closure import ClosureDecomposition
@@ -63,6 +63,20 @@ def matrix_json(g: FlagMatrix) -> list[list[str]]:
 
 def poly_json(p: Poly) -> list[str]:
     return [format_scalar(c) for c in p.coeffs]
+
+
+def certificate_json(
+    cut_arcs: Iterable[Arc], target: Mapping[Arc, Fraction], curve: Mapping[Arc, Poly] | None
+) -> dict:
+    """A limit-curve certificate; a refused piece has no curve."""
+    return {
+        "cut": [[a.init, a.term] for a in sorted(cut_arcs)],
+        "target": {repr(a): str(v) for a, v in sorted(target.items())},
+        "certified": curve is not None,
+        "curve": None
+        if curve is None
+        else {repr(a): poly_json(p) for a, p in sorted(curve.items())},
+    }
 
 
 def matching_json(m: Matching, jt: JordanType) -> dict:

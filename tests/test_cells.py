@@ -17,7 +17,7 @@ from springer_cells.cells import (
     verify_springer,
 )
 from springer_cells.errors import MissingParameter, Singular
-from springer_cells.exact import PrimeField
+from springer_cells.exact import POLY_RING, PrimeField, pivot_pattern
 from springer_cells.matchings import (
     Arc,
     JordanType,
@@ -166,8 +166,22 @@ def test_prefix_span_basis_edge_cases():
     rows = [[1, 1, 0], [1, -2, 0], [0, 0, 1]]
     assert prefix_span_basis(FlagMatrix(Q(rows)), 2) == (1, 2)
     over_f3 = FlagMatrix(tuple(tuple(gf3.of(x) for x in row) for row in rows))
-    assert prefix_span_basis(over_f3, 2, gf3) is NOT_COORDINATE
-    assert prefix_span_basis(over_f3, 3, gf3) is NOT_COORDINATE
+    assert prefix_span_basis(over_f3, 2) is NOT_COORDINATE
+    assert prefix_span_basis(over_f3, 3) is NOT_COORDINATE
+
+
+def test_readers_take_the_ring_from_the_entries():
+    # no ring argument: over F_3 and Q[t] the identity has pivots (1, 2),
+    # is canonical and its prefixes span coordinate subspaces
+    for ring in (PrimeField(3), POLY_RING):
+        ident = FlagMatrix(((ring.one, ring.zero), (ring.zero, ring.one)))
+        assert pivot_pattern(ident.rows) == (1, 2)
+        assert verify_canonical(ident)
+        assert prefix_span_basis(ident, 1) == (1,)
+        assert prefix_span_basis(ident, 2) == (1, 2)
+        doubled = FlagMatrix(((ring.one, ring.zero), (ring.zero, ring.one + ring.one)))
+        assert not verify_canonical(doubled)
+    assert verify_canonical(FlagMatrix(()))
 
 
 def test_membership_and_injectivity_small():

@@ -103,3 +103,12 @@ def test_contravariant_order_rejects_bottom_up():
         labeled_cut(NESTED4, NESTED4.arcs, JT4, order=[Arc(2, 3), Arc(1, 4)])
     order = contravariant_order(NESTED4, NESTED4.arcs)
     assert order == [Arc(1, 4), Arc(2, 3)]
+
+
+def test_order_must_list_each_cut_arc_once():
+    with pytest.raises(ValueError, match="order must list the cut arcs top-down"):
+        labeled_cut(NESTED4, [Arc(2, 3)], JT4, order=[Arc(2, 3), Arc(2, 3)])
+    with pytest.raises(ValueError, match="order must list the cut arcs top-down"):
+        labeled_cut(NESTED4, [Arc(2, 3)], JT4, order=[])
+    piece = labeled_cut(NESTED4, [Arc(2, 3)], JT4, order=[Arc(2, 3)])
+    assert piece == labeled_cut(NESTED4, [Arc(2, 3)], JT4)

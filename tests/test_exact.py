@@ -1,10 +1,13 @@
 """Exact scalars, canonical forms and limit flags."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import springer_cells
 from springer_cells.errors import NotDivisible, Singular
 from springer_cells.exact import (
     NEG_INFINITY,
@@ -14,6 +17,7 @@ from springer_cells.exact import (
     canonical_reduce,
     in_span,
     limit_flag,
+    pivot_pattern,
 )
 from springer_cells.verify import check_canonical_reduce
 
@@ -23,6 +27,13 @@ from helpers import Q
 def test_canonical_reduce_identity():
     ident = Q([[1, 0], [0, 1]])
     assert canonical_reduce(ident) == ident
+
+
+def test_empty_matrix_has_no_pivots():
+    assert canonical_reduce(()) == ()
+    assert pivot_pattern(()) == ()
+    with pytest.raises(Singular):
+        pivot_pattern(Q([[1, 0], [0, 0]]))
 
 
 def test_canonical_reduce_clears_trailing_entries():
@@ -47,21 +58,21 @@ def test_canonical_reduce_over_prime_field():
     g = tuple(tuple(gf5.of(x) for x in row) for row in [[1, 2], [3, 4]])
     # column (1,3) scales its pivot 3 to 1: (2,1); then (2,4) - 4*(2,1) = (4,0) -> (1,0)
     expected = tuple(tuple(gf5.of(x) for x in row) for row in [[2, 1], [1, 0]])
-    assert canonical_reduce(g, gf5) == expected
+    assert canonical_reduce(g) == expected
     with pytest.raises(Singular):
-        canonical_reduce(tuple(tuple(gf5.of(x) for x in row) for row in [[1, 2], [3, 1]]), gf5)
+        canonical_reduce(tuple(tuple(gf5.of(x) for x in row) for row in [[1, 2], [3, 1]]))
 
 
 def test_canonical_reduce_over_polynomial_ring():
     t, one, zero = Poly.t(), POLY_RING.one, POLY_RING.zero
     # column (t,t) divides by its pivot t: (1,1); then (1,0) is already reduced
-    assert canonical_reduce(((t, one), (t, zero)), POLY_RING) == ((one, one), (one, zero))
+    assert canonical_reduce(((t, one), (t, zero))) == ((one, one), (one, zero))
     # column (1,t) would divide 1 by t: the canonical form is not polynomial
     with pytest.raises(NotDivisible):
-        canonical_reduce(((one, one), (t, one)), POLY_RING)
+        canonical_reduce(((one, one), (t, one)))
     # (t^2,t) = t (t,1): dependent over Q(t), though no rational multiple
     with pytest.raises(Singular):
-        canonical_reduce(((t, t * t), (one, t)), POLY_RING)
+        canonical_reduce(((t, t * t), (one, t)))
 
 
 def test_in_span_examples():
@@ -98,7 +109,7 @@ def test_poly_arithmetic():
     p = Poly([1, 2])  # 1 + 2t
     q = Poly([0, 0, 1])  # t^2
     assert (p * q).coeffs == (0, 0, 1, 2)
-    assert (p - p).is_zero()
+    assert not (p - p)
     assert p.degree == 1 and Poly().degree == NEG_INFINITY
     assert p(Fraction(3)) == 7
     assert Poly([Fraction(1, 2), 1])(2.0) == pytest.approx(2.5)
@@ -128,3 +139,22 @@ def test_prime_field_ops():
     with pytest.raises(ValueError):
         PrimeField(6)
 
+
+def test_only_constructors_take_a_ring():
+    # entries carry their arithmetic and zero is falsy, so only the
+    # functions that build a matrix out of Python values need the ring
+    takes_ring = set()
+    for path in Path(springer_cells.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                if any(arg.arg == "ring" for arg in args):
+                    takes_ring.add(node.name)
+    assert takes_ring == {
+        "instantiate",
+        "cell_matrix",
+        "piece_params",
+        "piece_matrix",
+        "chi_embed",
+        "phi_embed",
+    }

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from springer_cells.cells import verify_springer
+from springer_cells.closure import flag_necessary_conditions
 from springer_cells.errors import Infeasible
 from springer_cells.fqoracle import (
     FqConfig,
@@ -12,7 +14,12 @@ from springer_cells.fqoracle import (
     enumerate_springer_flags,
     full_flag_count,
 )
-from springer_cells.matchings import JordanType, matching, matching_permutation
+from springer_cells.matchings import (
+    JordanType,
+    enumerate_matchings,
+    matching,
+    matching_permutation,
+)
 from springer_cells.verify import check_fq_oracle
 
 
@@ -68,3 +75,16 @@ def test_feasibility_guard():
         enumerate_springer_flags(FqConfig(2, JordanType(4, 8)))
     with pytest.raises(ValueError):
         FqConfig(7, JordanType(2, 4))
+
+
+def test_fq_flags_satisfy_the_conditions_of_their_cell():
+    # every F_3 Springer flag of type (2,4) is fixed by the nilpotent and
+    # meets the closure conditions of the cell of its pivot pattern
+    jt = JordanType(2, 4)
+    cells = {matching_permutation(m, jt).w: m for m in enumerate_matchings(jt)}
+    buckets = enumerate_springer_flags(FqConfig(3, jt))
+    assert sum(len(flags) for flags in buckets.values()) == 28
+    for w, flags in buckets.items():
+        for g in flags:
+            assert verify_springer(g, jt)
+            assert flag_necessary_conditions(cells[w], jt, g) == []

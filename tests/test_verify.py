@@ -58,7 +58,7 @@ def test_every_check_is_called_by_a_test():
 @pytest.mark.parametrize(
     "check,name,fake,detail",
     [
-        (check_canonical_reduce, "canonical_reduce", lambda g, ring: g[::-1], "idempotent"),
+        (check_canonical_reduce, "canonical_reduce", lambda g: g[::-1], "idempotent"),
         (check_swap_candidate_bijection, "swap_candidates", lambda m, jt: set(), "words"),
     ],
 )
