@@ -231,7 +231,9 @@ def cmd_limit(args, parser) -> int:
     try:
         curve = synthesize_limit_curve(m, jt, arcs, target)
     except SpringerCellsError as exc:
-        print(textio.dumps({"certified": False, "error": str(exc)}))
+        payload = textio.certificate_json(arcs, target, None)
+        payload.update(matching=textio.format_matching(m), error=str(exc))
+        _emit(args, payload, f"certified: False\n  error: {exc}")
         return 1
     payload = textio.certificate_json(arcs, target, curve)
     payload["matching"] = textio.format_matching(m)

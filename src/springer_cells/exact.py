@@ -15,7 +15,9 @@ under span tests, the canonical coset form of a flag matrix and the
 coordinate-subspace test of ``cells.prefix_span_basis``; over Q[t] it
 yields the canonical form when that form is polynomial.  Beside it sits
 ``limit_flag``: the limit as t -> oo of the flag spanned by polynomial
-columns, read off by column reduction at t = oo.
+columns, read off by column reduction at t = oo.  Both are sparse in the
+cheap way: a row update leaves the entries where the stored vector is 0,
+and a vector whose pivot is already 1 is not rescaled.
 """
 
 from __future__ import annotations
@@ -246,7 +248,9 @@ class SpanBasis:
     and pivots on its lowest nonzero entry, divided by that entry: the
     stored vectors of a matrix's columns are its canonical coset form.
     Over Q[t] the division raises NotDivisible when the stored vector would
-    not be polynomial.
+    not be polynomial.  Updates skip the zero entries of the stored vector,
+    and a pivot that is already 1, as in every canonical cell matrix, is
+    not divided by.
     """
 
     def __init__(self):
@@ -258,7 +262,7 @@ class SpanBasis:
         for piv, basis_vec in self.echelon:
             c = v[piv]
             if c:
-                v = [a - c * b for a, b in zip(v, basis_vec)]
+                v = [a - c * b if b else a for a, b in zip(v, basis_vec)]
         return v
 
     def contains(self, vec: Sequence) -> bool:
@@ -271,7 +275,9 @@ class SpanBasis:
         if piv is None:
             return False
         lead = res[piv]
-        self.echelon.append((piv, [x / lead for x in res]))
+        if lead * lead != lead:  # not a unit pivot
+            res = [x / lead if x else x for x in res]
+        self.echelon.append((piv, res))
         return True
 
     @property
@@ -364,7 +370,8 @@ def limit_flag(cols: Sequence[Sequence[Poly]]) -> list[tuple[Fraction, ...]]:
             budget -= 1
             del v[0]  # divide by s
         inv = 1 / v[0][piv]
-        v = [[inv * x for x in vk] for vk in v]
+        if inv != 1:
+            v = [[inv * x if x else x for x in vk] for vk in v]
         reduced.append((piv, v))
         reduced.sort(key=lambda e: e[0])
         flag.append(tuple(v[0]))

@@ -10,8 +10,9 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from springer_cells import verify
+from springer_cells import cli, verify
 from springer_cells.cli import run
+from springer_cells.errors import CurveNotFound
 
 
 def _schema_registry():
@@ -217,6 +218,26 @@ def test_limit_command():
     assert payload["certified"] is True
     assert payload["curve"]["(1,4)"] == ["0", "1"]
     assert payload["curve"]["(2,3)"] == ["0", "0", "-3/7"]
+
+
+def test_limit_failure_report_follows_schema(monkeypatch):
+    def refuse(*args):
+        raise CurveNotFound("no curve")
+
+    monkeypatch.setattr(cli, "synthesize_limit_curve", refuse)
+    argv = ["limit", "--matching", "(1,4)(2,3)", "--n", "2", "--arcs", "(1,4)", "--target", "(2,3)=7/3"]
+    code, out, _ = invoke(argv + ["--format", "json"])
+    assert code == 1
+    payload = json.loads(out)
+    validate(payload, "limit.json")
+    assert payload["certified"] is False
+    assert payload["curve"] is None
+    assert payload["error"] == "no curve"
+    assert payload["cut"] == [[1, 4]]
+    assert payload["target"] == {"(2,3)": "7/3"}
+    code, out, _ = invoke(argv + ["--format", "table"])
+    assert code == 1
+    assert out == "certified: False\n  error: no curve\n"
 
 
 def test_fqcount_json_schema():

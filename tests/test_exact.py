@@ -1,6 +1,7 @@
 """Exact scalars, canonical forms and limit flags."""
 
 import ast
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -12,16 +13,19 @@ from springer_cells.errors import NotDivisible, Singular
 from springer_cells.exact import (
     NEG_INFINITY,
     POLY_RING,
+    QQ,
     Poly,
     PrimeField,
     canonical_reduce,
     in_span,
     limit_flag,
+    mat_cols,
     pivot_pattern,
+    rank,
 )
 from springer_cells.verify import check_canonical_reduce
 
-from helpers import Q
+from helpers import Q, brute_det, brute_minors
 
 
 def test_canonical_reduce_identity():
@@ -46,6 +50,85 @@ def test_canonical_reduce_clears_trailing_entries():
 
 def test_canonical_reduce_preserves_prefix_spans():
     assert check_canonical_reduce(8, random.Random(11)).passed
+
+
+def _sparse_entry(ring, rng):
+    """Zero two times in three, else a small nonzero constant of the ring."""
+    return ring.of(rng.choice([-3, -2, -1, 1, 2, 3])) if rng.random() < 1 / 3 else ring.zero
+
+
+def _brute_rank(vectors):
+    """The largest r with a nonzero r x r minor, the vectors taken as columns."""
+    for r in range(min(len(vectors), len(vectors[0]) if vectors else 0), 0, -1):
+        for subset in itertools.combinations(vectors, r):
+            if any(brute_minors(list(zip(*subset)), r)):
+                return r
+    return 0
+
+
+def _assert_canonical_form_of(g, c):
+    """c has the Plücker coordinates of g's column prefixes up to scale, unit
+    pivots and zeros to the right of them, all read off by brute force."""
+    n = len(g)
+    for i in range(1, n + 1):
+        a, b = brute_minors(g, i), brute_minors(c, i)
+        k = next(k for k, x in enumerate(a) if x)
+        assert b[k] and all(a[k] * y == b[k] * x for x, y in zip(a, b))
+        piv = max(r for r in range(n) if c[r][i - 1])
+        assert c[piv][i - 1] * c[piv][i - 1] == c[piv][i - 1]
+        assert not any(c[piv][i:])
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_kernel_agrees_with_brute_force_minors(ring):
+    rng = random.Random(20)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        g = tuple(tuple(_sparse_entry(ring, rng) for _ in range(n)) for _ in range(n))
+        cols = mat_cols(g)
+        for i in range(n + 1):
+            r = _brute_rank(cols[:i])
+            assert rank(cols[:i]) == r
+            if i < n:
+                assert in_span(cols[i], cols[:i]) == (_brute_rank(cols[: i + 1]) == r)
+            coeffs = [_sparse_entry(ring, rng) for _ in range(i)]
+            combo = [ring.zero] * n
+            for c, col in zip(coeffs, cols):
+                combo = [x + c * y for x, y in zip(combo, col)]
+            assert in_span(combo, cols[:i])
+        if brute_det(g):
+            _assert_canonical_form_of(g, canonical_reduce(g))
+        else:
+            with pytest.raises(Singular):
+                canonical_reduce(g)
+
+
+def test_kernel_over_polynomial_ring_recovers_canonical_form():
+    # g canonical with polynomial entries and b upper triangular constant:
+    # g b lies in the coset g B, so its canonical form is g itself
+    rng = random.Random(21)
+    zero, one = POLY_RING.zero, POLY_RING.one
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        w = rng.sample(range(n), n)  # pivot row of each column
+        g = [[zero] * n for _ in range(n)]
+        b = [[zero] * n for _ in range(n)]
+        for j in range(n):
+            g[w[j]][j] = one
+            for r in range(w[j]):
+                if r not in w[:j] and rng.random() < 1 / 3:
+                    g[r][j] = Poly([rng.randint(-2, 2) for _ in range(3)]) or one
+            b[j][j] = POLY_RING.of(rng.choice([-2, -1, 2, 3]))
+            for k in range(j):
+                b[k][j] = _sparse_entry(POLY_RING, rng)
+        g = tuple(map(tuple, g))
+        gb = tuple(
+            tuple(sum((g[r][k] * b[k][j] for k in range(j + 1)), zero) for j in range(n))
+            for r in range(n)
+        )
+        assert canonical_reduce(gb) == g
+        _assert_canonical_form_of(gb, g)
+        assert rank(mat_cols(gb)) == n
 
 
 def test_canonical_reduce_singular():
@@ -95,6 +178,10 @@ def test_limit_flag_examples():
     cols = [(t, zero, one, zero), (Poly([0, 0, Fraction(-1, 2)]), t, zero, one)]
     assert limit_flag(cols) == [(1, 0, 0, 0), (0, 1, Fraction(1, 2), 0)]
     assert limit_flag([(one, t), (t, zero)]) == [(0, 1), (1, 0)]
+    # a leading entry 2: the first column scales to (1, 1/2 s, 0), so
+    # (t, 0, 1) leaves (0, -1/2, 1) s, whose value scales to (0, 1, -2)
+    two_t = Poly([0, 2])
+    assert limit_flag([(two_t, one, zero), (t, zero, one)]) == [(1, 0, 0), (0, 1, -2)]
 
 
 def test_limit_flag_dependent_columns():
