@@ -25,9 +25,9 @@ curve.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .cells import (
     FlagMatrix,
@@ -90,6 +90,36 @@ PolyCurve = dict  # Arc -> Poly in t
 # decomposition
 
 
+class _Pieces(Mapping):
+    """Read-only map from each subset of the arcs of m to its labeled piece,
+    cut the first time it is read.  Subsets come by size, then in
+    ``itertools.combinations`` order.
+    """
+
+    def __init__(self, m: Matching, jt: JordanType):
+        self._m, self._jt = m, jt
+        self._cut: dict[frozenset[Arc], LabeledPiece | None] = {
+            frozenset(combo): None
+            for r in range(len(m) + 1)
+            for combo in itertools.combinations(m.arcs, r)
+        }
+
+    def __getitem__(self, subset: frozenset[Arc]) -> LabeledPiece:
+        piece = self._cut[subset]
+        if piece is None:
+            piece = self._cut[subset] = labeled_cut(self._m, subset, self._jt)
+        return piece
+
+    def __contains__(self, subset) -> bool:
+        return subset in self._cut
+
+    def __iter__(self):
+        return iter(self._cut)
+
+    def __len__(self) -> int:
+        return len(self._cut)
+
+
 @dataclass(frozen=True)
 class ClosureDecomposition:
     matching: Matching
@@ -104,15 +134,13 @@ class ClosureDecomposition:
 
 
 def closure_decomposition(m: Matching, jt: JordanType) -> ClosureDecomposition:
-    """One labeled piece for every subset of arcs; 2^|M| in total."""
+    """One labeled piece for every subset of arcs; 2^|M| in total, each cut
+    the first time it is read.
+    """
     k = len(m)
     if k > min(jt.n, jt.bottom):
         raise TooManyArcs(f"{k} arcs exceed min({jt.n}, {jt.bottom})")
-    pieces = {}
-    for r in range(k + 1):
-        for combo in itertools.combinations(m.arcs, r):
-            pieces[frozenset(combo)] = labeled_cut(m, combo, jt)
-    return ClosureDecomposition(m, jt, pieces)
+    return ClosureDecomposition(m, jt, _Pieces(m, jt))
 
 
 def swap_candidates(m: Matching, jt: JordanType) -> set[str]:
@@ -416,13 +444,9 @@ def _twisted_inner_coords(
 
 
 def _extract_inner_target(
-    m: Matching,
-    jt: JordanType,
-    cut_arcs: frozenset[Arc],
+    outer_piece: LabeledPiece,
     target: Mapping[Arc, Fraction],
-    inner_m: Matching,
-    inner_jt: JordanType,
-    inner_cut: frozenset[Arc],
+    inner_piece: LabeledPiece,
 ) -> dict[Arc, Fraction] | None:
     """Inner label values whose embedded piece point is the outer target.
 
@@ -433,10 +457,10 @@ def _extract_inner_target(
     point does not have the embedded shape, which fails the synthesis
     loudly rather than guessing.
     """
-    N = jt.N
+    cut_arcs = outer_piece.cut_arcs
+    N = outer_piece.jt.N
     half = N // 2
     outer = Arc(1, N)
-    outer_piece = labeled_cut(m, cut_arcs, jt)
     P = piece_matrix(outer_piece, target)
     rows = [list(r) for r in P.rows]
     if outer in cut_arcs:
@@ -465,8 +489,7 @@ def _extract_inner_target(
         if any(rows[r][1 : N - 1]):
             return None
     inner_rows = mat_from_rows([rows[r][1 : N - 1] for r in inner_row_ids])
-    inner_piece = labeled_cut(inner_m, inner_cut, inner_jt)
-    template = build_template(inner_piece.base, inner_jt)
+    template = build_template(inner_piece.base, inner_piece.jt)
     values: dict[Arc, Fraction] = {}
     for gamma in inner_piece.base.arcs:
         lab = inner_piece.labels[gamma]
@@ -479,7 +502,7 @@ def _extract_inner_target(
                 return None
         else:
             values[lab] = val
-    uncut_inner = {a for a in inner_m.arcs if a not in inner_cut}
+    uncut_inner = {a for a in inner_piece.origin.arcs if a not in inner_piece.cut_arcs}
     if set(values) != uncut_inner:
         return None
     if piece_matrix(inner_piece, values).rows != inner_rows:
@@ -492,7 +515,11 @@ def _synthesize(
     jt: JordanType,
     cut_arcs: frozenset[Arc],
     target: Mapping[Arc, Fraction],
+    piece: LabeledPiece | None = None,
 ) -> dict[Arc, Poly]:
+    """The curve of synthesize_limit_curve; piece is cut(m, cut_arcs) when
+    the caller has already cut it.
+    """
     if not cut_arcs:
         return {a: Poly.const(target[a]) for a in m.arcs}
     splits = valid_split_indices(m)
@@ -514,15 +541,16 @@ def _synthesize(
     inner_m = _inner_matching(m)
     inner_jt = JordanType(jt.n - 1, jt.N - 2)
     inner_cut = frozenset(_shift_arc(a, -1) for a in cut_arcs if a != outer)
-    inner_target = _extract_inner_target(
-        m, jt, cut_arcs, target, inner_m, inner_jt, inner_cut
-    )
+    if piece is None:
+        piece = labeled_cut(m, cut_arcs, jt)
+    inner_piece = labeled_cut(inner_m, inner_cut, inner_jt)
+    inner_target = _extract_inner_target(piece, target, inner_piece)
     if inner_target is None:
         raise CurveNotFound(
             f"outer target is not an embedded inner point for {m.arcs}"
             f" cutting {sorted(cut_arcs)}"
         )
-    inner = _synthesize(inner_m, inner_jt, inner_cut, inner_target)
+    inner = _synthesize(inner_m, inner_jt, inner_cut, inner_target, inner_piece)
     if outer not in cut_arcs:
         out = {outer: Poly.const(target[outer])}
         out.update({_shift_arc(a, 1): p for a, p in inner.items()})
@@ -566,7 +594,7 @@ def synthesize_limit_curve(
         raise MissingParameter(f"no target value for {missing}")
     target = {a: Fraction(target[a]) for a in uncut}
     piece = labeled_cut(m, cut_set_, jt)
-    curve = _synthesize(m, jt, cut_set_, target)
+    curve = _synthesize(m, jt, cut_set_, target, piece)
     if not verify_limit_curve(m, jt, curve, piece, target):
         raise CurveNotFound(
             f"no certified curve for {m.arcs} cutting {sorted(cut_set_)} at {target}"

@@ -29,12 +29,14 @@ from typing import Sequence
 from .errors import DimensionMismatch, NotDivisible, Singular
 
 NEG_INFINITY = float("-inf")
+#: The one zero of Q that coefficient reads and zero padding share.
+_ZERO = Fraction(0)
 
 
 class _Rationals:
     """The field Q, carried by fractions.Fraction."""
 
-    zero = Fraction(0)
+    zero = _ZERO
     one = Fraction(1)
 
     @staticmethod
@@ -103,14 +105,15 @@ class Poly:
     """Univariate polynomial in t with Fraction coefficients, dense form.
 
     Coefficients are stored ascending; trailing zeros are stripped, so the
-    zero polynomial has an empty coefficient tuple and degree -inf.
+    zero polynomial has an empty coefficient tuple and degree -inf.  A
+    coefficient that is already a Fraction is stored as it is.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Fraction | int] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [c if c.__class__ is Fraction else Fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -132,7 +135,7 @@ class Poly:
     def coeff(self, d: int) -> Fraction:
         if 0 <= d < len(self.coeffs):
             return self.coeffs[d]
-        return Fraction(0)
+        return _ZERO
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -161,7 +164,7 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.coeffs or not other.coeffs:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -171,7 +174,7 @@ class Poly:
     def __call__(self, x):
         """Evaluate at x (Fraction/int for exact, float for numeric work)."""
         numeric = isinstance(x, float)
-        acc = 0.0 if numeric else Fraction(0)
+        acc = 0.0 if numeric else _ZERO
         for c in reversed(self.coeffs):
             acc = acc * x + (float(c) if numeric else c)
         return acc
@@ -183,7 +186,7 @@ class Poly:
         rem = list(self.coeffs)
         d = len(other.coeffs) - 1
         lead = other.coeffs[-1]
-        quot = [Fraction(0)] * max(len(rem) - d, 0)
+        quot = [_ZERO] * max(len(rem) - d, 0)
         for i in range(len(quot) - 1, -1, -1):
             c = rem[i + d] / lead
             quot[i] = c
@@ -250,7 +253,8 @@ class SpanBasis:
     Over Q[t] the division raises NotDivisible when the stored vector would
     not be polynomial.  Updates skip the zero entries of the stored vector,
     and a pivot that is already 1, as in every canonical cell matrix, is
-    not divided by.
+    not divided by.  Plain ``int`` entries stay exact: an ``int`` pivot
+    that is not 1 divides as a Fraction.
     """
 
     def __init__(self):
@@ -276,6 +280,8 @@ class SpanBasis:
             return False
         lead = res[piv]
         if lead * lead != lead:  # not a unit pivot
+            if lead.__class__ is int:  # int / int would give a float
+                lead = Fraction(lead)
             res = [x / lead if x else x for x in res]
         self.echelon.append((piv, res))
         return True
@@ -357,7 +363,7 @@ def limit_flag(cols: Sequence[Sequence[Poly]]) -> list[tuple[Fraction, ...]]:
             for piv, r in reduced:
                 c = v[0][piv]
                 if c:
-                    v.extend([Fraction(0)] * len(col) for _ in range(len(r) - len(v)))
+                    v.extend([_ZERO] * len(col) for _ in range(len(r) - len(v)))
                     for vk, rk in zip(v, r):
                         for row, x in enumerate(rk):
                             if x:

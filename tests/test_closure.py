@@ -1,11 +1,13 @@
 """Closure decompositions, structure maps and exact limit certificates."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from springer_cells import closure
 from springer_cells.cells import build_template, cell_matrix, instantiate, verify_canonical
 from springer_cells.closure import (
     INFINITY,
@@ -20,7 +22,7 @@ from springer_cells.closure import (
     verify_limit_curve,
 )
 from springer_cells.cutting import ZERO, labeled_cut, piece_matrix
-from springer_cells.errors import InvalidSplitIndex, OddN
+from springer_cells.errors import InvalidSplitIndex, OddN, TooManyArcs
 from springer_cells.exact import POLY_RING, Poly
 from springer_cells.matchings import (
     Arc,
@@ -73,6 +75,75 @@ def test_decomposition_unnested_cell_zero_label():
 def test_decomposition_empty_matching():
     dec = closure_decomposition(matching(3, []), JordanType(1, 3))
     assert len(dec.pieces) == 1
+
+
+@pytest.fixture
+def cut_calls(monkeypatch):
+    """The argument tuples of every labeled_cut the closure module makes."""
+    calls = []
+
+    def counting_cut(*args):
+        calls.append(args)
+        return labeled_cut(*args)
+
+    monkeypatch.setattr(closure, "labeled_cut", counting_cut)
+    return calls
+
+
+def test_decomposition_cuts_a_piece_on_first_read(cut_calls):
+    dec = closure_decomposition(NESTED4, JT4)
+    assert cut_calls == []
+    assert len(dec.pieces) == 4 and frozenset([Arc(2, 3)]) in dec.pieces
+    assert dec.subsets() == [
+        frozenset(),
+        frozenset([Arc(1, 4)]),
+        frozenset([Arc(2, 3)]),
+        frozenset(NESTED4.arcs),
+    ]
+    assert cut_calls == []
+    piece = dec.piece([Arc(2, 3)])
+    assert len(cut_calls) == 1
+    assert dec.piece([Arc(2, 3)]) is piece
+    assert len(cut_calls) == 1
+    with pytest.raises(KeyError):
+        dec.pieces[frozenset([Arc(1, 2)])]
+    assert frozenset([Arc(1, 2)]) not in dec.pieces
+    assert len(cut_calls) == 1
+
+
+def test_decomposition_call_raises_too_many_arcs(cut_calls):
+    with pytest.raises(TooManyArcs):
+        closure_decomposition(ROW4, JordanType(1, 4))
+    assert cut_calls == []
+
+
+def test_lazy_pieces_equal_eager_cuts_up_to_seven():
+    """Every cell with N <= 7: the same subsets in the same order as the
+    eager cut of each subset in itertools.combinations order, and the same
+    pieces.
+    """
+    for N in range(8):
+        for n in range(N + 1):
+            jt = JordanType(n, N)
+            for m in enumerate_matchings(jt):
+                eager = {
+                    frozenset(combo): labeled_cut(m, combo, jt)
+                    for r in range(len(m) + 1)
+                    for combo in itertools.combinations(m.arcs, r)
+                }
+                dec = closure_decomposition(m, jt)
+                assert len(dec.pieces) == len(eager) == 2 ** len(m)
+                assert list(dec.pieces) == list(eager)
+                assert dict(dec.pieces.items()) == eager
+
+
+def test_synthesis_cuts_each_piece_once(cut_calls):
+    nested8 = matching(8, [(1, 8), (2, 7), (3, 6), (4, 5)])
+    cut = [Arc(1, 8), Arc(4, 5)]
+    target = {Arc(2, 7): Fraction(2), Arc(3, 6): Fraction(-1, 3)}
+    synthesize_limit_curve(nested8, JordanType(4, 8), cut, target)
+    # the outer piece once, then the inner piece of each of the four levels
+    assert len(cut_calls) == len(set(cut_calls)) == 5
 
 
 def test_swap_candidates_examples():

@@ -202,6 +202,43 @@ def test_poly_arithmetic():
     assert Poly([Fraction(1, 2), 1])(2.0) == pytest.approx(2.5)
 
 
+def test_poly_shares_its_zero_and_keeps_mixed_coefficients():
+    zero = Poly([1, 2]).coeff(2)
+    assert zero == Fraction(0) and type(zero) is Fraction
+    assert Poly().coeff(0) is zero and Poly([Fraction(5)]).coeff(-1) is zero
+    p = Poly([1, Fraction(1, 2), 0])  # 1 + t/2
+    q = Poly([Fraction(-2), 3])  # -2 + 3t
+    assert p.coeffs == (1, Fraction(1, 2))
+    assert (p + q).coeffs == (-1, Fraction(7, 2))
+    assert (p - q).coeffs == (3, Fraction(-5, 2))
+    assert (p * q).coeffs == (-2, 2, Fraction(3, 2))
+    assert (-q).coeffs == (2, -3)
+    assert ((p * q) / q).coeffs == p.coeffs
+    assert Poly([0, Fraction(0)]).coeffs == ()
+    for r in (p, q, p + q, p * q, Poly([3, 0, 1]) * Poly.t(2)):
+        assert all(type(c) is Fraction for c in r.coeffs)
+    # (t, 1) reduces against the longer (t^2, 1), which pads it with zeros
+    t, one = Poly.t(), Poly([1])
+    flag = limit_flag([(t * t, one), (t, one)])
+    assert flag == [(1, 0), (0, 1)]
+    assert all(type(x) is Fraction for b in flag for x in b)
+
+
+def test_span_tests_are_exact_on_int_vectors():
+    """Seeded integer 4-vectors w = 3 v1 + 7 v2 + 11 v3: an int pivot that
+    is not 1 must not turn the reduction into float arithmetic.
+    """
+    rng = random.Random(0)
+    for _ in range(300):
+        vs = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(3)]
+        w = [3 * a + 7 * b + 11 * c for a, b, c in zip(*vs)]
+        assert in_span(w, vs)
+        exact = [[Fraction(x) for x in v] for v in vs + [w]]
+        assert rank(vs + [w]) == rank(exact)
+    assert canonical_reduce(((2, 0), (0, 3))) == Q([[1, 0], [0, 1]])
+    assert not in_span((1, 0, 0), [(2, 4, 0), (0, 3, 9)])
+
+
 def test_poly_exact_division():
     p = Poly([1, 2])  # 1 + 2t
     q = Poly([0, 0, 1])  # t^2
