@@ -7,7 +7,8 @@ back this up:
 * exact polynomial limit curves: a curve v(t) inside the cell whose flag
   converges, subspace by subspace, to a chosen point of a piece, checked
   without tolerance by reading the limit flag off the curve
-  (``exact.limit_flag``) and testing each piece column against it;
+  (``exact.limit_vectors``) and testing each piece column against it, all
+  over the integers;
 * a numeric infimum oracle (see ``numeric``) that minimizes a projector
   distance to the target flag.
 
@@ -54,7 +55,9 @@ from .exact import (
     Poly,
     SpanBasis,
     canonical_reduce,
-    limit_flag,
+    integer_residual,
+    integer_vector,
+    limit_vectors,
     mat_from_rows,
     pivot_pattern,
 )
@@ -365,6 +368,11 @@ def verify_limit_curve(
     """Exact, tolerance-free check that the curve's flag converges to the
     labeled piece at the target values: for every i, column i of the piece
     matrix lies in the limit of the span of the curve's first i columns.
+
+    All of it runs over Z: the limit vectors come from
+    ``exact.limit_vectors``, each piece column is cleared of denominators,
+    and the test is an integer residual against the first i limit vectors
+    in ascending pivot order.
     """
     missing = [a for a in m.arcs if a not in curve]
     if missing:
@@ -372,10 +380,10 @@ def verify_limit_curve(
     template = build_template(m, jt)
     moving = instantiate(template, dict(curve), POLY_RING)
     fixed = piece_matrix(piece, target)
-    limit = SpanBasis()
-    for b, col in zip(limit_flag(moving.cols()), fixed.cols()):
-        limit.add(b)
-        if not limit.contains(col):
+    limit: dict[int, dict[int, int]] = {}  # pivot -> limit vector
+    for (piv, b), col in zip(limit_vectors(moving.cols()), fixed.cols()):
+        limit[piv] = b
+        if integer_residual(integer_vector(col), limit):
             return False
     return True
 
@@ -576,9 +584,12 @@ def synthesize_limit_curve(
     jt: JordanType,
     cut_arcs: Iterable[Arc],
     target: Mapping[Arc, Fraction],
+    piece: LabeledPiece | None = None,
 ) -> dict[Arc, Poly]:
     """A polynomial curve in the cell of m whose flag limit is the piece
     cut(cell, A) at the target values, certified by verify_limit_curve.
+    A caller that already holds that piece, as a closure decomposition
+    does, passes it so it is not cut again.
 
     Raises CurveNotFound when the recursive construction gives no curve or
     a curve that does not verify; the failure is surfaced, never silently
@@ -593,7 +604,8 @@ def synthesize_limit_curve(
     if missing:
         raise MissingParameter(f"no target value for {missing}")
     target = {a: Fraction(target[a]) for a in uncut}
-    piece = labeled_cut(m, cut_set_, jt)
+    if piece is None:
+        piece = labeled_cut(m, cut_set_, jt)
     curve = _synthesize(m, jt, cut_set_, target, piece)
     if not verify_limit_curve(m, jt, curve, piece, target):
         raise CurveNotFound(

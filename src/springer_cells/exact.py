@@ -13,18 +13,26 @@ values.
 On top of that arithmetic, one Gaussian elimination (``SpanBasis``) sits
 under span tests, the canonical coset form of a flag matrix and the
 coordinate-subspace test of ``cells.prefix_span_basis``; over Q[t] it
-yields the canonical form when that form is polynomial.  Beside it sits
-``limit_flag``: the limit as t -> oo of the flag spanned by polynomial
-columns, read off by column reduction at t = oo.  Both are sparse in the
-cheap way: a row update leaves the entries where the stored vector is 0,
-and a vector whose pivot is already 1 is not rescaled.
+yields the canonical form when that form is polynomial.  It is sparse in
+the cheap way: a row update leaves the entries where the stored vector is
+0, and a vector whose pivot is already 1 is not rescaled.
+
+Beside it sits the limit certifier's kernel: ``limit_vectors``, the limit
+as t -> oo of the flag spanned by polynomial columns, read off by column
+reduction at t = oo.  It runs over Python ``int``s on sparse {row: entry}
+vectors: each column is cleared of denominators, pivots are cleared by
+coprime integer combinations, and a finished column is divided by the gcd
+of its entries.  ``integer_residual`` tests a cleared rational vector
+(``integer_vector``) against such vectors, and ``limit_flag`` gives them
+as Fractions with pivot 1.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, NotDivisible, Singular
 
@@ -337,48 +345,123 @@ def pivot_pattern(g: Matrix) -> tuple[int, ...]:
     return tuple(pattern)
 
 
-def limit_flag(cols: Sequence[Sequence[Poly]]) -> list[tuple[Fraction, ...]]:
-    """Vectors b_1, b_2, ... over Q with span(b_1..b_i) the limit as t -> oo
-    of the span of the first i polynomial columns.
-
-    Column reduction at t = oo (Kailath, *Linear Systems*, 1980, 6.3): each
-    column is written as a polynomial vector in s = 1/t, its coefficients
-    reversed at its top degree; Q-multiples of the earlier reduced vectors
-    clear its value at s = 0 at their pivots, and it is divided by s while
-    that value is 0.  The value left is b_i.  Raises Singular when the
-    columns are dependent over Q(t).
+def integer_vector(entries: Iterable[Fraction | int]) -> dict[int, int]:
+    """The rational vector times the lcm of its denominators, as a sparse
+    integer vector {row: entry} over its nonzero rows.
     """
-    reduced: list[tuple[int, list[list[Fraction]]]] = []  # (pivot, s-coefficients)
-    flag = []
+    nonzero = [(row, x) for row, x in enumerate(entries) if x]
+    scale = lcm(*(x.denominator for _, x in nonzero))
+    return {row: x.numerator * (scale // x.denominator) for row, x in nonzero}
+
+
+def _coprime(a: int, c: int) -> tuple[int, int]:
+    """a and c divided by their gcd, with the sign that makes a positive."""
+    g = gcd(a, c)
+    if a < 0:
+        g = -g
+    return a // g, c // g
+
+
+def _scaled_sub(v: dict[int, int], a: int, c: int, r: dict[int, int]) -> None:
+    """v <- a v - c r in place, keeping only the nonzero rows."""
+    if a != 1:
+        for row in v:
+            v[row] *= a
+    for row, x in r.items():
+        y = v.get(row, 0) - c * x
+        if y:
+            v[row] = y
+        else:
+            del v[row]
+
+
+def integer_residual(vec: dict[int, int], echelon: Mapping[int, dict[int, int]]) -> dict[int, int]:
+    """A nonzero multiple of vec minus a vector of the span of the echelon,
+    empty exactly when vec lies in that span.
+
+    The echelon maps each pivot to its vector, which is zero at the rows
+    above the pivot, as ``limit_vectors`` yields them.  The pivots are
+    cleared in ascending order by coprime integer combinations, so no
+    entry leaves Z.
+    """
+    v = dict(vec)
+    while hits := v.keys() & echelon.keys():
+        piv = min(hits)
+        r = echelon[piv]
+        a, c = _coprime(r[piv], v[piv])
+        _scaled_sub(v, a, c, r)
+    return v
+
+
+def limit_vectors(cols: Sequence[Sequence[Poly]]) -> Iterator[tuple[int, dict[int, int]]]:
+    """For each polynomial column in turn, (pivot, b) with b a primitive
+    integer vector {row: entry} such that span(b_1..b_i) is the limit as
+    t -> oo of the span of the first i columns; the pivot is the first
+    nonzero row of b.
+
+    Column reduction at t = oo (Kailath, *Linear Systems*, 1980, 6.3), kept
+    over Z in the fraction-free manner of Bareiss (*Math. Comp.* 22, 1968):
+    each column is cleared of denominators by their lcm and written as a
+    polynomial vector in s = 1/t, its coefficients reversed at its top
+    degree and stored sparsely.  The reduced vectors of the earlier
+    columns, in ascending pivot order, clear its value at s = 0 at their
+    pivots by coprime integer combinations, and it is divided by s while
+    that value is 0.  The value left, divided by the gcd of the whole
+    reduced column, is b.  None of these steps changes the flag, since
+    each only scales a column by a nonzero rational.  Raises Singular when
+    the columns are dependent over Q(t).
+    """
+    reduced: dict[int, list[dict[int, int]]] = {}  # pivot -> s-coefficients
     # an independent prefix is divided by s at most its sum of top degrees
     budget = 0
     for j, col in enumerate(cols, start=1):
-        degree = max(p.degree for p in col)
-        if degree == NEG_INFINITY:
+        terms = [
+            (row, d, c) for row, p in enumerate(col) if p.coeffs for d, c in enumerate(p.coeffs) if c
+        ]
+        if not terms:
             raise Singular(f"column {j} is zero")
-        top = int(degree)
+        top = max(d for _, d, _ in terms)
         budget += top
-        v = [[p.coeff(top - k) for p in col] for k in range(top + 1)]
+        scale = lcm(*{c.denominator for _, _, c in terms})
+        v: list[dict[int, int]] = [{} for _ in range(top + 1)]
+        for row, d, c in terms:
+            v[top - d][row] = c.numerator * (scale // c.denominator)
         while True:
-            for piv, r in reduced:
-                c = v[0][piv]
-                if c:
-                    v.extend([_ZERO] * len(col) for _ in range(len(r) - len(v)))
-                    for vk, rk in zip(v, r):
-                        for row, x in enumerate(rk):
-                            if x:
-                                vk[row] -= c * x
-            piv = next((row for row, x in enumerate(v[0]) if x), None)
+            # clear the lowest pivot first: that changes only rows past it
+            while hits := v[0].keys() & reduced.keys():
+                piv = min(hits)
+                r = reduced[piv]
+                a, c = _coprime(r[0][piv], v[0][piv])
+                v.extend({} for _ in range(len(r) - len(v)))
+                for k, vk in enumerate(v):
+                    _scaled_sub(vk, a, c, r[k] if k < len(r) else {})
+            piv = min(v[0], default=None)
             if piv is not None:
                 break
             if budget == 0 or len(v) == 1:
                 raise Singular(f"column {j} is dependent on earlier columns")
             budget -= 1
             del v[0]  # divide by s
-        inv = 1 / v[0][piv]
-        if inv != 1:
-            v = [[inv * x if x else x for x in vk] for vk in v]
-        reduced.append((piv, v))
-        reduced.sort(key=lambda e: e[0])
-        flag.append(tuple(v[0]))
+        g = gcd(*(x for vk in v for x in vk.values()))
+        if g != 1:
+            v = [{row: x // g for row, x in vk.items()} for vk in v]
+        reduced[piv] = v
+        yield piv, v[0]
+
+
+def limit_flag(cols: Sequence[Sequence[Poly]]) -> list[tuple[Fraction, ...]]:
+    """Vectors b_1, b_2, ... over Q with span(b_1..b_i) the limit as t -> oo
+    of the span of the first i polynomial columns: the vectors of
+    ``limit_vectors``, each divided by its pivot entry, so every b_i has a 1
+    at its first nonzero row.  Raises Singular when the columns are
+    dependent over Q(t).
+    """
+    n = len(cols[0]) if cols else 0
+    flag = []
+    for piv, b in limit_vectors(cols):
+        lead = b[piv]
+        vec = [_ZERO] * n
+        for row, x in b.items():
+            vec[row] = Fraction(x, lead)
+        flag.append(tuple(vec))
     return flag

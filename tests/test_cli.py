@@ -10,7 +10,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from springer_cells import cli, verify
+from springer_cells import cli, closure, verify
 from springer_cells.cli import run
 from springer_cells.errors import CurveNotFound
 
@@ -303,12 +303,37 @@ GOLDEN = Path(__file__).parent / "golden"
             "limit_coincident_target.json",
             ["limit", "--matching", "(1,6)(2,5)(3,4)", "--n", "3", "--arcs", "(2,5)", "--target", "(1,6)=1;(3,4)=1", "--format", "json"],
         ),
+        (
+            "closure_nested8_certify_seed0.json",
+            ["closure", "--matching", "(1,8)(2,7)(3,6)(4,5)", "--n", "4", "--certify", "--format", "json", "--seed", "0"],
+        ),
     ],
 )
 def test_output_matches_golden_bytes(name, argv):
     code, out, _ = invoke(argv)
     assert code == 0
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_closure_certify_cuts_each_piece_once(monkeypatch):
+    """The synthesis of each certificate takes its piece from the
+    decomposition: the 16 pieces of the nested N = 8 cell are cut once
+    each, and the bytes are those of the golden file.
+    """
+    own_cuts = []
+    real_cut = closure.labeled_cut
+
+    def counting_cut(m, *args, **kwargs):
+        if m.N == 8:
+            own_cuts.append(frozenset(args[0]))
+        return real_cut(m, *args, **kwargs)
+
+    monkeypatch.setattr(closure, "labeled_cut", counting_cut)
+    argv = ["closure", "--matching", "(1,8)(2,7)(3,6)(4,5)", "--n", "4", "--certify", "--format", "json", "--seed", "0"]
+    code, out, _ = invoke(argv)
+    assert code == 0
+    assert len(own_cuts) == len(set(own_cuts)) == 16
+    assert out.encode() == (GOLDEN / "closure_nested8_certify_seed0.json").read_bytes()
 
 
 def test_json_determinism():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from springer_cells import closure
-from springer_cells.cells import build_template, cell_matrix, instantiate, verify_canonical
+from springer_cells.cells import FlagMatrix, build_template, cell_matrix, instantiate, verify_canonical
 from springer_cells.closure import (
     INFINITY,
     check_necessary_conditions,
@@ -23,7 +23,7 @@ from springer_cells.closure import (
 )
 from springer_cells.cutting import ZERO, labeled_cut, piece_matrix
 from springer_cells.errors import InvalidSplitIndex, OddN, TooManyArcs
-from springer_cells.exact import POLY_RING, Poly
+from springer_cells.exact import POLY_RING, Poly, mat_from_cols
 from springer_cells.matchings import (
     Arc,
     JordanType,
@@ -284,6 +284,30 @@ def test_verify_rejects_uncorrected_inner_value():
     bad = {Arc(1, 4): Poly.t(), Arc(2, 3): Poly.const(Fraction(7, 3))}
     piece = labeled_cut(NESTED4, [Arc(1, 4)], JT4)
     assert not verify_limit_curve(NESTED4, JT4, bad, piece, target)
+
+
+def test_verify_fails_when_only_the_last_flag_column_differs(monkeypatch):
+    """A full flag does not read its column N, so column N - 1 is the last
+    one the check can fail on.  With only that column of the piece point
+    changed, to itself plus column N, the first N - 2 limit subspaces still
+    agree and the check must fail at its last step; with only column N
+    changed, the flag is the same and the check passes.
+    """
+    jt = JordanType(3, 6)
+    m = matching(6, [(1, 6), (2, 5), (3, 4)])
+    cut_arcs = [Arc(1, 6)]
+    target = {Arc(2, 5): Fraction(3, 2), Arc(3, 4): Fraction(-5, 7)}
+    curve = synthesize_limit_curve(m, jt, cut_arcs, target)
+    piece = labeled_cut(m, cut_arcs, jt)
+    assert verify_limit_curve(m, jt, curve, piece, target)
+    *head, before_last, last = piece_matrix(piece, target).cols()
+    bumped = tuple(x + y for x, y in zip(before_last, last))
+    for cols, expected in (
+        (head + [bumped, last], False),
+        (head + [before_last, tuple(2 * x + y for x, y in zip(last, head[0]))], True),
+    ):
+        monkeypatch.setattr(closure, "piece_matrix", lambda *_: FlagMatrix(mat_from_cols(cols)))
+        assert verify_limit_curve(m, jt, curve, piece, target) is expected
 
 
 def test_constant_curve_certifies_full_piece():

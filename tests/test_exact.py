@@ -7,8 +7,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import springer_cells
+from springer_cells.cells import build_template, instantiate
 from springer_cells.errors import NotDivisible, Singular
 from springer_cells.exact import (
     NEG_INFINITY,
@@ -23,6 +25,7 @@ from springer_cells.exact import (
     pivot_pattern,
     rank,
 )
+from springer_cells.matchings import JordanType, enumerate_matchings
 from springer_cells.verify import check_canonical_reduce
 
 from helpers import Q, brute_det, brute_minors
@@ -190,6 +193,67 @@ def test_limit_flag_dependent_columns():
         limit_flag([(t, one), (t * t, t)])
     with pytest.raises(Singular):
         limit_flag([(Poly(), Poly())])
+
+
+def test_limit_flag_divides_a_column_by_s_twice():
+    # (t^2/3, 1/2, 1) minus a third of the first column leaves (0, 1/2, 1)
+    # two powers of s below its top; the lcm of its denominators is 6
+    t2, zero, one = Poly.t(2), Poly(), Poly([1])
+    cols = [(t2, zero, zero), (Poly.t(2, Fraction(1, 3)), Poly([Fraction(1, 2)]), one), (zero, zero, one)]
+    assert limit_flag(cols) == [(1, 0, 0), (0, 1, 2), (0, 0, 1)]
+
+
+def test_limit_flag_dependence_after_a_division():
+    # (3t/2, 3/2, 0) is 3/2 of the first plus the second column: clearing
+    # the first pivot leaves 0 at s = 0, and the second pivot clears the
+    # rest only after the division by s
+    t, zero, one = Poly.t(), Poly(), Poly([1])
+    half = Fraction(3, 2)
+    with pytest.raises(Singular):
+        limit_flag([(t, zero, zero), (zero, one, zero), (Poly.t(1, half), Poly([half]), zero)])
+
+
+#: Cell templates with N <= 6, the columns of whose random curves the
+#: limit-flag property test moves by flag-preserving operations.
+TEMPLATES = [
+    build_template(m, jt)
+    for jt in (JordanType(n, N) for N in range(1, 7) for n in range(N + 1))
+    for m in enumerate_matchings(jt)
+]
+SCALARS = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.builds(Fraction, st.integers(-(10**15), 10**15), st.integers(10**12, 10**15)),
+    st.builds(Fraction, st.integers(10**12, 10**15), st.integers(1, 9)),
+)
+POLYS = st.lists(SCALARS, max_size=3).map(Poly)
+COLUMN_OPS = st.tuples(st.sampled_from(["rational", "poly", "earlier"]), st.integers(0, 5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_limit_flag_is_unchanged_by_flag_preserving_column_operations(data):
+    """A random curve in a cell template with N <= 6, coefficients up to
+    10^15 over 10^15, then column operations over Q[t] that keep the span
+    of every prefix of columns: scaling by a nonzero rational or a nonzero
+    polynomial, and adding a polynomial multiple of an earlier column.
+    """
+    template = data.draw(st.sampled_from(TEMPLATES))
+    curve = {a: data.draw(POLYS) for a in template.matching.arcs}
+    cols = [list(col) for col in instantiate(template, curve, POLY_RING).cols()]
+    flag = limit_flag(cols)
+    for kind, j in data.draw(st.lists(COLUMN_OPS, max_size=6)):
+        j %= len(cols)
+        if kind == "earlier":
+            if j == 0:
+                continue
+            k = data.draw(st.integers(0, j - 1))
+            q = data.draw(POLYS)
+            cols[j] = [p + q * r for p, r in zip(cols[j], cols[k])]
+        else:
+            factors = POLYS.filter(bool) if kind == "poly" else SCALARS.filter(bool).map(Poly.const)
+            q = data.draw(factors)
+            cols[j] = [q * p for p in cols[j]]
+    assert limit_flag(cols) == flag
 
 
 def test_poly_arithmetic():
