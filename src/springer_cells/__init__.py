@@ -72,8 +72,17 @@ from .matchings import (
     matching_permutation,
     word_to_matching,
 )
-from .numeric import numeric_infimum
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")] + ["numeric_infimum"]
+
+
+def __getattr__(name: str):
+    # the numeric oracle loads numpy and scipy, which take most of the
+    # package's import time; only a caller that uses it pays for them
+    if name == "numeric_infimum":
+        from .numeric import numeric_infimum
+
+        return numeric_infimum
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,10 +13,11 @@ parameters give distinct flags.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Mapping
 
 from .errors import DimensionMismatch, MissingParameter, Singular
-from .exact import QQ, Matrix, SpanBasis, in_span, mat_from_rows, pivot_pattern, rank
+from .exact import QQ, Matrix, SpanBasis, mat_from_rows, pivot_pattern, rank
 from .matchings import (
     Arc,
     JordanType,
@@ -50,7 +51,7 @@ class FlagMatrix:
         return tuple(self.rows[r][j - 1] for r in range(self.N))
 
     def cols(self) -> list[tuple]:
-        return [self.col(j) for j in range(1, self.N + 1)]
+        return list(zip(*self.rows))
 
     def __getitem__(self, rc: tuple[int, int]):
         r, c = rc
@@ -82,7 +83,14 @@ class CellTemplate:
         return sorted((r, c, a) for (r, c), a in self.slots.items())
 
 
+@cache
 def build_template(m: Matching, jt: JordanType) -> CellTemplate:
+    """The template of the cell of m.
+
+    Memoized on (m, jt): every call with equal arguments returns the same
+    template, so callers treat it, its ``slots`` and its ``top_offset`` as
+    read-only.  A matching that indexes no cell raises on every call.
+    """
     if not (m.is_noncrossing and m.is_standard):
         raise ValueError("cell templates require a standard noncrossing matching")
     prof = matching_permutation(m, jt)
@@ -175,40 +183,3 @@ def prefix_span_basis(g: FlagMatrix, i: int):
     if rank(cols) == len(rows) == i:
         return rows
     return NOT_COORDINATE
-
-
-def springer_column_diagnostics(g: FlagMatrix, jt: JordanType) -> list[str]:
-    """Structural facts every canonical Springer matrix satisfies, checked
-    column by column; returns human-readable violations (empty when clean).
-
-    For a column with pivot in the top block the column is a pure basis
-    vector and all smaller top rows are pivoted earlier; with pivot in the
-    bottom block the earlier bottom pivots fill the rows above it; and for
-    bottom pivots past row n+1 the nilpotent image minus the previous
-    bottom-pivot column lies in the top block intersected with the prefix
-    span.
-    """
-    issues: list[str] = []
-    n, N = jt.n, jt.N
-    cols = g.cols()
-    piv = pivot_pattern(g.rows)
-    for j, c in enumerate(cols, start=1):
-        pr = piv[j - 1]
-        if pr <= n:
-            if any(c[r] for r in range(N) if r != pr - 1):
-                issues.append(f"column {j}: top-block pivot but extra entries")
-            earlier = set(piv[: j - 1])
-            if not all(r in earlier for r in range(1, pr)):
-                issues.append(f"column {j}: rows 1..{pr - 1} not pivoted earlier")
-        else:
-            earlier = set(piv[: j - 1])
-            if not all(r in earlier for r in range(n + 1, pr)):
-                issues.append(f"column {j}: bottom rows n+1..{pr - 1} not pivoted earlier")
-            if pr >= n + 2:
-                k2 = piv.index(pr - 1) + 1
-                diff = tuple(a - b for a, b in zip(apply_nilpotent(jt, c), cols[k2 - 1]))
-                if any(diff[n:]):
-                    issues.append(f"column {j}: shifted column minus column {k2} leaves top block")
-                if not in_span(diff, cols[: j - 1]):
-                    issues.append(f"column {j}: shifted column minus column {k2} outside prefix span")
-    return issues

@@ -96,31 +96,32 @@ PolyCurve = dict  # Arc -> Poly in t
 class _Pieces(Mapping):
     """Read-only map from each subset of the arcs of m to its labeled piece,
     cut the first time it is read.  Subsets come by size, then in
-    ``itertools.combinations`` order.
+    ``itertools.combinations`` order; only the pieces read are stored.
     """
 
     def __init__(self, m: Matching, jt: JordanType):
         self._m, self._jt = m, jt
-        self._cut: dict[frozenset[Arc], LabeledPiece | None] = {
-            frozenset(combo): None
-            for r in range(len(m) + 1)
-            for combo in itertools.combinations(m.arcs, r)
-        }
+        self._cut: dict[frozenset[Arc], LabeledPiece] = {}
 
     def __getitem__(self, subset: frozenset[Arc]) -> LabeledPiece:
-        piece = self._cut[subset]
+        piece = self._cut.get(subset)
         if piece is None:
+            if subset not in self:
+                raise KeyError(subset)
             piece = self._cut[subset] = labeled_cut(self._m, subset, self._jt)
         return piece
 
     def __contains__(self, subset) -> bool:
-        return subset in self._cut
+        return isinstance(subset, frozenset) and all(a in self._m for a in subset)
 
     def __iter__(self):
-        return iter(self._cut)
+        arcs = self._m.arcs
+        for r in range(len(arcs) + 1):
+            for combo in itertools.combinations(arcs, r):
+                yield frozenset(combo)
 
     def __len__(self) -> int:
-        return len(self._cut)
+        return 2 ** len(self._m)
 
 
 @dataclass(frozen=True)
@@ -480,7 +481,7 @@ def _extract_inner_target(
         # undo the shear by the outer arc's value, then recanonicalize
         a0 = target[outer]
         for r in range(half):
-            rows[r] = [x - a0 * y for x, y in zip(rows[r], rows[half + r])]
+            rows[r] = [x - a0 * y if y else x for x, y in zip(rows[r], rows[half + r])]
         try:
             rows = [list(r) for r in canonical_reduce(mat_from_rows(rows))]
         except Singular:

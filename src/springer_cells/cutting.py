@@ -12,6 +12,7 @@ dimension |M| - |A| inside the cell of the cut matching.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 from .cells import FlagMatrix, build_template, instantiate
@@ -122,18 +123,32 @@ def labeled_cut(
     After each single cut, surviving arcs keep their labels; the two arcs
     replacing a cut arc and its parent inherit the parent's label; any arc
     created by cutting a parentless arc is labeled ZERO.
+
+    The default order is memoized on (m, cut arcs, jt), so equal calls
+    return the same piece, which callers treat as read-only.  An explicit
+    top-down order is validated and cut afresh on every call.
     """
     cut_arcs = frozenset(arcs)
     for a in cut_arcs:
         if a not in m:
             raise ArcNotInMatching(f"{a} not in {m.arcs}")
     if order is None:
-        order = contravariant_order(m, cut_arcs)
-    else:
-        order = list(order)
-        listed_once = len(order) == len(cut_arcs) and set(order) == cut_arcs
-        if not (listed_once and is_contravariant(m, order)):
-            raise ValueError("order must list the cut arcs top-down")
+        return _top_down_cut(m, cut_arcs, jt)
+    order = list(order)
+    listed_once = len(order) == len(cut_arcs) and set(order) == cut_arcs
+    if not (listed_once and is_contravariant(m, order)):
+        raise ValueError("order must list the cut arcs top-down")
+    return _cut_in_order(m, cut_arcs, jt, order)
+
+
+@cache
+def _top_down_cut(m: Matching, cut_arcs: frozenset[Arc], jt: JordanType) -> LabeledPiece:
+    return _cut_in_order(m, cut_arcs, jt, contravariant_order(m, cut_arcs))
+
+
+def _cut_in_order(
+    m: Matching, cut_arcs: frozenset[Arc], jt: JordanType, order: Sequence[Arc]
+) -> LabeledPiece:
     current = m
     labels: dict[Arc, Label] = {a: a for a in m.arcs}
     for arc in order:

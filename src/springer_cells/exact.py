@@ -5,7 +5,10 @@ arithmetic: they support ``+ - * == /`` and are falsy exactly at zero, so
 every algorithm that only reads or combines entries is generic without
 being told the ring.  ``fractions.Fraction`` is the entry type for Q;
 ``GFElement`` and ``Poly`` are those for F_q and Q[t], where ``/`` is exact
-division and raises ``NotDivisible`` on a remainder.  A ring object
+division and raises ``NotDivisible`` on a remainder.  A ``Poly`` keeps an
+integral coefficient as an ``int`` and divides ``int`` by ``int`` into a
+Fraction only on a remainder, so integer work over Q[t] allocates no
+Fractions and never turns into float arithmetic.  A ring object
 (``QQ``, ``PrimeField(p)``, ``POLY_RING``) only supplies ``zero``, ``one``
 and ``of(int)`` to the constructors that build a matrix out of Python
 values.
@@ -109,18 +112,41 @@ class PrimeField:
         return [GFElement(v, self.p) for v in range(self.p)]
 
 
+def _rational(c) -> Fraction | int:
+    """c as a Poly coefficient: an ``int`` when it is integral, else a Fraction."""
+    if c.__class__ is int:
+        return c
+    if c.__class__ is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a: Fraction | int, b: Fraction | int) -> Fraction | int:
+    """a / b, exact: an ``int`` over an ``int`` gives a Fraction only on a
+    remainder, never a float.
+    """
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
+
+
 class Poly:
-    """Univariate polynomial in t with Fraction coefficients, dense form.
+    """Univariate polynomial in t with rational coefficients, dense form.
 
     Coefficients are stored ascending; trailing zeros are stripped, so the
     zero polynomial has an empty coefficient tuple and degree -inf.  A
-    coefficient that is already a Fraction is stored as it is.
+    coefficient is stored as an ``int`` when its denominator is 1 and as a
+    Fraction otherwise, so the integer arithmetic that dominates over Q[t]
+    allocates no Fraction; since ``3 == Fraction(3)`` with the same hash,
+    equality, hashing and the printed coefficients do not depend on it.
+    ``coeff`` reads a coefficient as a Fraction.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Fraction | int] = ()):
-        cs = [c if c.__class__ is Fraction else Fraction(c) for c in coeffs]
+        cs = [_rational(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -130,11 +156,11 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly([Fraction(c)])
+        return Poly([c])
 
     @staticmethod
     def t(power: int = 1, coeff=1) -> "Poly":
-        return Poly([0] * power + [Fraction(coeff)])
+        return Poly([0] * power + [coeff])
 
     @property
     def degree(self):
@@ -142,7 +168,7 @@ class Poly:
 
     def coeff(self, d: int) -> Fraction:
         if 0 <= d < len(self.coeffs):
-            return self.coeffs[d]
+            return Fraction(self.coeffs[d])
         return _ZERO
 
     def __bool__(self) -> bool:
@@ -167,12 +193,16 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return Poly(out)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.coeffs or not other.coeffs:
             return Poly()
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -194,9 +224,9 @@ class Poly:
         rem = list(self.coeffs)
         d = len(other.coeffs) - 1
         lead = other.coeffs[-1]
-        quot = [_ZERO] * max(len(rem) - d, 0)
+        quot = [0] * max(len(rem) - d, 0)
         for i in range(len(quot) - 1, -1, -1):
-            c = rem[i + d] / lead
+            c = _div(rem[i + d], lead)
             quot[i] = c
             if c:
                 for j, b in enumerate(other.coeffs):

@@ -161,12 +161,6 @@ def decomposition_dot(dec: ClosureDecomposition) -> str:
     return "\n".join(lines)
 
 
-def matrix_latex(g: FlagMatrix) -> str:
-    body = " \\\\\n".join(" & ".join(format_scalar(x) for x in row) for row in g.rows)
-    cols = "c" * g.N
-    return f"\\left(\\begin{{array}}{{{cols}}}\n{body}\n\\end{{array}}\\right)"
-
-
 def template_latex(ct: CellTemplate) -> str:
     letters = arc_letters(ct.matching)
     n = ct.jt.N

@@ -1,4 +1,6 @@
-"""Shared brute-force oracles, independent of the library's algorithms."""
+"""Shared brute-force oracles, independent of the library's algorithms,
+and the column diagnostics of canonical Springer matrices.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +8,10 @@ import functools
 import itertools
 import operator
 from fractions import Fraction
+
+from springer_cells.cells import FlagMatrix, apply_nilpotent
+from springer_cells.exact import in_span, pivot_pattern
+from springer_cells.matchings import JordanType
 
 
 def Q(rows):
@@ -55,3 +61,40 @@ def brute_standard(arcs) -> bool:
         if any(p not in on_arc for p in range(i + 1, j)):
             return False
     return True
+
+
+def springer_column_diagnostics(g: FlagMatrix, jt: JordanType) -> list[str]:
+    """Structural facts every canonical Springer matrix satisfies, checked
+    column by column; returns human-readable violations (empty when clean).
+
+    For a column with pivot in the top block the column is a pure basis
+    vector and all smaller top rows are pivoted earlier; with pivot in the
+    bottom block the earlier bottom pivots fill the rows above it; and for
+    bottom pivots past row n+1 the nilpotent image minus the previous
+    bottom-pivot column lies in the top block intersected with the prefix
+    span.
+    """
+    issues: list[str] = []
+    n, N = jt.n, jt.N
+    cols = g.cols()
+    piv = pivot_pattern(g.rows)
+    for j, c in enumerate(cols, start=1):
+        pr = piv[j - 1]
+        if pr <= n:
+            if any(c[r] for r in range(N) if r != pr - 1):
+                issues.append(f"column {j}: top-block pivot but extra entries")
+            earlier = set(piv[: j - 1])
+            if not all(r in earlier for r in range(1, pr)):
+                issues.append(f"column {j}: rows 1..{pr - 1} not pivoted earlier")
+        else:
+            earlier = set(piv[: j - 1])
+            if not all(r in earlier for r in range(n + 1, pr)):
+                issues.append(f"column {j}: bottom rows n+1..{pr - 1} not pivoted earlier")
+            if pr >= n + 2:
+                k2 = piv.index(pr - 1) + 1
+                diff = tuple(a - b for a, b in zip(apply_nilpotent(jt, c), cols[k2 - 1]))
+                if any(diff[n:]):
+                    issues.append(f"column {j}: shifted column minus column {k2} leaves top block")
+                if not in_span(diff, cols[: j - 1]):
+                    issues.append(f"column {j}: shifted column minus column {k2} outside prefix span")
+    return issues

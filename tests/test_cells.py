@@ -12,7 +12,6 @@ from springer_cells.cells import (
     build_template,
     cell_matrix,
     prefix_span_basis,
-    springer_column_diagnostics,
     verify_canonical,
     verify_springer,
 )
@@ -27,7 +26,7 @@ from springer_cells.matchings import (
 from springer_cells.sampling import random_params
 from springer_cells.verify import check_cell_injectivity, check_cell_membership
 
-from helpers import Q
+from helpers import Q, springer_column_diagnostics
 
 JT8 = JordanType(4, 8)
 M1 = matching(8, [(1, 8), (2, 3), (4, 7), (5, 6)])
@@ -95,6 +94,16 @@ def test_template_m3_forced_zero_column():
     )
     # the column before the last arc start is a pure pivot: no free slot
     assert all(c != 6 for (_, c) in build_template(M3, JT8).slots)
+
+
+def test_build_template_is_memoized():
+    template = build_template(M1, JT8)
+    assert build_template(M1, JT8) is template
+    assert build_template(matching(8, [(5, 6), (4, 7), (2, 3), (1, 8)]), JordanType(4, 8)) is template
+    # (2,3) is free under (1,4): no cell, on every call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="standard noncrossing"):
+            build_template(matching(4, [(1, 4)]), JordanType(2, 4))
 
 
 def test_small_cell_matrix():

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+import springer_cells
 from springer_cells import cli, closure, verify
 from springer_cells.cli import run
 from springer_cells.errors import CurveNotFound
@@ -341,3 +345,22 @@ def test_json_determinism():
     _, first, _ = invoke(argv)
     _, second, _ = invoke(argv)
     assert first == second
+
+
+def test_cli_import_loads_no_numeric_stack():
+    """numpy and scipy load only when the numeric oracle is asked for."""
+    probe = (
+        "import sys, springer_cells.cli\n"
+        "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
+        "from springer_cells import numeric_infimum\n"
+        "print(numeric_infimum.__module__, 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(springer_cells.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120, check=True
+    )
+    assert done.stdout.splitlines() == ["[]", "springer_cells.numeric True"]
+    assert "numeric_infimum" in springer_cells.__all__
+    with pytest.raises(AttributeError):
+        springer_cells.no_such_name

@@ -111,6 +111,27 @@ def test_decomposition_cuts_a_piece_on_first_read(cut_calls):
     assert len(cut_calls) == 1
 
 
+def test_pieces_come_from_the_matching_alone(cut_calls):
+    """Length, membership and order need no table of subsets: the 2^16
+    subsets of the nested N = 32 cell are counted, tested and listed by
+    size, then in combinations order, without a piece being cut.
+    """
+    m = matching(32, [(i, 33 - i) for i in range(1, 17)])
+    dec = closure_decomposition(m, JordanType(16, 32))
+    assert len(dec.pieces) == 2**16
+    a = m.arcs
+    head = list(itertools.islice(dec.pieces, 19))
+    assert head == [frozenset()] + [frozenset([x]) for x in a] + [frozenset(a[:2]), frozenset([a[0], a[2]])]
+    assert frozenset(a) in dec.pieces and frozenset(a[::3]) in dec.pieces
+    foreign = frozenset([a[0], Arc(1, 2)])
+    assert foreign not in dec.pieces and tuple(a[:1]) not in dec.pieces
+    with pytest.raises(KeyError):
+        dec.pieces[foreign]
+    assert cut_calls == []
+    assert dec.piece([a[0]]).base.arcs == a[1:]
+    assert len(cut_calls) == 1
+
+
 def test_decomposition_call_raises_too_many_arcs(cut_calls):
     with pytest.raises(TooManyArcs):
         closure_decomposition(ROW4, JordanType(1, 4))

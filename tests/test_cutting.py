@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from springer_cells import cutting
 from springer_cells.cutting import (
     ZERO,
     contravariant_order,
@@ -112,3 +113,34 @@ def test_order_must_list_each_cut_arc_once():
         labeled_cut(NESTED4, [Arc(2, 3)], JT4, order=[])
     piece = labeled_cut(NESTED4, [Arc(2, 3)], JT4, order=[Arc(2, 3)])
     assert piece == labeled_cut(NESTED4, [Arc(2, 3)], JT4)
+
+
+def test_default_order_is_memoized_and_an_explicit_order_is_not(monkeypatch):
+    """The default top-down cut is served from a cache; an explicit order is
+    validated and cut afresh on every call, so the order-independence check
+    compares two computations and not the cache with itself.
+    """
+    cut_calls = []
+    real_cut = cutting.cut
+
+    def counting_cut(m, arc, jt):
+        cut_calls.append(arc)
+        return real_cut(m, arc, jt)
+
+    monkeypatch.setattr(cutting, "cut", counting_cut)
+    arcs = [Arc(1, 8), Arc(5, 6)]
+    piece = labeled_cut(M1, arcs, JT8)
+    cut_calls.clear()
+    assert labeled_cut(M1, list(reversed(arcs)), JT8) is piece
+    assert cut_calls == []
+    order = contravariant_order(M1, arcs)
+    for calls in (2, 4):
+        alt = labeled_cut(M1, arcs, JT8, order=order)
+        assert alt == piece and alt is not piece
+        assert len(cut_calls) == calls
+    for _ in range(2):
+        with pytest.raises(ValueError, match="order must list the cut arcs top-down"):
+            labeled_cut(M1, arcs, JT8, order=order[::-1])
+        with pytest.raises(ArcNotInMatching):
+            labeled_cut(M1, [Arc(1, 8), Arc(2, 5)], JT8)
+    assert len(cut_calls) == 4

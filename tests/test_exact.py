@@ -18,9 +18,12 @@ from springer_cells.exact import (
     QQ,
     Poly,
     PrimeField,
+    SpanBasis,
     canonical_reduce,
     in_span,
+    integer_vector,
     limit_flag,
+    limit_vectors,
     mat_cols,
     pivot_pattern,
     rank,
@@ -266,6 +269,13 @@ def test_poly_arithmetic():
     assert Poly([Fraction(1, 2), 1])(2.0) == pytest.approx(2.5)
 
 
+def _canonical(c) -> bool:
+    """c is stored as a Poly coefficient should be: an int exactly when its
+    denominator is 1, else a Fraction, never a float.
+    """
+    return type(c) is int if c.denominator == 1 else type(c) is Fraction
+
+
 def test_poly_shares_its_zero_and_keeps_mixed_coefficients():
     zero = Poly([1, 2]).coeff(2)
     assert zero == Fraction(0) and type(zero) is Fraction
@@ -279,8 +289,8 @@ def test_poly_shares_its_zero_and_keeps_mixed_coefficients():
     assert (-q).coeffs == (2, -3)
     assert ((p * q) / q).coeffs == p.coeffs
     assert Poly([0, Fraction(0)]).coeffs == ()
-    for r in (p, q, p + q, p * q, Poly([3, 0, 1]) * Poly.t(2)):
-        assert all(type(c) is Fraction for c in r.coeffs)
+    for r in (p, q, p + q, p - q, p * q, -q, (p * q) / q, Poly([3, 0, 1]) * Poly.t(2)):
+        assert all(_canonical(c) for c in r.coeffs)
     # (t, 1) reduces against the longer (t^2, 1), which pads it with zeros
     t, one = Poly.t(), Poly([1])
     flag = limit_flag([(t * t, one), (t, one)])
@@ -315,6 +325,39 @@ def test_poly_exact_division():
         Poly([1]) / Poly.t()
     with pytest.raises(ZeroDivisionError):
         p / Poly()
+
+
+def test_int_coefficients_divide_exactly():
+    """Integral coefficients are stored as ints, and int / int would give a
+    float: every division path on them stays exact.
+    """
+    half = Poly([1, 2]) / Poly([2])
+    assert half == Poly([Fraction(1, 2), 1]) and half.coeffs == (Fraction(1, 2), 1)
+    assert all(_canonical(c) for c in half.coeffs)
+    assert (Poly([2, 4]) / Poly([2])).coeffs == (1, 2)
+    assert all(type(c) is int for c in (Poly([2, 4]) / Poly([2])).coeffs)
+    with pytest.raises(NotDivisible):
+        Poly([1, 0, 1]) / Poly([1, 1])  # t^2 + 1 = (t + 1)(t - 1) + 2
+    with pytest.raises(NotDivisible):
+        Poly([1, 3]) / Poly([0, 2])
+    basis = SpanBasis()
+    assert basis.add([Poly([1]), Poly([0, 3]), Poly([2])])
+    (piv, vec), = basis.echelon
+    assert piv == 2 and vec == [Poly([Fraction(1, 2)]), Poly([0, Fraction(3, 2)]), Poly([1])]
+    assert all(_canonical(c) for p in vec for c in p.coeffs)
+    assert basis.contains([Poly([2]), Poly([0, 6]), Poly([4])])
+    p = Poly([3, 0, 1])  # 3 + t^2
+    assert p(Fraction(1, 2)) == Fraction(13, 4) and type(p(Fraction(1, 2))) is Fraction
+    assert p(2) == 7 and type(p(2)) is Fraction
+    assert p(0.5) == 3.25 and type(p(0.5)) is float
+    assert type(p.coeff(0)) is Fraction and p.coeff(0) == 3
+    assert type(p.coeff(1)) is Fraction and p.coeff(1) == 0
+    assert integer_vector([3, 0, -6]) == {0: 3, 2: -6}
+    assert integer_vector([Fraction(1, 2), 2, 0]) == {0: 1, 1: 4}
+    t, zero, one = Poly.t(), Poly(), Poly([1])
+    cols = [(Poly([0, 2]), Poly([4]), zero), (Poly([6]), one, zero), (zero, zero, Poly([0, 0, 3]))]
+    assert list(limit_vectors(cols)) == [(0, {0: 1}), (1, {1: 1}), (2, {2: 1})]
+    assert list(limit_vectors([(t * Poly([2]), Poly([6]))])) == [(0, {0: 1})]
 
 
 def test_prime_field_ops():

@@ -14,7 +14,6 @@ from springer_cells.textio import (
     format_matching,
     matching_json,
     matrix_json,
-    matrix_latex,
     parse_matching,
     piece_json,
     poly_json,
@@ -80,9 +79,3 @@ def test_dot_contains_letter_labels():
     dot = decomposition_dot(closure_decomposition(m, jt))
     assert "(1,2)↦a, (3,4)↦a" in dot
     assert dot.count("->") == 4
-
-
-def test_matrix_latex():
-    g = FlagMatrix(Q([[1, 0], [0, 1]]))
-    assert "array" in matrix_latex(g)
-    assert "1 & 0" in matrix_latex(g)
