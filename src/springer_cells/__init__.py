@@ -22,7 +22,6 @@ from .closure import (
     INFINITY,
     ClosureDecomposition,
     SplitData,
-    check_necessary_conditions,
     chi_embed,
     chi_split,
     closure_decomposition,

@@ -167,7 +167,7 @@ def cmd_closure(args, parser) -> int:
             uncut = [a for a in m.arcs if a not in subset]
             target = random_params(uncut, rng)
             try:
-                curve = synthesize_limit_curve(m, jt, subset, target, dec.pieces[subset])
+                curve = synthesize_limit_curve(m, jt, subset, target)
             except SpringerCellsError as exc:
                 curve = None
                 failures.append(f"{sorted(subset)}: {exc}")

@@ -86,30 +86,24 @@ class _Infinity:
 #: Point at infinity of the parameter line used by phi_embed.
 INFINITY = _Infinity()
 
-PolyCurve = dict  # Arc -> Poly in t
-
 
 # ---------------------------------------------------------------------------
 # decomposition
 
 
 class _Pieces(Mapping):
-    """Read-only map from each subset of the arcs of m to its labeled piece,
-    cut the first time it is read.  Subsets come by size, then in
-    ``itertools.combinations`` order; only the pieces read are stored.
+    """Read-only map from each subset of the arcs of m to its labeled piece.
+    Subsets come by size, then in ``itertools.combinations`` order; a read
+    is a ``labeled_cut``, whose memo cuts each piece once and stores it.
     """
 
     def __init__(self, m: Matching, jt: JordanType):
         self._m, self._jt = m, jt
-        self._cut: dict[frozenset[Arc], LabeledPiece] = {}
 
     def __getitem__(self, subset: frozenset[Arc]) -> LabeledPiece:
-        piece = self._cut.get(subset)
-        if piece is None:
-            if subset not in self:
-                raise KeyError(subset)
-            piece = self._cut[subset] = labeled_cut(self._m, subset, self._jt)
-        return piece
+        if subset not in self:
+            raise KeyError(subset)
+        return labeled_cut(self._m, subset, self._jt)
 
     def __contains__(self, subset) -> bool:
         return isinstance(subset, frozenset) and all(a in self._m for a in subset)
@@ -126,6 +120,10 @@ class _Pieces(Mapping):
 
 @dataclass(frozen=True)
 class ClosureDecomposition:
+    """The 2^|M| labeled pieces of the closure of the cell of m, keyed by
+    the subset of arcs cut; ``pieces`` cuts nothing until it is read.
+    """
+
     matching: Matching
     jt: JordanType
     pieces: Mapping[frozenset[Arc], LabeledPiece]
@@ -210,40 +208,6 @@ def flag_necessary_conditions(m: Matching, jt: JordanType, g: FlagMatrix) -> lis
         if not _power_image_contained(jt, cols, par.term, k + 1, a.term):
             issues.append(f"arc {a} under {par}: shift condition between arc ends fails")
     return issues
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    entries: tuple[tuple[str, bool, str], ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(ok for _, ok, _ in self.entries)
-
-    def failures(self) -> list[tuple[str, bool, str]]:
-        return [e for e in self.entries if not e[1]]
-
-
-def check_necessary_conditions(
-    dec: ClosureDecomposition, rng, samples: int = 10
-) -> ConditionReport:
-    """Exact closure-condition checks on every piece at random parameters."""
-    from .sampling import random_params
-
-    entries = []
-    for subset in dec.subsets():
-        piece = dec.pieces[subset]
-        uncut = [a for a in dec.matching.arcs if a not in subset]
-        for s in range(samples):
-            values = random_params(uncut, rng)
-            g = piece_matrix(piece, values)
-            issues = flag_necessary_conditions(dec.matching, dec.jt, g)
-            label = f"cut {sorted(subset)} sample {s}"
-            if issues:
-                entries.append((label, False, "; ".join(issues)))
-            else:
-                entries.append((label, True, ""))
-    return ConditionReport(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -524,11 +488,8 @@ def _synthesize(
     jt: JordanType,
     cut_arcs: frozenset[Arc],
     target: Mapping[Arc, Fraction],
-    piece: LabeledPiece | None = None,
 ) -> dict[Arc, Poly]:
-    """The curve of synthesize_limit_curve; piece is cut(m, cut_arcs) when
-    the caller has already cut it.
-    """
+    """The curve of synthesize_limit_curve, before it is verified."""
     if not cut_arcs:
         return {a: Poly.const(target[a]) for a in m.arcs}
     splits = valid_split_indices(m)
@@ -550,16 +511,14 @@ def _synthesize(
     inner_m = _inner_matching(m)
     inner_jt = JordanType(jt.n - 1, jt.N - 2)
     inner_cut = frozenset(_shift_arc(a, -1) for a in cut_arcs if a != outer)
-    if piece is None:
-        piece = labeled_cut(m, cut_arcs, jt)
     inner_piece = labeled_cut(inner_m, inner_cut, inner_jt)
-    inner_target = _extract_inner_target(piece, target, inner_piece)
+    inner_target = _extract_inner_target(labeled_cut(m, cut_arcs, jt), target, inner_piece)
     if inner_target is None:
         raise CurveNotFound(
             f"outer target is not an embedded inner point for {m.arcs}"
             f" cutting {sorted(cut_arcs)}"
         )
-    inner = _synthesize(inner_m, inner_jt, inner_cut, inner_target, inner_piece)
+    inner = _synthesize(inner_m, inner_jt, inner_cut, inner_target)
     if outer not in cut_arcs:
         out = {outer: Poly.const(target[outer])}
         out.update({_shift_arc(a, 1): p for a, p in inner.items()})
@@ -585,12 +544,11 @@ def synthesize_limit_curve(
     jt: JordanType,
     cut_arcs: Iterable[Arc],
     target: Mapping[Arc, Fraction],
-    piece: LabeledPiece | None = None,
 ) -> dict[Arc, Poly]:
     """A polynomial curve in the cell of m whose flag limit is the piece
     cut(cell, A) at the target values, certified by verify_limit_curve.
-    A caller that already holds that piece, as a closure decomposition
-    does, passes it so it is not cut again.
+    Each piece the recursion reads comes from the memo of labeled_cut, so
+    a piece that a closure decomposition has read is not cut again.
 
     Raises CurveNotFound when the recursive construction gives no curve or
     a curve that does not verify; the failure is surfaced, never silently
@@ -605,10 +563,8 @@ def synthesize_limit_curve(
     if missing:
         raise MissingParameter(f"no target value for {missing}")
     target = {a: Fraction(target[a]) for a in uncut}
-    if piece is None:
-        piece = labeled_cut(m, cut_set_, jt)
-    curve = _synthesize(m, jt, cut_set_, target, piece)
-    if not verify_limit_curve(m, jt, curve, piece, target):
+    curve = _synthesize(m, jt, cut_set_, target)
+    if not verify_limit_curve(m, jt, curve, labeled_cut(m, cut_set_, jt), target):
         raise CurveNotFound(
             f"no certified curve for {m.arcs} cutting {sorted(cut_set_)} at {target}"
         )

@@ -36,17 +36,17 @@ from .cells import (
 )
 from .closure import (
     INFINITY,
-    check_necessary_conditions,
     chi_embed,
     chi_split,
     closure_decomposition,
+    flag_necessary_conditions,
     phi_embed,
     swap_candidates,
     synthesize_limit_curve,
     valid_split_indices,
-    verify_limit_curve,
 )
 from .cutting import ZERO, contravariant_order, cut, cut_set, labeled_cut, piece_matrix
+from .errors import CurveNotFound
 from .exact import (
     POLY_RING,
     Poly,
@@ -564,14 +564,14 @@ def check_certification(max_n: int, rng, targets_per_piece: int = 2) -> int:
     count = 0
     for jt, m in _cells(max_n):
         for combo in _subsets(m.arcs):
-            piece = labeled_cut(m, combo, jt)
             uncut = [a for a in m.arcs if a not in combo]
             for _ in range(targets_per_piece if combo else 1):
                 target = random_params(uncut, rng)
                 count += 1
-                curve = synthesize_limit_curve(m, jt, combo, target)
-                if not verify_limit_curve(m, jt, curve, piece, target):
-                    raise _Failed(count, f"{m.arcs} {combo}")
+                try:
+                    synthesize_limit_curve(m, jt, combo, target)
+                except CurveNotFound as exc:
+                    raise _Failed(count, f"{m.arcs} {combo}: {exc}")
     return count
 
 
@@ -613,12 +613,19 @@ def check_numeric_agreement(max_n: int, rng) -> int:
 
 @_check("closure.necessary_conditions")
 def check_necessary_condition_suite(max_n: int, rng) -> int:
+    """Each piece of each cell meets its cell's closure conditions at 3 samples."""
     count = 0
     for jt, m in _cells(min(max_n, 5)):
-        report = check_necessary_conditions(closure_decomposition(m, jt), rng, samples=3)
-        count += len(report.entries)
-        if not report.all_pass:
-            raise _Failed(count, str(report.failures()[:1]))
+        dec = closure_decomposition(m, jt)
+        for subset in dec.subsets():
+            uncut = [a for a in m.arcs if a not in subset]
+            for s in range(3):
+                g = piece_matrix(dec.pieces[subset], random_params(uncut, rng))
+                count += 1
+                issues = flag_necessary_conditions(m, jt, g)
+                if issues:
+                    where = f"cut {sorted(subset)} of {m.arcs} sample {s}"
+                    raise _Failed(count, f"{where}: {'; '.join(issues)}")
     return count
 
 

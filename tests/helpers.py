@@ -1,5 +1,6 @@
 """Shared brute-force oracles, independent of the library's algorithms,
-and the column diagnostics of canonical Springer matrices.
+the column diagnostics of canonical Springer matrices, and a counter of
+the pieces the library cuts.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ import itertools
 import operator
 from fractions import Fraction
 
+from springer_cells import cutting
 from springer_cells.cells import FlagMatrix, apply_nilpotent
 from springer_cells.exact import in_span, pivot_pattern
 from springer_cells.matchings import JordanType
@@ -98,3 +100,20 @@ def springer_column_diagnostics(g: FlagMatrix, jt: JordanType) -> list[str]:
                 if not in_span(diff, cols[: j - 1]):
                     issues.append(f"column {j}: shifted column minus column {k2} outside prefix span")
     return issues
+
+
+def count_cuts(monkeypatch) -> list:
+    """(matching, cut arcs, Jordan type) of every piece actually cut from
+    now on: the memo of labeled_cut is emptied, and a read it serves adds
+    nothing.
+    """
+    calls = []
+    real_cut = cutting._cut_in_order
+
+    def counting_cut(m, cut_arcs, jt, order):
+        calls.append((m, cut_arcs, jt))
+        return real_cut(m, cut_arcs, jt, order)
+
+    cutting._top_down_cut.cache_clear()
+    monkeypatch.setattr(cutting, "_cut_in_order", counting_cut)
+    return calls

@@ -14,9 +14,11 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 import springer_cells
-from springer_cells import cli, closure, verify
+from springer_cells import cli, verify
 from springer_cells.cli import run
 from springer_cells.errors import CurveNotFound
+
+from helpers import count_cuts
 
 
 def _schema_registry():
@@ -320,22 +322,16 @@ def test_output_matches_golden_bytes(name, argv):
 
 
 def test_closure_certify_cuts_each_piece_once(monkeypatch):
-    """The synthesis of each certificate takes its piece from the
-    decomposition: the 16 pieces of the nested N = 8 cell are cut once
-    each, and the bytes are those of the golden file.
+    """The decomposition and the synthesis of each certificate read their
+    pieces from the memo of labeled_cut: from an empty memo, the 16 pieces
+    of the nested N = 8 cell are cut once each, and the bytes are those of
+    the golden file.
     """
-    own_cuts = []
-    real_cut = closure.labeled_cut
-
-    def counting_cut(m, *args, **kwargs):
-        if m.N == 8:
-            own_cuts.append(frozenset(args[0]))
-        return real_cut(m, *args, **kwargs)
-
-    monkeypatch.setattr(closure, "labeled_cut", counting_cut)
+    cuts = count_cuts(monkeypatch)
     argv = ["closure", "--matching", "(1,8)(2,7)(3,6)(4,5)", "--n", "4", "--certify", "--format", "json", "--seed", "0"]
     code, out, _ = invoke(argv)
     assert code == 0
+    own_cuts = [cut_arcs for m, cut_arcs, _ in cuts if m.N == 8]
     assert len(own_cuts) == len(set(own_cuts)) == 16
     assert out.encode() == (GOLDEN / "closure_nested8_certify_seed0.json").read_bytes()
 

@@ -11,7 +11,6 @@ from springer_cells import closure
 from springer_cells.cells import FlagMatrix, build_template, cell_matrix, instantiate, verify_canonical
 from springer_cells.closure import (
     INFINITY,
-    check_necessary_conditions,
     chi_embed,
     chi_split,
     closure_decomposition,
@@ -40,7 +39,7 @@ from springer_cells.verify import (
     check_swap_candidate_bijection,
 )
 
-from helpers import Q, brute_minors
+from helpers import Q, brute_minors, count_cuts
 
 JT4 = JordanType(2, 4)
 NESTED4 = matching(4, [(1, 4), (2, 3)])
@@ -79,15 +78,7 @@ def test_decomposition_empty_matching():
 
 @pytest.fixture
 def cut_calls(monkeypatch):
-    """The argument tuples of every labeled_cut the closure module makes."""
-    calls = []
-
-    def counting_cut(*args):
-        calls.append(args)
-        return labeled_cut(*args)
-
-    monkeypatch.setattr(closure, "labeled_cut", counting_cut)
-    return calls
+    return count_cuts(monkeypatch)
 
 
 def test_decomposition_cuts_a_piece_on_first_read(cut_calls):
@@ -178,25 +169,11 @@ def test_piece_words_are_swap_candidates_up_to_ten():
     assert check_swap_candidate_bijection(10, random.Random(0)).passed
 
 
-def test_necessary_conditions_pass_on_pieces():
-    rng = random.Random(0)
-    dec = closure_decomposition(NESTED4, JT4)
-    report = check_necessary_conditions(dec, rng, samples=5)
-    assert report.all_pass
-    dec2 = closure_decomposition(ROW4, JT4)
-    assert check_necessary_conditions(dec2, rng, samples=5).all_pass
-
-
 def test_necessary_conditions_reject_excluded_word():
     # the all-tops-first point is not a swap candidate of the unnested cell
     flag = cell_matrix(word_to_matching("TTBB"), JT4, {})
     issues = flag_necessary_conditions(ROW4, JT4, flag)
     assert any("(1,2)" in msg for msg in issues)
-
-
-def test_necessary_conditions_vacuous_for_empty_matching():
-    dec = closure_decomposition(matching(2, []), JordanType(1, 2))
-    assert check_necessary_conditions(dec, random.Random(0), samples=2).all_pass
 
 
 def test_chi_split_examples():

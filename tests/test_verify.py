@@ -8,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from springer_cells import verify
+from springer_cells import closure, verify
 from springer_cells.verify import (
     SUITES,
     check_ancestor_counts,
     check_ancestor_shift,
     check_canonical_reduce,
+    check_certification,
     check_coordinate_prefixes,
     check_fq_oracle,
     check_leading_direction_numeric,
@@ -34,7 +35,7 @@ SMALL_CAPS = [
     (check_coordinate_prefixes, 4),
     (check_nested_column_shift, 6),
     (check_leading_direction_numeric, 5),
-    (check_necessary_condition_suite, 4),
+    (check_necessary_condition_suite, 5),
     (check_numeric_agreement, 4),
 ]
 
@@ -43,6 +44,9 @@ SMALL_CAPS = [
 def test_check_passes_at_small_cap(check, cap):
     result = check(cap, random.Random(0))
     assert result.passed, result
+    if check is check_necessary_condition_suite:
+        # 3 samples of each of the 118 pieces of the cells with N <= 5
+        assert result.count == 354
 
 
 def test_every_check_is_called_by_a_test():
@@ -60,6 +64,7 @@ def test_every_check_is_called_by_a_test():
     [
         (check_canonical_reduce, "canonical_reduce", lambda g: g[::-1], "idempotent"),
         (check_swap_candidate_bijection, "swap_candidates", lambda m, jt: set(), "words"),
+        (check_necessary_condition_suite, "flag_necessary_conditions", lambda m, jt, g: ["x"], "cut"),
     ],
 )
 def test_failing_check_keeps_its_id(monkeypatch, check, name, fake, detail):
@@ -69,6 +74,17 @@ def test_failing_check_keeps_its_id(monkeypatch, check, name, fake, detail):
     assert passing.passed and not failing.passed
     assert failing.check_id == passing.check_id == check.check_id
     assert failing.detail.startswith(detail)
+
+
+def test_certification_check_reports_an_unverified_curve(monkeypatch):
+    """A curve that fails verify_limit_curve inside the synthesis fails the
+    check at its first piece, and the detail names the matching.
+    """
+    monkeypatch.setattr(closure, "verify_limit_curve", lambda *args: False)
+    result = check_certification(4, random.Random(0))
+    assert not result.passed and result.count == 1
+    m = next(verify._cells(4))[1]
+    assert result.detail.startswith(f"{m.arcs} (): no certified curve for {m.arcs}")
 
 
 def test_leading_direction_check_needs_reduction(monkeypatch):
