@@ -17,7 +17,7 @@ from functools import cache
 from typing import Mapping
 
 from .errors import DimensionMismatch, MissingParameter, Singular
-from .exact import QQ, Matrix, SpanBasis, mat_from_rows, pivot_pattern, rank
+from .exact import QQ, Matrix, SpanBasis, is_one, mat_cols, mat_from_rows, pivot_pattern, rank
 from .matchings import (
     Arc,
     JordanType,
@@ -51,7 +51,7 @@ class FlagMatrix:
         return tuple(self.rows[r][j - 1] for r in range(self.N))
 
     def cols(self) -> list[tuple]:
-        return list(zip(*self.rows))
+        return mat_cols(self.rows)
 
     def __getitem__(self, rc: tuple[int, int]):
         r, c = rc
@@ -128,15 +128,14 @@ def cell_matrix(m: Matching, jt: JordanType, params: Mapping[Arc, object], ring=
 
 
 def verify_canonical(g: FlagMatrix) -> bool:
-    """Unique pivot 1 per row and column, zeros below and right of pivots."""
+    """Unique pivot 1 (by ``is_one``) per row and column, zeros below and right of pivots."""
     try:
         pivots = pivot_pattern(g.rows)
     except Singular:
         return False
     for j, piv in enumerate(pivots, start=1):
-        p = g[piv, j]
-        # the only nonzero p with p * p == p is 1
-        if p * p != p or any(g[piv, j2] for j2 in range(j + 1, g.N + 1)):
+        row = g.rows[piv - 1]
+        if not is_one(row[j - 1]) or any(row[j:]):
             return False
     return len(set(pivots)) == g.N
 
@@ -147,12 +146,11 @@ def apply_nilpotent(jt: JordanType, vec) -> tuple:
         raise DimensionMismatch(f"vector length {len(vec)} vs N={jt.N}")
     if not vec:
         return ()
-    out = [vec[0] - vec[0]] * jt.N
-    for row in range(1, jt.N + 1):
-        target = jt.x_image_row(row)
-        if target is not None:
-            # no two rows shift to the same row
-            out[target - 1] = vec[row - 1]
+    head = vec[0]
+    zero = head - head if head else head  # a zero entry is its own zero
+    out = [*vec[1:], zero]  # e_r goes to e_{r-1}, and e_1 is killed
+    if jt.n:
+        out[jt.n - 1] = zero  # e_{n+1} is killed too
     return tuple(out)
 
 
@@ -174,12 +172,20 @@ def prefix_span_basis(g: FlagMatrix, i: int):
     else NOT_COORDINATE.
 
     V_i lies in the span of the e_r for the rows r where its first i
-    columns are nonzero, and equals it when both have dimension i.
+    columns are nonzero, and equals it when both have dimension i.  So the
+    answer is NOT_COORDINATE unless there are exactly i such rows.  Columns
+    whose lowest nonzero rows are pairwise distinct are triangular, hence
+    independent, as in every canonical matrix; only when two lowest rows
+    coincide (or a column is zero) does a SpanBasis compute the rank.
     """
     if not (0 <= i <= g.N):
         raise DimensionMismatch(f"index {i} outside 0..{g.N}")
     cols = g.cols()[:i]
-    rows = tuple(r for r in range(1, g.N + 1) if any(c[r - 1] for c in cols))
-    if rank(cols) == len(rows) == i:
+    supports = [[r for r, x in enumerate(c, start=1) if x] for c in cols]
+    rows = tuple(sorted({r for support in supports for r in support}))
+    if len(rows) != i:
+        return NOT_COORDINATE
+    lowest = {support[-1] for support in supports if support}
+    if len(lowest) == i or rank(cols) == i:
         return rows
     return NOT_COORDINATE

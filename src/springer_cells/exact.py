@@ -15,10 +15,14 @@ values.
 
 On top of that arithmetic, one Gaussian elimination (``SpanBasis``) sits
 under span tests, the canonical coset form of a flag matrix and the
-coordinate-subspace test of ``cells.prefix_span_basis``; over Q[t] it
-yields the canonical form when that form is polynomial.  It is sparse in
-the cheap way: a row update leaves the entries where the stored vector is
-0, and a vector whose pivot is already 1 is not rescaled.
+coordinate-subspace test of ``cells.prefix_span_basis`` (when two lowest
+rows coincide); over Q[t] it yields the canonical form when that form is
+polynomial.  It is sparse in the cheap way: a row update leaves the
+entries where the stored vector is 0, and a vector whose pivot is already
+1 is not rescaled.  ``is_one`` is the one test for a pivot of 1: ``x == 1``,
+which costs no multiply on the Fractions of a canonical cell matrix, and
+the idempotent test ``x * x == x`` for the entry types that never equal an
+``int``.
 
 Beside it sits the limit certifier's kernel: ``limit_vectors``, the limit
 as t -> oo of the flag spanned by polynomial columns, read off by column
@@ -269,17 +273,26 @@ def mat_from_rows(rows) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
-def mat_cols(m: Matrix) -> list[list]:
+def mat_cols(m: Matrix) -> list[tuple]:
     """The columns of m; a matrix with no rows has none."""
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    return [[m[r][j] for r in range(n_rows)] for j in range(n_cols)]
+    return list(zip(*m))
 
 
 def mat_from_cols(cols) -> Matrix:
     """The matrix with the given columns; no columns give the 0x0 matrix."""
     n_rows = len(cols[0]) if cols else 0
     return tuple(tuple(col[r] for col in cols) for r in range(n_rows))
+
+
+def is_one(x) -> bool:
+    """Whether the nonzero entry x is 1.
+
+    ``x == 1`` answers for ``int`` and Fraction entries without a multiply;
+    for the other entry types, which never equal an ``int``, the idempotent
+    test ``x * x == x`` answers, since 1 is the only nonzero idempotent of
+    a field or of Q[t].
+    """
+    return x == 1 or x * x == x
 
 
 class SpanBasis:
@@ -290,9 +303,10 @@ class SpanBasis:
     stored vectors of a matrix's columns are its canonical coset form.
     Over Q[t] the division raises NotDivisible when the stored vector would
     not be polynomial.  Updates skip the zero entries of the stored vector,
-    and a pivot that is already 1, as in every canonical cell matrix, is
-    not divided by.  Plain ``int`` entries stay exact: an ``int`` pivot
-    that is not 1 divides as a Fraction.
+    and a pivot that ``is_one`` reads as 1, as in every canonical cell
+    matrix, is not divided by: the vector is stored entry for entry.  Plain
+    ``int`` entries stay exact: an ``int`` pivot that is not 1 divides as a
+    Fraction.
     """
 
     def __init__(self):
@@ -313,11 +327,13 @@ class SpanBasis:
     def add(self, vec: Sequence) -> bool:
         """Add vec to the span; True if it enlarged the span."""
         res = self.residual(vec)
-        piv = next((i for i in range(len(res) - 1, -1, -1) if res[i]), None)
-        if piv is None:
+        for piv in range(len(res) - 1, -1, -1):
+            if res[piv]:
+                break
+        else:
             return False
         lead = res[piv]
-        if lead * lead != lead:  # not a unit pivot
+        if not is_one(lead):
             if lead.__class__ is int:  # int / int would give a float
                 lead = Fraction(lead)
             res = [x / lead if x else x for x in res]

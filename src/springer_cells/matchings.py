@@ -53,12 +53,6 @@ class JordanType:
     def bottom(self) -> int:
         return self.N - self.n
 
-    def x_image_row(self, row: int) -> int | None:
-        """Row index of X e_row, or None when X kills e_row."""
-        if row in (1, self.n + 1):
-            return None
-        return row - 1
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -90,6 +84,14 @@ class Matching:
     @cached_property
     def _arc_set(self) -> frozenset[Arc]:
         return frozenset(self.arcs)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of (N, arcs), computed once per instance."""
+        return hash((self.N, self.arcs))
 
     @cached_property
     def endpoint_map(self) -> dict[int, Arc]:

@@ -1,6 +1,6 @@
 """Shared brute-force oracles, independent of the library's algorithms,
-the column diagnostics of canonical Springer matrices, and a counter of
-the pieces the library cuts.
+the column diagnostics of canonical Springer matrices, and counters of
+the pieces the library cuts and of the span bases it builds.
 """
 
 from __future__ import annotations
@@ -10,8 +10,8 @@ import itertools
 import operator
 from fractions import Fraction
 
-from springer_cells import cutting
-from springer_cells.cells import FlagMatrix, apply_nilpotent
+from springer_cells import cells, cutting, exact
+from springer_cells.cells import NOT_COORDINATE, FlagMatrix, apply_nilpotent
 from springer_cells.exact import in_span, pivot_pattern
 from springer_cells.matchings import JordanType
 
@@ -47,6 +47,19 @@ def brute_minors(rows, i):
         sub = [[rows[r][c] for c in range(i)] for r in subset]
         out.append(brute_det(sub))
     return out
+
+
+def brute_prefix_span_basis(g: FlagMatrix, i: int):
+    """cells.prefix_span_basis by rank alone: the rows where the first i
+    columns are nonzero, when there are i of them and the i x i minor on
+    those rows is nonzero; else NOT_COORDINATE.
+    """
+    rows = [r for r in range(1, g.N + 1) if any(g[r, j] for j in range(1, i + 1))]
+    if len(rows) != i:
+        return NOT_COORDINATE
+    if i and not brute_det([[g[r, j] for j in range(1, i + 1)] for r in rows]):
+        return NOT_COORDINATE
+    return tuple(rows)
 
 
 def brute_noncrossing(arcs) -> bool:
@@ -117,3 +130,17 @@ def count_cuts(monkeypatch) -> list:
     cutting._top_down_cut.cache_clear()
     monkeypatch.setattr(cutting, "_cut_in_order", counting_cut)
     return calls
+
+
+def count_span_bases(monkeypatch) -> list:
+    """One entry per exact.SpanBasis built from now on."""
+    built = []
+
+    class CountingSpanBasis(exact.SpanBasis):
+        def __init__(self):
+            built.append(self)
+            super().__init__()
+
+    for module in (exact, cells):
+        monkeypatch.setattr(module, "SpanBasis", CountingSpanBasis)
+    return built

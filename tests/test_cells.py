@@ -16,7 +16,7 @@ from springer_cells.cells import (
     verify_springer,
 )
 from springer_cells.errors import MissingParameter, Singular
-from springer_cells.exact import POLY_RING, PrimeField, pivot_pattern
+from springer_cells.exact import POLY_RING, QQ, Poly, PrimeField, pivot_pattern
 from springer_cells.matchings import (
     Arc,
     JordanType,
@@ -26,7 +26,7 @@ from springer_cells.matchings import (
 from springer_cells.sampling import random_params
 from springer_cells.verify import check_cell_injectivity, check_cell_membership
 
-from helpers import Q, springer_column_diagnostics
+from helpers import Q, brute_prefix_span_basis, count_span_bases, springer_column_diagnostics
 
 JT8 = JordanType(4, 8)
 M1 = matching(8, [(1, 8), (2, 3), (4, 7), (5, 6)])
@@ -154,6 +154,16 @@ def test_apply_nilpotent():
     assert apply_nilpotent(jt, (0, 0, 0, 1)) == (0, 0, 1, 0)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_apply_nilpotent_sends_each_basis_vector_down_its_block(n):
+    # X e_r = e_{r-1}, except that X kills e_1 and e_{n+1}
+    jt = JordanType(n, 3)
+    for r in range(1, 4):
+        e_r = tuple(Fraction(int(k == r)) for k in range(1, 4))
+        image = tuple(Fraction(int(k == r - 1 and r not in (1, n + 1))) for k in range(1, 4))
+        assert apply_nilpotent(jt, e_r) == image
+
+
 def test_prefix_span_basis_examples():
     g = cell_matrix(M3, JT8, letters(M3))
     assert prefix_span_basis(g, 5) == (1, 2, 3, 5, 6)
@@ -177,6 +187,96 @@ def test_prefix_span_basis_edge_cases():
     over_f3 = FlagMatrix(tuple(tuple(gf3.of(x) for x in row) for row in rows))
     assert prefix_span_basis(over_f3, 2) is NOT_COORDINATE
     assert prefix_span_basis(over_f3, 3) is NOT_COORDINATE
+
+
+def _cell_matrices(max_n: int, rng: random.Random):
+    for N in range(1, max_n + 1):
+        for n in range(N + 1):
+            jt = JordanType(n, N)
+            for m in enumerate_matchings(jt):
+                yield cell_matrix(m, jt, random_params(m.arcs, rng))
+
+
+def test_prefix_span_basis_agrees_with_rank_on_cell_matrices():
+    rng = random.Random(5)
+    answers = []
+    for g in _cell_matrices(6, rng):
+        for i in range(g.N + 1):
+            got = prefix_span_basis(g, i)
+            assert got == brute_prefix_span_basis(g, i), (g.rows, i)
+            answers.append(got is NOT_COORDINATE)
+    assert 0 < sum(answers) < len(answers)
+
+
+def _entry(ring, rng):
+    if ring is POLY_RING:
+        return Poly([rng.randint(-2, 2), rng.randint(-2, 2)])
+    return ring.of(rng.randint(-2, 2))
+
+
+def _colliding_matrix(ring, rng, N: int, i: int, dependent: bool) -> FlagMatrix:
+    """A random N x N matrix whose first i columns are nonzero in i rows,
+    with constant nonzero lowest entries in distinct rows, until a later
+    column gets a constant multiple of an earlier one whose lowest row is
+    lower, so that two lowest rows coincide.  When dependent, the last of
+    the i columns becomes a combination of the earlier ones instead.
+
+    Over Q[t], a column only gains multiples of earlier columns, which the
+    elimination of SpanBasis has already spanned: its division stays exact.
+    """
+    support = rng.sample(range(N), i)
+    unit = [ring.of(1), ring.of(2)]
+    cols = []
+    for low in support:
+        col = [ring.zero] * N
+        col[low] = rng.choice(unit)
+        for r in support:
+            if r < low and rng.random() < 0.5:
+                col[r] = _entry(ring, rng)
+        cols.append(col)
+    pairs = [(a, b) for a in range(i) for b in range(a + 1, i) if support[a] > support[b]]
+    if pairs:
+        a, b = rng.choice(pairs)
+        u = rng.choice(unit)
+        cols[b] = [x + u * y for x, y in zip(cols[b], cols[a])]
+    if dependent and i >= 2:
+        combo = [ring.zero] * N
+        for col in cols[:-1]:
+            c = _entry(ring, rng)
+            combo = [x + c * y for x, y in zip(combo, col)]
+        cols[-1] = combo
+    cols += [[_entry(ring, rng) for _ in range(N)] for _ in range(N - i)]
+    return FlagMatrix(tuple(zip(*cols)))
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeField(3), POLY_RING], ids=["Q", "F3", "Qt"])
+def test_prefix_span_basis_agrees_with_rank_under_lowest_row_collisions(ring):
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(400):
+        N = rng.randint(2, 6)
+        i = rng.randint(2, N)
+        g = _colliding_matrix(ring, rng, N, i, dependent=rng.random() < 0.5)
+        for j in range(i + 1):
+            got = prefix_span_basis(g, j)
+            assert got == brute_prefix_span_basis(g, j), (g.rows, j)
+        cols = g.cols()[:i]
+        lowest = [max(r for r, x in enumerate(c) if x) for c in cols if any(c)]
+        if len(set(lowest)) < i:
+            outcomes.add(got is NOT_COORDINATE)
+    # both answers are reached past a collision of lowest rows
+    assert outcomes == {True, False}
+
+
+def test_prefix_span_basis_reads_cell_matrices_without_elimination(monkeypatch):
+    built = count_span_bases(monkeypatch)
+    g = cell_matrix(M3, JT8, letters(M3))
+    for i in range(g.N + 1):
+        assert prefix_span_basis(g, i) == brute_prefix_span_basis(g, i)
+    assert built == []
+    # the counter sees the elimination that a coincidence of lowest rows needs
+    assert prefix_span_basis(FlagMatrix(Q([[1, 1], [1, -1]])), 2) == (1, 2)
+    assert len(built) == 1
 
 
 def test_readers_take_the_ring_from_the_entries():

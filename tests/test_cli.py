@@ -313,6 +313,7 @@ GOLDEN = Path(__file__).parent / "golden"
             "closure_nested8_certify_seed0.json",
             ["closure", "--matching", "(1,8)(2,7)(3,6)(4,5)", "--n", "4", "--certify", "--format", "json", "--seed", "0"],
         ),
+        ("verify_geometry_max6_seed0.json", ["verify", "--suite", "geometry", "--max-N", "6", "--format", "json", "--seed", "0"]),
     ],
 )
 def test_output_matches_golden_bytes(name, argv):

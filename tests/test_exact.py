@@ -14,6 +14,7 @@ from springer_cells.cells import build_template, instantiate
 from springer_cells.errors import NotDivisible, Singular
 from springer_cells.exact import (
     NEG_INFINITY,
+    GFElement,
     POLY_RING,
     QQ,
     Poly,
@@ -22,6 +23,7 @@ from springer_cells.exact import (
     canonical_reduce,
     in_span,
     integer_vector,
+    is_one,
     limit_flag,
     limit_vectors,
     mat_cols,
@@ -311,6 +313,33 @@ def test_span_tests_are_exact_on_int_vectors():
         assert rank(vs + [w]) == rank(exact)
     assert canonical_reduce(((2, 0), (0, 3))) == Q([[1, 0], [0, 1]])
     assert not in_span((1, 0, 0), [(2, 4, 0), (0, 3, 9)])
+
+
+def test_is_one():
+    f3 = PrimeField(3)
+    for one in (1, Fraction(1), GFElement(1, 2), GFElement(1, 3), GFElement(1, 7), POLY_RING.one):
+        assert is_one(one), one
+    for other in (2, -1, Fraction(1, 2), Fraction(-1), GFElement(2, 3), f3.of(-1), Poly.t(1), Poly([1, 1])):
+        assert not is_one(other), other
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeField(3), POLY_RING], ids=["Q", "F3", "Qt"])
+def test_span_basis_rescales_only_a_pivot_that_is_not_one(ring):
+    two, zero = ring.of(2), ring.zero
+    unit_pivot = (two, ring.one, zero)
+    basis = SpanBasis()
+    assert basis.add(unit_pivot)
+    stored = basis.echelon[0][1]
+    assert basis.echelon[0][0] == 1
+    assert all(x is y for x, y in zip(stored, unit_pivot))  # entry for entry
+    basis.add((ring.one, zero, two))
+    assert basis.echelon[1] == (2, [ring.one / two, zero, ring.one])
+
+
+def test_span_basis_divides_a_polynomial_pivot():
+    basis = SpanBasis()
+    basis.add((Poly.t(2), Poly.t(1)))
+    assert basis.echelon == [(1, [Poly.t(1), POLY_RING.one])]
 
 
 def test_poly_exact_division():
