@@ -5,7 +5,11 @@ arithmetic: they support ``+ - * == /`` and are falsy exactly at zero, so
 every algorithm that only reads or combines entries is generic without
 being told the ring.  ``fractions.Fraction`` is the entry type for Q;
 ``GFElement`` and ``Poly`` are those for F_q and Q[t], where ``/`` is exact
-division and raises ``NotDivisible`` on a remainder.  A ``Poly`` keeps an
+division and raises ``NotDivisible`` on a remainder.  The p elements of
+F_p are interned: ``GFElement(v, p)`` reduces v mod p and returns the one
+instance of that residue, so equality and hashing are identity, and
+arithmetic looks its result up in the field's table instead of building
+an element.  A ``Poly`` keeps an
 integral coefficient as an ``int`` and divides ``int`` by ``int`` into a
 Fraction only on a remainder, so integer work over Q[t] allocates no
 Fractions and never turns into float arithmetic.  A ring object
@@ -37,7 +41,6 @@ as Fractions with pivot 1.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -62,35 +65,87 @@ class _Rationals:
 QQ = _Rationals()
 
 
-@dataclass(frozen=True)
+#: The interned elements of each prime field, by p.  A table is published
+#: with ``dict.setdefault``, so when two are built for one p the first wins
+#: and every element of F_p comes from that one table.
+_GF_TABLES: dict[int, tuple["GFElement", ...]] = {}
+
+
+def _gf_table(p: int) -> tuple["GFElement", ...]:
+    """The p interned elements of F_p, built on first use."""
+    table = _GF_TABLES.get(p)
+    if table is not None:
+        return table
+    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        raise ValueError(f"{p} is not prime")
+    table = tuple(object.__new__(GFElement) for _ in range(p))
+    inverses = (0, *(pow(v, -1, p) for v in range(1, p)))  # 0 has none
+    for v, x in enumerate(table):
+        for name, val in (("value", v), ("p", p), ("_table", table), ("_inverses", inverses)):
+            object.__setattr__(x, name, val)
+    return _GF_TABLES.setdefault(p, table)
+
+
 class GFElement:
-    value: int
-    p: int
+    """An element of the prime field F_p, interned.
+
+    ``GFElement(v, p)`` reduces v mod p and returns the one instance of
+    that residue, so ``value`` is always in ``range(p)``, the element is
+    falsy exactly at zero, and equality and hashing are identity.  The
+    result of ``+ - * /`` is looked up by its residue in the field's table
+    of elements, and ``/`` multiplies by the inverse from the field's
+    table of inverses.  An operand of another field or of another type
+    raises TypeError.  Elements are immutable, and a pickle or copy round
+    trip returns the interned element.
+    """
+
+    __slots__ = ("value", "p", "_table", "_inverses")
+
+    def __new__(cls, value: int, p: int) -> "GFElement":
+        return _gf_table(p)[value % p]
+
+    def __setattr__(self, name, value):  # interned, so immutable
+        raise AttributeError("GFElement is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("GFElement is immutable")
+
+    def __reduce__(self):
+        return GFElement, (self.value, self.p)
 
     def _coerce(self, other: "GFElement") -> None:
         if not isinstance(other, GFElement) or other.p != self.p:
             raise TypeError(f"incompatible field element: {other!r}")
 
+    # an operand from this element's own table skips _coerce
     def __add__(self, other: "GFElement") -> "GFElement":
-        self._coerce(other)
-        return GFElement((self.value + other.value) % self.p, self.p)
+        table = self._table
+        if other.__class__ is not GFElement or other._table is not table:
+            self._coerce(other)
+        return table[(self.value + other.value) % self.p]
 
     def __sub__(self, other: "GFElement") -> "GFElement":
-        self._coerce(other)
-        return GFElement((self.value - other.value) % self.p, self.p)
+        table = self._table
+        if other.__class__ is not GFElement or other._table is not table:
+            self._coerce(other)
+        return table[(self.value - other.value) % self.p]
 
     def __mul__(self, other: "GFElement") -> "GFElement":
-        self._coerce(other)
-        return GFElement((self.value * other.value) % self.p, self.p)
+        table = self._table
+        if other.__class__ is not GFElement or other._table is not table:
+            self._coerce(other)
+        return table[(self.value * other.value) % self.p]
 
     def __truediv__(self, other: "GFElement") -> "GFElement":
-        self._coerce(other)
-        if other.value == 0:
+        table = self._table
+        if other.__class__ is not GFElement or other._table is not table:
+            self._coerce(other)
+        if not other.value:
             raise ZeroDivisionError("division by zero in GF(p)")
-        return GFElement((self.value * pow(other.value, -1, self.p)) % self.p, self.p)
+        return table[(self.value * self._inverses[other.value]) % self.p]
 
     def __neg__(self) -> "GFElement":
-        return GFElement((-self.value) % self.p, self.p)
+        return self._table[-self.value]  # index -v is p - v, and -0 is 0
 
     def __bool__(self) -> bool:
         return self.value != 0
@@ -100,20 +155,18 @@ class GFElement:
 
 
 class PrimeField:
-    """The prime field F_p for small prime p."""
+    """The prime field F_p for small prime p: its p elements are interned."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-            raise ValueError(f"{p} is not prime")
         self.p = p
-        self.zero = GFElement(0, p)
+        self.zero = GFElement(0, p)  # raises ValueError unless p is prime
         self.one = GFElement(1, p)
 
     def of(self, x) -> GFElement:
-        return GFElement(int(x) % self.p, self.p)
+        return GFElement(int(x), self.p)
 
     def elements(self) -> list[GFElement]:
-        return [GFElement(v, self.p) for v in range(self.p)]
+        return list(self.zero._table)
 
 
 def _rational(c) -> Fraction | int:
@@ -280,8 +333,7 @@ def mat_cols(m: Matrix) -> list[tuple]:
 
 def mat_from_cols(cols) -> Matrix:
     """The matrix with the given columns; no columns give the 0x0 matrix."""
-    n_rows = len(cols[0]) if cols else 0
-    return tuple(tuple(col[r] for col in cols) for r in range(n_rows))
+    return tuple(zip(*cols))
 
 
 def is_one(x) -> bool:

@@ -7,6 +7,12 @@ already lies in the span of the previous columns, which is exactly the
 flag-stability condition, so the procedure enumerates precisely the
 canonical matrices of Springer flags while skipping dead subtrees early.
 
+At each node the shift image of every unused basis vector is reduced
+against the prefix span once, and one elimination over those residuals,
+taken in row order, decides every candidate pivot.  A new canonical
+column (pivot 1, zero at every earlier pivot row) is its own residual, so
+it is appended to the child's span without elimination.
+
 The oracle shares with the main path the scalars, the flag-matrix
 wrapper, the elimination ``SpanBasis`` and ``apply_nilpotent``; it never
 builds cell templates, so agreement between its buckets and the matching
@@ -68,29 +74,34 @@ def enumerate_springer_flags(cfg: FqConfig) -> dict[tuple[int, ...], list[FlagMa
     def unit(i: int, size: int) -> list:
         return [field.one if s == i else field.zero for s in range(size)]
 
-    images = [apply_nilpotent(jt, tuple(unit(r, N))) for r in range(N)]
+    units = [unit(r, N) for r in range(N)]
+    images = [apply_nilpotent(jt, tuple(e)) for e in units]
+    # heads[m][i]: e_i among m unknowns, the coefficient block of the system
+    heads = [[unit(i, m) for i in range(m)] for m in range(N + 1)]
 
     def extend(cols: list[tuple], pivots: tuple[int, ...], span: SpanBasis):
         if len(cols) == N:
             buckets.setdefault(pivots, []).append(FlagMatrix(mat_from_cols(cols)))
             return
         used = set(pivots)
-        for piv in range(1, N + 1):
-            if piv in used:
-                continue
-            free_rows = [r for r in range(1, piv) if r not in used]
-            k = len(free_rows)
-            # the new column is e_piv + sum y_i e_{r_i}, and the shift image
-            # of it must fall in the prefix span: an affine condition on y.
-            # Eliminating (e_i | res X e_{r_i}) with the image block last
-            # leaves the null space as the vectors pivoting in the unit block
-            system = SpanBasis()
-            for i, r in enumerate(free_rows):
-                system.add(unit(i, k + 1) + span.residual(images[r - 1]))
-            # (y, 1 | res X e_piv + sum y_i res X e_{r_i}): y solves the
-            # condition exactly when the image part vanishes
-            res = system.residual(unit(k, k + 1) + span.residual(images[piv - 1]))
-            if any(res[k + 1 :]):
+        unused = [r for r in range(1, N + 1) if r not in used]
+        m = len(unused)
+        # The new column with pivot unused[k] is e_piv + sum y_i e_{r_i}
+        # over the free rows r_i = unused[:k], and the shift image of it
+        # must fall in the prefix span: an affine condition on y.  One
+        # system serves every candidate pivot: row unused[i] enters it as
+        # (e_i | res X e_{r_i}), each image reduced against the span once.
+        system = SpanBasis()
+        for k, piv in enumerate(unused):
+            row = heads[m][k] + span.residual(images[piv - 1])
+            # with the free rows' rows eliminated first, y solves the
+            # condition exactly when the image part of the residual
+            # (y, 1 | res X e_piv + sum y_i res X e_{r_i}) vanishes, and the
+            # null space is spanned by the free rows' stored vectors that
+            # pivot in the unit block (this row's own pivots at k or later)
+            res = system.residual(row)
+            system.add(res)  # res is 0 at every stored pivot: its own residual
+            if any(res[m:]):
                 continue
             null_basis = [vec[:k] for p, vec in system.echelon if p < k]
             for coeffs in itertools.product(elements, repeat=len(null_basis)):
@@ -98,15 +109,15 @@ def enumerate_springer_flags(cfg: FqConfig) -> dict[tuple[int, ...], list[FlagMa
                 for c, nb in zip(coeffs, null_basis):
                     if c:
                         values = [v + c * x for v, x in zip(values, nb)]
-                col = unit(piv - 1, N)
-                for r, v in zip(free_rows, values):
+                col = list(units[piv - 1])
+                for r, v in zip(unused, values):
                     col[r - 1] = v
                 col_t = tuple(col)
-                # stored (pivot, vector) pairs are never mutated, so the
-                # child shares the parent's and adds only the new column
+                # the column is 0 at every pivot row of the span and has
+                # pivot 1, so it is its own residual: the child shares the
+                # parent's stored pairs and appends it without elimination
                 child = SpanBasis()
-                child.echelon = list(span.echelon)
-                child.add(col_t)
+                child.echelon = [*span.echelon, (piv - 1, col_t)]
                 extend(cols + [col_t], pivots + (piv,), child)
 
     extend([], (), SpanBasis())

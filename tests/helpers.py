@@ -62,6 +62,28 @@ def brute_prefix_span_basis(g: FlagMatrix, i: int):
     return tuple(rows)
 
 
+def brute_springer_buckets(jt: JordanType, field) -> dict[tuple[int, ...], list]:
+    """Rows of every canonical matrix over the field whose flag the
+    nilpotent fixes, bucketed by pivot pattern: each pivot permutation with
+    every field value in its free slots (above the pivot, off the rows that
+    earlier columns pivot in), kept when cells.verify_springer accepts it.
+    """
+    N = jt.N
+    buckets: dict[tuple[int, ...], list] = {}
+    for w in itertools.permutations(range(1, N + 1)):
+        slots = [(r, j) for j in range(N) for r in range(1, w[j]) if r not in w[:j]]
+        for values in itertools.product(field.elements(), repeat=len(slots)):
+            rows = [[field.zero] * N for _ in range(N)]
+            for j, piv in enumerate(w):
+                rows[piv - 1][j] = field.one
+            for (r, j), x in zip(slots, values):
+                rows[r - 1][j] = x
+            g = FlagMatrix(tuple(map(tuple, rows)))
+            if cells.verify_springer(g, jt):
+                buckets.setdefault(pivot_pattern(g.rows), []).append(g.rows)
+    return buckets
+
+
 def brute_noncrossing(arcs) -> bool:
     for a, b in itertools.combinations(arcs, 2):
         lo, hi = (a, b) if a[0] < b[0] else (b, a)

@@ -1,7 +1,10 @@
 """Exact scalars, canonical forms and limit flags."""
 
 import ast
+import copy
 import itertools
+import operator
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -398,6 +401,53 @@ def test_prime_field_ops():
     assert (-a).value == 2
     with pytest.raises(ValueError):
         PrimeField(6)
+
+
+def test_gf_elements_are_reduced_and_interned():
+    for p in (2, 3, 5, 7):
+        field = PrimeField(p)
+        for v in range(-2 * p, 2 * p):
+            x = GFElement(v, p)
+            assert x is field.of(v)
+            assert x.value == v % p
+            assert bool(x) == (v % p != 0)
+        assert field.elements() == [GFElement(v, p) for v in range(p)]
+        assert field.zero is GFElement(p, p) and field.one is GFElement(1 - p, p)
+    assert GFElement(4, 3) == GFElement(1, 3)
+    assert GFElement(1, 3) != GFElement(1, 5)
+    assert len({GFElement(v, 3) for v in range(-6, 6)}) == 3
+
+
+def test_gf_field_checks_survive_the_fast_path():
+    f3, f5 = PrimeField(3), PrimeField(5)
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+    for op in ops:
+        for other in (f5.one, 1, Fraction(1)):
+            with pytest.raises(TypeError):
+                op(f3.one, other)
+            with pytest.raises(TypeError):
+                op(other, f3.one)
+    for x in f3.elements():
+        with pytest.raises(ZeroDivisionError):
+            x / f3.zero
+    for x, y in itertools.product(f5.elements(), repeat=2):
+        assert (x + y).value == (x.value + y.value) % 5
+        assert (x - y).value == (x.value - y.value) % 5
+        assert (x * y).value == (x.value * y.value) % 5
+        assert (-x).value == -x.value % 5
+        if y:
+            assert (x / y) * y is x
+    x = f5.of(2)
+    with pytest.raises(AttributeError):
+        x.value = 3
+    with pytest.raises(AttributeError):
+        del x.value
+    assert x.value == 2
+    assert pickle.loads(pickle.dumps(x)) is x
+    assert copy.deepcopy(x) is x and copy.copy(x) is x
+    assert copy.deepcopy((x, [f3.one])) == (x, [f3.one])
+    with pytest.raises(ValueError):
+        GFElement(1, 6)
 
 
 def test_only_constructors_take_a_ring():

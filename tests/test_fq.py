@@ -8,6 +8,7 @@ import pytest
 from springer_cells.cells import verify_springer
 from springer_cells.closure import flag_necessary_conditions
 from springer_cells.errors import Infeasible
+from springer_cells.exact import PrimeField
 from springer_cells.fqoracle import (
     FqConfig,
     cross_check_cells,
@@ -21,6 +22,8 @@ from springer_cells.matchings import (
     matching_permutation,
 )
 from springer_cells.verify import check_fq_oracle
+
+from helpers import brute_springer_buckets
 
 
 def test_full_flag_counts():
@@ -88,3 +91,20 @@ def test_fq_flags_satisfy_the_conditions_of_their_cell():
         for g in flags:
             assert verify_springer(g, jt)
             assert flag_necessary_conditions(cells[w], jt, g) == []
+
+
+@pytest.mark.parametrize(
+    "q, jt",
+    [(q, JordanType(n, N)) for q in (2, 3) for N in range(1, 5) for n in range(N + 1)]
+    + [(2, JordanType(n, 5)) for n in range(6)],
+    ids=str,
+)
+def test_enumeration_matches_brute_force(q, jt):
+    # every canonical matrix, not only the pruned search tree: pins the
+    # columns appended to the span without elimination, apart from the
+    # cell templates
+    buckets = enumerate_springer_flags(FqConfig(q, jt))
+    found = {w: [g.rows for g in flags] for w, flags in buckets.items()}
+    expected = brute_springer_buckets(jt, PrimeField(q))
+    assert {w: set(rows) for w, rows in found.items()} == {w: set(rows) for w, rows in expected.items()}
+    assert all(len(rows) == len(set(rows)) for rows in found.values())
