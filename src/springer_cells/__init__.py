@@ -64,8 +64,6 @@ from .matchings import (
     ancestor_function,
     bt_word,
     enumerate_matchings,
-    is_noncrossing,
-    is_standard,
     j_functions,
     matching,
     matching_permutation,

@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_matching_flags(p, need_n=True):
+    def add_matching_flags(p):
         p.add_argument("--matching", help='arc literal like "(1,8)(2,3)(4,7)(5,6)"')
         p.add_argument("--word", help="{B,T}-word like BBTBBTTT")
         p.add_argument("--n", type=int, default=None, help="top block size")

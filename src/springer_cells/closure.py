@@ -25,20 +25,12 @@ curve.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import (
-    FlagMatrix,
-    NOT_COORDINATE,
-    apply_nilpotent,
-    build_template,
-    instantiate,
-    prefix_span_basis,
-)
-from .cutting import LabeledPiece, ZERO, labeled_cut, piece_matrix, swap_letters
+from .cells import FlagMatrix, apply_nilpotent, build_template, instantiate, prefix_span_basis
+from .cutting import LabeledPiece, ZERO, arc_subsets, labeled_cut, piece_matrix, swap_letters
 from .errors import (
     CurveNotFound,
     DimensionMismatch,
@@ -59,7 +51,6 @@ from .exact import (
     integer_vector,
     limit_vectors,
     mat_from_rows,
-    pivot_pattern,
 )
 from .matchings import (
     Arc,
@@ -109,10 +100,7 @@ class _Pieces(Mapping):
         return isinstance(subset, frozenset) and all(a in self._m for a in subset)
 
     def __iter__(self):
-        arcs = self._m.arcs
-        for r in range(len(arcs) + 1):
-            for combo in itertools.combinations(arcs, r):
-                yield frozenset(combo)
+        return map(frozenset, arc_subsets(self._m.arcs))
 
     def __len__(self) -> int:
         return 2 ** len(self._m)
@@ -129,7 +117,7 @@ class ClosureDecomposition:
     pieces: Mapping[frozenset[Arc], LabeledPiece]
 
     def subsets(self) -> list[frozenset[Arc]]:
-        return sorted(self.pieces, key=lambda s: (len(s), sorted(s)))
+        return list(self.pieces)
 
     def piece(self, arcs: Iterable[Arc]) -> LabeledPiece:
         return self.pieces[frozenset(arcs)]
@@ -150,11 +138,7 @@ def swap_candidates(m: Matching, jt: JordanType) -> set[str]:
     only these cells can meet the closure of the cell of m.
     """
     word = bt_word(m, jt)
-    return {
-        swap_letters(word, combo)
-        for r in range(len(m) + 1)
-        for combo in itertools.combinations(m.arcs, r)
-    }
+    return {swap_letters(word, combo) for combo in arc_subsets(m.arcs)}
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +172,8 @@ def flag_necessary_conditions(m: Matching, jt: JordanType, g: FlagMatrix) -> lis
     word = bt_word(m, jt)
     cols = g.cols()
     issues: list[str] = []
-    for i in range(1, m.N + 1):
-        if any(a.init <= i < a.term for a in m.arcs):
-            continue
-        t = word[:i].count(T)
-        expected = tuple(range(1, t + 1)) + tuple(range(jt.n + 1, jt.n + (i - t) + 1))
-        got = prefix_span_basis(g, i)
-        if got is NOT_COORDINATE or got != expected:
+    for i in valid_split_indices(m) + [m.N]:
+        if prefix_span_basis(g, i) != frozen_prefix(word, jt.n, i):
             issues.append(f"split {i}: prefix span is not the frozen coordinate subspace")
     for a in m.arcs:
         k = sum(1 for b in m.arcs if a.init <= b.init and b.term <= a.term)
@@ -234,6 +213,16 @@ def valid_split_indices(m: Matching) -> list[int]:
     ]
 
 
+def frozen_prefix(word: str, n: int, i: int) -> tuple[int, ...]:
+    """The rows r with e_r spanning V_i at an index i with no arc over it,
+    the same for every flag of the cell of the word: the first t rows of
+    the top block and the first i - t of the bottom one, where t counts the
+    letters T among the first i.
+    """
+    t = word[:i].count(T)
+    return (*range(1, t + 1), *range(n + 1, n + i - t + 1))
+
+
 def chi_split(m: Matching, jt: JordanType, i: int) -> SplitData:
     if not (1 <= i <= m.N):
         raise InvalidSplitIndex(f"index {i} outside 1..{m.N}")
@@ -252,7 +241,7 @@ def chi_split(m: Matching, jt: JordanType, i: int) -> SplitData:
     )
 
 
-def chi_embed(gL: FlagMatrix, gR: FlagMatrix, split: SplitData, ring=QQ) -> FlagMatrix:
+def chi_embed(gL: FlagMatrix, gR: FlagMatrix, split: SplitData) -> FlagMatrix:
     """Interleave two flags into the block flag: top rows of the left flag,
     then top rows of the right, then the bottom rows of each.  Canonical
     inputs give a canonical output.
@@ -265,7 +254,7 @@ def chi_embed(gL: FlagMatrix, gR: FlagMatrix, split: SplitData, ring=QQ) -> Flag
     N = i + gR.N
     n = split.jtL.n + split.jtR.n
     b = i - nL
-    rows = [[ring.zero] * N for _ in range(N)]
+    rows = [[QQ.zero] * N for _ in range(N)]
 
     def paste(src: FlagMatrix, src_rows: range, dst_row: int, dst_col: int):
         for offset, r in enumerate(src_rows):
@@ -279,13 +268,32 @@ def chi_embed(gL: FlagMatrix, gR: FlagMatrix, split: SplitData, ring=QQ) -> Flag
     return FlagMatrix(mat_from_rows(rows))
 
 
-def phi_embed(a, g: FlagMatrix, jt: JordanType, ring=QQ) -> FlagMatrix:
+def _phi_frame(N: int, outer_cut: bool) -> tuple[int, int, list[int]]:
+    """Where phi_embed puts a flag, as 0-based rows: the pivot rows of
+    columns 1 and N, and the rows that carry the inner flag, in order.
+    Cutting the outer arc (a = INFINITY) pins the pivots in the corners;
+    otherwise they sit at rows N/2 + 1 and N/2, 1-based.
+    """
+    if outer_cut:
+        return 0, N - 1, list(range(1, N - 1))
+    half = N // 2
+    return half, half - 1, [*range(half - 1), *range(half + 1, N)]
+
+
+def _shear(rows: list[list], a) -> None:
+    """Add a times each bottom-half row to the matching top-half row, in place."""
+    half = len(rows) // 2
+    for r in range(half):
+        rows[r] = [x + a * y if y else x for x, y in zip(rows[r], rows[half + r])]
+
+
+def phi_embed(a, g: FlagMatrix, jt: JordanType) -> FlagMatrix:
     """Embed an (N-2)-flag over the parameter line of V_1 inside ker X.
 
-    For finite a, the columns are arranged around pivots at rows N/2+1 and
-    N/2 and then sheared by adding a times the bottom block to the top
-    block; a = INFINITY gives the block-diagonal arrangement.  The result
-    is put in canonical form.
+    The inner flag and the two pinned pivots are placed by ``_phi_frame``;
+    for finite a the result is then sheared by adding a times the bottom
+    block to the top block, and a = INFINITY gives the block-diagonal
+    arrangement.  The result is put in canonical form.
     """
     N = jt.N
     if N % 2:
@@ -295,27 +303,13 @@ def phi_embed(a, g: FlagMatrix, jt: JordanType, ring=QQ) -> FlagMatrix:
         raise DimensionMismatch(f"Jordan type must be ({half},{half})")
     if g.N != N - 2:
         raise DimensionMismatch(f"inner flag must have size {N - 2}, got {g.N}")
-    rows = [[ring.zero] * N for _ in range(N)]
-    if a is INFINITY:
-        rows[0][0] = ring.one
-        rows[N - 1][N - 1] = ring.one
-        for r in range(N - 2):
-            for c in range(N - 2):
-                rows[r + 1][c + 1] = g.rows[r][c]
-        return FlagMatrix(canonical_reduce(mat_from_rows(rows)))
-    a = ring.of(a) if isinstance(a, int) else a
-    # place inner rows around the two pinned pivot columns
-    for c in range(N - 2):
-        for r in range(half - 1):
-            rows[r][c + 1] = g.rows[r][c]
-        for r in range(half - 1, N - 2):
-            rows[r + 2][c + 1] = g.rows[r][c]
-    rows[half][0] = ring.one
-    rows[half - 1][N - 1] = ring.one
-    # shear: add a times each bottom-block row to the matching top row
-    for r in range(half):
-        for c in range(N):
-            rows[r][c] = rows[r][c] + a * rows[half + r][c]
+    first, last, inner_rows = _phi_frame(N, a is INFINITY)
+    rows = [[QQ.zero] * N for _ in range(N)]
+    rows[first][0] = rows[last][N - 1] = QQ.one
+    for r, inner in zip(inner_rows, g.rows):
+        rows[r][1 : N - 1] = inner
+    if a is not INFINITY:
+        _shear(rows, a)
     return FlagMatrix(canonical_reduce(mat_from_rows(rows)))
 
 
@@ -407,10 +401,9 @@ def _twisted_inner_coords(
         reduced = canonical_reduce(mat_from_rows(twisted))
     except (Singular, NotDivisible):
         return None
-    if pivot_pattern(reduced) != template.w:
-        return None
     coords = {arc: reduced[template.top_offset[arc]][arc.init - 1] for arc in inner_m.arcs}
-    # the reduced matrix must be exactly the template at these coordinates
+    # the reduced matrix must be exactly the template at these coordinates,
+    # which also fixes its pivot pattern
     if instantiate(template, coords, POLY_RING).rows != reduced:
         return None
     return coords
@@ -430,37 +423,25 @@ def _extract_inner_target(
     point does not have the embedded shape, which fails the synthesis
     loudly rather than guessing.
     """
-    cut_arcs = outer_piece.cut_arcs
     N = outer_piece.jt.N
-    half = N // 2
     outer = Arc(1, N)
-    P = piece_matrix(outer_piece, target)
-    rows = [list(r) for r in P.rows]
-    if outer in cut_arcs:
-        # block-diagonal frame: pinned pivots in the corners
-        first_piv, last_piv = 0, N - 1
-        border_rows = (0, N - 1)
-        inner_row_ids = list(range(1, N - 1))
-    else:
+    outer_cut = outer in outer_piece.cut_arcs
+    rows = list(piece_matrix(outer_piece, target).rows)
+    if not outer_cut:
         # undo the shear by the outer arc's value, then recanonicalize
-        a0 = target[outer]
-        for r in range(half):
-            rows[r] = [x - a0 * y if y else x for x, y in zip(rows[r], rows[half + r])]
+        _shear(rows, -target[outer])
         try:
-            rows = [list(r) for r in canonical_reduce(mat_from_rows(rows))]
+            rows = canonical_reduce(mat_from_rows(rows))
         except Singular:
             return None
-        first_piv, last_piv = half, half - 1
-        border_rows = (half - 1, half)
-        inner_row_ids = list(range(half - 1)) + list(range(half + 1, N))
+    first, last, inner_row_ids = _phi_frame(N, outer_cut)
     for r in range(N):
-        want_first = QQ.one if r == first_piv else QQ.zero
-        want_last = QQ.one if r == last_piv else QQ.zero
+        want_first = QQ.one if r == first else QQ.zero
+        want_last = QQ.one if r == last else QQ.zero
         if rows[r][0] != want_first or rows[r][N - 1] != want_last:
             return None
-    for r in border_rows:
-        if any(rows[r][1 : N - 1]):
-            return None
+    if any(rows[first][1 : N - 1]) or any(rows[last][1 : N - 1]):
+        return None
     inner_rows = mat_from_rows([rows[r][1 : N - 1] for r in inner_row_ids])
     template = build_template(inner_piece.base, inner_piece.jt)
     values: dict[Arc, Fraction] = {}

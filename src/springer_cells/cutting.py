@@ -11,9 +11,10 @@ dimension |M| - |A| inside the cell of the cut matching.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cells import FlagMatrix, build_template, instantiate
 from .errors import ArcNotInMatching, MissingParameter
@@ -78,9 +79,7 @@ def swap_letters(word: str, arcs: Iterable[Arc]) -> str:
 
 
 def cut(m: Matching, arc: Arc, jt: JordanType) -> Matching:
-    if arc not in m:
-        raise ArcNotInMatching(f"{arc} not in {m.arcs}")
-    return word_to_matching(swap_letters(bt_word(m, jt), [arc]))
+    return cut_set(m, [arc], jt)
 
 
 def cut_set(m: Matching, arcs: Iterable[Arc], jt: JordanType) -> Matching:
@@ -92,6 +91,14 @@ def cut_set(m: Matching, arcs: Iterable[Arc], jt: JordanType) -> Matching:
         if a not in m:
             raise ArcNotInMatching(f"{a} not in {m.arcs}")
     return word_to_matching(swap_letters(bt_word(m, jt), arcs))
+
+
+def arc_subsets(arcs: Sequence[Arc]) -> Iterator[tuple[Arc, ...]]:
+    """Every subset of the arcs: by size, then in ``itertools.combinations``
+    order, so the 2^k pieces of a closure always come in one order.
+    """
+    for r in range(len(arcs) + 1):
+        yield from itertools.combinations(arcs, r)
 
 
 def contravariant_order(m: Matching, arcs: Iterable[Arc]) -> list[Arc]:

@@ -397,22 +397,27 @@ class SpanBasis:
         return len(self.echelon)
 
 
-def rank(vectors: Sequence[Sequence]) -> int:
+def _span_of(vectors: Sequence[Sequence], *more: Sequence) -> SpanBasis:
+    """The span of the vectors, after checking that they and ``more`` all
+    have one length: SpanBasis pairs entries by position and would cut
+    the longer ones short.
+    """
+    sizes = {len(v) for v in (*vectors, *more)}
+    if len(sizes) > 1:
+        raise DimensionMismatch(f"mixed vector lengths {sorted(sizes)}")
     basis = SpanBasis()
     for v in vectors:
         basis.add(v)
-    return basis.rank
+    return basis
+
+
+def rank(vectors: Sequence[Sequence]) -> int:
+    return _span_of(vectors).rank
 
 
 def in_span(vector: Sequence, basis_vectors: Sequence[Sequence]) -> bool:
     """Exact membership of a vector in the span of the given vectors."""
-    sizes = {len(v) for v in basis_vectors} | {len(vector)}
-    if len(sizes) > 1:
-        raise DimensionMismatch(f"mixed vector lengths {sorted(sizes)}")
-    basis = SpanBasis()
-    for v in basis_vectors:
-        basis.add(v)
-    return basis.contains(vector)
+    return _span_of(basis_vectors, vector).contains(vector)
 
 
 def canonical_reduce(g: Matrix) -> Matrix:

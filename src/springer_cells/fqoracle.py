@@ -24,10 +24,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cells import FlagMatrix, apply_nilpotent
+from .cells import FlagMatrix, apply_nilpotent, build_template, instantiate
 from .errors import Infeasible
 from .exact import PrimeField, SpanBasis, mat_from_cols
-from .matchings import JordanType
+from .matchings import JordanType, enumerate_matchings, matching_permutation
 
 #: Hard cap on the nominal enumeration size (canonical matrices of the
 #: ambient flag variety); the pruned search visits far fewer states.
@@ -150,9 +150,6 @@ def cross_check_cells(cfg: FqConfig) -> FqReport:
     same nonempty pivot patterns, bucket sizes q^{arcs}, templates filling
     each bucket exactly, and totals adding up.
     """
-    from .cells import build_template, instantiate
-    from .matchings import enumerate_matchings, matching_permutation
-
     buckets = enumerate_springer_flags(cfg)
     field = PrimeField(cfg.q)
     jt = cfg.jt

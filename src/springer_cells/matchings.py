@@ -128,14 +128,6 @@ def matching(N: int, pairs) -> Matching:
     return Matching(N, tuple(Arc(i, j) for i, j in pairs))
 
 
-def is_noncrossing(m: Matching) -> bool:
-    return m.is_noncrossing
-
-
-def is_standard(m: Matching) -> bool:
-    return m.is_standard
-
-
 def parent(m: Matching, arc: Arc) -> Arc | None:
     """The arc nested immediately above, if any."""
     if arc not in m:

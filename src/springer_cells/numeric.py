@@ -56,7 +56,6 @@ def numeric_infimum(
     budget: int = 50,
     rng: np.random.Generator | None = None,
     seeds: list[np.ndarray] | None = None,
-    maxiter: int = 600,
 ) -> float:
     """Approximate inf over the cell of the flag distance to the target.
 
@@ -96,7 +95,7 @@ def numeric_infimum(
             objective,
             x0,
             method="Nelder-Mead",
-            options={"maxiter": maxiter, "xatol": 1e-10, "fatol": 1e-12, "adaptive": True},
+            options={"maxiter": 600, "xatol": 1e-10, "fatol": 1e-12, "adaptive": True},
         )
         best = min(best, float(res.fun))
         if best < MEMBERSHIP_THRESHOLD * 1e-2:
@@ -104,11 +103,6 @@ def numeric_infimum(
     return best
 
 
-def curve_seed_points(
-    curve, arcs, ts=(10.0, 1e2, 1e3, 1e4, 1e5, 1e6)
-) -> list[np.ndarray]:
-    """Evaluate an exact limit curve at a few parameters as starts."""
-    out = []
-    for t in ts:
-        out.append(np.array([curve[a](float(t)) for a in arcs]))
-    return out
+def curve_seed_points(curve, arcs) -> list[np.ndarray]:
+    """Evaluate an exact limit curve at t = 10, 1e2, ..., 1e6 as starts."""
+    return [np.array([curve[a](t) for a in arcs]) for t in (10.0, 1e2, 1e3, 1e4, 1e5, 1e6)]

@@ -45,10 +45,6 @@ def parse_arcs(text: str) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in _ARC_RE.findall(text)]
 
 
-def format_scalar(x) -> str:
-    return str(x)
-
-
 def parse_scalar(text: str) -> Fraction:
     """An exact rational such as ``3``, ``-7/3`` or ``0.5``; ValueError if malformed."""
     try:
@@ -58,11 +54,11 @@ def parse_scalar(text: str) -> Fraction:
 
 
 def matrix_json(g: FlagMatrix) -> list[list[str]]:
-    return [[format_scalar(x) for x in row] for row in g.rows]
+    return [[str(x) for x in row] for row in g.rows]
 
 
 def poly_json(p: Poly) -> list[str]:
-    return [format_scalar(c) for c in p.coeffs]
+    return [str(c) for c in p.coeffs]
 
 
 def certificate_json(

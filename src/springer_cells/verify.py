@@ -7,6 +7,8 @@ instances it covered.  A check's result carries the same id whether it
 passes or fails; on the first failing instance, ``detail`` names the
 instance and, for checks of several sub-properties, the one that failed.
 
+A check's suite is the part of its id before the dot: ``_check`` files the
+check under it in ``SUITES``, whose keys are those of ``DEFAULT_MAX_N``.
 ``verify_suite`` runs the checks of a suite one after another, each from a
 fresh ``random.Random(seed)``, and sorts the results by id, so the report is
 byte-identical for a fixed seed.  A check that raises becomes a failed
@@ -26,7 +28,6 @@ from math import comb
 from pathlib import Path
 
 from .cells import (
-    NOT_COORDINATE,
     apply_nilpotent,
     build_template,
     instantiate,
@@ -40,12 +41,13 @@ from .closure import (
     chi_split,
     closure_decomposition,
     flag_necessary_conditions,
+    frozen_prefix,
     phi_embed,
     swap_candidates,
     synthesize_limit_curve,
     valid_split_indices,
 )
-from .cutting import ZERO, contravariant_order, cut, cut_set, labeled_cut, piece_matrix
+from .cutting import ZERO, arc_subsets, contravariant_order, cut, cut_set, labeled_cut, piece_matrix
 from .errors import CurveNotFound
 from .exact import (
     POLY_RING,
@@ -60,7 +62,6 @@ from .fqoracle import FqConfig, cross_check_cells
 from .matchings import (
     Arc,
     JordanType,
-    T,
     ancestors,
     bt_word,
     enumerate_matchings,
@@ -91,10 +92,25 @@ class _Failed(Exception):
         self.detail = detail
 
 
+#: The default size cap of each suite, in the order the suites are listed.
+DEFAULT_MAX_N = {
+    "combinatorics": 12,
+    "geometry": 8,
+    "cutting": 10,
+    "closure": 6,
+    "oracle": 6,
+}
+
+#: The checks of each suite, in the order they are defined.
+SUITES: dict[str, list] = {suite: [] for suite in DEFAULT_MAX_N}
+
+
 def _check(check_id: str):
-    """Give a check body its one id.  The body returns the number of
-    instances it covered, or raises _Failed at the first failing one.
+    """Give a check body its one id, and file it under the suite the id
+    names before its dot.  The body returns the number of instances it
+    covered, or raises _Failed at the first failing one.
     """
+    suite = SUITES[check_id.partition(".")[0]]
 
     def wrap(body):
         @functools.wraps(body)
@@ -105,6 +121,7 @@ def _check(check_id: str):
                 return CheckResult(check_id, False, failure.count, failure.detail)
 
         check.check_id = check_id
+        suite.append(check)
         return check
 
     return wrap
@@ -123,11 +140,6 @@ def _cells(max_n: int):
             jt = JordanType(n, N)
             for m in enumerate_matchings(jt):
                 yield jt, m
-
-
-def _subsets(arcs):
-    for r in range(len(arcs) + 1):
-        yield from itertools.combinations(arcs, r)
 
 
 # --- combinatorics ---------------------------------------------------------
@@ -293,25 +305,19 @@ def check_template_support(max_n: int, rng) -> int:
 
 @_check("geometry.coordinate_prefix")
 def check_coordinate_prefixes(max_n: int, rng) -> int:
-    """At indices with no arc overhead, the prefix span is a coordinate
-    subspace independent of the parameters, with top part counted by T's.
+    """At indices with no arc overhead, the prefix span of every draw is
+    the frozen coordinate subspace of the word.
     """
     count = 0
     for jt, m in _cells(max_n):
         template = build_template(m, jt)
         word = bt_word(m, jt)
-        indices = valid_split_indices(m) + [m.N]
-        sets = {}
+        frozen = {i: frozen_prefix(word, jt.n, i) for i in valid_split_indices(m) + [m.N]}
         for _ in range(10):
             g = instantiate(template, random_params(m.arcs, rng))
-            for i in indices:
+            for i, rows in frozen.items():
                 count += 1
-                got = prefix_span_basis(g, i)
-                if (
-                    got is NOT_COORDINATE
-                    or sum(1 for r in got if r <= jt.n) != word[:i].count(T)
-                    or sets.setdefault(i, got) != got
-                ):
+                if prefix_span_basis(g, i) != rows:
                     raise _Failed(count, f"{m.arcs} i={i}")
     return count
 
@@ -398,7 +404,7 @@ def check_cut_order_independence(max_n: int, rng) -> int:
     count = 0
     for jt, m in _cells(max_n):
         above = {a: ancestors(m, a)[1:] for a in m.arcs}
-        for combo in _subsets(m.arcs):
+        for combo in arc_subsets(m.arcs):
             piece = labeled_cut(m, combo, jt)
             if piece.base.arcs != cut_set(m, combo, jt).arcs:
                 raise _Failed(count, f"cut_set: {m.arcs} {combo}")
@@ -447,7 +453,7 @@ def check_unnesting(max_n: int, rng) -> int:
 def check_cut_distinctness(max_n: int, rng) -> int:
     count = 0
     for jt, m in _cells(max_n):
-        seen = {cut_set(m, combo, jt).arcs for combo in _subsets(m.arcs)}
+        seen = {cut_set(m, combo, jt).arcs for combo in arc_subsets(m.arcs)}
         count += 1
         if len(seen) != 2 ** len(m.arcs):
             raise _Failed(count, str(m.arcs))
@@ -461,7 +467,7 @@ def check_label_properties(max_n: int, rng) -> int:
     """
     count = 0
     for jt, m in _cells(max_n):
-        for combo in _subsets(m.arcs):
+        for combo in arc_subsets(m.arcs):
             piece = labeled_cut(m, combo, jt)
             count += 1
             nonzero = [l for l in piece.labels.values() if l is not ZERO]
@@ -563,7 +569,7 @@ def check_phi_cell_law(max_n: int, rng) -> int:
 def check_certification(max_n: int, rng, targets_per_piece: int = 2) -> int:
     count = 0
     for jt, m in _cells(max_n):
-        for combo in _subsets(m.arcs):
+        for combo in arc_subsets(m.arcs):
             uncut = [a for a in m.arcs if a not in combo]
             for _ in range(targets_per_piece if combo else 1):
                 target = random_params(uncut, rng)
@@ -589,7 +595,7 @@ def check_numeric_agreement(max_n: int, rng) -> int:
     if jt.N > max_n:
         return count
     for m in enumerate_matchings(jt):
-        for combo in _subsets(m.arcs):
+        for combo in arc_subsets(m.arcs):
             if not combo:
                 continue
             piece = labeled_cut(m, combo, jt)
@@ -652,52 +658,6 @@ def check_fq_oracle(max_n: int, rng) -> int:
         if not cross_check_cells(FqConfig(q, jt)).all_pass:
             raise _Failed(count, f"q={q} {jt}")
     return count
-
-
-SUITES: dict[str, list] = {
-    "combinatorics": [
-        check_word_roundtrip,
-        check_matching_roundtrip,
-        check_counts,
-        check_ancestor_counts,
-        check_ancestor_shift,
-        check_pivot_blocks_increase,
-    ],
-    "geometry": [
-        check_canonical_reduce,
-        check_cell_membership,
-        check_cell_injectivity,
-        check_template_support,
-        check_coordinate_prefixes,
-        check_nested_column_shift,
-        check_leading_direction_numeric,
-    ],
-    "cutting": [
-        check_cut_order_independence,
-        check_unnesting,
-        check_cut_distinctness,
-        check_label_properties,
-    ],
-    "closure": [
-        check_swap_candidate_bijection,
-        check_chi_compatibility,
-        check_phi_cell_law,
-        check_certification,
-        check_necessary_condition_suite,
-        check_numeric_agreement,
-    ],
-    "oracle": [
-        check_fq_oracle,
-    ],
-}
-
-DEFAULT_MAX_N = {
-    "combinatorics": 12,
-    "geometry": 8,
-    "cutting": 10,
-    "closure": 6,
-    "oracle": 6,
-}
 
 
 def _run(check, cap: int, seed: int) -> CheckResult:

@@ -20,7 +20,7 @@ from springer_cells.closure import (
     synthesize_limit_curve,
     verify_limit_curve,
 )
-from springer_cells.cutting import ZERO, labeled_cut, piece_matrix
+from springer_cells.cutting import ZERO, arc_subsets, labeled_cut, piece_matrix
 from springer_cells.errors import InvalidSplitIndex, OddN, TooManyArcs
 from springer_cells.exact import POLY_RING, Poly, mat_from_cols
 from springer_cells.matchings import (
@@ -147,6 +147,23 @@ def test_lazy_pieces_equal_eager_cuts_up_to_seven():
                 assert len(dec.pieces) == len(eager) == 2 ** len(m)
                 assert list(dec.pieces) == list(eager)
                 assert dict(dec.pieces.items()) == eager
+
+
+def test_subsets_come_by_size_then_sorted_arcs_up_to_eight():
+    """Every cell with N <= 8: arc_subsets gives the 2^k subsets, distinct
+    and by size, and a decomposition lists its pieces in that order, which
+    is already sorted by size and then by the sorted arcs.
+    """
+    for N in range(9):
+        for n in range(N + 1):
+            jt = JordanType(n, N)
+            for m in enumerate_matchings(jt):
+                subsets = list(arc_subsets(m.arcs))
+                assert len(set(map(frozenset, subsets))) == len(subsets) == 2 ** len(m)
+                assert [len(s) for s in subsets] == sorted(len(s) for s in subsets)
+                listed = closure_decomposition(m, jt).subsets()
+                assert listed == [frozenset(s) for s in subsets]
+                assert listed == sorted(listed, key=lambda s: (len(s), sorted(s)))
 
 
 def test_synthesis_cuts_each_piece_once(cut_calls):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import springer_cells
 from springer_cells.cells import build_template, instantiate
-from springer_cells.errors import NotDivisible, Singular
+from springer_cells.errors import DimensionMismatch, NotDivisible, Singular
 from springer_cells.exact import (
     NEG_INFINITY,
     GFElement,
@@ -180,6 +180,16 @@ def test_in_span_examples():
     shifted = (a, 0, 1, 0)  # e2 -> e1, e4 -> e3, e1 and e3 die
     assert shifted == col1
     assert in_span(shifted, [col1])
+
+
+def test_rank_and_in_span_refuse_mixed_lengths():
+    # SpanBasis pairs entries by position, so a short vector would be read
+    # as a prefix of a long one
+    with pytest.raises(DimensionMismatch, match=r"mixed vector lengths \[2, 3\]"):
+        rank([(1, 0, 0), (1, 0)])
+    with pytest.raises(DimensionMismatch, match=r"mixed vector lengths \[2, 3\]"):
+        in_span((1, 0), [(1, 0, 0)])
+    assert rank([(1, 0, 0), (1, 1, 0)]) == 2 and rank([]) == 0
 
 
 def test_limit_flag_examples():
@@ -460,11 +470,4 @@ def test_only_constructors_take_a_ring():
                 args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
                 if any(arg.arg == "ring" for arg in args):
                     takes_ring.add(node.name)
-    assert takes_ring == {
-        "instantiate",
-        "cell_matrix",
-        "piece_params",
-        "piece_matrix",
-        "chi_embed",
-        "phi_embed",
-    }
+    assert takes_ring == {"instantiate", "cell_matrix", "piece_params", "piece_matrix"}

@@ -15,8 +15,6 @@ from springer_cells.matchings import (
     bt_word,
     enumerate_matchings,
     enumerate_words,
-    is_noncrossing,
-    is_standard,
     j_functions,
     matching,
     matching_permutation,
@@ -35,15 +33,15 @@ JT8 = JordanType(4, 8)
 
 
 def test_is_noncrossing_examples():
-    assert is_noncrossing(M1)
-    assert is_noncrossing(matching(4, []))
-    assert not is_noncrossing(matching(4, [(1, 3), (2, 4)]))
+    assert M1.is_noncrossing
+    assert matching(4, []).is_noncrossing
+    assert not matching(4, [(1, 3), (2, 4)]).is_noncrossing
 
 
 def test_is_standard_examples():
-    assert is_standard(M3)
-    assert not is_standard(matching(4, [(1, 3)]))
-    assert is_standard(matching(4, []))
+    assert M3.is_standard
+    assert not matching(4, [(1, 3)]).is_standard
+    assert matching(4, []).is_standard
 
 
 def test_ancestors_examples():

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from springer_cells import closure, verify
+from springer_cells import cells, closure, verify
 from springer_cells.verify import (
+    DEFAULT_MAX_N,
     SUITES,
     check_ancestor_counts,
     check_ancestor_shift,
@@ -49,6 +50,23 @@ def test_check_passes_at_small_cap(check, cap):
         assert result.count == 354
 
 
+def test_suites_come_from_check_ids():
+    assert list(SUITES) == list(DEFAULT_MAX_N)
+    for suite, checks in SUITES.items():
+        assert checks and all(check.check_id.startswith(f"{suite}.") for check in checks)
+
+
+def _wrong_bottom_row(g, i):
+    """The true prefix rows, but with the last one moved down a row when
+    it lies below a gap: the count of top rows and the answer at every
+    draw stay the same, so only a comparison with the frozen prefix fails.
+    """
+    rows = cells.prefix_span_basis(g, i)
+    if rows[-1] == i or rows[-1] == g.N:
+        return rows
+    return (*rows[:-1], rows[-1] + 1)
+
+
 def test_every_check_is_called_by_a_test():
     called = {check.__name__ for check, _ in SMALL_CAPS}
     for path in Path(__file__).parent.glob("test_*.py"):
@@ -65,6 +83,7 @@ def test_every_check_is_called_by_a_test():
         (check_canonical_reduce, "canonical_reduce", lambda g: g[::-1], "idempotent"),
         (check_swap_candidate_bijection, "swap_candidates", lambda m, jt: set(), "words"),
         (check_necessary_condition_suite, "flag_necessary_conditions", lambda m, jt, g: ["x"], "cut"),
+        (check_coordinate_prefixes, "prefix_span_basis", _wrong_bottom_row, "((2,3),) i=1"),
     ],
 )
 def test_failing_check_keeps_its_id(monkeypatch, check, name, fake, detail):
