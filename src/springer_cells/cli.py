@@ -16,13 +16,14 @@ from . import textio
 from .cells import build_template
 from .closure import closure_decomposition, swap_candidates, synthesize_limit_curve
 from .cutting import cut_set, labeled_cut
-from .errors import SpringerCellsError
+from .errors import SpringerCellsError, TooManyArcs
 from .fqoracle import FqConfig, cross_check_cells, full_flag_count
 from .matchings import (
     Arc,
     JordanType,
     Matching,
     bt_word,
+    check_arc_count,
     enumerate_matchings,
     word_to_matching,
 )
@@ -56,8 +57,10 @@ def _matching_from_args(args, parser) -> tuple[Matching, JordanType]:
     if not (m.is_noncrossing and m.is_standard):
         parser.error("cell templates require a standard noncrossing matching")
     jt = JordanType(args.n, m.N)
-    if len(m) > min(jt.n, jt.bottom):
-        parser.error(f"{len(m)} arcs exceed min({jt.n}, {jt.bottom})")
+    try:
+        check_arc_count(m, jt)
+    except TooManyArcs as exc:
+        parser.error(str(exc))
     return m, jt
 
 

@@ -39,7 +39,6 @@ from .errors import (
     NotDivisible,
     OddN,
     Singular,
-    TooManyArcs,
 )
 from .exact import (
     POLY_RING,
@@ -58,6 +57,7 @@ from .matchings import (
     Matching,
     T,
     bt_word,
+    check_arc_count,
     parent,
 )
 
@@ -127,9 +127,7 @@ def closure_decomposition(m: Matching, jt: JordanType) -> ClosureDecomposition:
     """One labeled piece for every subset of arcs; 2^|M| in total, each cut
     the first time it is read.
     """
-    k = len(m)
-    if k > min(jt.n, jt.bottom):
-        raise TooManyArcs(f"{k} arcs exceed min({jt.n}, {jt.bottom})")
+    check_arc_count(m, jt)
     return ClosureDecomposition(m, jt, _Pieces(m, jt))
 
 
@@ -202,15 +200,16 @@ class SplitData:
     jtR: JordanType
 
 
+def _arc_over(m: Matching, i: int) -> bool:
+    """Whether an arc of m spans index i, so that the flag does not split there."""
+    return any(a.init <= i < a.term for a in m.arcs)
+
+
 def valid_split_indices(m: Matching) -> list[int]:
     """Indices 1..N-1 with no arc over them: arc-free points and ends of
     parentless arcs.
     """
-    return [
-        i
-        for i in range(1, m.N)
-        if not any(a.init <= i < a.term for a in m.arcs)
-    ]
+    return [i for i in range(1, m.N) if not _arc_over(m, i)]
 
 
 def frozen_prefix(word: str, n: int, i: int) -> tuple[int, ...]:
@@ -226,7 +225,7 @@ def frozen_prefix(word: str, n: int, i: int) -> tuple[int, ...]:
 def chi_split(m: Matching, jt: JordanType, i: int) -> SplitData:
     if not (1 <= i <= m.N):
         raise InvalidSplitIndex(f"index {i} outside 1..{m.N}")
-    if any(a.init <= i < a.term for a in m.arcs):
+    if _arc_over(m, i):
         raise InvalidSplitIndex(f"an arc spans index {i}")
     word = bt_word(m, jt)
     t = word[:i].count(T)
@@ -543,7 +542,7 @@ def synthesize_limit_curve(
     missing = [a for a in uncut if a not in target]
     if missing:
         raise MissingParameter(f"no target value for {missing}")
-    target = {a: Fraction(target[a]) for a in uncut}
+    target = {a: QQ.of(target[a]) for a in uncut}
     curve = _synthesize(m, jt, cut_set_, target)
     if not verify_limit_curve(m, jt, curve, labeled_cut(m, cut_set_, jt), target):
         raise CurveNotFound(

@@ -3,15 +3,20 @@
 Matrices are plain tuples of row tuples.  Entries carry their own
 arithmetic: they support ``+ - * == /`` and are falsy exactly at zero, so
 every algorithm that only reads or combines entries is generic without
-being told the ring.  ``fractions.Fraction`` is the entry type for Q;
-``GFElement`` and ``Poly`` are those for F_q and Q[t], where ``/`` is exact
-division and raises ``NotDivisible`` on a remainder.  The p elements of
-F_p are interned: ``GFElement(v, p)`` reduces v mod p and returns the one
-instance of that residue, so equality and hashing are identity, and
-arithmetic looks its result up in the field's table instead of building
-an element.  A ``Poly`` keeps an
-integral coefficient as an ``int`` and divides ``int`` by ``int`` into a
-Fraction only on a remainder, so integer work over Q[t] allocates no
+being told the ring.  An entry of Q is an ``int`` when the library builds
+it integral (``QQ.zero``, ``QQ.one``, ``QQ.of``, ``sampling``) and a
+``fractions.Fraction`` otherwise; results of Fraction arithmetic,
+``Poly.coeff`` and ``limit_flag`` stay Fractions, and ``str`` prints both
+alike.  Since ``int / int`` is a float, a division of Q entries first
+makes one operand a Fraction, as ``SpanBasis.add`` does with an ``int``
+pivot.  ``GFElement`` and ``Poly`` are the entries of F_q and Q[t], where
+``/`` is exact division and raises ``NotDivisible`` on a remainder.  The p
+elements of F_p are interned: ``GFElement(v, p)`` reduces v mod p and
+returns the one instance of that residue, so equality and hashing are
+identity, and arithmetic looks its result up in the field's table instead
+of building an element.  A ``Poly`` keeps an integral coefficient as an
+``int`` and divides ``int`` by ``int`` into a Fraction only on a
+remainder (``exact_div``), so integer work over Q[t] allocates no
 Fractions and never turns into float arithmetic.  A ring object
 (``QQ``, ``PrimeField(p)``, ``POLY_RING``) only supplies ``zero``, ``one``
 and ``of(int)`` to the constructors that build a matrix out of Python
@@ -24,7 +29,7 @@ rows coincide); over Q[t] it yields the canonical form when that form is
 polynomial.  It is sparse in the cheap way: a row update leaves the
 entries where the stored vector is 0, and a vector whose pivot is already
 1 is not rescaled.  ``is_one`` is the one test for a pivot of 1: ``x == 1``,
-which costs no multiply on the Fractions of a canonical cell matrix, and
+which costs no multiply on the entries of a canonical cell matrix over Q, and
 the idempotent test ``x * x == x`` for the entry types that never equal an
 ``int``.
 
@@ -47,19 +52,25 @@ from math import gcd, lcm
 from .errors import DimensionMismatch, NotDivisible, Singular
 
 NEG_INFINITY = float("-inf")
-#: The one zero of Q that coefficient reads and zero padding share.
+#: The zero that Poly coefficient reads and limit_flag padding share.
 _ZERO = Fraction(0)
 
 
+def _rational(c) -> Fraction | int:
+    """c as a rational: an ``int`` when it is integral, else a Fraction."""
+    if c.__class__ is int:
+        return c
+    if c.__class__ is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class _Rationals:
-    """The field Q, carried by fractions.Fraction."""
+    """The field Q: an integral value is an ``int``, any other a Fraction."""
 
-    zero = _ZERO
-    one = Fraction(1)
-
-    @staticmethod
-    def of(x) -> Fraction:
-        return Fraction(x)
+    zero = 0
+    one = 1
+    of = staticmethod(_rational)
 
 
 QQ = _Rationals()
@@ -169,16 +180,7 @@ class PrimeField:
         return list(self.zero._table)
 
 
-def _rational(c) -> Fraction | int:
-    """c as a Poly coefficient: an ``int`` when it is integral, else a Fraction."""
-    if c.__class__ is int:
-        return c
-    if c.__class__ is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
-def _div(a: Fraction | int, b: Fraction | int) -> Fraction | int:
+def exact_div(a: Fraction | int, b: Fraction | int) -> Fraction | int:
     """a / b, exact: an ``int`` over an ``int`` gives a Fraction only on a
     remainder, never a float.
     """
@@ -283,7 +285,7 @@ class Poly:
         lead = other.coeffs[-1]
         quot = [0] * max(len(rem) - d, 0)
         for i in range(len(quot) - 1, -1, -1):
-            c = _div(rem[i + d], lead)
+            c = exact_div(rem[i + d], lead)
             quot[i] = c
             if c:
                 for j, b in enumerate(other.coeffs):

@@ -201,15 +201,20 @@ def j_functions(m: Matching) -> PivotProfile:
     return PivotProfile(tuple(jbeg), tuple(jend), tuple(jnot))
 
 
+def check_arc_count(m: Matching, jt: JordanType) -> None:
+    """Raise TooManyArcs unless m has at most min(n, N-n) arcs, as a cell needs."""
+    if len(m) > min(jt.n, jt.bottom):
+        raise TooManyArcs(f"{len(m)} arcs exceed min({jt.n}, {jt.bottom})")
+
+
 def bt_word(m: Matching, jt: JordanType) -> str:
     """Arc starts map to B, arc ends to T; of the positions on no arc the
     first n-k get T and the rest B.
     """
     if m.N != jt.N:
         raise ValueError(f"matching on {m.N} points vs N={jt.N}")
+    check_arc_count(m, jt)
     k = len(m)
-    if k > jt.n or k > jt.bottom:
-        raise TooManyArcs(f"{k} arcs exceed min({jt.n}, {jt.bottom})")
     letters = [""] * (m.N + 1)
     for a in m.arcs:
         letters[a.init] = B

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 from .cells import CellTemplate, FlagMatrix
 from .closure import ClosureDecomposition
 from .cutting import LabeledPiece, ZERO
-from .exact import Poly
+from .exact import QQ, Poly
 from .matchings import Arc, JordanType, Matching, matching_permutation
 
 _ARC_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
@@ -45,10 +45,12 @@ def parse_arcs(text: str) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in _ARC_RE.findall(text)]
 
 
-def parse_scalar(text: str) -> Fraction:
-    """An exact rational such as ``3``, ``-7/3`` or ``0.5``; ValueError if malformed."""
+def parse_scalar(text: str) -> Fraction | int:
+    """An exact rational such as ``3``, ``-7/3`` or ``0.5``, an ``int`` when
+    integral; ValueError if malformed.
+    """
     try:
-        return Fraction(text)
+        return QQ.of(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 

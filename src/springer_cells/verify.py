@@ -51,6 +51,7 @@ from .cutting import ZERO, arc_subsets, contravariant_order, cut, cut_set, label
 from .errors import CurveNotFound
 from .exact import (
     POLY_RING,
+    QQ,
     Poly,
     SpanBasis,
     canonical_reduce,
@@ -356,7 +357,7 @@ def _orthogonal_residual(v, ortho):
     orthogonal vectors in ortho; exact over Q.
     """
     for q in ortho:
-        c = _dot(v, q) / _dot(q, q)
+        c = Fraction(_dot(v, q)) / _dot(q, q)
         v = [a - c * b for a, b in zip(v, q)]
     return v
 
@@ -526,8 +527,8 @@ def check_chi_compatibility(max_n: int, rng) -> int:
             tL = build_template(split.mL, split.jtL)
             tR = build_template(split.mR, split.jtR)
             zeros = chi_embed(
-                instantiate(tL, dict.fromkeys(split.mL.arcs, Fraction(0))),
-                instantiate(tR, dict.fromkeys(split.mR.arcs, Fraction(0))),
+                instantiate(tL, dict.fromkeys(split.mL.arcs, QQ.zero)),
+                instantiate(tR, dict.fromkeys(split.mR.arcs, QQ.zero)),
                 split,
             )
             if pivot_pattern(zeros.rows) != w_full:

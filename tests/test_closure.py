@@ -22,7 +22,7 @@ from springer_cells.closure import (
 )
 from springer_cells.cutting import ZERO, arc_subsets, labeled_cut, piece_matrix
 from springer_cells.errors import InvalidSplitIndex, OddN, TooManyArcs
-from springer_cells.exact import POLY_RING, Poly, mat_from_cols
+from springer_cells.exact import POLY_RING, Poly, canonical_reduce, mat_from_cols
 from springer_cells.matchings import (
     Arc,
     JordanType,
@@ -270,6 +270,49 @@ def test_phi_cell_law_small():
     assert check_phi_cell_law(6, random.Random(8)).passed
 
 
+def _assert_exact(rows, integral_as_int=True):
+    """Every entry is an int or a Fraction, never a float; with
+    integral_as_int, every integral entry is an int.
+    """
+    for row in rows:
+        for x in row:
+            assert type(x) is int or type(x) is Fraction, x
+            assert not integral_as_int or type(x) is int or x.denominator != 1, x
+
+
+def test_q_entries_are_ints_when_integral_up_to_six():
+    """Over Q, the entries the library builds (ring zero and one, sampled
+    values) stay ints through instantiate, piece_matrix, canonical_reduce,
+    chi_embed and phi_embed at a = oo or an int; a Fraction shear gives no float.
+    """
+    rng = random.Random(16)
+    for N, n in ((N, n) for N in range(1, 7) for n in range(N + 1)):
+        jt = JordanType(n, N)
+        for m in enumerate_matchings(jt):
+            g = instantiate(build_template(m, jt), random_params(m.arcs, rng, nonzero=False))
+            reduced = canonical_reduce(g.rows)
+            assert reduced == g.rows
+            _assert_exact(g.rows)
+            _assert_exact(reduced)
+            for cut_arcs, piece in closure_decomposition(m, jt).pieces.items():
+                values = random_params([a for a in m.arcs if a not in cut_arcs], rng)
+                _assert_exact(piece_matrix(piece, values).rows)
+            for i in closure.valid_split_indices(m):
+                split = chi_split(m, jt, i)
+                gL = cell_matrix(split.mL, split.jtL, random_params(split.mL.arcs, rng))
+                gR = cell_matrix(split.mR, split.jtR, random_params(split.mR.arcs, rng))
+                _assert_exact(chi_embed(gL, gR, split).rows)
+            if N <= 4 and 2 * n == N:
+                outer = JordanType(n + 1, N + 2)
+                for a in (INFINITY, 3, -1, Fraction(3, 2)):
+                    _assert_exact(phi_embed(a, g, outer).rows, integral_as_int=type(a) is not Fraction)
+
+
+def test_projective_divides_exactly():
+    assert _projective([0, 2, 1, 4]) == [0, 1, Fraction(1, 2), 2]
+    assert all(type(x) is Fraction for x in _projective([0, 2, 1, 4]))
+
+
 CURVE_CASES = [
     (ROW4, [Arc(1, 2)], {Arc(3, 4): Fraction(5, 2)}, {Arc(1, 2): Poly.t(), Arc(3, 4): Poly.const(Fraction(5, 2))}),
     (NESTED4, [Arc(2, 3)], {Arc(1, 4): Fraction(3)}, {Arc(1, 4): Poly.const(3), Arc(2, 3): Poly.t()}),
@@ -363,7 +406,7 @@ def test_certification_at_coincident_targets():
 
 def _projective(vec):
     lead = next(c for c in vec if c)
-    return [c / lead for c in vec]
+    return [Fraction(c) / lead for c in vec]
 
 
 def _minor_verdict(moving_minors, fixed):

@@ -34,7 +34,8 @@ from springer_cells.exact import (
     rank,
 )
 from springer_cells.matchings import JordanType, enumerate_matchings
-from springer_cells.verify import check_canonical_reduce
+from springer_cells.sampling import random_rational
+from springer_cells.verify import _orthogonal_residual, check_canonical_reduce
 
 from helpers import Q, brute_det, brute_minors
 
@@ -336,8 +337,12 @@ def test_is_one():
         assert not is_one(other), other
 
 
-@pytest.mark.parametrize("ring", [QQ, PrimeField(3), POLY_RING], ids=["Q", "F3", "Qt"])
-def test_span_basis_rescales_only_a_pivot_that_is_not_one(ring):
+@pytest.mark.parametrize(
+    "ring, half",
+    [(QQ, Fraction(1, 2)), (PrimeField(3), GFElement(2, 3)), (POLY_RING, Poly([Fraction(1, 2)]))],
+    ids=["Q", "F3", "Qt"],
+)
+def test_span_basis_rescales_only_a_pivot_that_is_not_one(ring, half):
     two, zero = ring.of(2), ring.zero
     unit_pivot = (two, ring.one, zero)
     basis = SpanBasis()
@@ -346,7 +351,8 @@ def test_span_basis_rescales_only_a_pivot_that_is_not_one(ring):
     assert basis.echelon[0][0] == 1
     assert all(x is y for x, y in zip(stored, unit_pivot))  # entry for entry
     basis.add((ring.one, zero, two))
-    assert basis.echelon[1] == (2, [ring.one / two, zero, ring.one])
+    assert basis.echelon[1] == (2, [half, zero, ring.one])
+    assert type(basis.echelon[1][1][0]) is type(half)  # never a float
 
 
 def test_span_basis_divides_a_polynomial_pivot():
@@ -367,6 +373,24 @@ def test_poly_exact_division():
         Poly([1]) / Poly.t()
     with pytest.raises(ZeroDivisionError):
         p / Poly()
+
+
+def test_int_entries_divide_exactly():
+    """Ring zero, ring one and integral values are ints over Q, and int / int
+    would give a float: every division path on Q entries stays exact.
+    """
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert [QQ.of(x) for x in (3, Fraction(6, 3), "-8/4", Fraction(1, 2))] == [3, 2, -2, Fraction(1, 2)]
+    assert [type(QQ.of(x)) for x in (3, Fraction(6, 3), "-8/4", Fraction(1, 2))] == [int, int, int, Fraction]
+    rng = random.Random(0)
+    for x in (random_rational(rng, nonzero=False) for _ in range(200)):
+        assert type(x) is int or (type(x) is Fraction and x.denominator != 1)
+    basis = SpanBasis()
+    assert basis.add([1, 0, 2])  # int pivot 2
+    assert basis.echelon == [(2, [Fraction(1, 2), 0, 1])]
+    assert type(basis.echelon[0][1][0]) is Fraction
+    residual = _orthogonal_residual([1, 0], [[1, 1]])
+    assert residual == [Fraction(1, 2), Fraction(-1, 2)] and all(type(x) is Fraction for x in residual)
 
 
 def test_int_coefficients_divide_exactly():
