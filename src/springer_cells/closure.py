@@ -18,8 +18,9 @@ concatenate.  When the outermost arc spans everything, the flag fibers over
 the line V_1; a finite first coordinate freezes that arc's variable and the
 rest recurses, while cutting the outermost arc sends V_1 to its limit line,
 which twists the inner coordinates by an explicit polynomial frame change;
-the twisted coordinates are read back by a canonical reduction over Q[t]
-with exact division, and a twist with no polynomial coordinates gives no
+the twisted columns are built over Z[t] and brought to canonical form
+fraction-free (``exact.integer_canonical_columns``), the coordinates are
+read back over Q[t], and a twist with no polynomial coordinates gives no
 curve.
 """
 
@@ -28,6 +29,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from math import lcm
 
 from .cells import FlagMatrix, apply_nilpotent, build_template, instantiate, prefix_span_basis
 from .cutting import LabeledPiece, ZERO, arc_subsets, labeled_cut, piece_matrix, swap_letters
@@ -46,6 +49,8 @@ from .exact import (
     Poly,
     SpanBasis,
     canonical_reduce,
+    exact_div,
+    integer_canonical_columns,
     integer_residual,
     integer_vector,
     limit_vectors,
@@ -365,47 +370,72 @@ def _twisted_inner_coords(
 
     When the outermost arc is cut, its variable runs off to infinity and
     V_1 tends to the basis line; reading the limit in the chart around that
-    line multiplies the inner flag by an explicit polynomial frame.  The
-    arcs in germs approach 0 along 1/t instead of their (zero) curve: each
-    column holding one of their slots is scaled by t, which puts 1 in that
-    slot and keeps the flag.  The twisted matrix is reduced to canonical
-    form over Q[t] with exact division and the cell coordinates are read
-    back off; None signals that the twisted flag has no polynomial point in
-    the inner cell (no polynomial certificate of this shape exists).
+    line multiplies the inner flag by an explicit polynomial frame: source
+    row half + r goes to row r times -t^2 and, for r > 0, to row
+    half + r - 1 times t, and source row s < half goes to row half + s.
+    The arcs in germs approach 0 along 1/t instead of their (zero) curve:
+    each column holding one of their slots is scaled by t, which puts 1 in
+    that slot and keeps the flag.  Each twisted column is built over Z[t]
+    (its denominators cleared, t and -t^2 applied as shifts), reduced to
+    canonical form by ``exact.integer_canonical_columns``, and must be
+    exactly the template column at the coordinates read back; None signals
+    that the twisted flag has no polynomial point in the inner cell (no
+    polynomial certificate of this shape exists).
     """
     h = inner_m.N
     if h == 0:
         return {}
     half = h // 2
-    t = Poly.t(1)
     template = build_template(inner_m, inner_jt)
-    w_rows = [list(row) for row in instantiate(template, inner_curve, POLY_RING).rows]
-    germ_slots = [(r, c) for (r, c), arc in template.slots.items() if arc in germs]
-    for c in {c for _, c in germ_slots}:
-        for row in w_rows:
-            row[c - 1] = t * row[c - 1]
-    for r, c in germ_slots:
-        w_rows[r - 1][c - 1] = POLY_RING.one
-    t2 = Poly.t(2)
-    twisted = [[POLY_RING.zero] * h for _ in range(h)]
-    for c in range(h):
-        for r in range(half):
-            twisted[r][c] = -(t2 * w_rows[half + r][c])
-        for s in range(half):
-            val = w_rows[s][c]
-            if s + 1 < half:
-                val = val + t * w_rows[half + s + 1][c]
-            twisted[half + s][c] = val
+    germs = set(germs)
+    col_slots: list[dict[int, Arc]] = [{} for _ in range(h)]  # 0-based row -> arc
+    for (r, c), arc in template.slots.items():
+        col_slots[c - 1][r - 1] = arc
+    cols = []
+    for piv, slots in zip(template.w, col_slots):
+        entries = {piv - 1: (1,)}
+        entries.update((row, inner_curve[arc].coeffs) for row, arc in slots.items() if inner_curve[arc])
+        if not germs.isdisjoint(slots.values()):
+            entries = {row: (0, *p) for row, p in entries.items()}
+            entries.update((row, (1,)) for row, arc in slots.items() if arc in germs)
+        scale = lcm(*(x.denominator for p in entries.values() for x in p))
+        twisted: dict[int, list[int]] = {}
+        for row, p in entries.items():
+            p = [x.numerator * (scale // x.denominator) for x in p]
+            if row < half:
+                _add_into(twisted, half + row, p)
+            else:
+                twisted[row - half] = [0, 0, *(-x for x in p)]
+                if row > half:
+                    _add_into(twisted, row - 1, [0, *p])
+        cols.append(twisted)
+    coords: dict[Arc, Poly] = {}
     try:
-        reduced = canonical_reduce(mat_from_rows(twisted))
+        for c, ((piv, d, vec), slots) in enumerate(
+            zip(integer_canonical_columns(cols), col_slots), start=1
+        ):
+            # the canonical column must be exactly the template column at
+            # the coordinates read so far, which also fixes its pivot
+            if piv != template.w[c - 1] - 1 or any(row != piv and row not in slots for row in vec):
+                return None
+            for row, arc in slots.items():
+                value = Poly([exact_div(x, d) for x in vec.get(row, ())])
+                if arc.init == c:
+                    coords[arc] = value
+                elif coords[arc] != value:
+                    return None
     except (Singular, NotDivisible):
         return None
-    coords = {arc: reduced[template.top_offset[arc]][arc.init - 1] for arc in inner_m.arcs}
-    # the reduced matrix must be exactly the template at these coordinates,
-    # which also fixes its pivot pattern
-    if instantiate(template, coords, POLY_RING).rows != reduced:
-        return None
     return coords
+
+
+def _add_into(vec: dict[int, list[int]], row: int, p: list[int]) -> None:
+    """vec[row] += p over Z[t], dropping the row when the sum is 0."""
+    q = [x + y for x, y in zip_longest(vec.pop(row, ()), p, fillvalue=0)]
+    while q and not q[-1]:
+        q.pop()
+    if q:
+        vec[row] = q
 
 
 def _extract_inner_target(

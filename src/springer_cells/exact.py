@@ -33,14 +33,18 @@ which costs no multiply on the entries of a canonical cell matrix over Q, and
 the idempotent test ``x * x == x`` for the entry types that never equal an
 ``int``.
 
-Beside it sits the limit certifier's kernel: ``limit_vectors``, the limit
-as t -> oo of the flag spanned by polynomial columns, read off by column
-reduction at t = oo.  It runs over Python ``int``s on sparse {row: entry}
-vectors: each column is cleared of denominators, pivots are cleared by
-coprime integer combinations, and a finished column is divided by the gcd
-of its entries.  ``integer_residual`` tests a cleared rational vector
-(``integer_vector``) against such vectors, and ``limit_flag`` gives them
-as Fractions with pivot 1.
+Beside it sit two fraction-free kernels over Python ``int``s on sparse
+{row: entry} vectors, in the manner of Bareiss.  The limit certifier's
+``limit_vectors`` gives the limit as t -> oo of the flag spanned by
+polynomial columns, read off by column reduction at t = oo: each column
+is cleared of denominators, pivots are cleared by coprime integer
+combinations, and a finished column is divided by the gcd of its entries.
+``integer_residual`` tests a cleared rational vector (``integer_vector``)
+against such vectors, and ``limit_flag`` gives them as Fractions with
+pivot 1.  ``integer_canonical_columns``, the frame change of limit-curve
+synthesis, gives the canonical coset form over Q[t] of columns over Z[t]
+as integer vectors with integer pivots, so Fractions appear only when a
+coordinate is read back.
 """
 
 from __future__ import annotations
@@ -570,3 +574,99 @@ def limit_flag(cols: Sequence[Sequence[Poly]]) -> list[tuple[Fraction, ...]]:
             vec[row] = Fraction(x, lead)
         flag.append(tuple(vec))
     return flag
+
+
+def _mul_sub(a: Sequence[int], k: int, c: Sequence[int], b: Sequence[int]) -> list[int]:
+    """k a - c b over Z[t], ascending coefficients without trailing zeros."""
+    out = list(a) if k == 1 else [k * x for x in a]
+    size = len(c) + len(b) - 1
+    if len(out) < size:
+        out.extend([0] * (size - len(out)))
+    for i, x in enumerate(c):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] -= x * y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _primitive_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a / b over Z[t] for a primitive b; raises NotDivisible on a remainder.
+
+    By Gauss's lemma a primitive b that divides a over Q[t] divides it over
+    Z[t], so a quotient coefficient that is not an integer is a remainder.
+    """
+    rem = list(a)
+    deg, lead = len(b) - 1, b[-1]
+    quot = [0] * max(len(rem) - deg, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        q, r = divmod(rem[i + deg], lead)
+        if r:
+            raise NotDivisible(f"{list(b)} does not divide {list(a)} over Z[t]")
+        quot[i] = q
+        if q:
+            for j, y in enumerate(b, i):
+                rem[j] -= q * y
+    if any(rem[:deg]):
+        raise NotDivisible(f"{list(b)} does not divide {list(a)} over Z[t]")
+    return quot
+
+
+def integer_canonical_columns(
+    cols: Iterable[Mapping[int, Sequence[int]]],
+) -> Iterator[tuple[int, int, dict[int, list[int]]]]:
+    """The canonical coset form over Q[t] of columns over Z[t], one column
+    at a time, fraction-free.
+
+    A column is a sparse {row: coefficients} vector of integer polynomials
+    in t, ascending and without trailing zeros.  For each column this
+    yields (pivot, d, r) with r such a vector, d a positive ``int`` and
+    r[pivot] == [d]: r / d is the column of ``canonical_reduce`` over Q[t],
+    whose coordinates the caller reads by ``exact_div`` by d.
+
+    A column is reduced against the earlier r in insertion order by
+    v <- d v - v[pivot] r, with d and v[pivot] divided by their common
+    integer content (Bareiss, *Math. Comp.* 22, 1968); each step scales
+    the column by a nonzero rational, which leaves r / d unchanged.  A
+    non-constant pivot entry is divided out through its primitive part, and
+    by Gauss's lemma that quotient is integral exactly when the quotient
+    over Q[t] is a polynomial.  Last, r is divided by its content.  Raises
+    Singular on a dependent column and NotDivisible when the canonical
+    column is not polynomial, as ``canonical_reduce`` does over Q[t].
+    """
+    reduced: list[tuple[int, int, dict[int, list[int]]]] = []
+    for j, col in enumerate(cols, start=1):
+        v = dict(col)
+        for piv, d, r in reduced:
+            c = v.get(piv)
+            if c is None:
+                continue
+            k = 1
+            if d != 1:
+                g = gcd(d, *c)
+                k, c = d // g, [x // g for x in c]
+                if k != 1:
+                    for row in v.keys() - r.keys():
+                        v[row] = [k * x for x in v[row]]
+            for row, b in r.items():
+                y = _mul_sub(v.get(row, ()), k, c, b)
+                if y:
+                    v[row] = y
+                else:
+                    v.pop(row, None)
+        if not v:
+            raise Singular(f"column {j} is dependent on earlier columns")
+        piv = max(v)
+        lead = v[piv]
+        if len(lead) > 1:
+            content = gcd(*lead)
+            primitive = [x // content for x in lead]
+            v = {row: _primitive_quotient(a, primitive) for row, a in v.items()}
+        g = gcd(*(x for a in v.values() for x in a))
+        if v[piv][0] < 0:
+            g = -g
+        if g != 1:
+            v = {row: [x // g for x in a] for row, a in v.items()}
+        reduced.append((piv, v[piv][0], v))
+        yield reduced[-1]

@@ -1,5 +1,6 @@
 """CLI surface: dispatch, exit codes, schema-stable JSON, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -320,6 +321,21 @@ def test_output_matches_golden_bytes(name, argv):
     code, out, _ = invoke(argv)
     assert code == 0
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_nested_fourteen_closure_matches_its_digest():
+    """The whole nested N = 14 closure, 128 certified pieces, whose frame
+    changes reach higher polynomial degrees than the goldens do: its
+    182,571 bytes are pinned by their sha256.
+    """
+    argv = [
+        "closure", "--matching", "(1,14)(2,13)(3,12)(4,11)(5,10)(6,9)(7,8)", "--n", "7",
+        "--certify", "--format", "json", "--seed", "0",
+    ]
+    code, out, _ = invoke(argv)
+    assert code == 0 and len(out.encode()) == 182_571
+    digest = "8e284257ee57e96ed0065d42fb6bfe9821c85150edacadfd2e40ae69394e08f0"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_closure_certify_cuts_each_piece_once(monkeypatch):

@@ -21,8 +21,8 @@ from springer_cells.closure import (
     verify_limit_curve,
 )
 from springer_cells.cutting import ZERO, arc_subsets, labeled_cut, piece_matrix
-from springer_cells.errors import InvalidSplitIndex, OddN, TooManyArcs
-from springer_cells.exact import POLY_RING, Poly, canonical_reduce, mat_from_cols
+from springer_cells.errors import InvalidSplitIndex, NotDivisible, OddN, Singular, TooManyArcs
+from springer_cells.exact import POLY_RING, Poly, canonical_reduce, mat_from_cols, mat_from_rows
 from springer_cells.matchings import (
     Arc,
     JordanType,
@@ -402,6 +402,100 @@ def test_certification_at_coincident_targets():
     for jt, m, cut_arcs, target in cases:
         curve = synthesize_limit_curve(m, jt, cut_arcs, target)
         assert verify_limit_curve(m, jt, curve, labeled_cut(m, cut_arcs, jt), target)
+
+
+def _twisted_by_poly_matrix(inner_m, inner_jt, inner_curve, germs=()):
+    """The frame change over Q[t], as a reference: the twisted matrix of
+    Poly entries reduced by ``canonical_reduce``, and the coordinates read
+    back only if the result is the template at them.
+    """
+    h = inner_m.N
+    if h == 0:
+        return {}
+    half, t = h // 2, Poly.t(1)
+    template = build_template(inner_m, inner_jt)
+    w = [list(row) for row in instantiate(template, inner_curve, POLY_RING).rows]
+    germ_slots = [(r, c) for (r, c), arc in template.slots.items() if arc in germs]
+    for c in {c for _, c in germ_slots}:
+        for row in w:
+            row[c - 1] = t * row[c - 1]
+    for r, c in germ_slots:
+        w[r - 1][c - 1] = POLY_RING.one
+    twisted = [[-(Poly.t(2) * x) for x in w[half + r]] for r in range(half)]
+    for s in range(half):
+        below = w[half + s + 1] if s + 1 < half else [POLY_RING.zero] * h
+        twisted.append([x + t * y for x, y in zip(w[s], below)])
+    try:
+        reduced = canonical_reduce(mat_from_rows(twisted))
+    except (Singular, NotDivisible):
+        return None
+    coords = {arc: reduced[template.top_offset[arc]][arc.init - 1] for arc in inner_m.arcs}
+    if instantiate(template, coords, POLY_RING).rows != reduced:
+        return None
+    return coords
+
+
+def test_frame_change_agrees_with_the_poly_matrix_route(monkeypatch):
+    """Every frame change reached while synthesizing every piece of every
+    cell with N <= 10, at a seeded target and at the targets 0, 1 and -3,
+    gives the coordinates, or the None, of the route over Q[t].
+
+    Synthesis splits a cell with a split index into blocks and hands each
+    its share of the target, so at a constant target it reaches the frame
+    changes of cells with no split index at that constant: those cells take
+    the constant targets, every cell takes the seeded one.  The curves come
+    from ``closure._synthesize``, the one synthesize_limit_curve verifies.
+    """
+    calls = {}
+    frame_change = closure._twisted_inner_coords
+
+    def recorded(inner_m, inner_jt, inner_curve, germs=()):
+        out = frame_change(inner_m, inner_jt, inner_curve, germs)
+        key = (inner_m, inner_jt, tuple(inner_curve.items()), tuple(germs))
+        calls[key] = (inner_curve, out)
+        return out
+
+    monkeypatch.setattr(closure, "_twisted_inner_coords", recorded)
+    rng = random.Random(17)
+    for N, n in ((N, n) for N in range(2, 11) for n in range(1, N)):
+        jt = JordanType(n, N)
+        for m in enumerate_matchings(jt):
+            constants = () if closure.valid_split_indices(m) else (0, 1, -3)
+            for cut_arcs in closure_decomposition(m, jt).pieces:
+                uncut = [a for a in m.arcs if a not in cut_arcs]
+                targets = [random_params(uncut, rng)]
+                targets += [{a: Fraction(v) for a in uncut} for v in constants]
+                for target in targets:
+                    closure._synthesize(m, jt, cut_arcs, target)
+    for (inner_m, inner_jt, _, germs), (inner_curve, out) in calls.items():
+        expected = _twisted_by_poly_matrix(inner_m, inner_jt, inner_curve, germs)
+        assert out == expected and (out is None or list(out) == list(expected))
+    outcomes = {(bool(germs), out is None) for (*_, germs), (_, out) in calls.items()}
+    assert outcomes == {(False, False), (False, True), (True, False)}
+
+
+def test_frame_change_refuses_a_column_off_its_template(monkeypatch):
+    """The canonical columns must be the template's at the coordinates read
+    back.  In the inner (1,4)(2,3) cell, column 2 holds (2,3) in row 1 and
+    its parent (1,4) in row 2 above the pivot in row 4: raising its row 2
+    entry by 1 breaks the agreement with column 1, and an entry in row 3
+    leaves the template; either gives None.
+    """
+    curve = {Arc(1, 4): Poly.const(2), Arc(2, 3): Poly.const(3)}
+    coords = closure._twisted_inner_coords(NESTED4, JT4, curve)
+    assert coords == {Arc(1, 4): Poly.t(2, Fraction(-1, 2)), Arc(2, 3): Poly([0, 0, Fraction(3, 4), Fraction(1, 4)])}
+    kernel = closure.integer_canonical_columns
+    for row in (1, 2):  # 0-based
+
+        def bumped(cols, row=row):
+            for c, (piv, d, vec) in enumerate(kernel(cols), start=1):
+                if c == 2:
+                    old = vec.get(row) or [0]
+                    vec = {**vec, row: [old[0] + d, *old[1:]]}
+                yield piv, d, vec
+
+        monkeypatch.setattr(closure, "integer_canonical_columns", bumped)
+        assert closure._twisted_inner_coords(NESTED4, JT4, curve) is None
 
 
 def _projective(vec):

@@ -24,12 +24,15 @@ from springer_cells.exact import (
     PrimeField,
     SpanBasis,
     canonical_reduce,
+    exact_div,
     in_span,
+    integer_canonical_columns,
     integer_vector,
     is_one,
     limit_flag,
     limit_vectors,
     mat_cols,
+    mat_from_cols,
     pivot_pattern,
     rank,
 )
@@ -424,6 +427,74 @@ def test_int_coefficients_divide_exactly():
     cols = [(Poly([0, 2]), Poly([4]), zero), (Poly([6]), one, zero), (zero, zero, Poly([0, 0, 3]))]
     assert list(limit_vectors(cols)) == [(0, {0: 1}), (1, {1: 1}), (2, {2: 1})]
     assert list(limit_vectors([(t * Poly([2]), Poly([6]))])) == [(0, {0: 1})]
+
+
+def _poly_column(vec, n, d=1):
+    """A sparse integer polynomial vector over rows 0..n-1, divided by d, as Polys."""
+    return tuple(Poly([exact_div(x, d) for x in vec.get(r, ())]) for r in range(n))
+
+
+def test_integer_canonical_columns_divide_exactly():
+    """The fraction-free kernel: a non-monic pivot with content, a pivot
+    that does not divide, a dependent column and an integral result.
+    """
+    # (t + 1, 2t + 2) is (2t + 2)(1/2, 1): its pivot has content 2 and
+    # its primitive part t + 1 divides, leaving d = 2
+    (piv, d, r), = integer_canonical_columns([{0: [1, 1], 1: [2, 2]}])
+    assert (piv, d, r) == (1, 2, {0: [1], 1: [2]})
+    assert Poly([exact_div(x, d) for x in r[0]]).coeffs == (Fraction(1, 2),)
+    assert type(exact_div(r[0][0], d)) is Fraction
+    # reduced against it with v <- 2 v - 5 r, (3t, 5) leaves e_1 up to scale
+    cols = [{0: [1, 1], 1: [2, 2]}, {0: [0, 3], 1: [5]}]
+    assert [(piv, d) for piv, d, _ in integer_canonical_columns(cols)] == [(1, 2), (0, 1)]
+    # (1, t): the pivot t leaves 1 / t
+    with pytest.raises(NotDivisible):
+        list(integer_canonical_columns([{0: [1], 1: [0, 1]}]))
+    # (t, 2t + 1): the primitive pivot 2t + 1 leaves the quotient 1/2 of
+    # t, which no remainder over Z shows
+    with pytest.raises(NotDivisible):
+        list(integer_canonical_columns([{0: [0, 1], 1: [1, 2]}]))
+    # (t^2, t) = t (t, 1) after (t, 1): dependent over Q(t)
+    with pytest.raises(Singular):
+        list(integer_canonical_columns([{0: [0, 1], 1: [1]}, {0: [0, 0, 1], 1: [0, 1]}]))
+    # (2t, 2): content 2 divides out, and every coordinate is an int
+    (piv, d, r), = integer_canonical_columns([{0: [0, 2], 1: [2]}])
+    assert (piv, d, r) == (1, 1, {0: [0, 1], 1: [1]})
+    coeffs = [exact_div(x, d) for a in r.values() for x in a]
+    assert all(type(x) is int for x in coeffs)
+
+
+def test_integer_canonical_columns_agree_with_canonical_reduce():
+    """On random integer polynomial matrices, the fraction-free kernel gives
+    canonical_reduce's columns over Q[t], or raises what it raises.
+    """
+    rng = random.Random(17)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        cols = []
+        for _ in range(n):
+            col = {}
+            for r in range(n):
+                if rng.random() < 0.5:
+                    p = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+                    while p and not p[-1]:
+                        p.pop()
+                    if p:
+                        col[r] = p
+            cols.append(col)
+        try:
+            expected = mat_cols(canonical_reduce(mat_from_cols([_poly_column(c, n) for c in cols])))
+        except (NotDivisible, Singular) as exc:
+            with pytest.raises(type(exc)):
+                list(integer_canonical_columns(cols))
+            outcomes.add(type(exc))
+            continue
+        reduced = list(integer_canonical_columns(cols))
+        assert [_poly_column(r, n, d) for _, d, r in reduced] == expected
+        assert all(r[piv] == [d] and d > 0 for piv, d, r in reduced)
+        outcomes.add(None)
+    assert outcomes == {None, NotDivisible, Singular}
 
 
 def test_prime_field_ops():
