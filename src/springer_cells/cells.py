@@ -123,8 +123,8 @@ def instantiate(ct: CellTemplate, params: Mapping[Arc, object], ring=QQ) -> Flag
     return FlagMatrix(mat_from_rows(rows))
 
 
-def cell_matrix(m: Matching, jt: JordanType, params: Mapping[Arc, object], ring=QQ) -> FlagMatrix:
-    return instantiate(build_template(m, jt), params, ring)
+def cell_matrix(m: Matching, jt: JordanType, params: Mapping[Arc, object]) -> FlagMatrix:
+    return instantiate(build_template(m, jt), params)
 
 
 def verify_canonical(g: FlagMatrix) -> bool:

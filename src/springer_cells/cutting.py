@@ -174,7 +174,7 @@ def _cut_in_order(
     return LabeledPiece(current, labels, m, cut_arcs, jt)
 
 
-def piece_params(piece: LabeledPiece, values: Mapping[Arc, object], ring=QQ) -> dict[Arc, object]:
+def piece_params(piece: LabeledPiece, values: Mapping[Arc, object]) -> dict[Arc, object]:
     """Parameter vector for the cut matching: label values, ZERO -> 0."""
     uncut = [a for a in piece.origin.arcs if a not in piece.cut_arcs]
     missing = [a for a in uncut if a not in values]
@@ -183,11 +183,11 @@ def piece_params(piece: LabeledPiece, values: Mapping[Arc, object], ring=QQ) -> 
     out: dict[Arc, object] = {}
     for b in piece.base.arcs:
         lab = piece.labels[b]
-        out[b] = ring.zero if lab is ZERO else values[lab]
+        out[b] = QQ.zero if lab is ZERO else values[lab]
     return out
 
 
-def piece_matrix(piece: LabeledPiece, values: Mapping[Arc, object], ring=QQ) -> FlagMatrix:
+def piece_matrix(piece: LabeledPiece, values: Mapping[Arc, object]) -> FlagMatrix:
     """Instantiate the cut matching's template at the labeled values."""
     template = build_template(piece.base, piece.jt)
-    return instantiate(template, piece_params(piece, values, ring), ring)
+    return instantiate(template, piece_params(piece, values))

@@ -101,9 +101,11 @@ def template_json(ct: CellTemplate) -> dict:
 
 
 def arc_letters(m: Matching) -> dict[Arc, str]:
-    """Letters a, b, c, ... by start order; the labels used in diagrams."""
+    """Letters a, b, c, ... by start order; the labels used in diagrams.
+    Past z, an arc is named by its place in that order: x_{27}, x_{28}, ...
+    """
     names = "abcdefghijklmnopqrstuvwxyz"
-    return {arc: names[i] for i, arc in enumerate(m.arcs)}
+    return {arc: names[i] if i < len(names) else f"x_{{{i + 1}}}" for i, arc in enumerate(m.arcs)}
 
 
 def piece_json(piece: LabeledPiece) -> dict:

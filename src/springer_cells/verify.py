@@ -1,19 +1,22 @@
 """Property suites behind the ``verify`` CLI command and the test suite.
 
 Each check is the one implementation of an invariant of the library.  It
-sweeps the instances up to a size cap, draws what it samples from the
-``random.Random`` it is given, and returns a CheckResult counting the
-instances it covered.  A check's result carries the same id whether it
-passes or fails; on the first failing instance, ``detail`` names the
-instance and, for checks of several sub-properties, the one that failed.
+sweeps the instances up to a size cap and draws what it samples from the
+``random.Random`` it is given.  Its body is a generator that yields once
+per instance it covers and raises ``_Failed`` at the first failing one;
+``_check`` wraps it in the one runner, which counts the yields and returns
+a CheckResult.  A check's result carries the same id whether it passes or
+fails; on the first failing instance, ``detail`` names the instance and,
+for checks of several sub-properties, the one that failed.  A check that
+raises anything else becomes a failed result whose detail names the
+exception, whether ``verify_suite`` or a test called it.
 
 A check's suite is the part of its id before the dot: ``_check`` files the
 check under it in ``SUITES``, whose keys are those of ``DEFAULT_MAX_N``.
 ``verify_suite`` runs the checks of a suite one after another, each from a
 fresh ``random.Random(seed)``, and sorts the results by id, so the report is
-byte-identical for a fixed seed.  A check that raises becomes a failed
-result whose detail names the exception.  The tests call the same checks at
-their own caps and seeds.
+byte-identical for a fixed seed.  The tests call the same checks at their
+own caps and seeds.
 """
 
 from __future__ import annotations
@@ -85,12 +88,7 @@ class CheckResult:
 
 
 class _Failed(Exception):
-    """Raised by a check body at its first failing instance."""
-
-    def __init__(self, count: int, detail: str):
-        super().__init__(detail)
-        self.count = count
-        self.detail = detail
+    """Raised by a check body at its first failing instance; its message is the detail."""
 
 
 #: The default size cap of each suite, in the order the suites are listed.
@@ -107,19 +105,34 @@ SUITES: dict[str, list] = {suite: [] for suite in DEFAULT_MAX_N}
 
 
 def _check(check_id: str):
-    """Give a check body its one id, and file it under the suite the id
-    names before its dot.  The body returns the number of instances it
-    covered, or raises _Failed at the first failing one.
+    """Give a check body its one id, file it under the suite the id names
+    before its dot, and run it.
+
+    The body is a generator that yields once per instance it covers and
+    raises _Failed(detail) at the first failing one.  The wrapper is the
+    one place that counts instances and the one exception boundary: a
+    _Failed becomes a failed result counting the instances up to and
+    including the failing one, and any other exception a failed result of
+    count 0 whose detail names the exception and where it was raised, so
+    one broken check cannot hide the others.
     """
     suite = SUITES[check_id.partition(".")[0]]
 
     def wrap(body):
         @functools.wraps(body)
         def check(max_n: int, rng, **kwargs) -> CheckResult:
+            count = 0
             try:
-                return CheckResult(check_id, True, body(max_n, rng, **kwargs))
+                for _ in body(max_n, rng, **kwargs):
+                    count += 1
             except _Failed as failure:
-                return CheckResult(check_id, False, failure.count, failure.detail)
+                return CheckResult(check_id, False, count, str(failure))
+            except Exception as exc:
+                frame = traceback.extract_tb(exc.__traceback__)[-1]
+                where = f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}"
+                detail = f"raised {type(exc).__name__}: {exc} ({where})"
+                return CheckResult(check_id, False, 0, detail)
+            return CheckResult(check_id, True, count)
 
         check.check_id = check_id
         suite.append(check)
@@ -147,61 +160,52 @@ def _cells(max_n: int):
 
 
 @_check("combinatorics.word_roundtrip")
-def check_word_roundtrip(max_n: int, rng) -> int:
-    count = 0
+def check_word_roundtrip(max_n: int, rng):
     for jt in _jordan_types(max_n):
         for word in enumerate_words(jt.N, jt.n):
-            count += 1
+            yield
             if bt_word(word_to_matching(word), jt) != word:
-                raise _Failed(count, word)
-    return count
+                raise _Failed(word)
 
 
 @_check("combinatorics.matching_roundtrip")
-def check_matching_roundtrip(max_n: int, rng) -> int:
-    count = 0
+def check_matching_roundtrip(max_n: int, rng):
     for jt in _jordan_types(max_n):
         for m in enumerate_matchings(jt):
-            count += 1
+            yield
             if word_to_matching(bt_word(m, jt)).arcs != m.arcs:
-                raise _Failed(count, str(m.arcs))
-    return count
+                raise _Failed(str(m.arcs))
 
 
 @_check("combinatorics.count")
-def check_counts(max_n: int, rng) -> int:
+def check_counts(max_n: int, rng):
     """C(N, n) words and C(N, n) distinct matchings for each type."""
-    count = 0
     for jt in _jordan_types(max_n):
-        count += 1
+        yield
         found = enumerate_matchings(jt)
         if len(enumerate_words(jt.N, jt.n)) != comb(jt.N, jt.n):
-            raise _Failed(count, f"words: {jt}")
+            raise _Failed(f"words: {jt}")
         if len(found) != comb(jt.N, jt.n) or len(set(m.arcs for m in found)) != len(found):
-            raise _Failed(count, f"matchings: {jt}")
-    return count
+            raise _Failed(f"matchings: {jt}")
 
 
 @_check("combinatorics.ancestor_count")
-def check_ancestor_counts(max_n: int, rng) -> int:
-    count = 0
+def check_ancestor_counts(max_n: int, rng):
     for _, m in _cells(max_n):
         prof = j_functions(m)
         for arc in m.arcs:
-            count += 1
+            yield
             starts = prof.jbeg[arc.init] + 1  # the arc itself starts here
             ends = prof.jend[arc.init]
             if len(ancestors(m, arc)) != starts - ends:
-                raise _Failed(count, f"{m.arcs} {arc}")
-    return count
+                raise _Failed(f"{m.arcs} {arc}")
 
 
 @_check("combinatorics.ancestor_shift")
-def check_ancestor_shift(max_n: int, rng) -> int:
+def check_ancestor_shift(max_n: int, rng):
     """Consecutive arcs share ancestor chains after an offset of the gap
     between their start points minus two.
     """
-    count = 0
     for _, m in _cells(max_n):
         for prev, arc in zip(m.arcs, m.arcs[1:]):
             if parent(m, arc) is None:
@@ -209,68 +213,60 @@ def check_ancestor_shift(max_n: int, rng) -> int:
             r = arc.init - prev.init - 2
             chain_prev = ancestors(m, prev)
             chain_cur = ancestors(m, arc)
-            count += 1
+            yield
             if not all(
                 j + r < len(chain_prev) and chain_cur[j] == chain_prev[j + r]
                 for j in range(1, len(chain_cur))
             ):
-                raise _Failed(count, f"{m.arcs} {arc}")
-    return count
+                raise _Failed(f"{m.arcs} {arc}")
 
 
 @_check("combinatorics.pivot_blocks")
-def check_pivot_blocks_increase(max_n: int, rng) -> int:
-    count = 0
+def check_pivot_blocks_increase(max_n: int, rng):
     for jt, m in _cells(max_n):
-        count += 1
+        yield
         w = matching_permutation(m, jt).w
         inv = {row: col for col, row in enumerate(w, start=1)}
         tops = [inv[r] for r in range(1, jt.n + 1)]
         bots = [inv[r] for r in range(jt.n + 1, jt.N + 1)]
         if tops != sorted(tops) or bots != sorted(bots):
-            raise _Failed(count, str(m.arcs))
-    return count
+            raise _Failed(str(m.arcs))
 
 
 # --- geometry --------------------------------------------------------------
 
 
 @_check("geometry.canonical_reduce")
-def check_canonical_reduce(max_n: int, rng) -> int:
+def check_canonical_reduce(max_n: int, rng):
     """canonical_reduce is idempotent and keeps every prefix span."""
-    count = 0
     for _ in range(200):
         n = rng.randint(1, min(max_n, 8))
         g = random_invertible_matrix(n, rng)
         reduced = canonical_reduce(g)
-        count += 1
+        yield
         if canonical_reduce(reduced) != reduced:
-            raise _Failed(count, f"idempotent: {g}")
+            raise _Failed(f"idempotent: {g}")
         for i in range(1, n + 1):
             cols_g = [[g[r][j] for r in range(n)] for j in range(i)]
             cols_h = [[reduced[r][j] for r in range(n)] for j in range(i)]
             if rank(cols_g + cols_h) != i:
-                raise _Failed(count, f"prefix spans: n={n} i={i}")
-    return count
+                raise _Failed(f"prefix spans: n={n} i={i}")
 
 
 @_check("geometry.cell_membership")
-def check_cell_membership(max_n: int, rng) -> int:
+def check_cell_membership(max_n: int, rng):
     """20 random points of every cell are canonical Springer flags."""
-    count = 0
     for jt, m in _cells(max_n):
         template = build_template(m, jt)
         for _ in range(20):
             g = instantiate(template, random_params(m.arcs, rng, nonzero=False))
-            count += 1
+            yield
             if not verify_canonical(g) or not verify_springer(g, jt):
-                raise _Failed(count, str(m.arcs))
-    return count
+                raise _Failed(str(m.arcs))
 
 
 @_check("geometry.cell_injectivity")
-def check_cell_injectivity(max_n: int, rng) -> int:
-    count = 0
+def check_cell_injectivity(max_n: int, rng):
     for jt, m in _cells(max_n):
         if not m.arcs:
             continue
@@ -278,38 +274,34 @@ def check_cell_injectivity(max_n: int, rng) -> int:
         for _ in range(5):
             u = random_params(m.arcs, rng, nonzero=False)
             v = random_params(m.arcs, rng, nonzero=False)
-            count += 1
+            yield
             if u != v and instantiate(template, u).rows == instantiate(template, v).rows:
-                raise _Failed(count, str(m.arcs))
-    return count
+                raise _Failed(str(m.arcs))
 
 
 @_check("geometry.template_support")
-def check_template_support(max_n: int, rng) -> int:
+def check_template_support(max_n: int, rng):
     """Lowest structurally nonzero row of an arc's column is the top offset
     plus the ancestor-chain length.
     """
-    count = 0
     for jt, m in _cells(max_n):
         template = build_template(m, jt)
         for arc in m.arcs:
-            count += 1
+            yield
             expected = template.top_offset[arc] + len(ancestors(m, arc))
             got = max(
                 (r for (r, c), _ in template.slots.items() if c == arc.init),
                 default=0,
             )
             if got != expected:
-                raise _Failed(count, f"{m.arcs} {arc}")
-    return count
+                raise _Failed(f"{m.arcs} {arc}")
 
 
 @_check("geometry.coordinate_prefix")
-def check_coordinate_prefixes(max_n: int, rng) -> int:
+def check_coordinate_prefixes(max_n: int, rng):
     """At indices with no arc overhead, the prefix span of every draw is
     the frozen coordinate subspace of the word.
     """
-    count = 0
     for jt, m in _cells(max_n):
         template = build_template(m, jt)
         word = bt_word(m, jt)
@@ -317,19 +309,17 @@ def check_coordinate_prefixes(max_n: int, rng) -> int:
         for _ in range(10):
             g = instantiate(template, random_params(m.arcs, rng))
             for i, rows in frozen.items():
-                count += 1
+                yield
                 if prefix_span_basis(g, i) != rows:
-                    raise _Failed(count, f"{m.arcs} i={i}")
-    return count
+                    raise _Failed(f"{m.arcs} i={i}")
 
 
 @_check("geometry.nested_shift")
-def check_nested_column_shift(max_n: int, rng) -> int:
+def check_nested_column_shift(max_n: int, rng):
     """For the j-th arc nested under a given arc, the j-fold shift of its
     column differs from the outer arc's column by something supported in
     the rows above the outer arc's variable block.
     """
-    count = 0
     for jt, m in _cells(max_n):
         template = build_template(m, jt)
         g = instantiate(template, random_params(m.arcs, rng))
@@ -342,10 +332,9 @@ def check_nested_column_shift(max_n: int, rng) -> int:
                 for _ in range(j):
                     col = apply_nilpotent(jt, col)
                 diff = [x - y for x, y in zip(col, g.col(arc.init))]
-                count += 1
+                yield
                 if any(diff[r] != 0 for r in range(r0, jt.N)):
-                    raise _Failed(count, f"{m.arcs} {arc} {b}")
-    return count
+                    raise _Failed(f"{m.arcs} {arc} {b}")
 
 
 def _dot(u, v):
@@ -363,13 +352,12 @@ def _orthogonal_residual(v, ortho):
 
 
 @_check("geometry.leading_direction")
-def check_leading_direction_numeric(max_n: int, rng) -> int:
+def check_leading_direction_numeric(max_n: int, rng):
     """The exact limit flag of a random quadratic curve agrees with the
     curve at t = 1e6: the vectors b_i are independent, and the sine from
     b_i to the span of the first i columns at t = 1e6 is below 1e-6,
     computed exactly.
     """
-    count = 0
     t = Fraction(10**6)
     for jt, m in _cells(min(max_n, 6)):
         if not m.arcs:
@@ -383,32 +371,30 @@ def check_leading_direction_numeric(max_n: int, rng) -> int:
         limit = SpanBasis()
         ortho = []  # orthogonal basis of the first i columns at t
         for i, (b, col) in enumerate(zip(limit_flag(cols), cols), start=1):
-            count += 1
+            yield
             ortho.append(_orthogonal_residual([p(t) for p in col], ortho))
             res = _orthogonal_residual(b, ortho)
             if not limit.add(b) or _dot(res, res) * 10**12 >= _dot(b, b):
-                raise _Failed(count, f"{m.arcs} i={i}")
-    return count
+                raise _Failed(f"{m.arcs} i={i}")
 
 
 # --- cutting ---------------------------------------------------------------
 
 
 @_check("cutting.order_independence")
-def check_cut_order_independence(max_n: int, rng) -> int:
+def check_cut_order_independence(max_n: int, rng):
     """Cutting the arcs one at a time in any top-down order gives the
     piece of the default order, whose base is the simultaneous cut_set;
     labeled_cut refuses an order that cuts an arc after one nested below
     it.  Every order of up to three arcs is tried; above that, six random
     top-down orders.
     """
-    count = 0
     for jt, m in _cells(max_n):
         above = {a: ancestors(m, a)[1:] for a in m.arcs}
         for combo in arc_subsets(m.arcs):
             piece = labeled_cut(m, combo, jt)
             if piece.base.arcs != cut_set(m, combo, jt).arcs:
-                raise _Failed(count, f"cut_set: {m.arcs} {combo}")
+                raise _Failed(f"cut_set: {m.arcs} {combo}")
             default = contravariant_order(m, combo)
             if len(combo) <= 3:
                 orders = itertools.permutations(combo)
@@ -416,7 +402,7 @@ def check_cut_order_independence(max_n: int, rng) -> int:
                 depth = functools.partial(nesting_depth, m)
                 orders = [sorted(rng.sample(combo, len(combo)), key=depth) for _ in range(6)]
             for order in map(list, orders):
-                count += 1
+                yield
                 if order == default:
                     continue  # that is piece
                 top_down = not any(
@@ -428,102 +414,92 @@ def check_cut_order_independence(max_n: int, rng) -> int:
                     alt = None
                 if (alt is not None) != top_down:
                     verdict = "refused top-down" if top_down else "accepted bottom-up"
-                    raise _Failed(count, f"{verdict} order {order}: {m.arcs}")
+                    raise _Failed(f"{verdict} order {order}: {m.arcs}")
                 if alt is not None and (alt.base, alt.labels) != (piece.base, piece.labels):
-                    raise _Failed(count, f"order {order}: {m.arcs}")
-    return count
+                    raise _Failed(f"order {order}: {m.arcs}")
 
 
 @_check("cutting.unnesting")
-def check_unnesting(max_n: int, rng) -> int:
-    count = 0
+def check_unnesting(max_n: int, rng):
     for jt, m in _cells(max_n):
         for arc in m.arcs:
             par = parent(m, arc)
             if par is None:
                 continue
-            count += 1
+            yield
             expected = set(m.arcs) - {arc, par}
             expected |= {Arc(par.init, arc.init), Arc(arc.term, par.term)}
             if set(cut(m, arc, jt).arcs) != expected:
-                raise _Failed(count, f"{m.arcs} {arc}")
-    return count
+                raise _Failed(f"{m.arcs} {arc}")
 
 
 @_check("cutting.distinctness")
-def check_cut_distinctness(max_n: int, rng) -> int:
-    count = 0
+def check_cut_distinctness(max_n: int, rng):
     for jt, m in _cells(max_n):
         seen = {cut_set(m, combo, jt).arcs for combo in arc_subsets(m.arcs)}
-        count += 1
+        yield
         if len(seen) != 2 ** len(m.arcs):
-            raise _Failed(count, str(m.arcs))
-    return count
+            raise _Failed(str(m.arcs))
 
 
 @_check("cutting.labels")
-def check_label_properties(max_n: int, rng) -> int:
+def check_label_properties(max_n: int, rng):
     """Non-ZERO labels are exactly the uncut arcs; dimension is the number
     of uncut arcs; only a cut arc's parent repeats.
     """
-    count = 0
     for jt, m in _cells(max_n):
         for combo in arc_subsets(m.arcs):
             piece = labeled_cut(m, combo, jt)
-            count += 1
+            yield
             nonzero = [l for l in piece.labels.values() if l is not ZERO]
             if set(nonzero) != set(m.arcs) - set(combo):
-                raise _Failed(count, f"image: {m.arcs} {combo}")
+                raise _Failed(f"image: {m.arcs} {combo}")
             if piece.dimension != len(m.arcs) - len(combo):
-                raise _Failed(count, f"dimension: {m.arcs} {combo}")
+                raise _Failed(f"dimension: {m.arcs} {combo}")
             repeats = {l for l in nonzero if nonzero.count(l) > 1}
             # a label duplicates only when its arc was the parent of some
             # cut arc at cut time: an uncut ancestor of the cut
             allowed = {b for a in combo for b in ancestors(m, a)[1:] if b not in combo}
             if not repeats <= allowed:
-                raise _Failed(count, f"multiplicity: {m.arcs} {combo}")
-    return count
+                raise _Failed(f"multiplicity: {m.arcs} {combo}")
 
 
 # --- closure ---------------------------------------------------------------
 
 
 @_check("closure.swap_bijection")
-def check_swap_candidate_bijection(max_n: int, rng) -> int:
+def check_swap_candidate_bijection(max_n: int, rng):
     """The pieces' base words are the swap candidates, and no two pieces
     share a base.
     """
-    count = 0
     for jt, m in _cells(max_n):
-        count += 1
+        yield
         dec = closure_decomposition(m, jt)
         piece_words = {bt_word(dec.pieces[s].base, jt) for s in dec.subsets()}
         if piece_words != swap_candidates(m, jt):
-            raise _Failed(count, f"words: {m.arcs}")
+            raise _Failed(f"words: {m.arcs}")
         bases = [dec.pieces[s].base.arcs for s in dec.subsets()]
         if len(set(bases)) != len(bases):
-            raise _Failed(count, f"disjointness: {m.arcs}")
-    return count
+            raise _Failed(f"disjointness: {m.arcs}")
 
 
 @_check("closure.chi_compatibility")
-def check_chi_compatibility(max_n: int, rng) -> int:
+def check_chi_compatibility(max_n: int, rng):
     """Splitting at an index with no arc overhead, the end included, splits
     the word; pasting the halves' cells gives a canonical matrix, the
     whole cell's permutation at zero and the whole cell's matrix at the
     joined parameters.
     """
-    count = 0
     for jt, m in _cells(max_n):
         word = bt_word(m, jt)
         w_full = matching_permutation(m, jt).w
         template = build_template(m, jt)
         for i in valid_split_indices(m) + [m.N]:
-            count += 1
+            yield
             split = chi_split(m, jt, i)
             halves = (bt_word(split.mL, split.jtL), bt_word(split.mR, split.jtR))
             if halves != (word[:i], word[i:]):
-                raise _Failed(count, f"word: {m.arcs} i={i}")
+                raise _Failed(f"word: {m.arcs} i={i}")
             tL = build_template(split.mL, split.jtL)
             tR = build_template(split.mR, split.jtR)
             zeros = chi_embed(
@@ -532,22 +508,20 @@ def check_chi_compatibility(max_n: int, rng) -> int:
                 split,
             )
             if pivot_pattern(zeros.rows) != w_full:
-                raise _Failed(count, f"permutation: {m.arcs} i={i}")
+                raise _Failed(f"permutation: {m.arcs} i={i}")
             uL = random_params(split.mL.arcs, rng)
             uR = random_params(split.mR.arcs, rng)
             emb = chi_embed(instantiate(tL, uL), instantiate(tR, uR), split)
             if not verify_canonical(emb):
-                raise _Failed(count, f"canonical: {m.arcs} i={i}")
+                raise _Failed(f"canonical: {m.arcs} i={i}")
             u = dict(uL)
             u.update({Arc(a.init + i, a.term + i): v for a, v in uR.items()})
             if emb.rows != instantiate(template, u).rows:
-                raise _Failed(count, f"square: {m.arcs} i={i}")
-    return count
+                raise _Failed(f"square: {m.arcs} i={i}")
 
 
 @_check("closure.phi_cell_law")
-def check_phi_cell_law(max_n: int, rng) -> int:
-    count = 0
+def check_phi_cell_law(max_n: int, rng):
     for N in range(4, max_n + 1, 2):
         jt = JordanType(N // 2, N)
         inner_jt = JordanType(N // 2 - 1, N - 2)
@@ -560,30 +534,27 @@ def check_phi_cell_law(max_n: int, rng) -> int:
                     "T" + inner_word + "B" if a is INFINITY else "B" + inner_word + "T"
                 )
                 expected_w = matching_permutation(word_to_matching(expected_word), jt).w
-                count += 1
+                yield
                 if pivot_pattern(out.rows) != expected_w:
-                    raise _Failed(count, f"{inner.arcs} a={a}")
-    return count
+                    raise _Failed(f"{inner.arcs} a={a}")
 
 
 @_check("closure.certification")
-def check_certification(max_n: int, rng, targets_per_piece: int = 2) -> int:
-    count = 0
+def check_certification(max_n: int, rng, targets_per_piece: int = 2):
     for jt, m in _cells(max_n):
         for combo in arc_subsets(m.arcs):
             uncut = [a for a in m.arcs if a not in combo]
             for _ in range(targets_per_piece if combo else 1):
                 target = random_params(uncut, rng)
-                count += 1
+                yield
                 try:
                     synthesize_limit_curve(m, jt, combo, target)
                 except CurveNotFound as exc:
-                    raise _Failed(count, f"{m.arcs} {combo}: {exc}")
-    return count
+                    raise _Failed(f"{m.arcs} {combo}: {exc}")
 
 
 @_check("closure.numeric_agreement")
-def check_numeric_agreement(max_n: int, rng) -> int:
+def check_numeric_agreement(max_n: int, rng):
     """Certified curves drive the numeric oracle below the membership
     threshold at their own evaluations.
     """
@@ -591,56 +562,50 @@ def check_numeric_agreement(max_n: int, rng) -> int:
 
     from .numeric import MEMBERSHIP_THRESHOLD, curve_seed_points, numeric_infimum
 
-    count = 0
     jt = JordanType(2, 4)
     if jt.N > max_n:
-        return count
-    for m in enumerate_matchings(jt):
-        for combo in arc_subsets(m.arcs):
-            if not combo:
-                continue
-            piece = labeled_cut(m, combo, jt)
-            uncut = [a for a in m.arcs if a not in combo]
-            target = random_params(uncut, rng)
-            curve = synthesize_limit_curve(m, jt, combo, target)
-            flag = piece_matrix(piece, target)
-            value = numeric_infimum(
-                m,
-                jt,
-                flag,
-                budget=8,
-                rng=np.random.default_rng(count),
-                seeds=curve_seed_points(curve, m.arcs),
-            )
-            count += 1
-            if value >= MEMBERSHIP_THRESHOLD:
-                raise _Failed(count, f"{m.arcs} {combo}")
-    return count
+        return
+    cuts = ((m, combo) for m in enumerate_matchings(jt) for combo in arc_subsets(m.arcs) if combo)
+    for index, (m, combo) in enumerate(cuts):
+        piece = labeled_cut(m, combo, jt)
+        uncut = [a for a in m.arcs if a not in combo]
+        target = random_params(uncut, rng)
+        curve = synthesize_limit_curve(m, jt, combo, target)
+        flag = piece_matrix(piece, target)
+        value = numeric_infimum(
+            m,
+            jt,
+            flag,
+            budget=8,
+            rng=np.random.default_rng(index),
+            seeds=curve_seed_points(curve, m.arcs),
+        )
+        yield
+        if value >= MEMBERSHIP_THRESHOLD:
+            raise _Failed(f"{m.arcs} {combo}")
 
 
 @_check("closure.necessary_conditions")
-def check_necessary_condition_suite(max_n: int, rng) -> int:
+def check_necessary_condition_suite(max_n: int, rng):
     """Each piece of each cell meets its cell's closure conditions at 3 samples."""
-    count = 0
     for jt, m in _cells(min(max_n, 5)):
         dec = closure_decomposition(m, jt)
         for subset in dec.subsets():
             uncut = [a for a in m.arcs if a not in subset]
             for s in range(3):
                 g = piece_matrix(dec.pieces[subset], random_params(uncut, rng))
-                count += 1
+                yield
                 issues = flag_necessary_conditions(m, jt, g)
                 if issues:
                     where = f"cut {sorted(subset)} of {m.arcs} sample {s}"
-                    raise _Failed(count, f"{where}: {'; '.join(issues)}")
-    return count
+                    raise _Failed(f"{where}: {'; '.join(issues)}")
 
 
 # --- finite-field oracle ---------------------------------------------------
 
 
 @_check("oracle.fq_cross_check")
-def check_fq_oracle(max_n: int, rng) -> int:
+def check_fq_oracle(max_n: int, rng):
     configs = [
         (q, JordanType(n, N))
         for q in (2, 3)
@@ -653,23 +618,10 @@ def check_fq_oracle(max_n: int, rng) -> int:
         (2, JordanType(2, 6)),
         (3, JordanType(3, 6)),
     ]
-    count = 0
     for q, jt in dict.fromkeys(c for c in configs if c[1].N <= max_n):
-        count += 1
+        yield
         if not cross_check_cells(FqConfig(q, jt)).all_pass:
-            raise _Failed(count, f"q={q} {jt}")
-    return count
-
-
-def _run(check, cap: int, seed: int) -> CheckResult:
-    try:
-        return check(cap, random.Random(seed))
-    except Exception as exc:  # one broken check must not hide the others
-        frame = traceback.extract_tb(exc.__traceback__)[-1]
-        where = f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}"
-        return CheckResult(
-            check.check_id, False, 0, f"raised {type(exc).__name__}: {exc} ({where})"
-        )
+            raise _Failed(f"q={q} {jt}")
 
 
 def verify_suite(suite: str, max_n: int | None = None, seed: int = 0) -> list[CheckResult]:
@@ -677,7 +629,7 @@ def verify_suite(suite: str, max_n: int | None = None, seed: int = 0) -> list[Ch
         raise ValueError(f"unknown suite {suite!r}; options: {sorted(SUITES)} or all")
     names = list(SUITES) if suite == "all" else [suite]
     results = [
-        _run(check, max_n if max_n is not None else DEFAULT_MAX_N[name], seed)
+        check(max_n if max_n is not None else DEFAULT_MAX_N[name], random.Random(seed))
         for name in names
         for check in SUITES[name]
     ]

@@ -184,6 +184,23 @@ def test_cut_command():
     assert payload["labels"] == {"(1,2)": "(1,4)", "(3,4)": "(1,4)"}
 
 
+def test_more_than_26_arcs_keep_distinct_letters():
+    matching = "".join(f"({2 * i + 1},{2 * i + 2})" for i in range(27))
+    base = ["--matching", matching, "--n", "27"]
+    for fmt in ("table", "json", "latex"):
+        code, out, _ = invoke(["cell", *base, "--format", fmt])
+        assert code == 0, fmt
+        if fmt == "table":
+            letters = [line.split()[1] for line in out.splitlines() if "variable" in line]
+        if fmt == "latex":
+            entries = [e.strip(" \\") for line in out.splitlines()[1:-1] for e in line.split("&")]
+            assert sorted(set(entries) - {"0", "1"}) == sorted(letters)
+    assert letters[:3] == ["a", "b", "c"] and len(set(letters)) == 27
+    code, out, _ = invoke(["cut", *base, "--arcs", "(1,2)", "--labels"])
+    assert code == 0
+    assert out.splitlines()[2].endswith(f"(51,52)↦z, (53,54)↦{letters[26]}")
+
+
 def test_closure_dot_mirrors_four_pieces():
     code, out, _ = invoke(["closure", "--matching", "(1,4)(2,3)", "--n", "2", "--dot", "-"])
     assert code == 0

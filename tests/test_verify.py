@@ -3,6 +3,8 @@ test suite calls every check.
 """
 
 import ast
+import inspect
+import itertools
 import random
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from springer_cells.verify import (
     check_pivot_blocks_increase,
     check_swap_candidate_bijection,
     check_template_support,
+    check_unnesting,
 )
 
 # checks that no other test calls, each at a small cap
@@ -54,6 +57,11 @@ def test_suites_come_from_check_ids():
     assert list(SUITES) == list(DEFAULT_MAX_N)
     for suite, checks in SUITES.items():
         assert checks and all(check.check_id.startswith(f"{suite}.") for check in checks)
+
+
+def test_every_check_body_yields_its_instances():
+    bodies = [check.__wrapped__ for checks in SUITES.values() for check in checks]
+    assert [body.__name__ for body in bodies if not inspect.isgeneratorfunction(body)] == []
 
 
 def _wrong_bottom_row(g, i):
@@ -93,6 +101,27 @@ def test_failing_check_keeps_its_id(monkeypatch, check, name, fake, detail):
     assert passing.passed and not failing.passed
     assert failing.check_id == passing.check_id == check.check_id
     assert failing.detail.startswith(detail)
+
+
+def test_failure_count_includes_the_instances_before_it(monkeypatch):
+    jt, m = list(itertools.islice(verify._cells(4), 3))[-1]
+    real = verify.swap_candidates
+    monkeypatch.setattr(
+        verify, "swap_candidates", lambda m2, jt2: set() if (m2, jt2) == (m, jt) else real(m2, jt2)
+    )
+    result = check_swap_candidate_bijection(4, random.Random(0))
+    assert (result.passed, result.count, result.detail) == (False, 3, f"words: {m.arcs}")
+
+
+def test_a_check_that_raises_returns_a_failed_result(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "cut", broken)
+    result = check_unnesting(4, random.Random(0))
+    assert (result.check_id, result.passed, result.count) == ("cutting.unnesting", False, 0)
+    assert result.detail.startswith("raised RuntimeError: boom (test_verify.py:")
+    assert result.detail.endswith(" in broken)")
 
 
 def test_certification_check_reports_an_unverified_curve(monkeypatch):
