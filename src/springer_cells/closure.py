@@ -12,16 +12,20 @@ back this up:
 * a numeric infimum oracle (see ``numeric``) that minimizes a projector
   distance to the target flag.
 
-Curves are synthesized recursively.  When the matching has an index with no
-arc over it, the flag splits into two independent blocks and the curves
-concatenate.  When the outermost arc spans everything, the flag fibers over
-the line V_1; a finite first coordinate freezes that arc's variable and the
-rest recurses, while cutting the outermost arc sends V_1 to its limit line,
-which twists the inner coordinates by an explicit polynomial frame change;
-the twisted columns are built over Z[t] and brought to canonical form
-fraction-free (``exact.integer_canonical_columns``), the coordinates are
-read back over Q[t], and a twist with no polynomial coordinates gives no
-curve.
+Curves are synthesized recursively from the target point, the canonical
+matrix of the piece at the target, which is built once; no level reads a
+label.  With no arc cut, the curve is constant at the point's slot
+entries.  When the matching has an index with no arc over it, the point is
+``chi_embed`` of two blocks, each recursed on alone, and the curves
+concatenate.  When the outermost arc spans everything, the point is
+``phi_embed`` of an inner point over the line V_1: a finite value of that
+arc, read from the top-left entry, freezes its variable once the shear is
+undone, and the inner point recurses; cutting the outermost arc sends V_1
+to its limit line, which twists the inner coordinates by an explicit
+polynomial frame change.  The twisted columns are built over Z[t] and
+brought to canonical form fraction-free
+(``exact.integer_canonical_columns``), the coordinates are read back over
+Q[t], and a twist with no polynomial coordinates gives no curve.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from itertools import zip_longest
 from math import lcm
 
 from .cells import FlagMatrix, apply_nilpotent, build_template, instantiate, prefix_span_basis
-from .cutting import LabeledPiece, ZERO, arc_subsets, labeled_cut, piece_matrix, swap_letters
+from .cutting import LabeledPiece, arc_subsets, labeled_cut, piece_matrix, swap_letters
 from .errors import (
     CurveNotFound,
     DimensionMismatch,
@@ -438,103 +442,54 @@ def _add_into(vec: dict[int, list[int]], row: int, p: list[int]) -> None:
         vec[row] = q
 
 
-def _extract_inner_target(
-    outer_piece: LabeledPiece,
-    target: Mapping[Arc, Fraction],
-    inner_piece: LabeledPiece,
-) -> dict[Arc, Fraction] | None:
-    """Inner label values whose embedded piece point is the outer target.
-
-    The outer piece point is a flag over the line V_1 in the kernel; undoing
-    the shear by the outer arc's value (or stripping the border blocks when
-    that arc is cut) exposes the inner piece matrix, and the inner label
-    values are read off its variable slots.  Returns None when the outer
-    point does not have the embedded shape, which fails the synthesis
-    loudly rather than guessing.
-    """
-    N = outer_piece.jt.N
-    outer = Arc(1, N)
-    outer_cut = outer in outer_piece.cut_arcs
-    rows = list(piece_matrix(outer_piece, target).rows)
-    if not outer_cut:
-        # undo the shear by the outer arc's value, then recanonicalize
-        _shear(rows, -target[outer])
-        try:
-            rows = canonical_reduce(mat_from_rows(rows))
-        except Singular:
-            return None
-    first, last, inner_row_ids = _phi_frame(N, outer_cut)
-    for r in range(N):
-        want_first = QQ.one if r == first else QQ.zero
-        want_last = QQ.one if r == last else QQ.zero
-        if rows[r][0] != want_first or rows[r][N - 1] != want_last:
-            return None
-    if any(rows[first][1 : N - 1]) or any(rows[last][1 : N - 1]):
-        return None
-    inner_rows = mat_from_rows([rows[r][1 : N - 1] for r in inner_row_ids])
-    template = build_template(inner_piece.base, inner_piece.jt)
-    values: dict[Arc, Fraction] = {}
-    for gamma in inner_piece.base.arcs:
-        lab = inner_piece.labels[gamma]
-        val = inner_rows[template.top_offset[gamma]][gamma.init - 1]
-        if lab is ZERO:
-            if val:
-                return None
-        elif lab in values:
-            if values[lab] != val:
-                return None
-        else:
-            values[lab] = val
-    uncut_inner = {a for a in inner_piece.origin.arcs if a not in inner_piece.cut_arcs}
-    if set(values) != uncut_inner:
-        return None
-    if piece_matrix(inner_piece, values).rows != inner_rows:
-        return None
-    return values
-
-
 def _synthesize(
     m: Matching,
     jt: JordanType,
     cut_arcs: frozenset[Arc],
-    target: Mapping[Arc, Fraction],
+    point: Sequence[Sequence],
 ) -> dict[Arc, Poly]:
-    """The curve of synthesize_limit_curve, before it is verified."""
+    """The curve of synthesize_limit_curve, before it is verified; point is
+    the canonical matrix, as rows, of the piece at the target.
+    """
     if not cut_arcs:
-        return {a: Poly.const(target[a]) for a in m.arcs}
+        top_offset = build_template(m, jt).top_offset
+        return {a: Poly.const(point[top_offset[a]][a.init - 1]) for a in m.arcs}
     splits = valid_split_indices(m)
     if splits:
+        # the point is chi_embed of its two blocks
         i = splits[0]
         split = chi_split(m, jt, i)
+        n, nL = jt.n, split.jtL.n
+        left_rows = [*point[:nL], *point[n : n + i - nL]]
+        right_rows = [*point[nL:n], *point[n + i - nL :]]
         left_cut = frozenset(a for a in cut_arcs if a.term <= i)
         right_cut = frozenset(_shift_arc(a, -i) for a in cut_arcs if a.init > i)
-        left_target = {a: v for a, v in target.items() if a.term <= i}
-        right_target = {_shift_arc(a, -i): v for a, v in target.items() if a.init > i}
-        left = _synthesize(split.mL, split.jtL, left_cut, left_target)
-        right = _synthesize(split.mR, split.jtR, right_cut, right_target)
+        left = _synthesize(split.mL, split.jtL, left_cut, [r[:i] for r in left_rows])
+        right = _synthesize(split.mR, split.jtR, right_cut, [r[i:] for r in right_rows])
         out = dict(left)
         out.update({_shift_arc(a, i): p for a, p in right.items()})
         return out
-    # no split: the arc (1, N) is present and the matching is perfect
+    # no split: the arc (1, N) is present and the matching is perfect, and
+    # the point is phi_embed of an inner point at the outer arc's value
     outer = Arc(1, m.N)
     assert outer in m, "a matching without split indices carries the full arc"
     inner_m = _inner_matching(m)
     inner_jt = JordanType(jt.n - 1, jt.N - 2)
     inner_cut = frozenset(_shift_arc(a, -1) for a in cut_arcs if a != outer)
-    inner_piece = labeled_cut(inner_m, inner_cut, inner_jt)
-    inner_target = _extract_inner_target(labeled_cut(m, cut_arcs, jt), target, inner_piece)
-    if inner_target is None:
-        raise CurveNotFound(
-            f"outer target is not an embedded inner point for {m.arcs}"
-            f" cutting {sorted(cut_arcs)}"
-        )
-    inner = _synthesize(inner_m, inner_jt, inner_cut, inner_target)
-    if outer not in cut_arcs:
-        out = {outer: Poly.const(target[outer])}
+    outer_cut = outer in cut_arcs
+    if not outer_cut:
+        value = point[0][0]
+        rows = list(point)
+        _shear(rows, -value)
+        point = canonical_reduce(mat_from_rows(rows))
+    _, _, inner_rows = _phi_frame(m.N, outer_cut)
+    inner = _synthesize(inner_m, inner_jt, inner_cut, [point[r][1:-1] for r in inner_rows])
+    if not outer_cut:
+        out = {outer: Poly.const(value)}
         out.update({_shift_arc(a, 1): p for a, p in inner.items()})
         return out
     twisted = _twisted_inner_coords(inner_m, inner_jt, inner)
-    zeros = [a for a in inner_target if not inner[a]]
+    zeros = [a for a in inner_m.arcs if a not in inner_cut and not inner[a]]
     if twisted is None and zeros:
         # the frame change scales the inner coordinates by -t^2, so an arc
         # held at 0 can stay 0 and leave the inner cell; approaching 0
@@ -557,8 +512,6 @@ def synthesize_limit_curve(
 ) -> dict[Arc, Poly]:
     """A polynomial curve in the cell of m whose flag limit is the piece
     cut(cell, A) at the target values, certified by verify_limit_curve.
-    Each piece the recursion reads comes from the memo of labeled_cut, so
-    a piece that a closure decomposition has read is not cut again.
 
     Raises CurveNotFound when the recursive construction gives no curve or
     a curve that does not verify; the failure is surfaced, never silently
@@ -573,8 +526,9 @@ def synthesize_limit_curve(
     if missing:
         raise MissingParameter(f"no target value for {missing}")
     target = {a: QQ.of(target[a]) for a in uncut}
-    curve = _synthesize(m, jt, cut_set_, target)
-    if not verify_limit_curve(m, jt, curve, labeled_cut(m, cut_set_, jt), target):
+    piece = labeled_cut(m, cut_set_, jt)
+    curve = _synthesize(m, jt, cut_set_, piece_matrix(piece, target).rows)
+    if not verify_limit_curve(m, jt, curve, piece, target):
         raise CurveNotFound(
             f"no certified curve for {m.arcs} cutting {sorted(cut_set_)} at {target}"
         )

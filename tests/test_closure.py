@@ -21,7 +21,7 @@ from springer_cells.closure import (
     verify_limit_curve,
 )
 from springer_cells.cutting import ZERO, arc_subsets, labeled_cut, piece_matrix
-from springer_cells.errors import InvalidSplitIndex, NotDivisible, OddN, Singular, TooManyArcs
+from springer_cells.errors import CurveNotFound, InvalidSplitIndex, NotDivisible, OddN, Singular, TooManyArcs
 from springer_cells.exact import POLY_RING, Poly, canonical_reduce, mat_from_cols, mat_from_rows
 from springer_cells.matchings import (
     Arc,
@@ -171,8 +171,8 @@ def test_synthesis_cuts_each_piece_once(cut_calls):
     cut = [Arc(1, 8), Arc(4, 5)]
     target = {Arc(2, 7): Fraction(2), Arc(3, 6): Fraction(-1, 3)}
     synthesize_limit_curve(nested8, JordanType(4, 8), cut, target)
-    # the outer piece once, then the inner piece of each of the four levels
-    assert len(cut_calls) == len(set(cut_calls)) == 5
+    # the piece itself, once: the recursion reads the blocks of its point
+    assert len(cut_calls) == 1
 
 
 def test_swap_candidates_examples():
@@ -404,6 +404,81 @@ def test_certification_at_coincident_targets():
         assert verify_limit_curve(m, jt, curve, labeled_cut(m, cut_arcs, jt), target)
 
 
+def _read_labels(piece, g):
+    """The label values of the piece at the point g, read off the slots of
+    its base template; None when two slots of one label disagree or a ZERO
+    slot is not 0.
+    """
+    top_offset = build_template(piece.base, piece.jt).top_offset
+    values = {}
+    for arc, lab in piece.labels.items():
+        value = g.rows[top_offset[arc]][arc.init - 1]
+        if (lab is ZERO and value) or values.setdefault(lab, value) != value:
+            return None
+    values.pop(ZERO, None)
+    return values
+
+
+def test_piece_points_are_embedded_block_points_up_to_eight():
+    """What the synthesis reads off a piece point, for every piece of every
+    cell with N <= 8 at a seeded target and at all-0, all-1 and all--3
+    targets: at the first split index the point is chi_embed of the points
+    of the two block pieces at their shares of the target; with no split
+    index it is phi_embed, at the outer arc's value point[0][0] (INFINITY
+    when that arc is cut), of the inner piece at the label values read off
+    the point once the shear is undone.
+    """
+    rng = random.Random(19)
+    for N, n in ((N, n) for N in range(2, 9) for n in range(1, N)):
+        jt = JordanType(n, N)
+        for m in enumerate_matchings(jt):
+            splits = closure.valid_split_indices(m)
+            for cut_arcs, piece in closure_decomposition(m, jt).pieces.items():
+                uncut = [a for a in m.arcs if a not in cut_arcs]
+                targets = [random_params(uncut, rng)] + [{a: Fraction(v) for a in uncut} for v in (0, 1, -3)]
+                for target in targets:
+                    point = piece_matrix(piece, target)
+                    if splits:
+                        split = chi_split(m, jt, splits[0])
+                        i = split.i
+                        left = labeled_cut(split.mL, [a for a in cut_arcs if a.term <= i], split.jtL)
+                        right = labeled_cut(
+                            split.mR, [Arc(a.init - i, a.term - i) for a in cut_arcs if a.init > i], split.jtR
+                        )
+                        gL = piece_matrix(left, {a: v for a, v in target.items() if a.term <= i})
+                        gR = piece_matrix(right, {Arc(a.init - i, a.term - i): v for a, v in target.items() if a.init > i})
+                        assert chi_embed(gL, gR, split) == point
+                        continue
+                    outer = Arc(1, N)
+                    inner_m = closure._inner_matching(m)
+                    inner_jt = JordanType(n - 1, N - 2)
+                    inner_cut = [Arc(a.init - 1, a.term - 1) for a in cut_arcs if a != outer]
+                    inner_piece = labeled_cut(inner_m, inner_cut, inner_jt)
+                    a = INFINITY if outer in cut_arcs else point.rows[0][0]
+                    assert a is INFINITY or a == target[outer]
+                    rows = list(point.rows)
+                    if a is not INFINITY:
+                        closure._shear(rows, -a)
+                        rows = canonical_reduce(mat_from_rows(rows))
+                    _, _, inner_rows = closure._phi_frame(N, a is INFINITY)
+                    inner = FlagMatrix(mat_from_rows([rows[r][1:-1] for r in inner_rows]))
+                    values = _read_labels(inner_piece, inner)
+                    assert values is not None and piece_matrix(inner_piece, values) == inner
+                    assert phi_embed(a, inner, jt) == point
+
+
+def test_a_wrong_inner_point_fails_loudly(monkeypatch):
+    """With the shear left in place, the inner point handed down is not the
+    inner piece's: synthesis raises CurveNotFound and returns no curve.
+    """
+    m = matching(6, [(1, 6), (2, 5), (3, 4)])
+    target = {Arc(1, 6): Fraction(2), Arc(3, 4): Fraction(5, 3)}
+    assert synthesize_limit_curve(m, JordanType(3, 6), [Arc(2, 5)], target)
+    monkeypatch.setattr(closure, "_shear", lambda rows, a: None)
+    with pytest.raises(CurveNotFound):
+        synthesize_limit_curve(m, JordanType(3, 6), [Arc(2, 5)], target)
+
+
 def _twisted_by_poly_matrix(inner_m, inner_jt, inner_curve, germs=()):
     """The frame change over Q[t], as a reference: the twisted matrix of
     Poly entries reduced by ``canonical_reduce``, and the coordinates read
@@ -441,10 +516,11 @@ def test_frame_change_agrees_with_the_poly_matrix_route(monkeypatch):
     gives the coordinates, or the None, of the route over Q[t].
 
     Synthesis splits a cell with a split index into blocks and hands each
-    its share of the target, so at a constant target it reaches the frame
-    changes of cells with no split index at that constant: those cells take
-    the constant targets, every cell takes the seeded one.  The curves come
-    from ``closure._synthesize``, the one synthesize_limit_curve verifies.
+    its block of the piece point, so at a constant target it reaches the
+    frame changes of cells with no split index at that constant: those
+    cells take the constant targets, every cell takes the seeded one.  The
+    curves come from ``closure._synthesize``, the one synthesize_limit_curve
+    verifies, at the piece point synthesize_limit_curve builds.
     """
     calls = {}
     frame_change = closure._twisted_inner_coords
@@ -465,8 +541,9 @@ def test_frame_change_agrees_with_the_poly_matrix_route(monkeypatch):
                 uncut = [a for a in m.arcs if a not in cut_arcs]
                 targets = [random_params(uncut, rng)]
                 targets += [{a: Fraction(v) for a in uncut} for v in constants]
+                piece = labeled_cut(m, cut_arcs, jt)
                 for target in targets:
-                    closure._synthesize(m, jt, cut_arcs, target)
+                    closure._synthesize(m, jt, cut_arcs, piece_matrix(piece, target).rows)
     for (inner_m, inner_jt, _, germs), (inner_curve, out) in calls.items():
         expected = _twisted_by_poly_matrix(inner_m, inner_jt, inner_curve, germs)
         assert out == expected and (out is None or list(out) == list(expected))
