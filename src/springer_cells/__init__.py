@@ -52,7 +52,6 @@ from .exact import (
     QQ,
     canonical_reduce,
     in_span,
-    limit_flag,
 )
 from .fqoracle import FqConfig, cross_check_cells, enumerate_springer_flags
 from .matchings import (

@@ -230,7 +230,7 @@ def cmd_limit(args, parser) -> int:
     rng = random.Random(args.seed)
     for a in m.arcs:
         if a not in target and a not in arcs:
-            target[a] = textio.parse_scalar(str(rng.randint(1, 5)))
+            target[a] = rng.randint(1, 5)
     try:
         curve = synthesize_limit_curve(m, jt, arcs, target)
     except SpringerCellsError as exc:

@@ -16,21 +16,23 @@ Curves are synthesized recursively from the target point, the canonical
 matrix of the piece at the target, which is built once; no level reads a
 label.  With no arc cut, the curve is constant at the point's slot
 entries.  When the matching has an index with no arc over it, the point is
-``chi_embed`` of two blocks, each recursed on alone, and the curves
-concatenate.  When the outermost arc spans everything, the point is
-``phi_embed`` of an inner point over the line V_1: a finite value of that
-arc, read from the top-left entry, freezes its variable once the shear is
-undone, and the inner point recurses; cutting the outermost arc sends V_1
-to its limit line, which twists the inner coordinates by an explicit
-polynomial frame change.  The twisted columns are built over Z[t] and
-brought to canonical form fraction-free
-(``exact.integer_canonical_columns``), the coordinates are read back over
-Q[t], and a twist with no polynomial coordinates gives no curve.
+``chi_embed`` of two blocks, sliced by ``_chi_frame`` and recursed on
+alone, and the curves concatenate.  When the outermost arc spans
+everything, the point is ``phi_embed`` of an inner point over the line
+V_1, in the rows of ``_phi_frame``: a finite value of that arc, read from
+the top-left entry, freezes its variable once the shear is undone, and
+the inner point recurses unreduced, exact except right of top-block
+pivots, where nothing reads; cutting the outermost arc sends V_1 to its
+limit line, which twists the inner coordinates by a polynomial frame
+change.  The twisted columns are built over Z[t] and brought to
+canonical form fraction-free (``exact.integer_canonical_columns``), the
+coordinates are read back over Q[t], and a twist with no polynomial
+coordinates gives no curve.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -231,6 +233,15 @@ def frozen_prefix(word: str, n: int, i: int) -> tuple[int, ...]:
     return (*range(1, t + 1), *range(n + 1, n + i - t + 1))
 
 
+def _shift_arc(a: Arc, offset: int) -> Arc:
+    return Arc(a.init + offset, a.term + offset)
+
+
+def _halves(arcs: Collection[Arc], i: int) -> tuple[tuple[Arc, ...], tuple[Arc, ...]]:
+    """The arcs left of a split index i, and those right of it shifted by -i."""
+    return tuple(a for a in arcs if a.term <= i), tuple(_shift_arc(a, -i) for a in arcs if a.init > i)
+
+
 def chi_split(m: Matching, jt: JordanType, i: int) -> SplitData:
     if not (1 <= i <= m.N):
         raise InvalidSplitIndex(f"index {i} outside 1..{m.N}")
@@ -238,8 +249,7 @@ def chi_split(m: Matching, jt: JordanType, i: int) -> SplitData:
         raise InvalidSplitIndex(f"an arc spans index {i}")
     word = bt_word(m, jt)
     t = word[:i].count(T)
-    left = tuple(a for a in m.arcs if a.term <= i)
-    right = tuple(Arc(a.init - i, a.term - i) for a in m.arcs if a.init > i)
+    left, right = _halves(m.arcs, i)
     return SplitData(
         i,
         Matching(i, left),
@@ -249,30 +259,29 @@ def chi_split(m: Matching, jt: JordanType, i: int) -> SplitData:
     )
 
 
-def chi_embed(gL: FlagMatrix, gR: FlagMatrix, split: SplitData) -> FlagMatrix:
-    """Interleave two flags into the block flag: top rows of the left flag,
-    then top rows of the right, then the bottom rows of each.  Canonical
-    inputs give a canonical output.
+def _chi_frame(split: SplitData) -> tuple[list[int], list[int]]:
+    """Where chi_embed puts the left and the right flag, as 0-based rows:
+    the top rows of each, in turn, lead the top block, and so on below.
     """
-    i, nL = split.i, split.jtL.n
+    i, nL, n = split.i, split.jtL.n, split.jtL.n + split.jtR.n
+    return [*range(nL), *range(n, n + i - nL)], [*range(nL, n), *range(n + i - nL, i + split.mR.N)]
+
+
+def chi_embed(gL: FlagMatrix, gR: FlagMatrix, split: SplitData) -> FlagMatrix:
+    """Interleave two flags into the block flag whose rows ``_chi_frame``
+    gives: the left flag in the first i columns, the right in the rest.
+    Canonical inputs give a canonical output.
+    """
+    i = split.i
     if gL.N != i or gR.N != split.mR.N:
-        raise DimensionMismatch(
-            f"expected sizes {i} and {split.mR.N}, got {gL.N} and {gR.N}"
-        )
+        raise DimensionMismatch(f"expected sizes {i} and {split.mR.N}, got {gL.N} and {gR.N}")
     N = i + gR.N
-    n = split.jtL.n + split.jtR.n
-    b = i - nL
     rows = [[QQ.zero] * N for _ in range(N)]
-
-    def paste(src: FlagMatrix, src_rows: range, dst_row: int, dst_col: int):
-        for offset, r in enumerate(src_rows):
-            for c in range(src.N):
-                rows[dst_row + offset][dst_col + c] = src.rows[r][c]
-
-    paste(gL, range(0, nL), 0, 0)
-    paste(gR, range(0, split.jtR.n), nL, i)
-    paste(gL, range(nL, i), n, 0)
-    paste(gR, range(split.jtR.n, gR.N), n + b, i)
+    left_rows, right_rows = _chi_frame(split)
+    for r, src in zip(left_rows, gL.rows):
+        rows[r][:i] = src
+    for r, src in zip(right_rows, gR.rows):
+        rows[r][i:] = src
     return FlagMatrix(mat_from_rows(rows))
 
 
@@ -353,10 +362,6 @@ def verify_limit_curve(
         if integer_residual(integer_vector(col), limit):
             return False
     return True
-
-
-def _shift_arc(a: Arc, offset: int) -> Arc:
-    return Arc(a.init + offset, a.term + offset)
 
 
 def _inner_matching(m: Matching) -> Matching:
@@ -449,26 +454,21 @@ def _synthesize(
     point: Sequence[Sequence],
 ) -> dict[Arc, Poly]:
     """The curve of synthesize_limit_curve, before it is verified; point is
-    the canonical matrix, as rows, of the piece at the target.
+    the matrix, as rows, of the piece at the target, read only through the
+    frames of the embeddings and exact except right of top-block pivots.
     """
     if not cut_arcs:
         top_offset = build_template(m, jt).top_offset
         return {a: Poly.const(point[top_offset[a]][a.init - 1]) for a in m.arcs}
     splits = valid_split_indices(m)
     if splits:
-        # the point is chi_embed of its two blocks
-        i = splits[0]
-        split = chi_split(m, jt, i)
-        n, nL = jt.n, split.jtL.n
-        left_rows = [*point[:nL], *point[n : n + i - nL]]
-        right_rows = [*point[nL:n], *point[n + i - nL :]]
-        left_cut = frozenset(a for a in cut_arcs if a.term <= i)
-        right_cut = frozenset(_shift_arc(a, -i) for a in cut_arcs if a.init > i)
-        left = _synthesize(split.mL, split.jtL, left_cut, [r[:i] for r in left_rows])
-        right = _synthesize(split.mR, split.jtR, right_cut, [r[i:] for r in right_rows])
-        out = dict(left)
-        out.update({_shift_arc(a, i): p for a, p in right.items()})
-        return out
+        split = chi_split(m, jt, splits[0])
+        i = split.i
+        left_rows, right_rows = _chi_frame(split)
+        left_cut, right_cut = map(frozenset, _halves(cut_arcs, i))
+        left = _synthesize(split.mL, split.jtL, left_cut, [point[r][:i] for r in left_rows])
+        right = _synthesize(split.mR, split.jtR, right_cut, [point[r][i:] for r in right_rows])
+        return {**left, **{_shift_arc(a, i): p for a, p in right.items()}}
     # no split: the arc (1, N) is present and the matching is perfect, and
     # the point is phi_embed of an inner point at the outer arc's value
     outer = Arc(1, m.N)
@@ -478,10 +478,15 @@ def _synthesize(
     inner_cut = frozenset(_shift_arc(a, -1) for a in cut_arcs if a != outer)
     outer_cut = outer in cut_arcs
     if not outer_cut:
+        # no elimination: a column with a top-block pivot holds no slot (the
+        # letter B puts an arc start's pivot below), so it is a unit vector;
+        # the shear moves no pivot, so phi_embed's reduce only zeroed
+        # entries right of a top pivot in its row.  No read reaches them: a
+        # leaf reads slots, phi column 0, a shear bottom rows, and a chi
+        # slice drops such an entry or keeps it right of the same pivot.
         value = point[0][0]
-        rows = list(point)
-        _shear(rows, -value)
-        point = canonical_reduce(mat_from_rows(rows))
+        point = list(point)
+        _shear(point, -value)
     _, _, inner_rows = _phi_frame(m.N, outer_cut)
     inner = _synthesize(inner_m, inner_jt, inner_cut, [point[r][1:-1] for r in inner_rows])
     if not outer_cut:

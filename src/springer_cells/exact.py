@@ -5,12 +5,12 @@ arithmetic: they support ``+ - * == /`` and are falsy exactly at zero, so
 every algorithm that only reads or combines entries is generic without
 being told the ring.  An entry of Q is an ``int`` when the library builds
 it integral (``QQ.zero``, ``QQ.one``, ``QQ.of``, ``sampling``) and a
-``fractions.Fraction`` otherwise; results of Fraction arithmetic,
-``Poly.coeff`` and ``limit_flag`` stay Fractions, and ``str`` prints both
-alike.  Since ``int / int`` is a float, a division of Q entries first
-makes one operand a Fraction, as ``SpanBasis.add`` does with an ``int``
-pivot.  ``GFElement`` and ``Poly`` are the entries of F_q and Q[t], where
-``/`` is exact division and raises ``NotDivisible`` on a remainder.  The p
+``fractions.Fraction`` otherwise; results of Fraction arithmetic and
+``Poly.coeff`` stay Fractions, and ``str`` prints both alike.  Since
+``int / int`` is a float, a division of Q entries first makes one operand
+a Fraction, as ``SpanBasis.add`` does with an ``int`` pivot.
+``GFElement`` and ``Poly`` are the entries of F_q and Q[t], where ``/`` is
+exact division and raises ``NotDivisible`` on a remainder.  The p
 elements of F_p are interned: ``GFElement(v, p)`` reduces v mod p and
 returns the one instance of that residue, so equality and hashing are
 identity, and arithmetic looks its result up in the field's table instead
@@ -40,11 +40,10 @@ polynomial columns, read off by column reduction at t = oo: each column
 is cleared of denominators, pivots are cleared by coprime integer
 combinations, and a finished column is divided by the gcd of its entries.
 ``integer_residual`` tests a cleared rational vector (``integer_vector``)
-against such vectors, and ``limit_flag`` gives them as Fractions with
-pivot 1.  ``integer_canonical_columns``, the frame change of limit-curve
-synthesis, gives the canonical coset form over Q[t] of columns over Z[t]
-as integer vectors with integer pivots, so Fractions appear only when a
-coordinate is read back.
+against such vectors.  ``integer_canonical_columns``, the frame change of
+limit-curve synthesis, gives the canonical coset form over Q[t] of
+columns over Z[t] as integer vectors with integer pivots, so Fractions
+appear only when a coordinate is read back.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from math import gcd, lcm
 from .errors import DimensionMismatch, NotDivisible, Singular
 
 NEG_INFINITY = float("-inf")
-#: The zero that Poly coefficient reads and limit_flag padding share.
+#: The zero that Poly coefficient reads and exact evaluation share.
 _ZERO = Fraction(0)
 
 
@@ -556,24 +555,6 @@ def limit_vectors(cols: Sequence[Sequence[Poly]]) -> Iterator[tuple[int, dict[in
             v = [{row: x // g for row, x in vk.items()} for vk in v]
         reduced[piv] = v
         yield piv, v[0]
-
-
-def limit_flag(cols: Sequence[Sequence[Poly]]) -> list[tuple[Fraction, ...]]:
-    """Vectors b_1, b_2, ... over Q with span(b_1..b_i) the limit as t -> oo
-    of the span of the first i polynomial columns: the vectors of
-    ``limit_vectors``, each divided by its pivot entry, so every b_i has a 1
-    at its first nonzero row.  Raises Singular when the columns are
-    dependent over Q(t).
-    """
-    n = len(cols[0]) if cols else 0
-    flag = []
-    for piv, b in limit_vectors(cols):
-        lead = b[piv]
-        vec = [_ZERO] * n
-        for row, x in b.items():
-            vec[row] = Fraction(x, lead)
-        flag.append(tuple(vec))
-    return flag
 
 
 def _mul_sub(a: Sequence[int], k: int, c: Sequence[int], b: Sequence[int]) -> list[int]:

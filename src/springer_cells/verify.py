@@ -58,7 +58,7 @@ from .exact import (
     Poly,
     SpanBasis,
     canonical_reduce,
-    limit_flag,
+    limit_vectors,
     pivot_pattern,
     rank,
 )
@@ -370,8 +370,9 @@ def check_leading_direction_numeric(max_n: int, rng):
         cols = instantiate(template, curve, POLY_RING).cols()
         limit = SpanBasis()
         ortho = []  # orthogonal basis of the first i columns at t
-        for i, (b, col) in enumerate(zip(limit_flag(cols), cols), start=1):
+        for i, ((_, sparse), col) in enumerate(zip(limit_vectors(cols), cols), start=1):
             yield
+            b = [sparse.get(row, 0) for row in range(len(col))]
             ortho.append(_orthogonal_residual([p(t) for p in col], ortho))
             res = _orthogonal_residual(b, ortho)
             if not limit.add(b) or _dot(res, res) * 10**12 >= _dot(b, b):

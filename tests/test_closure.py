@@ -22,7 +22,7 @@ from springer_cells.closure import (
 )
 from springer_cells.cutting import ZERO, arc_subsets, labeled_cut, piece_matrix
 from springer_cells.errors import CurveNotFound, InvalidSplitIndex, NotDivisible, OddN, Singular, TooManyArcs
-from springer_cells.exact import POLY_RING, Poly, canonical_reduce, mat_from_cols, mat_from_rows
+from springer_cells.exact import POLY_RING, Poly, canonical_reduce, mat_from_cols, mat_from_rows, pivot_pattern
 from springer_cells.matchings import (
     Arc,
     JordanType,
@@ -191,6 +191,16 @@ def test_necessary_conditions_reject_excluded_word():
     flag = cell_matrix(word_to_matching("TTBB"), JT4, {})
     issues = flag_necessary_conditions(ROW4, JT4, flag)
     assert any("(1,2)" in msg for msg in issues)
+
+
+def test_necessary_conditions_report_the_shift_between_arc_ends():
+    # for (2,3) under (1,6), X^2 V_6 = span(e_1, e_4) must lie in V_3, but
+    # the nested point at 0 has V_3 = span(e_4, e_5, e_6)
+    jt = JordanType(3, 6)
+    nested = matching(6, [(1, 6), (2, 5), (3, 4)])
+    flag = cell_matrix(nested, jt, {a: 0 for a in nested.arcs})
+    issues = flag_necessary_conditions(matching(6, [(1, 6), (2, 3), (4, 5)]), jt, flag)
+    assert "arc (2,3) under (1,6): shift condition between arc ends fails" in issues
 
 
 def test_chi_split_examples():
@@ -477,6 +487,43 @@ def test_a_wrong_inner_point_fails_loudly(monkeypatch):
     monkeypatch.setattr(closure, "_shear", lambda rows, a: None)
     with pytest.raises(CurveNotFound):
         synthesize_limit_curve(m, JordanType(3, 6), [Arc(2, 5)], target)
+
+
+def _synthesis_outcome(m, jt, cut_arcs, rows):
+    """The curve closure._synthesize gives at rows, or its CurveNotFound message."""
+    try:
+        return closure._synthesize(m, jt, cut_arcs, rows)
+    except CurveNotFound as exc:
+        return str(exc)
+
+
+def test_synthesis_reads_no_entry_right_of_a_top_pivot():
+    """Undoing the shear leaves the inner point wrong only right of a pivot
+    in the top block, in that pivot's row, so synthesis must never read
+    such an entry.  For every piece of every cell with N <= 8, at a seeded
+    target and at all-0 and all-1 targets, the piece point with each such
+    entry overwritten by a seeded nonzero integer gives the same curve, or
+    the same CurveNotFound, as the point itself.
+    """
+    rng = random.Random(20)
+    syntheses = entries = 0
+    for N, n in ((N, n) for N in range(2, 9) for n in range(1, N)):
+        jt = JordanType(n, N)
+        for m in enumerate_matchings(jt):
+            for cut_arcs, piece in closure_decomposition(m, jt).pieces.items():
+                uncut = [a for a in m.arcs if a not in cut_arcs]
+                for target in [random_params(uncut, rng)] + [{a: Fraction(v) for a in uncut} for v in (0, 1)]:
+                    point = piece_matrix(piece, target).rows
+                    scribbled = [list(row) for row in point]
+                    for c, piv in enumerate(pivot_pattern(point)):
+                        if piv <= n:
+                            for right in range(c + 1, N):
+                                scribbled[piv - 1][right] = rng.choice((-3, -2, -1, 1, 2, 3))
+                                entries += 1
+                    expected = _synthesis_outcome(m, jt, cut_arcs, point)
+                    assert _synthesis_outcome(m, jt, cut_arcs, scribbled) == expected, (m, cut_arcs, target)
+                    syntheses += 1
+    assert (syntheses, entries) == (6744, 87432)
 
 
 def _twisted_by_poly_matrix(inner_m, inner_jt, inner_curve, germs=()):

@@ -39,6 +39,46 @@ def test_package_has_no_unused_imports():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def private_definitions(source: str) -> list[str]:
+    """The private functions, classes and constants a module defines at its
+    top level; dunder names are not private.
+    """
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [target.id for target in targets if isinstance(target, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def read_names(source: str) -> set[str]:
+    """Names a module reads, as a variable or as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def test_unread_private_definitions_are_found():
+    source = "_A = 1\n_b: int = 2\n__all__ = []\n\ndef _f():\n    return _A\n\nclass _C:\n    pass\n\nx = y._b\n"
+    assert private_definitions(source) == ["_A", "_b", "_f", "_C"]
+    assert {"_A", "_b"} <= read_names(source) and not {"_f", "_C"} & read_names(source)
+
+
+def test_package_reads_every_private_definition():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(read_names, sources.values()))
+    found = {
+        name: [d for d in private_definitions(source) if d not in read] for name, source in sources.items()
+    }
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 
 def _is_idempotent_test(node: ast.AST) -> bool:
     """Whether node compares some ``x * x`` with ``x``."""

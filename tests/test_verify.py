@@ -139,10 +139,12 @@ def test_leading_direction_check_needs_reduction(monkeypatch):
     # the top-degree coefficient vectors of the columns, unreduced, are
     # close to the right spans but not a flag of the right dimensions
     def top_coefficients(cols):
-        return [tuple(p.coeff(max(q.degree for q in col)) for p in col) for col in cols]
+        for col in cols:
+            top = max(q.degree for q in col)
+            yield None, {row: p.coeff(top) for row, p in enumerate(col) if p.coeff(top)}
 
     assert check_leading_direction_numeric(5, random.Random(0)).passed
-    monkeypatch.setattr(verify, "limit_flag", top_coefficients)
+    monkeypatch.setattr(verify, "limit_vectors", top_coefficients)
     assert not check_leading_direction_numeric(5, random.Random(0)).passed
 
 
