@@ -7,16 +7,18 @@ already lies in the span of the previous columns, which is exactly the
 flag-stability condition, so the procedure enumerates precisely the
 canonical matrices of Springer flags while skipping dead subtrees early.
 
-At each node the shift image of every unused basis vector is reduced
-against the prefix span once, and one elimination over those residuals,
-taken in row order, decides every candidate pivot.  A new canonical
-column (pivot 1, zero at every earlier pivot row) is its own residual, so
-it is appended to the child's span without elimination.
+The search works on residues mod p as plain ints.  A node holds, for each
+row it has not pivoted in, the residual of the shift image of that basis
+vector against the prefix span, read at those rows only (it vanishes at
+every pivot row); one elimination over them, taken in row order, decides
+every candidate pivot.  A new canonical column (pivot 1, zero at every
+earlier pivot row) reduces each residual in one step, so a child inherits
+its parent's residuals instead of reducing the images again.
 
-The oracle shares with the main path the scalars, the flag-matrix
-wrapper, the elimination ``SpanBasis`` and ``apply_nilpotent``; it never
-builds cell templates, so agreement between its buckets and the matching
-enumeration is a genuine cross-check.
+The oracle shares with the main path the scalars, the flag-matrix wrapper
+and ``apply_nilpotent``, not the elimination kernel; it never builds cell
+templates, so agreement between its buckets and the matching enumeration
+is a genuine cross-check.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 from .cells import FlagMatrix, apply_nilpotent, build_template, instantiate
 from .errors import Infeasible
-from .exact import PrimeField, SpanBasis, mat_from_cols
+from .exact import PrimeField, mat_from_cols
 from .matchings import JordanType, enumerate_matchings, matching_permutation
 
 #: Hard cap on the nominal enumeration size (canonical matrices of the
@@ -65,62 +67,58 @@ def enumerate_springer_flags(cfg: FqConfig) -> dict[tuple[int, ...], list[FlagMa
     nilpotent, bucketed by pivot pattern.
     """
     _feasible(cfg)
-    field = PrimeField(cfg.q)
-    jt = cfg.jt
-    N = jt.N
-    elements = field.elements()
+    p = cfg.q
+    N = cfg.jt.N
+    elements = PrimeField(p).elements()
     buckets: dict[tuple[int, ...], list[FlagMatrix]] = {}
 
-    def unit(i: int, size: int) -> list:
-        return [field.one if s == i else field.zero for s in range(size)]
-
-    units = [unit(r, N) for r in range(N)]
-    images = [apply_nilpotent(jt, tuple(e)) for e in units]
-    # heads[m][i]: e_i among m unknowns, the coefficient block of the system
-    heads = [[unit(i, m) for i in range(m)] for m in range(N + 1)]
-
-    def extend(cols: list[tuple], pivots: tuple[int, ...], span: SpanBasis):
-        if len(cols) == N:
+    def extend(cols: tuple, pivots: tuple[int, ...], unused: list[int], images: list[list[int]]):
+        # images[k]: the residual of X e_{unused[k]}, read at the unused rows
+        m = len(unused)
+        if not m:
             buckets.setdefault(pivots, []).append(FlagMatrix(mat_from_cols(cols)))
             return
-        used = set(pivots)
-        unused = [r for r in range(1, N + 1) if r not in used]
-        m = len(unused)
         # The new column with pivot unused[k] is e_piv + sum y_i e_{r_i}
-        # over the free rows r_i = unused[:k], and the shift image of it
-        # must fall in the prefix span: an affine condition on y.  One
-        # system serves every candidate pivot: row unused[i] enters it as
-        # (e_i | res X e_{r_i}), each image reduced against the span once.
-        system = SpanBasis()
+        # over the free rows r_i = unused[:k], and its shift image must
+        # fall in the prefix span: R_piv + sum y_i R_{r_i} = 0 for the
+        # residuals R.  One system serves every candidate pivot: row k
+        # enters it as (e_k | R_{unused[k]}), reduced by the rows before it.
+        system: list[tuple[int, list[int]]] = []
         for k, piv in enumerate(unused):
-            row = heads[m][k] + span.residual(images[piv - 1])
-            # with the free rows' rows eliminated first, y solves the
-            # condition exactly when the image part of the residual
-            # (y, 1 | res X e_piv + sum y_i res X e_{r_i}) vanishes, and the
-            # null space is spanned by the free rows' stored vectors that
-            # pivot in the unit block (this row's own pivots at k or later)
-            res = system.residual(row)
-            system.add(res)  # res is 0 at every stored pivot: its own residual
-            if any(res[m:]):
+            res = [0] * m + images[k]
+            res[k] = 1
+            for lead, vec in system:
+                if c := res[lead]:
+                    res = [(a - c * b) % p for a, b in zip(res, vec)]
+            # y solves the condition exactly when the image part of
+            # (y, 1 | R_piv + sum y_i R_{r_i}) vanishes, and the null space
+            # is spanned by the stored rows that pivot in the unit block
+            if any(res[m:]):  # no column pivots here: store the row monic
+                lead = max(i for i in range(m, 2 * m) if res[i])
+                inv = pow(res[lead], -1, p)
+                system.append((lead, [a * inv % p for a in res]))
                 continue
-            null_basis = [vec[:k] for p, vec in system.echelon if p < k]
-            for coeffs in itertools.product(elements, repeat=len(null_basis)):
+            system.append((k, res))  # its entry at k is 1
+            null_basis = [vec[:k] for lead, vec in system if lead < k]
+            for coeffs in itertools.product(range(p), repeat=len(null_basis)):
                 values = res[:k]
                 for c, nb in zip(coeffs, null_basis):
                     if c:
-                        values = [v + c * x for v, x in zip(values, nb)]
-                col = list(units[piv - 1])
+                        values = [(v + c * x) % p for v, x in zip(values, nb)]
+                col = [elements[0]] * N
+                col[piv - 1] = elements[1]
                 for r, v in zip(unused, values):
-                    col[r - 1] = v
-                col_t = tuple(col)
-                # the column is 0 at every pivot row of the span and has
-                # pivot 1, so it is its own residual: the child shares the
-                # parent's stored pairs and appends it without elimination
-                child = SpanBasis()
-                child.echelon = [*span.echelon, (piv - 1, col_t)]
-                extend(cols + [col_t], pivots + (piv,), child)
+                    col[r - 1] = elements[v]
+                # one step against the column (pivot 1, 0 at earlier pivot
+                # rows) reduces a residual to the child's span, 0 at row k
+                child = [
+                    [(a - img[k] * v) % p for a, v in zip(img, values)] + img[k + 1 :]
+                    for img in images[:k] + images[k + 1 :]
+                ]
+                extend((*cols, tuple(col)), pivots + (piv,), unused[:k] + unused[k + 1 :], child)
 
-    extend([], (), SpanBasis())
+    units = [tuple(int(r == s) for s in range(N)) for r in range(N)]
+    extend((), (), list(range(1, N + 1)), [list(apply_nilpotent(cfg.jt, e)) for e in units])
     return buckets
 
 

@@ -62,7 +62,7 @@ from .exact import (
     pivot_pattern,
     rank,
 )
-from .fqoracle import FqConfig, cross_check_cells
+from .fqoracle import MAX_NOMINAL_CANDIDATES, FqConfig, cross_check_cells, full_flag_count
 from .matchings import (
     Arc,
     JordanType,
@@ -589,7 +589,7 @@ def check_numeric_agreement(max_n: int, rng):
 @_check("closure.necessary_conditions")
 def check_necessary_condition_suite(max_n: int, rng):
     """Each piece of each cell meets its cell's closure conditions at 3 samples."""
-    for jt, m in _cells(min(max_n, 5)):
+    for jt, m in _cells(max_n):
         dec = closure_decomposition(m, jt)
         for subset in dec.subsets():
             uncut = [a for a in m.arcs if a not in subset]
@@ -607,22 +607,18 @@ def check_necessary_condition_suite(max_n: int, rng):
 
 @_check("oracle.fq_cross_check")
 def check_fq_oracle(max_n: int, rng):
-    configs = [
-        (q, JordanType(n, N))
-        for q in (2, 3)
-        for N in range(2, min(max_n, 5) + 1)
-        for n in range(1, N)
-    ]
-    configs += [
-        (2, JordanType(2, 4)),
-        (2, JordanType(3, 6)),
-        (2, JordanType(2, 6)),
-        (3, JordanType(3, 6)),
-    ]
-    for q, jt in dict.fromkeys(c for c in configs if c[1].N <= max_n):
-        yield
-        if not cross_check_cells(FqConfig(q, jt)).all_pass:
-            raise _Failed(f"q={q} {jt}")
+    """Every proper type with N <= max_n over F_2 and F_3, where the
+    enumeration cap admits its complete flags.
+    """
+    for q in (2, 3):
+        for N in range(2, max_n + 1):
+            if full_flag_count(q, N) > MAX_NOMINAL_CANDIDATES:
+                continue
+            for n in range(1, N):
+                jt = JordanType(n, N)
+                yield
+                if not cross_check_cells(FqConfig(q, jt)).all_pass:
+                    raise _Failed(f"q={q} {jt}")
 
 
 def verify_suite(suite: str, max_n: int | None = None, seed: int = 0) -> list[CheckResult]:

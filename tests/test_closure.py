@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from springer_cells import closure
-from springer_cells.cells import FlagMatrix, build_template, cell_matrix, instantiate, verify_canonical
+from springer_cells.cells import FlagMatrix, apply_nilpotent, build_template, cell_matrix, instantiate, verify_canonical
 from springer_cells.closure import (
     INFINITY,
     chi_embed,
@@ -22,13 +22,14 @@ from springer_cells.closure import (
 )
 from springer_cells.cutting import ZERO, arc_subsets, labeled_cut, piece_matrix
 from springer_cells.errors import CurveNotFound, InvalidSplitIndex, NotDivisible, OddN, Singular, TooManyArcs
-from springer_cells.exact import POLY_RING, Poly, canonical_reduce, mat_from_cols, mat_from_rows, pivot_pattern
+from springer_cells.exact import POLY_RING, Poly, SpanBasis, canonical_reduce, mat_from_cols, mat_from_rows, pivot_pattern
 from springer_cells.matchings import (
     Arc,
     JordanType,
     bt_word,
     enumerate_matchings,
     matching,
+    parent,
     word_to_matching,
 )
 from springer_cells.sampling import random_params, random_rational
@@ -193,14 +194,56 @@ def test_necessary_conditions_reject_excluded_word():
     assert any("(1,2)" in msg for msg in issues)
 
 
-def test_necessary_conditions_report_the_shift_between_arc_ends():
+def test_necessary_conditions_report_the_sibling_arc_condition():
     # for (2,3) under (1,6), X^2 V_6 = span(e_1, e_4) must lie in V_3, but
-    # the nested point at 0 has V_3 = span(e_4, e_5, e_6)
+    # the nested point at 0 has V_3 = span(e_4, e_5, e_6); the sibling (4,5)
+    # fails first, since X V_5 = span(e_1, e_4, e_5) is not inside V_3
     jt = JordanType(3, 6)
     nested = matching(6, [(1, 6), (2, 5), (3, 4)])
     flag = cell_matrix(nested, jt, {a: 0 for a in nested.arcs})
     issues = flag_necessary_conditions(matching(6, [(1, 6), (2, 3), (4, 5)]), jt, flag)
-    assert "arc (2,3) under (1,6): shift condition between arc ends fails" in issues
+    assert "arc (4,5): 1-fold shift image escapes the prefix span" in issues
+
+
+def _shift_between_arc_ends(jt, cols, a, par) -> bool:
+    """X^{k+1} V_{par.term} inside V_{a.term}, k = (par.term - a.term) // 2."""
+    span = SpanBasis()
+    for c in cols[: a.term]:
+        span.add(c)
+    for img in cols[: par.term]:
+        for _ in range((par.term - a.term) // 2 + 1):
+            img = apply_nilpotent(jt, img)
+        if not span.contains(img):
+            return False
+    return True
+
+
+def test_shift_between_arc_ends_follows_from_the_sibling_arcs():
+    # two points of every cell of every proper type with N <= 7, each
+    # against every matching of its type: wherever the condition between
+    # the ends of an arc and its parent fails, the arc condition of a
+    # sibling right of the arc fails too
+    rng = random.Random(0)
+    draws = failures = 0
+    for N in range(2, 8):
+        for n in range(1, N):
+            jt = JordanType(n, N)
+            ms = enumerate_matchings(jt)
+            for m in ms:
+                for _ in range(2):
+                    g = cell_matrix(m, jt, random_params(m.arcs, rng))
+                    cols = g.cols()
+                    for other in ms:
+                        draws += 1
+                        for a in other.arcs:
+                            par = parent(other, a)
+                            if par is None or _shift_between_arc_ends(jt, cols, a, par):
+                                continue
+                            failures += 1
+                            issues = flag_necessary_conditions(other, jt, g)
+                            siblings = [c for c in other.arcs if parent(other, c) == par and c.init > a.term]
+                            assert any(f"arc {c}: " in issue for c in siblings for issue in issues)
+    assert draws == 9384 and failures > 0
 
 
 def test_chi_split_examples():

@@ -56,6 +56,12 @@ def test_springer_count_q3_type_2_4():
     assert rep.all_pass
 
 
+def test_springer_count_q5_type_2_4():
+    rep = cross_check_cells(FqConfig(5, JordanType(2, 4)))
+    assert rep.total == 66  # 1 + 3*5 + 2*25
+    assert rep.all_pass
+
+
 def test_projective_line_type():
     # with two size-one blocks the nilpotent is zero and every flag counts
     buckets = enumerate_springer_flags(FqConfig(2, JordanType(1, 2)))
@@ -71,6 +77,13 @@ def test_single_point_fiber():
 def test_cross_checks_small_types():
     result = check_fq_oracle(4, random.Random(0))
     assert result.passed and result.count == 12
+
+
+def test_cross_check_covers_every_type_up_to_the_cap():
+    # q = 3 stops at N = 6: [7]_3! complete flags exceed the enumeration cap
+    for cap, count in ((6, 30), (7, 36)):
+        result = check_fq_oracle(cap, random.Random(0))
+        assert result.passed and result.count == count
 
 
 def test_feasibility_guard():
@@ -96,13 +109,14 @@ def test_fq_flags_satisfy_the_conditions_of_their_cell():
 @pytest.mark.parametrize(
     "q, jt",
     [(q, JordanType(n, N)) for q in (2, 3) for N in range(1, 5) for n in range(N + 1)]
-    + [(2, JordanType(n, 5)) for n in range(6)],
+    + [(2, JordanType(n, 5)) for n in range(6)]
+    + [(5, JordanType(n, N)) for N in range(1, 4) for n in range(N + 1)],
     ids=str,
 )
 def test_enumeration_matches_brute_force(q, jt):
     # every canonical matrix, not only the pruned search tree: pins the
-    # columns appended to the span without elimination, apart from the
-    # cell templates
+    # residuals each child inherits, apart from the cell templates; at
+    # q = 5 rows of the system also lead with 2, 3 and 4
     buckets = enumerate_springer_flags(FqConfig(q, jt))
     found = {w: [g.rows for g in flags] for w, flags in buckets.items()}
     expected = brute_springer_buckets(jt, PrimeField(q))
