@@ -18,14 +18,7 @@ from typing import Mapping
 
 from .errors import DimensionMismatch, MissingParameter, Singular
 from .exact import QQ, Matrix, SpanBasis, is_one, mat_cols, mat_from_rows, pivot_pattern, rank
-from .matchings import (
-    Arc,
-    JordanType,
-    Matching,
-    T,
-    ancestors,
-    matching_permutation,
-)
+from .matchings import Arc, JordanType, Matching, T, ancestors, bt_word, word_permutation
 
 #: Returned by prefix_span_basis when V_i is not a span of basis vectors.
 NOT_COORDINATE = object()
@@ -38,8 +31,7 @@ class FlagMatrix:
     rows: Matrix
 
     def __post_init__(self):
-        n = len(self.rows)
-        if any(len(r) != n for r in self.rows):
+        if not set(map(len, self.rows)) <= {len(self.rows)}:
             raise DimensionMismatch("flag matrix must be square")
 
     @property
@@ -93,9 +85,7 @@ def build_template(m: Matching, jt: JordanType) -> CellTemplate:
     """
     if not (m.is_noncrossing and m.is_standard):
         raise ValueError("cell templates require a standard noncrossing matching")
-    prof = matching_permutation(m, jt)
-    word = prof.word
-    assert word is not None and prof.w is not None
+    word = bt_word(m, jt)
     slots: dict[tuple[int, int], Arc] = {}
     offsets: dict[Arc, int] = {}
     for arc in m.arcs:
@@ -106,7 +96,7 @@ def build_template(m: Matching, jt: JordanType) -> CellTemplate:
             row = r0 + j
             assert row <= jt.n, "variable slots stay inside the top block"
             slots[(row, arc.init)] = anc
-    return CellTemplate(jt, m, prof.w, word, slots, offsets)
+    return CellTemplate(jt, m, word_permutation(word, jt.n), word, slots, offsets)
 
 
 def instantiate(ct: CellTemplate, params: Mapping[Arc, object], ring=QQ) -> FlagMatrix:

@@ -2,13 +2,14 @@
 
 Subcommands: enumerate, word, cell, cut, closure, limit, fqcount, verify.
 Exit codes: 0 success, 1 verification failure (with a machine-readable
-report on stdout), 2 usage error.  JSON output is schema-stable and, for a
-fixed seed, byte-identical between runs.
+report on stdout), 2 usage error, 141 standard output closed early.  JSON
+output is schema-stable and, for a fixed seed, byte-identical between runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 
@@ -29,6 +30,9 @@ from .matchings import (
 )
 from .sampling import random_params
 from .verify import SUITES, verify_suite
+
+#: Exit code when stdout closes early: 128 + SIGPIPE, as shells report it.
+_BROKEN_PIPE = 141
 
 
 def _matching_from_args(args, parser) -> tuple[Matching, JordanType]:
@@ -400,7 +404,15 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+    except BrokenPipeError:
+        # the reader left (``| head``, say); as in the SIGPIPE note of the
+        # signal docs, devnull takes stdout so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

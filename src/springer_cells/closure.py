@@ -44,7 +44,6 @@ from .errors import (
     CurveNotFound,
     DimensionMismatch,
     InvalidSplitIndex,
-    MissingParameter,
     NotDivisible,
     OddN,
     Singular,
@@ -69,17 +68,11 @@ from .matchings import (
     T,
     bt_word,
     check_arc_count,
+    matching_permutation,
 )
 
 
 class _Infinity:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "inf"
 
@@ -186,11 +179,11 @@ def flag_necessary_conditions(m: Matching, jt: JordanType, g: FlagMatrix) -> lis
     X V_{p.term} inside V_{p.term - 1} adds the last shift.  When r = 0 the
     condition is the Springer condition itself.
     """
-    word = bt_word(m, jt)
+    w = matching_permutation(m, jt)
     cols = g.cols()
     issues: list[str] = []
     for i in valid_split_indices(m) + [m.N]:
-        if prefix_span_basis(g, i) != frozen_prefix(word, jt.n, i):
+        if prefix_span_basis(g, i) != frozen_prefix(w, i):
             issues.append(f"split {i}: prefix span is not the frozen coordinate subspace")
     for a in m.arcs:
         k = sum(1 for b in m.arcs if a.init <= b.init and b.term <= a.term)
@@ -224,14 +217,12 @@ def valid_split_indices(m: Matching) -> list[int]:
     return [i for i in range(1, m.N) if not _arc_over(m, i)]
 
 
-def frozen_prefix(word: str, n: int, i: int) -> tuple[int, ...]:
+def frozen_prefix(w: Sequence[int], i: int) -> tuple[int, ...]:
     """The rows r with e_r spanning V_i at an index i with no arc over it,
-    the same for every flag of the cell of the word: the first t rows of
-    the top block and the first i - t of the bottom one, where t counts the
-    letters T among the first i.
+    the same for every flag of the cell of the pivot permutation w: the
+    pivot rows of the first i columns.
     """
-    t = word[:i].count(T)
-    return (*range(1, t + 1), *range(n + 1, n + i - t + 1))
+    return tuple(sorted(w[:i]))
 
 
 def _shift_arc(a: Arc, offset: int) -> Arc:
@@ -351,11 +342,7 @@ def verify_limit_curve(
     and the test is an integer residual against the first i limit vectors
     in ascending pivot order.
     """
-    missing = [a for a in m.arcs if a not in curve]
-    if missing:
-        raise MissingParameter(f"curve misses arcs {missing}")
-    template = build_template(m, jt)
-    moving = instantiate(template, dict(curve), POLY_RING)
+    moving = instantiate(build_template(m, jt), dict(curve), POLY_RING)
     fixed = piece_matrix(piece, target)
     limit: dict[int, dict[int, int]] = {}  # pivot -> limit vector
     for (piv, b), col in zip(limit_vectors(moving.cols()), fixed.cols()):
@@ -521,18 +508,12 @@ def synthesize_limit_curve(
 
     Raises CurveNotFound when the recursive construction gives no curve or
     a curve that does not verify; the failure is surfaced, never silently
-    absorbed.
+    absorbed.  A cut arc outside m raises ArcNotInMatching and an uncut arc
+    without a target value MissingParameter.
     """
     cut_set_ = frozenset(cut_arcs)
-    for a in cut_set_:
-        if a not in m:
-            raise MissingParameter(f"cut arc {a} not in the matching")
-    uncut = [a for a in m.arcs if a not in cut_set_]
-    missing = [a for a in uncut if a not in target]
-    if missing:
-        raise MissingParameter(f"no target value for {missing}")
-    target = {a: QQ.of(target[a]) for a in uncut}
     piece = labeled_cut(m, cut_set_, jt)
+    target = {a: QQ.of(target[a]) for a in m.arcs if a not in cut_set_ and a in target}
     curve = _synthesize(m, jt, cut_set_, piece_matrix(piece, target).rows)
     if not verify_limit_curve(m, jt, curve, piece, target):
         raise CurveNotFound(

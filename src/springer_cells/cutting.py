@@ -33,13 +33,6 @@ from .matchings import (
 class _ZeroLabel:
     """Distinguished label for arcs carrying the constant 0."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "ZERO"
 

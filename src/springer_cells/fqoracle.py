@@ -152,10 +152,7 @@ def cross_check_cells(cfg: FqConfig) -> FqReport:
     field = PrimeField(cfg.q)
     jt = cfg.jt
     matchings = enumerate_matchings(jt)
-    expected_patterns = {}
-    for m in matchings:
-        prof = matching_permutation(m, jt)
-        expected_patterns[prof.w] = m
+    expected_patterns = {matching_permutation(m, jt): m for m in matchings}
     patterns_match = set(buckets) == set(expected_patterns)
     sizes_match = True
     instantiation_match = True

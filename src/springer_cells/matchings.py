@@ -173,8 +173,7 @@ def ancestor_function(m: Matching) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PivotProfile:
-    """Start/end/free counts to the left of each position, with the pivot
-    permutation and {B,T}-word when a Jordan type is in play.
+    """Start/end/free counts to the left of each position.
 
     The count tables are indexed 1..N (entry 0 unused).  At each i they
     count positions strictly before i, so they sum to i-1.
@@ -183,8 +182,6 @@ class PivotProfile:
     jbeg: tuple[int, ...]
     jend: tuple[int, ...]
     jnot: tuple[int, ...]
-    w: tuple[int, ...] | None = None
-    word: str | None = None
 
 
 def j_functions(m: Matching) -> PivotProfile:
@@ -243,10 +240,9 @@ def word_permutation(word: str, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def matching_permutation(m: Matching, jt: JordanType) -> PivotProfile:
-    word = bt_word(m, jt)
-    prof = j_functions(m)
-    return PivotProfile(prof.jbeg, prof.jend, prof.jnot, word_permutation(word, jt.n), word)
+def matching_permutation(m: Matching, jt: JordanType) -> tuple[int, ...]:
+    """The pivot permutation of the cell of m: the pivot row of each column."""
+    return word_permutation(bt_word(m, jt), jt.n)
 
 
 def word_to_matching(word: str) -> Matching:

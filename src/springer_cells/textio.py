@@ -16,7 +16,7 @@ from .cells import CellTemplate, FlagMatrix
 from .closure import ClosureDecomposition
 from .cutting import LabeledPiece, ZERO
 from .exact import QQ, Poly
-from .matchings import Arc, JordanType, Matching, matching_permutation
+from .matchings import Arc, JordanType, Matching, bt_word, matching_permutation
 
 _ARC_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 
@@ -78,13 +78,12 @@ def certificate_json(
 
 
 def matching_json(m: Matching, jt: JordanType) -> dict:
-    prof = matching_permutation(m, jt)
     return {
         "N": jt.N,
         "n": jt.n,
         "arcs": [[a.init, a.term] for a in m.arcs],
-        "word": prof.word,
-        "perm": list(prof.w),
+        "word": bt_word(m, jt),
+        "perm": list(matching_permutation(m, jt)),
     }
 
 

@@ -225,7 +225,7 @@ def check_ancestor_shift(max_n: int, rng):
 def check_pivot_blocks_increase(max_n: int, rng):
     for jt, m in _cells(max_n):
         yield
-        w = matching_permutation(m, jt).w
+        w = matching_permutation(m, jt)
         inv = {row: col for col, row in enumerate(w, start=1)}
         tops = [inv[r] for r in range(1, jt.n + 1)]
         bots = [inv[r] for r in range(jt.n + 1, jt.N + 1)]
@@ -300,12 +300,11 @@ def check_template_support(max_n: int, rng):
 @_check("geometry.coordinate_prefix")
 def check_coordinate_prefixes(max_n: int, rng):
     """At indices with no arc overhead, the prefix span of every draw is
-    the frozen coordinate subspace of the word.
+    the frozen coordinate subspace of the cell's pivot permutation.
     """
     for jt, m in _cells(max_n):
         template = build_template(m, jt)
-        word = bt_word(m, jt)
-        frozen = {i: frozen_prefix(word, jt.n, i) for i in valid_split_indices(m) + [m.N]}
+        frozen = {i: frozen_prefix(template.w, i) for i in valid_split_indices(m) + [m.N]}
         for _ in range(10):
             g = instantiate(template, random_params(m.arcs, rng))
             for i, rows in frozen.items():
@@ -493,7 +492,7 @@ def check_chi_compatibility(max_n: int, rng):
     """
     for jt, m in _cells(max_n):
         word = bt_word(m, jt)
-        w_full = matching_permutation(m, jt).w
+        w_full = matching_permutation(m, jt)
         template = build_template(m, jt)
         for i in valid_split_indices(m) + [m.N]:
             yield
@@ -534,7 +533,7 @@ def check_phi_cell_law(max_n: int, rng):
                 expected_word = (
                     "T" + inner_word + "B" if a is INFINITY else "B" + inner_word + "T"
                 )
-                expected_w = matching_permutation(word_to_matching(expected_word), jt).w
+                expected_w = matching_permutation(word_to_matching(expected_word), jt)
                 yield
                 if pivot_pattern(out.rows) != expected_w:
                     raise _Failed(f"{inner.arcs} a={a}")

@@ -82,7 +82,7 @@ def perm_matrix(w):
 def test_criterion_1_golden_examples():
     start = time.perf_counter()
     # pivot permutation matrices of the three displayed matchings
-    assert perm_matrix(matching_permutation(M1, JT8).w) == Q(
+    assert perm_matrix(matching_permutation(M1, JT8)) == Q(
         [
             [0, 0, 1, 0, 0, 0, 0, 0],
             [0, 0, 0, 0, 0, 1, 0, 0],
@@ -94,7 +94,7 @@ def test_criterion_1_golden_examples():
             [0, 0, 0, 0, 1, 0, 0, 0],
         ]
     )
-    assert perm_matrix(matching_permutation(M2, JT8).w) == Q(
+    assert perm_matrix(matching_permutation(M2, JT8)) == Q(
         [
             [0, 1, 0, 0, 0, 0, 0, 0],
             [0, 0, 0, 1, 0, 0, 0, 0],
@@ -106,7 +106,7 @@ def test_criterion_1_golden_examples():
             [0, 0, 0, 0, 0, 0, 1, 0],
         ]
     )
-    assert perm_matrix(matching_permutation(M3, JT8).w) == Q(
+    assert perm_matrix(matching_permutation(M3, JT8)) == Q(
         [
             [0, 0, 1, 0, 0, 0, 0, 0],
             [0, 0, 0, 1, 0, 0, 0, 0],

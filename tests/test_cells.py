@@ -15,7 +15,7 @@ from springer_cells.cells import (
     verify_canonical,
     verify_springer,
 )
-from springer_cells.errors import MissingParameter, Singular
+from springer_cells.errors import DimensionMismatch, MissingParameter, Singular
 from springer_cells.exact import POLY_RING, QQ, Poly, PrimeField, pivot_pattern
 from springer_cells.matchings import (
     Arc,
@@ -122,6 +122,21 @@ def test_instantiate_at_zero_gives_permutation():
 def test_instantiate_missing_parameter():
     with pytest.raises(MissingParameter):
         cell_matrix(M1, JT8, {Arc(1, 8): Fraction(1)})
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 0], [0]],  # ragged
+        [[1], [0, 1]],  # ragged, one row of the right length
+        [[1, 0, 0], [0, 1, 0]],  # two rows of three
+        [[1], [0]],  # two rows of one
+        [[]],  # one empty row
+    ],
+)
+def test_flag_matrix_must_be_square(rows):
+    with pytest.raises(DimensionMismatch, match="square"):
+        FlagMatrix(Q(rows))
 
 
 def test_verify_canonical_examples():

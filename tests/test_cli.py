@@ -394,3 +394,31 @@ def test_cli_import_loads_no_numeric_stack():
     assert "numeric_infimum" in springer_cells.__all__
     with pytest.raises(AttributeError):
         springer_cells.no_such_name
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # the whole table leaves in one write, before the reader closes
+        (["fqcount", "--q", "5", "--N", "4", "--n", "2"], 0),
+        # more than a pipe holds, so the close always lands mid-write
+        (["enumerate", "--N", "12", "--n", "6"], 141),
+    ],
+)
+def test_closed_stdout_ends_without_a_traceback(argv, code):
+    """A reader that leaves after two lines, as ``| head -2`` does."""
+    src = str(Path(springer_cells.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as for any pipe by default
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "springer_cells", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert all(line.endswith(b"\n") for line in lines)
+    assert err == b""
+    assert proc.returncode == code

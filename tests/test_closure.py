@@ -21,7 +21,16 @@ from springer_cells.closure import (
     verify_limit_curve,
 )
 from springer_cells.cutting import ZERO, arc_subsets, labeled_cut, piece_matrix
-from springer_cells.errors import CurveNotFound, InvalidSplitIndex, NotDivisible, OddN, Singular, TooManyArcs
+from springer_cells.errors import (
+    ArcNotInMatching,
+    CurveNotFound,
+    InvalidSplitIndex,
+    MissingParameter,
+    NotDivisible,
+    OddN,
+    Singular,
+    TooManyArcs,
+)
 from springer_cells.exact import POLY_RING, Poly, SpanBasis, canonical_reduce, mat_from_cols, mat_from_rows, pivot_pattern
 from springer_cells.matchings import (
     Arc,
@@ -427,6 +436,17 @@ def test_constant_curve_certifies_full_piece():
     piece = labeled_cut(NESTED4, [], JT4)
     assert curve == {a: Poly.const(target[a]) for a in NESTED4.arcs}
     assert verify_limit_curve(NESTED4, JT4, curve, piece, target)
+
+
+def test_synthesis_and_verification_reject_bad_arguments():
+    target = {Arc(1, 4): Fraction(2), Arc(2, 3): Fraction(-1)}
+    with pytest.raises(MissingParameter, match=r"\(1,4\)"):
+        synthesize_limit_curve(NESTED4, JT4, [Arc(2, 3)], {Arc(2, 3): Fraction(1)})
+    with pytest.raises(ArcNotInMatching, match=r"\(1,2\)"):
+        synthesize_limit_curve(NESTED4, JT4, [Arc(1, 2)], target)
+    piece = labeled_cut(NESTED4, [], JT4)
+    with pytest.raises(MissingParameter, match=r"\(2,3\)"):
+        verify_limit_curve(NESTED4, JT4, {Arc(1, 4): Poly.const(2)}, piece, target)
 
 
 def test_certification_sweep_small():

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from springer_cells.cells import verify_springer
+from springer_cells import fqoracle
+from springer_cells.cells import FlagMatrix, verify_springer
+from springer_cells.cli import run
 from springer_cells.closure import flag_necessary_conditions
 from springer_cells.errors import Infeasible
 from springer_cells.exact import PrimeField
@@ -46,7 +48,7 @@ def test_springer_count_q2_type_2_4():
     assert sum(len(v) for v in buckets.values()) == 15
     assert sorted(len(v) for v in buckets.values()) == [1, 2, 2, 2, 4, 4]
     # the fully nested cell has q^2 points
-    w = matching_permutation(matching(4, [(1, 4), (2, 3)]), JordanType(2, 4)).w
+    w = matching_permutation(matching(4, [(1, 4), (2, 3)]), JordanType(2, 4))
     assert len(buckets[w]) == 4
 
 
@@ -60,6 +62,40 @@ def test_springer_count_q5_type_2_4():
     rep = cross_check_cells(FqConfig(5, JordanType(2, 4)))
     assert rep.total == 66  # 1 + 3*5 + 2*25
     assert rep.all_pass
+
+
+def _drop_a_matrix(buckets):
+    max(buckets.values(), key=len).pop()
+
+
+def _change_an_entry(buckets):
+    rows = [list(row) for row in buckets[(1, 2, 3, 4)][0].rows]
+    rows[0][3] = rows[0][0]  # a 1 right of the pivot of row 1
+    buckets[(1, 2, 3, 4)][0] = FlagMatrix(tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize(
+    "change, flags",
+    [
+        (_drop_a_matrix, (True, False, False, False)),
+        (_change_an_entry, (True, True, False, True)),
+    ],
+)
+def test_cross_check_reports_a_wrong_bucket(monkeypatch, capsys, change, flags):
+    """(patterns, sizes, instantiation, sum) when the oracle errs."""
+    enumerate_flags = fqoracle.enumerate_springer_flags
+
+    def wrong(cfg):
+        buckets = enumerate_flags(cfg)
+        change(buckets)
+        return buckets
+
+    monkeypatch.setattr(fqoracle, "enumerate_springer_flags", wrong)
+    rep = cross_check_cells(FqConfig(2, JordanType(2, 4)))
+    assert (rep.patterns_match, rep.sizes_match, rep.instantiation_match, rep.sum_matches) == flags
+    assert rep.all_pass is False
+    assert run(["fqcount", "--q", "2", "--N", "4", "--n", "2"]) == 1
+    assert capsys.readouterr().out.endswith("cross-checks pass: False\n")
 
 
 def test_projective_line_type():
@@ -97,7 +133,7 @@ def test_fq_flags_satisfy_the_conditions_of_their_cell():
     # every F_3 Springer flag of type (2,4) is fixed by the nilpotent and
     # meets the closure conditions of the cell of its pivot pattern
     jt = JordanType(2, 4)
-    cells = {matching_permutation(m, jt).w: m for m in enumerate_matchings(jt)}
+    cells = {matching_permutation(m, jt): m for m in enumerate_matchings(jt)}
     buckets = enumerate_springer_flags(FqConfig(3, jt))
     assert sum(len(flags) for flags in buckets.values()) == 28
     for w, flags in buckets.items():

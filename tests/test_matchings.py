@@ -90,10 +90,10 @@ def test_word_to_matching_examples():
 
 
 def test_matching_permutation_examples():
-    assert matching_permutation(M1, JT8).w == (5, 6, 1, 7, 8, 2, 3, 4)
-    assert matching_permutation(M3, JT8).w == (5, 6, 1, 2, 3, 7, 8, 4)
-    assert matching_permutation(M2, JT8).w == (5, 1, 6, 2, 7, 3, 8, 4)
-    assert matching_permutation(matching(4, []), JordanType(2, 4)).w == (1, 2, 3, 4)
+    assert matching_permutation(M1, JT8) == (5, 6, 1, 7, 8, 2, 3, 4)
+    assert matching_permutation(M3, JT8) == (5, 6, 1, 2, 3, 7, 8, 4)
+    assert matching_permutation(M2, JT8) == (5, 1, 6, 2, 7, 3, 8, 4)
+    assert matching_permutation(matching(4, []), JordanType(2, 4)) == (1, 2, 3, 4)
 
 
 def test_enumerate_matchings_counts():
@@ -165,7 +165,7 @@ def test_consecutive_arc_ancestor_shift(word):
 def test_pivot_blocks_increase(word):
     n = word.count("T")
     m = word_to_matching(word)
-    w = matching_permutation(m, JordanType(n, len(word))).w
+    w = matching_permutation(m, JordanType(n, len(word)))
     inv = {row: col for col, row in enumerate(w, start=1)}
     tops = [inv[r] for r in range(1, n + 1)]
     bots = [inv[r] for r in range(n + 1, len(word) + 1)]

@@ -1,6 +1,7 @@
 """Guards over the package source that no installed linter runs."""
 
 import ast
+import re
 from pathlib import Path
 
 import springer_cells
@@ -39,10 +40,8 @@ def test_package_has_no_unused_imports():
     assert {name: names for name, names in found.items() if names} == {}
 
 
-def private_definitions(source: str) -> list[str]:
-    """The private functions, classes and constants a module defines at its
-    top level; dunder names are not private.
-    """
+def definitions(source: str) -> list[str]:
+    """The functions, classes and constants a module defines at its top level."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -50,7 +49,12 @@ def private_definitions(source: str) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [target.id for target in targets if isinstance(target, ast.Name)]
-    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+    return names
+
+
+def private_definitions(source: str) -> list[str]:
+    """The private top-level definitions; dunder names are not private."""
+    return [name for name in definitions(source) if name.startswith("_") and not name.startswith("__")]
 
 
 def read_names(source: str) -> set[str]:
@@ -78,6 +82,31 @@ def test_package_reads_every_private_definition():
     }
     assert {name: names for name, names in found.items() if names} == {}
 
+
+def public_definitions(source: str) -> list[str]:
+    return [name for name in definitions(source) if not name.startswith("_")]
+
+
+def test_unread_public_definitions_are_found():
+    source = "A = 1\n_b = A\n\ndef f():\n    return g\n\nclass C:\n    pass\n"
+    assert public_definitions(source) == ["A", "f", "C"]
+    assert "A" in read_names(source) and not {"f", "C"} & read_names(source)
+
+
+def test_every_public_definition_is_read():
+    """A public function, class or constant is read, as a name or an
+    attribute, somewhere in the package, the tests or the bench, or is
+    named in README; a re-export from ``__init__`` is not a read.
+    """
+    root = Path(__file__).resolve().parent.parent
+    scripts = [*PACKAGE.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "bench").glob("*.py")]
+    read = set().union(*(read_names(path.read_text()) for path in scripts))
+    read |= set(re.findall(r"\w+", (root / "README.md").read_text()))
+    found = {
+        path.name: [d for d in public_definitions(path.read_text()) if d not in read]
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def _is_idempotent_test(node: ast.AST) -> bool:
