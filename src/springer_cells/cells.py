@@ -13,11 +13,11 @@ parameters give distinct flags.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Mapping
 
 from .errors import DimensionMismatch, MissingParameter, Singular
-from .exact import QQ, Matrix, SpanBasis, is_one, mat_cols, mat_from_rows, pivot_pattern, rank
+from .exact import QQ, Matrix, Poly, SpanBasis, is_one, mat_cols, mat_from_rows, pivot_pattern, rank
 from .matchings import Arc, JordanType, Matching, T, ancestors, bt_word, word_permutation
 
 #: Returned by prefix_span_basis when V_i is not a span of basis vectors.
@@ -55,9 +55,10 @@ class CellTemplate:
     """Pivot pattern plus variable slots of one cell.
 
     ``slots`` maps (row, column), 1-based, to the arc whose variable sits
-    there; ``top_offset`` gives, per arc, the number of top-block pivots
-    strictly left of the arc's start column (the variables of the arc's
-    chain occupy the rows just below that offset).
+    there, and ``column_slots`` holds the same slots per column, as
+    {0-based row: arc}; ``top_offset`` gives, per arc, the number of
+    top-block pivots strictly left of the arc's start column (the
+    variables of the arc's chain occupy the rows just below that offset).
     """
 
     jt: JordanType
@@ -73,6 +74,13 @@ class CellTemplate:
 
     def slot_items(self) -> list[tuple[int, int, Arc]]:
         return sorted((r, c, a) for (r, c), a in self.slots.items())
+
+    @cached_property
+    def column_slots(self) -> tuple[dict[int, Arc], ...]:
+        cols: tuple[dict[int, Arc], ...] = tuple({} for _ in self.w)
+        for (r, c), arc in self.slots.items():
+            cols[c - 1][r - 1] = arc
+        return cols
 
 
 @cache
@@ -99,11 +107,15 @@ def build_template(m: Matching, jt: JordanType) -> CellTemplate:
     return CellTemplate(jt, m, word_permutation(word, jt.n), word, slots, offsets)
 
 
-def instantiate(ct: CellTemplate, params: Mapping[Arc, object], ring=QQ) -> FlagMatrix:
-    """Fill the template's slots; the result is always in canonical form."""
+def _check_params(ct: CellTemplate, params: Mapping[Arc, object]) -> None:
     missing = [a for a in ct.matching.arcs if a not in params]
     if missing:
         raise MissingParameter(f"no value for arcs {missing}")
+
+
+def instantiate(ct: CellTemplate, params: Mapping[Arc, object], ring=QQ) -> FlagMatrix:
+    """Fill the template's slots; the result is always in canonical form."""
+    _check_params(ct, params)
     n = ct.jt.N
     rows = [[ring.zero] * n for _ in range(n)]
     for col, piv in enumerate(ct.w, start=1):
@@ -111,6 +123,20 @@ def instantiate(ct: CellTemplate, params: Mapping[Arc, object], ring=QQ) -> Flag
     for (r, c), arc in ct.slots.items():
         rows[r - 1][c - 1] = params[arc]
     return FlagMatrix(mat_from_rows(rows))
+
+
+def poly_columns(ct: CellTemplate, curve: Mapping[Arc, Poly]) -> list[dict[int, tuple]]:
+    """The template's columns at a polynomial curve, each a sparse
+    {0-based row: ascending coefficients} vector, the column format of
+    ``exact.limit_vectors``.
+    """
+    _check_params(ct, curve)
+    cols = []
+    for piv, slots in zip(ct.w, ct.column_slots):
+        col = {row: p for row, arc in slots.items() if (p := curve[arc].coeffs)}
+        col[piv - 1] = (1,)
+        cols.append(col)
+    return cols
 
 
 def cell_matrix(m: Matching, jt: JordanType, params: Mapping[Arc, object]) -> FlagMatrix:

@@ -76,10 +76,8 @@ def _positive_int(text: str) -> int:
 
 
 def _emit(args, payload: dict, table: str) -> None:
-    if args.format == "json":
-        print(textio.dumps(payload))
-    else:
-        print(table)
+    text = textio.dumps(payload) if args.format == "json" else table
+    sys.stdout.write(text + "\n")  # one write, also when stdout is unbuffered
 
 
 def cmd_enumerate(args, parser) -> int:

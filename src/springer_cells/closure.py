@@ -6,9 +6,9 @@ back this up:
 
 * exact polynomial limit curves: a curve v(t) inside the cell whose flag
   converges, subspace by subspace, to a chosen point of a piece, checked
-  without tolerance by reading the limit flag off the curve
-  (``exact.limit_vectors``) and testing each piece column against it, all
-  over the integers;
+  without tolerance by reading the canonical form of the limit flag off
+  the curve, up to integer column scales (``exact.limit_vectors``, over
+  the integers), and comparing it column by column with the piece point;
 * a numeric infimum oracle (see ``numeric``) that minimizes a projector
   distance to the target flag.
 
@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
 
-from .cells import FlagMatrix, apply_nilpotent, build_template, instantiate, prefix_span_basis
+from .cells import FlagMatrix, apply_nilpotent, build_template, poly_columns, prefix_span_basis
 from .cutting import LabeledPiece, arc_subsets, labeled_cut, piece_matrix, swap_letters
 from .errors import (
     CurveNotFound,
@@ -49,15 +49,12 @@ from .errors import (
     Singular,
 )
 from .exact import (
-    POLY_RING,
     QQ,
     Poly,
     SpanBasis,
     canonical_reduce,
     exact_div,
     integer_canonical_columns,
-    integer_residual,
-    integer_vector,
     limit_vectors,
     mat_from_rows,
 )
@@ -334,20 +331,22 @@ def verify_limit_curve(
     target: Mapping[Arc, Fraction],
 ) -> bool:
     """Exact, tolerance-free check that the curve's flag converges to the
-    labeled piece at the target values: for every i, column i of the piece
-    matrix lies in the limit of the span of the curve's first i columns.
+    labeled piece at the target values: for every i, the limit of the span
+    of the curve's first i columns is the span of the first i columns of
+    the piece matrix.
 
-    All of it runs over Z: the limit vectors come from
-    ``exact.limit_vectors``, each piece column is cleared of denominators,
-    and the test is an integer residual against the first i limit vectors
-    in ascending pivot order.
+    The curve's columns go to ``exact.limit_vectors`` as sparse integer
+    polynomials, and each limit vector b_i, column i of the canonical form
+    of the limit flag times b_i[pivot], must equal b_i[pivot] times column
+    i of the piece matrix.  Equal columns up to scale span equal flags, so
+    a pass is sound for any piece matrix; the piece matrix is canonical by
+    construction, so a fail is too.
     """
-    moving = instantiate(build_template(m, jt), dict(curve), POLY_RING)
-    fixed = piece_matrix(piece, target)
-    limit: dict[int, dict[int, int]] = {}  # pivot -> limit vector
-    for (piv, b), col in zip(limit_vectors(moving.cols()), fixed.cols()):
-        limit[piv] = b
-        if integer_residual(integer_vector(col), limit):
+    cols = poly_columns(build_template(m, jt), curve)
+    point = piece_matrix(piece, target).cols()
+    for (piv, b), col in zip(limit_vectors(cols), point):
+        lead = b[piv]
+        if b != {row: lead * x for row, x in enumerate(col) if x}:
             return False
     return True
 
@@ -385,13 +384,8 @@ def _twisted_inner_coords(
     half = h // 2
     template = build_template(inner_m, inner_jt)
     germs = set(germs)
-    col_slots: list[dict[int, Arc]] = [{} for _ in range(h)]  # 0-based row -> arc
-    for (r, c), arc in template.slots.items():
-        col_slots[c - 1][r - 1] = arc
     cols = []
-    for piv, slots in zip(template.w, col_slots):
-        entries = {piv - 1: (1,)}
-        entries.update((row, inner_curve[arc].coeffs) for row, arc in slots.items() if inner_curve[arc])
+    for entries, slots in zip(poly_columns(template, inner_curve), template.column_slots):
         if not germs.isdisjoint(slots.values()):
             entries = {row: (0, *p) for row, p in entries.items()}
             entries.update((row, (1,)) for row, arc in slots.items() if arc in germs)
@@ -409,7 +403,7 @@ def _twisted_inner_coords(
     coords: dict[Arc, Poly] = {}
     try:
         for c, ((piv, d, vec), slots) in enumerate(
-            zip(integer_canonical_columns(cols), col_slots), start=1
+            zip(integer_canonical_columns(cols), template.column_slots), start=1
         ):
             # the canonical column must be exactly the template column at
             # the coordinates read so far, which also fixes its pivot

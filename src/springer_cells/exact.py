@@ -34,15 +34,15 @@ the idempotent test ``x * x == x`` for the entry types that never equal an
 ``int``.
 
 Beside it sit two fraction-free kernels over Python ``int``s on sparse
-{row: entry} vectors, in the manner of Bareiss.  The limit certifier's
-``limit_vectors`` gives the limit as t -> oo of the flag spanned by
-polynomial columns, read off by column reduction at t = oo: each column
-is cleared of denominators, pivots are cleared by coprime integer
-combinations, and a finished column is divided by the gcd of its entries.
-``integer_residual`` tests a cleared rational vector (``integer_vector``)
-against such vectors.  ``integer_canonical_columns``, the frame change of
-limit-curve synthesis, gives the canonical coset form over Q[t] of
-columns over Z[t] as integer vectors with integer pivots, so Fractions
+{row: coefficients} columns, in the manner of Bareiss.  The limit
+certifier's ``limit_vectors`` gives the limit as t -> oo of the flag
+spanned by polynomial columns, read off by column reduction at t = oo:
+each column is cleared of denominators, pivots are cleared by coprime
+integer combinations, and a finished column is divided by the gcd of its
+entries; each limit vector is an integer multiple of a column of the
+limit flag's canonical form.  ``integer_canonical_columns``, the frame
+change of limit-curve synthesis, gives the canonical coset form over Q[t]
+of columns over Z[t] as integer vectors with integer pivots, so Fractions
 appear only when a coordinate is read back.
 """
 
@@ -453,15 +453,6 @@ def pivot_pattern(g: Matrix) -> tuple[int, ...]:
     return tuple(pattern)
 
 
-def integer_vector(entries: Iterable[Fraction | int]) -> dict[int, int]:
-    """The rational vector times the lcm of its denominators, as a sparse
-    integer vector {row: entry} over its nonzero rows.
-    """
-    nonzero = [(row, x) for row, x in enumerate(entries) if x]
-    scale = lcm(*(x.denominator for _, x in nonzero))
-    return {row: x.numerator * (scale // x.denominator) for row, x in nonzero}
-
-
 def _coprime(a: int, c: int) -> tuple[int, int]:
     """a and c divided by their gcd, with the sign that makes a positive."""
     g = gcd(a, c)
@@ -483,49 +474,39 @@ def _scaled_sub(v: dict[int, int], a: int, c: int, r: dict[int, int]) -> None:
             del v[row]
 
 
-def integer_residual(vec: dict[int, int], echelon: Mapping[int, dict[int, int]]) -> dict[int, int]:
-    """A nonzero multiple of vec minus a vector of the span of the echelon,
-    empty exactly when vec lies in that span.
+def limit_vectors(
+    cols: Iterable[Mapping[int, Sequence[Fraction | int]]],
+) -> Iterator[tuple[int, dict[int, int]]]:
+    """For each column in turn, (pivot, b) such that span(b_1..b_i) is the
+    limit as t -> oo of the span of the first i columns.
 
-    The echelon maps each pivot to its vector, which is zero at the rows
-    above the pivot, as ``limit_vectors`` yields them.  The pivots are
-    cleared in ascending order by coprime integer combinations, so no
-    entry leaves Z.
-    """
-    v = dict(vec)
-    while hits := v.keys() & echelon.keys():
-        piv = min(hits)
-        r = echelon[piv]
-        a, c = _coprime(r[piv], v[piv])
-        _scaled_sub(v, a, c, r)
-    return v
-
-
-def limit_vectors(cols: Sequence[Sequence[Poly]]) -> Iterator[tuple[int, dict[int, int]]]:
-    """For each polynomial column in turn, (pivot, b) with b a primitive
-    integer vector {row: entry} such that span(b_1..b_i) is the limit as
-    t -> oo of the span of the first i columns; the pivot is the first
-    nonzero row of b.
+    A column is a sparse {row: ascending rational coefficients} vector of
+    polynomials in t.  b, a sparse integer vector {row: entry} pivoting on
+    its last nonzero row, lies in L_i, the limit of the first i columns,
+    and vanishes at the earlier pivots.  Those vectors of L_i form a line,
+    so b is column i of the canonical form of the limit flag times the
+    nonzero integer b[pivot], not always primitive: the column (2t, 1)
+    gives (0, {0: 2}).
 
     Column reduction at t = oo (Kailath, *Linear Systems*, 1980, 6.3), kept
     over Z in the fraction-free manner of Bareiss (*Math. Comp.* 22, 1968):
     each column is cleared of denominators by their lcm and written as a
     polynomial vector in s = 1/t, its coefficients reversed at its top
     degree and stored sparsely.  The reduced vectors of the earlier
-    columns, in ascending pivot order, clear its value at s = 0 at their
-    pivots by coprime integer combinations, and it is divided by s while
-    that value is 0.  The value left, divided by the gcd of the whole
-    reduced column, is b.  None of these steps changes the flag, since
-    each only scales a column by a nonzero rational.  Raises Singular when
-    the columns are dependent over Q(t).
+    columns clear its value at s = 0 at their pivots by coprime integer
+    combinations, in one pass from the highest pivot down: at s = 0 each
+    is 0 below its pivot, so a cleared row stays 0.  The column is divided
+    by s while that value is 0.  The value left is b, after the whole
+    reduced column is divided by the gcd of its entries.  None of these
+    steps changes the flag, since each only scales a column by a nonzero
+    rational.  Raises Singular when the columns are dependent over Q(t).
     """
     reduced: dict[int, list[dict[int, int]]] = {}  # pivot -> s-coefficients
+    pivots: list[int] = []  # descending
     # an independent prefix is divided by s at most its sum of top degrees
     budget = 0
     for j, col in enumerate(cols, start=1):
-        terms = [
-            (row, d, c) for row, p in enumerate(col) if p.coeffs for d, c in enumerate(p.coeffs) if c
-        ]
+        terms = [(row, d, c) for row, p in col.items() for d, c in enumerate(p) if c]
         if not terms:
             raise Singular(f"column {j} is zero")
         top = max(d for _, d, _ in terms)
@@ -535,25 +516,28 @@ def limit_vectors(cols: Sequence[Sequence[Poly]]) -> Iterator[tuple[int, dict[in
         for row, d, c in terms:
             v[top - d][row] = c.numerator * (scale // c.denominator)
         while True:
-            # clear the lowest pivot first: that changes only rows past it
-            while hits := v[0].keys() & reduced.keys():
-                piv = min(hits)
-                r = reduced[piv]
-                a, c = _coprime(r[0][piv], v[0][piv])
-                v.extend({} for _ in range(len(r) - len(v)))
-                for k, vk in enumerate(v):
-                    _scaled_sub(vk, a, c, r[k] if k < len(r) else {})
-            piv = min(v[0], default=None)
-            if piv is not None:
+            v0 = v[0]
+            for piv in pivots:
+                c = v0.get(piv)
+                if c:
+                    r = reduced[piv]
+                    a, c = _coprime(r[0][piv], c)
+                    v.extend({} for _ in range(len(r) - len(v)))
+                    for k, vk in enumerate(v):
+                        _scaled_sub(vk, a, c, r[k] if k < len(r) else {})
+            if v0:
                 break
             if budget == 0 or len(v) == 1:
                 raise Singular(f"column {j} is dependent on earlier columns")
             budget -= 1
             del v[0]  # divide by s
+        piv = max(v[0])
         g = gcd(*(x for vk in v for x in vk.values()))
         if g != 1:
             v = [{row: x // g for row, x in vk.items()} for vk in v]
         reduced[piv] = v
+        pivots.append(piv)
+        pivots.sort(reverse=True)
         yield piv, v[0]
 
 

@@ -34,6 +34,7 @@ from .cells import (
     apply_nilpotent,
     build_template,
     instantiate,
+    poly_columns,
     prefix_span_basis,
     verify_canonical,
     verify_springer,
@@ -289,10 +290,7 @@ def check_template_support(max_n: int, rng):
         for arc in m.arcs:
             yield
             expected = template.top_offset[arc] + len(ancestors(m, arc))
-            got = max(
-                (r for (r, c), _ in template.slots.items() if c == arc.init),
-                default=0,
-            )
+            got = max(template.column_slots[arc.init - 1], default=-1) + 1
             if got != expected:
                 raise _Failed(f"{m.arcs} {arc}")
 
@@ -369,7 +367,8 @@ def check_leading_direction_numeric(max_n: int, rng):
         cols = instantiate(template, curve, POLY_RING).cols()
         limit = SpanBasis()
         ortho = []  # orthogonal basis of the first i columns at t
-        for i, ((_, sparse), col) in enumerate(zip(limit_vectors(cols), cols), start=1):
+        limits = limit_vectors(poly_columns(template, curve))
+        for i, ((_, sparse), col) in enumerate(zip(limits, cols), start=1):
             yield
             b = [sparse.get(row, 0) for row in range(len(col))]
             ortho.append(_orthogonal_residual([p(t) for p in col], ortho))

@@ -396,20 +396,15 @@ def test_cli_import_loads_no_numeric_stack():
         springer_cells.no_such_name
 
 
-@pytest.mark.parametrize(
-    "argv, code",
-    [
-        # the whole table leaves in one write, before the reader closes
-        (["fqcount", "--q", "5", "--N", "4", "--n", "2"], 0),
-        # more than a pipe holds, so the close always lands mid-write
-        (["enumerate", "--N", "12", "--n", "6"], 141),
-    ],
-)
-def test_closed_stdout_ends_without_a_traceback(argv, code):
-    """A reader that leaves after two lines, as ``| head -2`` does."""
+def _close_after_two_lines(argv, **env_vars) -> tuple[bytes, int]:
+    """Run the CLI and leave after two lines, as ``| head -2`` does; return
+    its stderr and exit code.  stdout is buffered, as for any pipe by
+    default, unless env_vars say otherwise.
+    """
     src = str(Path(springer_cells.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as for any pipe by default
+    env.pop("PYTHONUNBUFFERED", None)
+    env.update(env_vars)
     proc = subprocess.Popen(
         [sys.executable, "-m", "springer_cells", *argv],
         stdout=subprocess.PIPE,
@@ -420,5 +415,23 @@ def test_closed_stdout_ends_without_a_traceback(argv, code):
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert all(line.endswith(b"\n") for line in lines)
-    assert err == b""
-    assert proc.returncode == code
+    return err, proc.returncode
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # the whole table leaves in one write, before the reader closes
+        (["fqcount", "--q", "5", "--N", "4", "--n", "2"], 0),
+        # more than a pipe holds, so the close always lands mid-write
+        (["enumerate", "--N", "12", "--n", "6"], 141),
+    ],
+)
+def test_closed_stdout_ends_without_a_traceback(argv, code):
+    assert _close_after_two_lines(argv) == (b"", code)
+
+
+def test_unbuffered_table_leaves_in_one_write():
+    # unbuffered, a table and its newline must still be one write
+    argv = ["fqcount", "--q", "5", "--N", "4", "--n", "2"]
+    assert _close_after_two_lines(argv, PYTHONUNBUFFERED="1") == (b"", 0)

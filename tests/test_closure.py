@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -411,7 +412,8 @@ def test_verify_fails_when_only_the_last_flag_column_differs(monkeypatch):
     one the check can fail on.  With only that column of the piece point
     changed, to itself plus column N, the first N - 2 limit subspaces still
     agree and the check must fail at its last step; with only column N
-    changed, the flag is the same and the check passes.
+    changed, the flag is the same and the check passes.  The check reads
+    a canonical piece point, so each changed point enters in canonical form.
     """
     jt = JordanType(3, 6)
     m = matching(6, [(1, 6), (2, 5), (3, 4)])
@@ -426,7 +428,8 @@ def test_verify_fails_when_only_the_last_flag_column_differs(monkeypatch):
         (head + [bumped, last], False),
         (head + [before_last, tuple(2 * x + y for x, y in zip(last, head[0]))], True),
     ):
-        monkeypatch.setattr(closure, "piece_matrix", lambda *_: FlagMatrix(mat_from_cols(cols)))
+        point = FlagMatrix(canonical_reduce(mat_from_cols(cols)))
+        monkeypatch.setattr(closure, "piece_matrix", lambda *_: point)
         assert verify_limit_curve(m, jt, curve, piece, target) is expected
 
 
@@ -728,6 +731,102 @@ def test_certifier_agrees_with_minor_vectors():
                         assert verify_limit_curve(m, jt, curve, piece, point) == expected
                         verdicts.append(expected)
     assert True in verdicts and False in verdicts
+
+
+def _coprime(a: int, c: int) -> tuple[int, int]:
+    g = gcd(a, c)
+    return a // g, c // g
+
+
+def _sub(v: dict, a: int, c: int, r: dict) -> None:
+    """v <- a v - c r over sparse integer vectors, in place."""
+    for row in v:
+        v[row] *= a
+    for row, x in r.items():
+        v[row] = v.get(row, 0) - c * x
+        if not v[row]:
+            del v[row]
+
+
+def _first_row_limit_vectors(cols):
+    """The limit kernel the canonical one replaced: each limit vector
+    pivots on its first nonzero row, and a column's value at s = 0 is
+    cleared at the lowest pivot it meets until it meets none.  The vectors
+    keep their content, which no verdict reads.
+    """
+    reduced = {}  # pivot -> s-coefficients
+    for col in cols:
+        top = max(p.degree for p in col)
+        scale = lcm(*(Fraction(c).denominator for p in col for c in p.coeffs))
+        v = [{} for _ in range(top + 1)]
+        for row, p in enumerate(col):
+            for d, c in enumerate(p.coeffs):
+                if c:
+                    v[top - d][row] = int(c * scale)
+        while True:
+            while hits := v[0].keys() & reduced.keys():
+                piv = min(hits)
+                r = reduced[piv]
+                v.extend({} for _ in range(len(r) - len(v)))
+                a, c = _coprime(r[0][piv], v[0][piv])
+                for k, vk in enumerate(v):
+                    _sub(vk, a, c, r[k] if k < len(r) else {})
+            if v[0]:
+                break
+            del v[0]  # divide by s; a cell's columns never run out
+        piv = min(v[0])
+        reduced[piv] = v
+        yield piv, v[0]
+
+
+def _residual_verdict(m, jt, curve, piece, target) -> bool:
+    """The certifier the column comparison replaced: column i of the piece
+    point, cleared of denominators, reduces to 0 against the first i
+    first-row limit vectors, cleared in ascending pivot order.
+    """
+    moving = instantiate(build_template(m, jt), curve, POLY_RING).cols()
+    limit = {}
+    for (piv, b), col in zip(_first_row_limit_vectors(moving), piece_matrix(piece, target).cols()):
+        limit[piv] = b
+        scale = lcm(*(Fraction(x).denominator for x in col))
+        v = {row: int(x * scale) for row, x in enumerate(col) if x}
+        while hits := v.keys() & limit.keys():
+            r = limit[low := min(hits)]
+            _sub(v, *_coprime(r[low], v[low]), r)
+        if v:
+            return False
+    return True
+
+
+def test_certifier_agrees_with_the_residual_certifier():
+    """Every piece of every cell with N <= 8: the synthesized curve at a
+    seeded target, and the same curve with one seeded coefficient (up to
+    one past its degree) moved by +1 and by -1.
+    """
+    rng = random.Random(8)
+    pieces = tampers = rejected = 0
+    for N, n in ((N, n) for N in range(1, 9) for n in range(N + 1)):
+        jt = JordanType(n, N)
+        for m in enumerate_matchings(jt):
+            for cut_arcs, piece in closure_decomposition(m, jt).pieces.items():
+                target = random_params([a for a in m.arcs if a not in cut_arcs], rng)
+                curve = synthesize_limit_curve(m, jt, cut_arcs, target)
+                assert verify_limit_curve(m, jt, curve, piece, target)
+                assert _residual_verdict(m, jt, curve, piece, target)
+                pieces += 1
+                if not m.arcs:
+                    continue
+                arc = rng.choice(m.arcs)
+                d = rng.randrange(len(curve[arc].coeffs) + 1)
+                for step in (1, -1):
+                    coeffs = [*curve[arc].coeffs, 0]
+                    coeffs[d] += step
+                    tampered = {**curve, arc: Poly(coeffs)}
+                    verdict = verify_limit_curve(m, jt, tampered, piece, target)
+                    assert verdict == _residual_verdict(m, jt, tampered, piece, target)
+                    tampers += 1
+                    rejected += not verdict
+    assert (pieces, tampers, rejected) == (2264, 4440, 2698)
 
 
 def test_nested_sixteen_certifies_quickly():

@@ -27,7 +27,6 @@ from springer_cells.exact import (
     exact_div,
     in_span,
     integer_canonical_columns,
-    integer_vector,
     is_one,
     limit_vectors,
     mat_cols,
@@ -195,23 +194,40 @@ def test_rank_and_in_span_refuse_mixed_lengths():
     assert rank([(1, 0, 0), (1, 1, 0)]) == 2 and rank([]) == 0
 
 
+def sparse(cols):
+    """Poly columns as the sparse {row: coefficients} columns of limit_vectors."""
+    return [{row: p.coeffs for row, p in enumerate(col) if p} for col in cols]
+
+
 def limit_flag(cols):
-    """The limit vectors of cols as dense tuples, each divided by its pivot."""
+    """The limit vectors of Poly columns as dense tuples, each divided by
+    its pivot: the columns of the canonical form of the limit flag.
+    """
     n = len(cols[0])
-    return [tuple(Fraction(b.get(row, 0), b[piv]) for row in range(n)) for piv, b in limit_vectors(cols)]
+    return [
+        tuple(Fraction(b.get(row, 0), b[piv]) for row in range(n))
+        for piv, b in limit_vectors(sparse(cols))
+    ]
 
 
 def test_limit_flag_examples():
     t, zero, one = Poly.t(), Poly(), Poly([1])
     # columns t e1 + e3 and -(t^2/2) e1 + t e2 + e4: the top term of the
-    # second is parallel to the first, so its limit comes from lower terms
+    # second is parallel to the first, so its limit comes from lower terms,
+    # the line of (0, 1, 1/2, 0), whose pivot is its third row
     cols = [(t, zero, one, zero), (Poly([0, 0, Fraction(-1, 2)]), t, zero, one)]
-    assert limit_flag(cols) == [(1, 0, 0, 0), (0, 1, Fraction(1, 2), 0)]
+    assert limit_flag(cols) == [(1, 0, 0, 0), (0, 2, 1, 0)]
     assert limit_flag([(one, t), (t, zero)]) == [(0, 1), (1, 0)]
     # a leading entry 2: the first column scales to (1, 1/2 s, 0), so
-    # (t, 0, 1) leaves (0, -1/2, 1) s, whose value scales to (0, 1, -2)
+    # (t, 0, 1) leaves (0, -1/2, 1) s, already canonical
     two_t = Poly([0, 2])
-    assert limit_flag([(two_t, one, zero), (t, zero, one)]) == [(1, 0, 0), (0, 1, -2)]
+    assert limit_flag([(two_t, one, zero), (t, zero, one)]) == [(1, 0, 0), (0, Fraction(-1, 2), 1)]
+
+
+def test_limit_vectors_are_not_primitive():
+    # (2t, 1) is (2, s) times t: the whole reduced column has gcd 1, so
+    # its value at s = 0 keeps the factor 2
+    assert list(limit_vectors([{0: (0, 2), 1: (1,)}])) == [(0, {0: 2})]
 
 
 def test_limit_flag_dependent_columns():
@@ -224,10 +240,11 @@ def test_limit_flag_dependent_columns():
 
 def test_limit_flag_divides_a_column_by_s_twice():
     # (t^2/3, 1/2, 1) minus a third of the first column leaves (0, 1/2, 1)
-    # two powers of s below its top; the lcm of its denominators is 6
+    # two powers of s below its top; the lcm of its denominators is 6.
+    # The last column, e3, is then canonical as e2
     t2, zero, one = Poly.t(2), Poly(), Poly([1])
     cols = [(t2, zero, zero), (Poly.t(2, Fraction(1, 3)), Poly([Fraction(1, 2)]), one), (zero, zero, one)]
-    assert limit_flag(cols) == [(1, 0, 0), (0, 1, 2), (0, 0, 1)]
+    assert limit_flag(cols) == [(1, 0, 0), (0, Fraction(1, 2), 1), (0, 1, 0)]
 
 
 def test_limit_flag_dependence_after_a_division():
@@ -263,11 +280,14 @@ def test_limit_flag_is_unchanged_by_flag_preserving_column_operations(data):
     10^15 over 10^15, then column operations over Q[t] that keep the span
     of every prefix of columns: scaling by a nonzero rational or a nonzero
     polynomial, and adding a polynomial multiple of an earlier column.
+    The limit vectors over their pivots are the canonical form of the
+    limit flag, so the operations leave them identical.
     """
     template = data.draw(st.sampled_from(TEMPLATES))
     curve = {a: data.draw(POLYS) for a in template.matching.arcs}
     cols = [list(col) for col in instantiate(template, curve, POLY_RING).cols()]
     flag = limit_flag(cols)
+    assert canonical_reduce(mat_from_cols(flag)) == mat_from_cols(flag)
     for kind, j in data.draw(st.lists(COLUMN_OPS, max_size=6)):
         j %= len(cols)
         if kind == "earlier":
@@ -424,12 +444,10 @@ def test_int_coefficients_divide_exactly():
     assert p(0.5) == 3.25 and type(p(0.5)) is float
     assert type(p.coeff(0)) is Fraction and p.coeff(0) == 3
     assert type(p.coeff(1)) is Fraction and p.coeff(1) == 0
-    assert integer_vector([3, 0, -6]) == {0: 3, 2: -6}
-    assert integer_vector([Fraction(1, 2), 2, 0]) == {0: 1, 1: 4}
     t, zero, one = Poly.t(), Poly(), Poly([1])
     cols = [(Poly([0, 2]), Poly([4]), zero), (Poly([6]), one, zero), (zero, zero, Poly([0, 0, 3]))]
-    assert list(limit_vectors(cols)) == [(0, {0: 1}), (1, {1: 1}), (2, {2: 1})]
-    assert list(limit_vectors([(t * Poly([2]), Poly([6]))])) == [(0, {0: 1})]
+    assert list(limit_vectors(sparse(cols))) == [(0, {0: 1}), (1, {1: 1}), (2, {2: 1})]
+    assert list(limit_vectors(sparse([(t * Poly([2]), Poly([6]))]))) == [(0, {0: 1})]
 
 
 def _poly_column(vec, n, d=1):
