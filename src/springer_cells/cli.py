@@ -110,7 +110,7 @@ def cmd_cell(args, parser) -> int:
     template = build_template(m, jt)
     payload = textio.template_json(template)
     if args.format == "latex":
-        print(textio.template_latex(template))
+        _emit(args, payload, textio.template_latex(template))
         return 0
     letters = textio.arc_letters(m)
     lines = [
@@ -183,7 +183,7 @@ def cmd_closure(args, parser) -> int:
     if args.dot:
         dot = textio.decomposition_dot(dec)
         if args.dot == "-":
-            print(dot)
+            sys.stdout.write(dot + "\n")
         else:
             try:
                 with open(args.dot, "w") as fh:
@@ -296,14 +296,13 @@ def cmd_verify(args, parser) -> int:
         ],
         "passed": all(r.passed for r in results),
     }
-    if args.format == "json":
-        print(textio.dumps(payload))
-    else:
-        for r in results:
-            status = "ok" if r.passed else "FAIL"
-            detail = f"  ({r.detail})" if r.detail else ""
-            print(f"{status:4} {r.check_id}: {r.count} instances{detail}")
-        print("all passed" if payload["passed"] else "FAILURES above")
+    lines = []
+    for r in results:
+        status = "ok" if r.passed else "FAIL"
+        detail = f"  ({r.detail})" if r.detail else ""
+        lines.append(f"{status:4} {r.check_id}: {r.count} instances{detail}")
+    lines.append("all passed" if payload["passed"] else "FAILURES above")
+    _emit(args, payload, "\n".join(lines))
     return 0 if payload["passed"] else 1
 
 

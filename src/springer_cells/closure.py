@@ -340,11 +340,12 @@ def verify_limit_curve(
     of the limit flag times b_i[pivot], must equal b_i[pivot] times column
     i of the piece matrix.  Equal columns up to scale span equal flags, so
     a pass is sound for any piece matrix; the piece matrix is canonical by
-    construction, so a fail is too.
+    construction, so a fail is too.  A full flag does not read its column
+    N, so the check stops at column N - 1.
     """
     cols = poly_columns(build_template(m, jt), curve)
     point = piece_matrix(piece, target).cols()
-    for (piv, b), col in zip(limit_vectors(cols), point):
+    for (piv, b), col in zip(limit_vectors(cols[:-1]), point):
         lead = b[piv]
         if b != {row: lead * x for row, x in enumerate(col) if x}:
             return False

@@ -10,11 +10,9 @@ it integral (``QQ.zero``, ``QQ.one``, ``QQ.of``, ``sampling``) and a
 ``int / int`` is a float, a division of Q entries first makes one operand
 a Fraction, as ``SpanBasis.add`` does with an ``int`` pivot.
 ``GFElement`` and ``Poly`` are the entries of F_q and Q[t], where ``/`` is
-exact division and raises ``NotDivisible`` on a remainder.  The p
-elements of F_p are interned: ``GFElement(v, p)`` reduces v mod p and
-returns the one instance of that residue, so equality and hashing are
-identity, and arithmetic looks its result up in the field's table instead
-of building an element.  A ``Poly`` keeps an integral coefficient as an
+exact division and raises ``NotDivisible`` on a remainder.  A
+``GFElement`` is a plain value, its residue mod p and p, compared and
+hashed by value.  A ``Poly`` keeps an integral coefficient as an
 ``int`` and divides ``int`` by ``int`` into a Fraction only on a
 remainder (``exact_div``), so integer work over Q[t] allocates no
 Fractions and never turns into float arithmetic.  A ring object
@@ -49,8 +47,10 @@ appear only when a coordinate is read back.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cache
+from math import gcd, isqrt, lcm
 
 from .errors import DimensionMismatch, NotDivisible, Singular
 
@@ -79,87 +79,53 @@ class _Rationals:
 QQ = _Rationals()
 
 
-#: The interned elements of each prime field, by p.  A table is published
-#: with ``dict.setdefault``, so when two are built for one p the first wins
-#: and every element of F_p comes from that one table.
-_GF_TABLES: dict[int, tuple["GFElement", ...]] = {}
+@cache
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
-def _gf_table(p: int) -> tuple["GFElement", ...]:
-    """The p interned elements of F_p, built on first use."""
-    table = _GF_TABLES.get(p)
-    if table is not None:
-        return table
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-        raise ValueError(f"{p} is not prime")
-    table = tuple(object.__new__(GFElement) for _ in range(p))
-    inverses = (0, *(pow(v, -1, p) for v in range(1, p)))  # 0 has none
-    for v, x in enumerate(table):
-        for name, val in (("value", v), ("p", p), ("_table", table), ("_inverses", inverses)):
-            object.__setattr__(x, name, val)
-    return _GF_TABLES.setdefault(p, table)
-
-
+@dataclass(frozen=True)
 class GFElement:
-    """An element of the prime field F_p, interned.
+    """An element of the prime field F_p: the residue ``value`` in
+    ``range(p)``, reduced on construction, and the prime p.
 
-    ``GFElement(v, p)`` reduces v mod p and returns the one instance of
-    that residue, so ``value`` is always in ``range(p)``, the element is
-    falsy exactly at zero, and equality and hashing are identity.  The
-    result of ``+ - * /`` is looked up by its residue in the field's table
-    of elements, and ``/`` multiplies by the inverse from the field's
-    table of inverses.  An operand of another field or of another type
-    raises TypeError.  Elements are immutable, and a pickle or copy round
-    trip returns the interned element.
+    Equality and hashing are by value, and the element is falsy exactly at
+    zero.  An operand of another field or of another type raises
+    TypeError, and a p that is not prime raises ValueError.
     """
 
-    __slots__ = ("value", "p", "_table", "_inverses")
+    value: int
+    p: int
 
-    def __new__(cls, value: int, p: int) -> "GFElement":
-        return _gf_table(p)[value % p]
-
-    def __setattr__(self, name, value):  # interned, so immutable
-        raise AttributeError("GFElement is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("GFElement is immutable")
-
-    def __reduce__(self):
-        return GFElement, (self.value, self.p)
+    def __post_init__(self):
+        if not _is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
+        object.__setattr__(self, "value", self.value % self.p)
 
     def _coerce(self, other: "GFElement") -> None:
         if not isinstance(other, GFElement) or other.p != self.p:
             raise TypeError(f"incompatible field element: {other!r}")
 
-    # an operand from this element's own table skips _coerce
     def __add__(self, other: "GFElement") -> "GFElement":
-        table = self._table
-        if other.__class__ is not GFElement or other._table is not table:
-            self._coerce(other)
-        return table[(self.value + other.value) % self.p]
+        self._coerce(other)
+        return GFElement(self.value + other.value, self.p)
 
     def __sub__(self, other: "GFElement") -> "GFElement":
-        table = self._table
-        if other.__class__ is not GFElement or other._table is not table:
-            self._coerce(other)
-        return table[(self.value - other.value) % self.p]
+        self._coerce(other)
+        return GFElement(self.value - other.value, self.p)
 
     def __mul__(self, other: "GFElement") -> "GFElement":
-        table = self._table
-        if other.__class__ is not GFElement or other._table is not table:
-            self._coerce(other)
-        return table[(self.value * other.value) % self.p]
+        self._coerce(other)
+        return GFElement(self.value * other.value, self.p)
 
     def __truediv__(self, other: "GFElement") -> "GFElement":
-        table = self._table
-        if other.__class__ is not GFElement or other._table is not table:
-            self._coerce(other)
+        self._coerce(other)
         if not other.value:
             raise ZeroDivisionError("division by zero in GF(p)")
-        return table[(self.value * self._inverses[other.value]) % self.p]
+        return GFElement(self.value * pow(other.value, -1, self.p), self.p)
 
     def __neg__(self) -> "GFElement":
-        return self._table[-self.value]  # index -v is p - v, and -0 is 0
+        return GFElement(-self.value, self.p)
 
     def __bool__(self) -> bool:
         return self.value != 0
@@ -169,7 +135,7 @@ class GFElement:
 
 
 class PrimeField:
-    """The prime field F_p for small prime p: its p elements are interned."""
+    """The prime field F_p for small prime p."""
 
     def __init__(self, p: int):
         self.p = p
@@ -180,7 +146,7 @@ class PrimeField:
         return GFElement(int(x), self.p)
 
     def elements(self) -> list[GFElement]:
-        return list(self.zero._table)
+        return [GFElement(v, self.p) for v in range(self.p)]
 
 
 def exact_div(a: Fraction | int, b: Fraction | int) -> Fraction | int:

@@ -15,10 +15,11 @@ every candidate pivot.  A new canonical column (pivot 1, zero at every
 earlier pivot row) reduces each residual in one step, so a child inherits
 its parent's residuals instead of reducing the images again.
 
-The oracle shares with the main path the scalars, the flag-matrix wrapper
-and ``apply_nilpotent``, not the elimination kernel; it never builds cell
-templates, so agreement between its buckets and the matching enumeration
-is a genuine cross-check.
+Its matrices hold those residues as ints in ``range(q)``.  The oracle
+shares with the main path only the flag-matrix wrapper and
+``apply_nilpotent``, neither a field type nor the elimination kernel; it
+never builds cell templates, so agreement between its buckets and the
+matching enumeration is a genuine cross-check.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 from .cells import FlagMatrix, apply_nilpotent, build_template, instantiate
 from .errors import Infeasible
-from .exact import PrimeField, mat_from_cols
+from .exact import mat_from_cols
 from .matchings import JordanType, enumerate_matchings, matching_permutation
 
 #: Hard cap on the nominal enumeration size (canonical matrices of the
@@ -64,12 +65,11 @@ def _feasible(cfg: FqConfig) -> None:
 
 def enumerate_springer_flags(cfg: FqConfig) -> dict[tuple[int, ...], list[FlagMatrix]]:
     """All canonical representatives over F_q whose flags are fixed by the
-    nilpotent, bucketed by pivot pattern.
+    nilpotent, bucketed by pivot pattern, with entries in ``range(q)``.
     """
     _feasible(cfg)
     p = cfg.q
     N = cfg.jt.N
-    elements = PrimeField(p).elements()
     buckets: dict[tuple[int, ...], list[FlagMatrix]] = {}
 
     def extend(cols: tuple, pivots: tuple[int, ...], unused: list[int], images: list[list[int]]):
@@ -105,10 +105,10 @@ def enumerate_springer_flags(cfg: FqConfig) -> dict[tuple[int, ...], list[FlagMa
                 for c, nb in zip(coeffs, null_basis):
                     if c:
                         values = [(v + c * x) % p for v, x in zip(values, nb)]
-                col = [elements[0]] * N
-                col[piv - 1] = elements[1]
+                col = [0] * N
+                col[piv - 1] = 1
                 for r, v in zip(unused, values):
-                    col[r - 1] = elements[v]
+                    col[r - 1] = v
                 # one step against the column (pivot 1, 0 at earlier pivot
                 # rows) reduces a residual to the child's span, 0 at row k
                 child = [
@@ -149,7 +149,6 @@ def cross_check_cells(cfg: FqConfig) -> FqReport:
     each bucket exactly, and totals adding up.
     """
     buckets = enumerate_springer_flags(cfg)
-    field = PrimeField(cfg.q)
     jt = cfg.jt
     matchings = enumerate_matchings(jt)
     expected_patterns = {matching_permutation(m, jt): m for m in matchings}
@@ -162,9 +161,8 @@ def cross_check_cells(cfg: FqConfig) -> FqReport:
             sizes_match = False
         template = build_template(m, jt)
         generated = set()
-        for values in itertools.product(field.elements(), repeat=len(m)):
-            params = dict(zip(m.arcs, values))
-            generated.add(instantiate(template, params, field).rows)
+        for values in itertools.product(range(cfg.q), repeat=len(m)):
+            generated.add(instantiate(template, dict(zip(m.arcs, values))).rows)
         if generated != {g.rows for g in bucket}:
             instantiation_match = False
     total = sum(len(v) for v in buckets.values())

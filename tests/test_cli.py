@@ -431,7 +431,17 @@ def test_closed_stdout_ends_without_a_traceback(argv, code):
     assert _close_after_two_lines(argv) == (b"", code)
 
 
-def test_unbuffered_table_leaves_in_one_write():
-    # unbuffered, a table and its newline must still be one write
-    argv = ["fqcount", "--q", "5", "--N", "4", "--n", "2"]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fqcount", "--q", "5", "--N", "4", "--n", "2"],
+        ["verify", "--suite", "combinatorics", "--max-N", "3"],
+        ["verify", "--suite", "combinatorics", "--max-N", "3", "--format", "json"],
+        ["cell", "--matching", "(1,4)(2,3)", "--n", "2", "--latex"],
+        ["closure", "--matching", "(1,4)(2,3)", "--n", "2", "--dot", "-"],
+    ],
+    ids=["fqcount", "verify-table", "verify-json", "cell-latex", "closure-dot"],
+)
+def test_unbuffered_table_leaves_in_one_write(argv):
+    # unbuffered, an output and its newline must still be one write
     assert _close_after_two_lines(argv, PYTHONUNBUFFERED="1") == (b"", 0)

@@ -529,22 +529,22 @@ def test_prime_field_ops():
         PrimeField(6)
 
 
-def test_gf_elements_are_reduced_and_interned():
+def test_gf_elements_are_reduced_values():
     for p in (2, 3, 5, 7):
         field = PrimeField(p)
         for v in range(-2 * p, 2 * p):
             x = GFElement(v, p)
-            assert x is field.of(v)
+            assert x == field.of(v) and hash(x) == hash(field.of(v))
             assert x.value == v % p
             assert bool(x) == (v % p != 0)
         assert field.elements() == [GFElement(v, p) for v in range(p)]
-        assert field.zero is GFElement(p, p) and field.one is GFElement(1 - p, p)
+        assert field.zero == GFElement(p, p) and field.one == GFElement(1 - p, p)
     assert GFElement(4, 3) == GFElement(1, 3)
     assert GFElement(1, 3) != GFElement(1, 5)
     assert len({GFElement(v, 3) for v in range(-6, 6)}) == 3
 
 
-def test_gf_field_checks_survive_the_fast_path():
+def test_gf_field_checks():
     f3, f5 = PrimeField(3), PrimeField(5)
     ops = (operator.add, operator.sub, operator.mul, operator.truediv)
     for op in ops:
@@ -562,15 +562,15 @@ def test_gf_field_checks_survive_the_fast_path():
         assert (x * y).value == (x.value * y.value) % 5
         assert (-x).value == -x.value % 5
         if y:
-            assert (x / y) * y is x
+            assert (x / y) * y == x
     x = f5.of(2)
     with pytest.raises(AttributeError):
         x.value = 3
     with pytest.raises(AttributeError):
         del x.value
     assert x.value == 2
-    assert pickle.loads(pickle.dumps(x)) is x
-    assert copy.deepcopy(x) is x and copy.copy(x) is x
+    for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+        assert y == x and hash(y) == hash(x) and repr(y) == "2 (mod 5)"
     assert copy.deepcopy((x, [f3.one])) == (x, [f3.one])
     with pytest.raises(ValueError):
         GFElement(1, 6)
@@ -579,7 +579,7 @@ def test_gf_field_checks_survive_the_fast_path():
 def test_only_constructors_take_a_ring():
     # entries carry their arithmetic and zero is falsy, so only the
     # function that builds a matrix out of Python values needs the ring,
-    # and only the F_q oracle and the limit certifier pass it one
+    # and only the leading-direction check passes it one
     takes_ring = set()
     for path in Path(springer_cells.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):

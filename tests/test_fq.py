@@ -10,7 +10,7 @@ from springer_cells.cells import FlagMatrix, verify_springer
 from springer_cells.cli import run
 from springer_cells.closure import flag_necessary_conditions
 from springer_cells.errors import Infeasible
-from springer_cells.exact import PrimeField
+from springer_cells.exact import GFElement, PrimeField
 from springer_cells.fqoracle import (
     FqConfig,
     cross_check_cells,
@@ -131,13 +131,15 @@ def test_feasibility_guard():
 
 def test_fq_flags_satisfy_the_conditions_of_their_cell():
     # every F_3 Springer flag of type (2,4) is fixed by the nilpotent and
-    # meets the closure conditions of the cell of its pivot pattern
+    # meets the closure conditions of the cell of its pivot pattern, read
+    # over F_3 and not over Q
     jt = JordanType(2, 4)
     cells = {matching_permutation(m, jt): m for m in enumerate_matchings(jt)}
     buckets = enumerate_springer_flags(FqConfig(3, jt))
     assert sum(len(flags) for flags in buckets.values()) == 28
     for w, flags in buckets.items():
-        for g in flags:
+        for flag in flags:
+            g = FlagMatrix(tuple(tuple(GFElement(x, 3) for x in row) for row in flag.rows))
             assert verify_springer(g, jt)
             assert flag_necessary_conditions(cells[w], jt, g) == []
 
@@ -155,6 +157,17 @@ def test_enumeration_matches_brute_force(q, jt):
     # q = 5 rows of the system also lead with 2, 3 and 4
     buckets = enumerate_springer_flags(FqConfig(q, jt))
     found = {w: [g.rows for g in flags] for w, flags in buckets.items()}
-    expected = brute_springer_buckets(jt, PrimeField(q))
+    expected = {
+        w: [tuple(tuple(x.value for x in row) for row in g) for g in brute]
+        for w, brute in brute_springer_buckets(jt, PrimeField(q)).items()
+    }
     assert {w: set(rows) for w, rows in found.items()} == {w: set(rows) for w, rows in expected.items()}
     assert all(len(rows) == len(set(rows)) for rows in found.values())
+
+
+@pytest.mark.parametrize("q, jt", [(2, JordanType(2, 5)), (3, JordanType(2, 4)), (5, JordanType(1, 3))], ids=str)
+def test_fq_entries_are_residues(q, jt):
+    # the oracle keeps F_q as plain ints, so no field type leaks out of it
+    for flags in enumerate_springer_flags(FqConfig(q, jt)).values():
+        for g in flags:
+            assert all(x.__class__ is int and 0 <= x < q for row in g.rows for x in row)

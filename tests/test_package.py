@@ -151,3 +151,18 @@ def test_idempotent_tests_are_found():
 def test_only_is_one_tests_for_a_pivot_of_one():
     found = {path.name: idempotent_tests(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: where for name, where in found.items() if where} == {"exact.py": ["is_one"]}
+
+
+def test_fq_oracle_takes_no_field_type():
+    """The F_q oracle keeps F_q as int residues: from ``exact`` it imports
+    ``mat_from_cols`` alone, and it names no field type and no span kernel.
+    """
+    source = (PACKAGE / "fqoracle.py").read_text()
+    from_exact = {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module in ("exact", "springer_cells.exact")
+        for alias in node.names
+    }
+    assert from_exact == {"mat_from_cols"}
+    assert not {"exact", "GFElement", "PrimeField", "SpanBasis"} & read_names(source)
