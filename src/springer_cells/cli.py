@@ -160,6 +160,11 @@ def cmd_cut(args, parser) -> int:
 
 
 def cmd_closure(args, parser) -> int:
+    # one output per stream: the DOT graph, the JSON payload or the table
+    if args.format == "json" and args.dot == "-":
+        parser.error("--format json and --dot - both write to stdout")
+    if args.format == "dot" and args.dot not in (None, "-"):
+        parser.error(f"--format dot writes the graph to stdout, not to --dot {args.dot}")
     m, jt = _matching_from_args(args, parser)
     dec = closure_decomposition(m, jt)
     rng = random.Random(args.seed)

@@ -8,26 +8,28 @@ back this up:
   converges, subspace by subspace, to a chosen point of a piece, checked
   without tolerance by reading the canonical form of the limit flag off
   the curve, up to integer column scales (``exact.limit_vectors``, over
-  the integers), and comparing it column by column with the piece point;
+  the integers), and comparing it column by column with the piece point,
+  each column read sparsely off the slots of the piece's base template;
 * a numeric infimum oracle (see ``numeric``) that minimizes a projector
   distance to the target flag.
 
 Curves are synthesized recursively from the target point, the canonical
 matrix of the piece at the target, which is built once; no level reads a
-label.  With no arc cut, the curve is constant at the point's slot
-entries.  When the matching has an index with no arc over it, the point is
-``chi_embed`` of two blocks, sliced by ``_chi_frame`` and recursed on
-alone, and the curves concatenate.  When the outermost arc spans
-everything, the point is ``phi_embed`` of an inner point over the line
-V_1, in the rows of ``_phi_frame``: a finite value of that arc, read from
-the top-left entry, freezes its variable once the shear is undone, and
-the inner point recurses unreduced, exact except right of top-block
-pivots, where nothing reads; cutting the outermost arc sends V_1 to its
-limit line, which twists the inner coordinates by a polynomial frame
-change.  The twisted columns are built over Z[t] and brought to
-canonical form fraction-free (``exact.integer_canonical_columns``), the
-coordinates are read back over Q[t], and a twist with no polynomial
-coordinates gives no curve.
+label, and each level takes its route (the split or the phi data of its
+cell) from the memo ``_route``.  With no arc cut, the curve is constant
+at the point's slot entries.  When the matching has an index with no arc
+over it, the point is ``chi_embed`` of two blocks, sliced by
+``_chi_frame`` and recursed on alone, and the curves concatenate.  When
+the outermost arc spans everything, the point is ``phi_embed`` of an
+inner point over the line V_1, in the rows of ``_phi_frame``: a finite
+value of that arc, read from the top-left entry, freezes its variable
+once the shear is undone, and the inner point recurses unreduced, exact
+except right of top-block pivots, where nothing reads; cutting the
+outermost arc sends V_1 to its limit line, which twists the inner
+coordinates by a polynomial frame change.  The twisted columns are built
+over Z[t] and brought to canonical form fraction-free
+(``exact.integer_canonical_columns``), the coordinates are read back
+over Q[t], and a twist with no polynomial coordinates gives no curve.
 """
 
 from __future__ import annotations
@@ -35,11 +37,13 @@ from __future__ import annotations
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
 from math import lcm
+from typing import NamedTuple
 
 from .cells import FlagMatrix, apply_nilpotent, build_template, poly_columns, prefix_span_basis
-from .cutting import LabeledPiece, arc_subsets, labeled_cut, piece_matrix, swap_letters
+from .cutting import LabeledPiece, arc_subsets, labeled_cut, piece_matrix, piece_params, swap_letters
 from .errors import (
     CurveNotFound,
     DimensionMismatch,
@@ -248,12 +252,12 @@ def chi_split(m: Matching, jt: JordanType, i: int) -> SplitData:
     )
 
 
-def _chi_frame(split: SplitData) -> tuple[list[int], list[int]]:
+def _chi_frame(split: SplitData) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Where chi_embed puts the left and the right flag, as 0-based rows:
     the top rows of each, in turn, lead the top block, and so on below.
     """
     i, nL, n = split.i, split.jtL.n, split.jtL.n + split.jtR.n
-    return [*range(nL), *range(n, n + i - nL)], [*range(nL, n), *range(n + i - nL, i + split.mR.N)]
+    return (*range(nL), *range(n, n + i - nL)), (*range(nL, n), *range(n + i - nL, i + split.mR.N))
 
 
 def chi_embed(gL: FlagMatrix, gR: FlagMatrix, split: SplitData) -> FlagMatrix:
@@ -333,21 +337,30 @@ def verify_limit_curve(
     """Exact, tolerance-free check that the curve's flag converges to the
     labeled piece at the target values: for every i, the limit of the span
     of the curve's first i columns is the span of the first i columns of
-    the piece matrix.
+    the piece point, the piece matrix at the target.
 
     The curve's columns go to ``exact.limit_vectors`` as sparse integer
     polynomials, and each limit vector b_i, column i of the canonical form
     of the limit flag times b_i[pivot], must equal b_i[pivot] times column
-    i of the piece matrix.  Equal columns up to scale span equal flags, so
-    a pass is sound for any piece matrix; the piece matrix is canonical by
-    construction, so a fail is too.  A full flag does not read its column
-    N, so the check stops at column N - 1.
+    i of the piece point.  Equal columns up to scale span equal flags, so
+    a pass is sound for any piece point; the piece point is canonical by
+    construction, so a fail is too.  The piece point is built sparsely
+    from the ``slots`` of the template of the piece's base: column i holds
+    1 at its pivot row and each nonzero parameter value (``piece_params``)
+    in its slots.  (The cached ``column_slots`` would stay in the template
+    memo for every base a run checks.)  A full flag does not read its
+    column N, so the check stops at column N - 1.
     """
     cols = poly_columns(build_template(m, jt), curve)
-    point = piece_matrix(piece, target).cols()
+    params = piece_params(piece, target)
+    template = build_template(piece.base, piece.jt)
+    point = [{w - 1: 1} for w in template.w]
+    for (r, c), arc in template.slots.items():
+        if x := params[arc]:
+            point[c - 1][r - 1] = x
     for (piv, b), col in zip(limit_vectors(cols[:-1]), point):
         lead = b[piv]
-        if b != {row: lead * x for row, x in enumerate(col) if x}:
+        if b != {row: lead * x for row, x in col.items()}:
             return False
     return True
 
@@ -355,6 +368,39 @@ def verify_limit_curve(
 def _inner_matching(m: Matching) -> Matching:
     outer = Arc(1, m.N)
     return Matching(m.N - 2, tuple(_shift_arc(a, -1) for a in m.arcs if a != outer))
+
+
+class _Chi(NamedTuple):
+    """Split at the first split index: the halves and the rows of each block."""
+
+    split: SplitData
+    left_rows: tuple[int, ...]
+    right_rows: tuple[int, ...]
+
+
+class _Phi(NamedTuple):
+    """No split index: the outer arc (1, N) and the cell inside it."""
+
+    outer: Arc
+    inner_m: Matching
+    inner_jt: JordanType
+
+
+@cache
+def _route(m: Matching, jt: JordanType) -> _Chi | _Phi:
+    """How _synthesize recurses on the cell of m once an arc is cut.
+
+    Memoized on (m, jt), as ``build_template`` is: the sub-matchings of a
+    run recur across its pieces and cells, and callers treat the route as
+    read-only.
+    """
+    splits = valid_split_indices(m)
+    if splits:
+        split = chi_split(m, jt, splits[0])
+        return _Chi(split, *_chi_frame(split))
+    outer = Arc(1, m.N)
+    assert outer in m, "a matching without split indices carries the full arc"
+    return _Phi(outer, _inner_matching(m), JordanType(jt.n - 1, jt.N - 2))
 
 
 def _twisted_inner_coords(
@@ -443,21 +489,17 @@ def _synthesize(
     if not cut_arcs:
         top_offset = build_template(m, jt).top_offset
         return {a: Poly.const(point[top_offset[a]][a.init - 1]) for a in m.arcs}
-    splits = valid_split_indices(m)
-    if splits:
-        split = chi_split(m, jt, splits[0])
+    route = _route(m, jt)
+    if isinstance(route, _Chi):
+        split, left_rows, right_rows = route
         i = split.i
-        left_rows, right_rows = _chi_frame(split)
         left_cut, right_cut = map(frozenset, _halves(cut_arcs, i))
         left = _synthesize(split.mL, split.jtL, left_cut, [point[r][:i] for r in left_rows])
         right = _synthesize(split.mR, split.jtR, right_cut, [point[r][i:] for r in right_rows])
         return {**left, **{_shift_arc(a, i): p for a, p in right.items()}}
     # no split: the arc (1, N) is present and the matching is perfect, and
     # the point is phi_embed of an inner point at the outer arc's value
-    outer = Arc(1, m.N)
-    assert outer in m, "a matching without split indices carries the full arc"
-    inner_m = _inner_matching(m)
-    inner_jt = JordanType(jt.n - 1, jt.N - 2)
+    outer, inner_m, inner_jt = route
     inner_cut = frozenset(_shift_arc(a, -1) for a in cut_arcs if a != outer)
     outer_cut = outer in cut_arcs
     if not outer_cut:

@@ -46,6 +46,7 @@ appear only when a coordinate is read back.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -460,35 +461,44 @@ def limit_vectors(
     polynomial vector in s = 1/t, its coefficients reversed at its top
     degree and stored sparsely.  The reduced vectors of the earlier
     columns clear its value at s = 0 at their pivots by coprime integer
-    combinations, in one pass from the highest pivot down: at s = 0 each
-    is 0 below its pivot, so a cleared row stays 0.  The column is divided
-    by s while that value is 0.  The value left is b, after the whole
-    reduced column is divided by the gcd of its entries.  None of these
-    steps changes the flag, since each only scales a column by a nonzero
-    rational.  Raises Singular when the columns are dependent over Q(t).
+    combinations, in one pass from the highest pivot down (the pivots are
+    kept ascending and walked in reverse): at s = 0 each is 0 below its
+    pivot, so a cleared row stays 0.  The column is divided by s while
+    that value is 0.  The value left is b, after the whole reduced column
+    is divided by the gcd of its entries.  None of these steps changes the
+    flag, since each only scales a column by a nonzero rational.  Raises
+    Singular when the columns are dependent over Q(t).
     """
     reduced: dict[int, list[dict[int, int]]] = {}  # pivot -> s-coefficients
-    pivots: list[int] = []  # descending
+    pivots: list[int] = []  # ascending
     # an independent prefix is divided by s at most its sum of top degrees
     budget = 0
     for j, col in enumerate(cols, start=1):
-        terms = [(row, d, c) for row, p in col.items() for d, c in enumerate(p) if c]
-        if not terms:
+        top, scale = -1, 1
+        for p in col.values():
+            for d, c in enumerate(p):
+                if c:
+                    if d > top:
+                        top = d
+                    if type(c) is not int:
+                        scale = lcm(scale, c.denominator)
+        if top < 0:
             raise Singular(f"column {j} is zero")
-        top = max(d for _, d, _ in terms)
         budget += top
-        scale = lcm(*{c.denominator for _, _, c in terms})
         v: list[dict[int, int]] = [{} for _ in range(top + 1)]
-        for row, d, c in terms:
-            v[top - d][row] = c.numerator * (scale // c.denominator)
+        for row, p in col.items():
+            for d, c in enumerate(p):
+                if c:
+                    v[top - d][row] = c.numerator * (scale // c.denominator)
         while True:
             v0 = v[0]
-            for piv in pivots:
+            for piv in reversed(pivots):
                 c = v0.get(piv)
                 if c:
                     r = reduced[piv]
                     a, c = _coprime(r[0][piv], c)
-                    v.extend({} for _ in range(len(r) - len(v)))
+                    if len(r) > len(v):
+                        v.extend({} for _ in range(len(r) - len(v)))
                     for k, vk in enumerate(v):
                         _scaled_sub(vk, a, c, r[k] if k < len(r) else {})
             if v0:
@@ -502,8 +512,7 @@ def limit_vectors(
         if g != 1:
             v = [{row: x // g for row, x in vk.items()} for vk in v]
         reduced[piv] = v
-        pivots.append(piv)
-        pivots.sort(reverse=True)
+        insort(pivots, piv)
         yield piv, v[0]
 
 

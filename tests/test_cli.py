@@ -209,6 +209,26 @@ def test_closure_dot_mirrors_four_pieces():
     assert "(1,2)↦a, (3,4)↦a" in out
 
 
+def test_closure_refuses_two_outputs_on_one_stream(tmp_path):
+    """JSON and DOT cannot share stdout, and --format dot with --dot FILE
+    would send the graph to the file and the table to stdout: both are
+    usage errors that print nothing and write no file.
+    """
+    base = ["closure", "--matching", "(1,4)(2,3)", "--n", "2"]
+    path = tmp_path / "graph.dot"
+    for extra in (
+        ["--format", "json", "--dot", "-"],
+        ["--format", "json", "--dot", "-", "--certify"],
+        ["--format", "dot", "--dot", str(path)],
+    ):
+        code, out, err = invoke(base + extra)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "error" in err
+    assert not path.exists()
+    code, out, _ = invoke(base + ["--format", "dot"])
+    assert code == 0 and out == invoke(base + ["--dot", "-"])[1] == invoke(base + ["--format", "dot", "--dot", "-"])[1]
+
+
 def test_closure_json_certify_schema():
     code, out, _ = invoke(
         ["closure", "--matching", "(1,4)(2,3)", "--n", "2", "--certify", "--format", "json", "--seed", "5"]

@@ -9,7 +9,15 @@ from math import gcd, lcm
 import pytest
 
 from springer_cells import closure
-from springer_cells.cells import FlagMatrix, apply_nilpotent, build_template, cell_matrix, instantiate, verify_canonical
+from springer_cells.cells import (
+    FlagMatrix,
+    apply_nilpotent,
+    build_template,
+    cell_matrix,
+    instantiate,
+    poly_columns,
+    verify_canonical,
+)
 from springer_cells.closure import (
     INFINITY,
     chi_embed,
@@ -32,7 +40,15 @@ from springer_cells.errors import (
     Singular,
     TooManyArcs,
 )
-from springer_cells.exact import POLY_RING, Poly, SpanBasis, canonical_reduce, mat_from_cols, mat_from_rows, pivot_pattern
+from springer_cells.exact import (
+    POLY_RING,
+    Poly,
+    SpanBasis,
+    canonical_reduce,
+    limit_vectors,
+    mat_from_rows,
+    pivot_pattern,
+)
 from springer_cells.matchings import (
     Arc,
     JordanType,
@@ -409,28 +425,84 @@ def test_verify_rejects_uncorrected_inner_value():
 
 def test_verify_fails_when_only_the_last_flag_column_differs(monkeypatch):
     """A full flag does not read its column N, so column N - 1 is the last
-    one the check can fail on.  With only that column of the piece point
-    changed, to itself plus column N, the first N - 2 limit subspaces still
-    agree and the check must fail at its last step; with only column N
-    changed, the flag is the same and the check passes.  The check reads
-    a canonical piece point, so each changed point enters in canonical form.
+    one the check can fail on: it hands N - 1 columns to the limit kernel.
+    In the piece cutting (1,2) and (3,4) of (1,2)(3,4)(5,6), the label
+    (5,6) sits in column N - 1 = 5 alone, and (2,3) is labeled ZERO, so a
+    tampered value of (5,6) changes only that column of the piece point:
+    the first N - 2 limit subspaces still agree and the check fails at its
+    last step.
     """
     jt = JordanType(3, 6)
-    m = matching(6, [(1, 6), (2, 5), (3, 4)])
-    cut_arcs = [Arc(1, 6)]
-    target = {Arc(2, 5): Fraction(3, 2), Arc(3, 4): Fraction(-5, 7)}
+    m = matching(6, [(1, 2), (3, 4), (5, 6)])
+    cut_arcs = [Arc(1, 2), Arc(3, 4)]
+    target = {Arc(5, 6): Fraction(-5, 7)}
     curve = synthesize_limit_curve(m, jt, cut_arcs, target)
     piece = labeled_cut(m, cut_arcs, jt)
+    assert piece.labels[Arc(2, 3)] is ZERO
+    kernel, seen = closure.limit_vectors, []
+
+    def counted(cols):
+        cols = list(cols)
+        seen.append([len(cols), 0])
+        for item in kernel(cols):
+            seen[-1][1] += 1
+            yield item
+
+    monkeypatch.setattr(closure, "limit_vectors", counted)
     assert verify_limit_curve(m, jt, curve, piece, target)
-    *head, before_last, last = piece_matrix(piece, target).cols()
-    bumped = tuple(x + y for x, y in zip(before_last, last))
-    for cols, expected in (
-        (head + [bumped, last], False),
-        (head + [before_last, tuple(2 * x + y for x, y in zip(last, head[0]))], True),
-    ):
-        point = FlagMatrix(canonical_reduce(mat_from_cols(cols)))
-        monkeypatch.setattr(closure, "piece_matrix", lambda *_: point)
-        assert verify_limit_curve(m, jt, curve, piece, target) is expected
+    assert not verify_limit_curve(m, jt, curve, piece, {Arc(5, 6): Fraction(2, 3)})
+    assert seen == [[5, 5], [5, 5]]
+
+
+def _dense_verdict(m, jt, curve, piece, target) -> bool:
+    """The comparison the sparse one replaced: each limit vector against
+    the dense column of the instantiated piece matrix.
+    """
+    cols = poly_columns(build_template(m, jt), curve)
+    point = piece_matrix(piece, target).cols()
+    for (piv, b), col in zip(limit_vectors(cols[:-1]), point):
+        lead = b[piv]
+        if b != {row: lead * x for row, x in enumerate(col) if x}:
+            return False
+    return True
+
+
+def test_sparse_point_agrees_with_the_dense_piece_matrix(monkeypatch):
+    """Every piece of every cell with N <= 8, at a seeded target and at the
+    targets 0, 1 and -3: the check, with ``closure.piece_matrix`` set to
+    raise, gives the verdict of the dense comparison for the synthesized
+    curve and for that curve with one seeded coefficient moved by 1.  A
+    missing target value still raises MissingParameter.
+    """
+
+    def no_piece_matrix(*_):
+        raise AssertionError("the check builds no piece matrix")
+
+    monkeypatch.setattr(closure, "piece_matrix", no_piece_matrix)
+    rng = random.Random(25)
+    verdicts = {True: 0, False: 0}
+    for N, n in ((N, n) for N in range(1, 9) for n in range(N + 1)):
+        jt = JordanType(n, N)
+        for m in enumerate_matchings(jt):
+            for cut_arcs, piece in closure_decomposition(m, jt).pieces.items():
+                uncut = [a for a in m.arcs if a not in cut_arcs]
+                targets = [random_params(uncut, rng)] + [{a: Fraction(v) for a in uncut} for v in (0, 1, -3)]
+                for target in targets:
+                    curve = closure._synthesize(m, jt, cut_arcs, piece_matrix(piece, target).rows)
+                    curves = [curve]
+                    if m.arcs:
+                        arc = rng.choice(m.arcs)
+                        coeffs = [*curve[arc].coeffs, 0]
+                        coeffs[rng.randrange(len(coeffs))] += 1
+                        curves.append({**curve, arc: Poly(coeffs)})
+                    for c in curves:
+                        verdict = verify_limit_curve(m, jt, c, piece, target)
+                        assert verdict == _dense_verdict(m, jt, c, piece, target), (m, cut_arcs, target)
+                        verdicts[verdict] += 1
+                if uncut:
+                    with pytest.raises(MissingParameter):
+                        verify_limit_curve(m, jt, curve, piece, {})
+    assert verdicts == {True: 13318, False: 4618}
 
 
 def test_constant_curve_certifies_full_piece():
@@ -553,6 +625,47 @@ def test_a_wrong_inner_point_fails_loudly(monkeypatch):
     monkeypatch.setattr(closure, "_shear", lambda rows, a: None)
     with pytest.raises(CurveNotFound):
         synthesize_limit_curve(m, JordanType(3, 6), [Arc(2, 5)], target)
+
+
+def test_route_is_computed_once_per_cell(monkeypatch):
+    """Certifying the nested N = 8 closure computes the route of each of
+    the 4 nested cells the synthesizer reaches once, in 49 reads; the
+    closure of (1,8)(2,3)(4,7)(5,6) adds 2 routes, one of them a split, and
+    that of (1,2)(3,4)(5,8)(6,7) adds its own, which splits at its first
+    of two split indices.  Each route holds what the split or the phi
+    recursion would compute afresh.
+    """
+    closure._route.cache_clear()
+    route, keys = closure._route, set()
+
+    def recorded(m, jt):
+        keys.add((m, jt))
+        return route(m, jt)
+
+    monkeypatch.setattr(closure, "_route", recorded)
+    jt = JordanType(4, 8)
+    rng = random.Random(8)
+    for m, routes, reads in (
+        (matching(8, [(1, 8), (2, 7), (3, 6), (4, 5)]), 4, 49),
+        (matching(8, [(1, 8), (2, 3), (4, 7), (5, 6)]), 6, 106),
+        (matching(8, [(1, 2), (3, 4), (5, 8), (6, 7)]), 7, 171),
+    ):
+        for cut_arcs in closure_decomposition(m, jt).pieces:
+            synthesize_limit_curve(m, jt, cut_arcs, random_params(m.arcs, rng))
+        info = route.cache_info()
+        assert (info.misses, info.misses + info.hits) == (routes, reads)
+        assert info.currsize == len(keys) == routes
+    kinds = set()
+    for m, jt in keys:
+        got = route(m, jt)
+        splits = closure.valid_split_indices(m)
+        if splits:
+            split = chi_split(m, jt, splits[0])
+            assert got == (split, *closure._chi_frame(split))
+        else:
+            assert got == (Arc(1, m.N), closure._inner_matching(m), JordanType(jt.n - 1, jt.N - 2))
+        kinds.add(type(got).__name__)
+    assert kinds == {"_Chi", "_Phi"}
 
 
 def _synthesis_outcome(m, jt, cut_arcs, rows):

@@ -7,6 +7,7 @@ import operator
 import pickle
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -228,6 +229,116 @@ def test_limit_vectors_are_not_primitive():
     # (2t, 1) is (2, s) times t: the whole reduced column has gcd 1, so
     # its value at s = 0 keeps the factor 2
     assert list(limit_vectors([{0: (0, 2), 1: (1,)}])) == [(0, {0: 2})]
+
+
+def _reference_coprime(a: int, c: int) -> tuple[int, int]:
+    g = gcd(a, c)
+    if a < 0:
+        g = -g
+    return a // g, c // g
+
+
+def _reference_scaled_sub(v: dict, a: int, c: int, r: dict) -> None:
+    if a != 1:
+        for row in v:
+            v[row] *= a
+    for row, x in r.items():
+        y = v.get(row, 0) - c * x
+        if y:
+            v[row] = y
+        else:
+            del v[row]
+
+
+def _reference_limit_vectors(cols):
+    """The limit kernel as it stood before its per-column trim: a list of
+    terms per column, the pivots re-sorted descending for every column."""
+    reduced = {}
+    pivots = []
+    budget = 0
+    for j, col in enumerate(cols, start=1):
+        terms = [(row, d, c) for row, p in col.items() for d, c in enumerate(p) if c]
+        if not terms:
+            raise Singular(f"column {j} is zero")
+        top = max(d for _, d, _ in terms)
+        budget += top
+        scale = lcm(*{c.denominator for _, _, c in terms})
+        v = [{} for _ in range(top + 1)]
+        for row, d, c in terms:
+            v[top - d][row] = c.numerator * (scale // c.denominator)
+        while True:
+            v0 = v[0]
+            for piv in pivots:
+                c = v0.get(piv)
+                if c:
+                    r = reduced[piv]
+                    a, c = _reference_coprime(r[0][piv], c)
+                    v.extend({} for _ in range(len(r) - len(v)))
+                    for k, vk in enumerate(v):
+                        _reference_scaled_sub(vk, a, c, r[k] if k < len(r) else {})
+            if v0:
+                break
+            if budget == 0 or len(v) == 1:
+                raise Singular(f"column {j} is dependent on earlier columns")
+            budget -= 1
+            del v[0]
+        piv = max(v[0])
+        g = gcd(*(x for vk in v for x in vk.values()))
+        if g != 1:
+            v = [{row: x // g for row, x in vk.items()} for vk in v]
+        reduced[piv] = v
+        pivots.append(piv)
+        pivots.sort(reverse=True)
+        yield piv, v[0]
+
+
+def _kernel_outcome(kernel, cols):
+    """The (pivot, b) pairs a limit kernel yields, and its Singular message or None."""
+    out = []
+    try:
+        for item in kernel(cols):
+            out.append(item)
+    except Singular as exc:
+        return out, str(exc)
+    return out, None
+
+
+_COEFF = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def _sparse_columns(draw):
+    """Sparse columns with int and Fraction coefficients, zeros inside and
+    at the end of the coefficient lists, zero columns, and columns that are
+    combinations of earlier ones, hence dependent over Q(t).
+    """
+    n = draw(st.integers(1, 5))
+    cols = []
+    for _ in range(draw(st.integers(1, n + 1))):
+        kind = draw(st.sampled_from(["free"] * 6 + ["zero", "combination"] if cols else ["free"] * 6 + ["zero"]))
+        if kind == "free":
+            rows = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+            col = {row: tuple(draw(st.lists(_COEFF, min_size=1, max_size=4))) for row in sorted(rows)}
+        elif kind == "zero":
+            col = {row: (0,) * draw(st.integers(0, 2)) for row in draw(st.sets(st.integers(0, n - 1)))}
+        else:
+            sums = {}
+            for earlier in draw(st.lists(st.sampled_from(cols), min_size=1, max_size=2)):
+                k, shift = draw(_COEFF), draw(st.integers(0, 2))
+                for row, p in earlier.items():
+                    q = sums.setdefault(row, [])
+                    q.extend([0] * (len(p) + shift - len(q)))
+                    for d, c in enumerate(p, shift):
+                        q[d] += k * c
+            col = {row: tuple(q) for row, q in sums.items()}
+        cols.append(col)
+    return cols
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sparse_columns())
+def test_limit_vectors_agree_with_the_reference_kernel(cols):
+    assert _kernel_outcome(limit_vectors, cols) == _kernel_outcome(_reference_limit_vectors, cols)
 
 
 def test_limit_flag_dependent_columns():

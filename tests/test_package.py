@@ -166,3 +166,37 @@ def test_fq_oracle_takes_no_field_type():
     }
     assert from_exact == {"mat_from_cols"}
     assert not {"exact", "GFElement", "PrimeField", "SpanBasis"} & read_names(source)
+
+
+def memoized_functions(source: str) -> list[str]:
+    """The functions decorated with ``functools.cache`` or ``lru_cache``,
+    spelled bare, through ``functools`` or called with arguments.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name in ("cache", "lru_cache"):
+                    found.append(node.name)
+    return found
+
+
+def test_memoized_functions_are_found():
+    source = (
+        "@cache\ndef f():\n    pass\n\n@functools.lru_cache(maxsize=2)\ndef g():\n    pass\n\n"
+        "@property\ndef h(self):\n    pass\n\n@cached_property\ndef k(self):\n    pass\n"
+    )
+    assert memoized_functions(source) == ["f", "g"]
+
+
+def test_memos_are_the_ones_readme_names():
+    """The package memoizes exactly these functions, each without a bound,
+    and README's memo paragraph names each one: a new memo is named in
+    both places.
+    """
+    memos = [name for path in sorted(PACKAGE.glob("*.py")) for name in memoized_functions(path.read_text())]
+    assert sorted(memos) == ["_is_prime", "_route", "_top_down_cut", "build_template"]
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert [name for name in memos if f"`{name}`" not in readme] == []
