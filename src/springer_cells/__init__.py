@@ -45,14 +45,7 @@ from .errors import (
     SpringerCellsError,
     TooManyArcs,
 )
-from .exact import (
-    GFElement,
-    Poly,
-    PrimeField,
-    QQ,
-    canonical_reduce,
-    in_span,
-)
+from .exact import QQ, Poly, canonical_reduce, in_span
 from .fqoracle import FqConfig, cross_check_cells, enumerate_springer_flags
 from .matchings import (
     Arc,
@@ -71,14 +64,4 @@ from .matchings import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")] + ["numeric_infimum"]
-
-
-def __getattr__(name: str):
-    # the numeric oracle loads numpy and scipy, which take most of the
-    # package's import time; only a caller that uses it pays for them
-    if name == "numeric_infimum":
-        from .numeric import numeric_infimum
-
-        return numeric_infimum
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = [name for name in dir() if not name.startswith("_")]

@@ -113,13 +113,15 @@ def _check_params(ct: CellTemplate, params: Mapping[Arc, object]) -> None:
         raise MissingParameter(f"no value for arcs {missing}")
 
 
-def instantiate(ct: CellTemplate, params: Mapping[Arc, object], ring=QQ) -> FlagMatrix:
-    """Fill the template's slots; the result is always in canonical form."""
+def instantiate(ct: CellTemplate, params: Mapping[Arc, object]) -> FlagMatrix:
+    """Fill the template's slots with the parameter values over the Q
+    zeros and pivot ones; the result is always in canonical form.
+    """
     _check_params(ct, params)
     n = ct.jt.N
-    rows = [[ring.zero] * n for _ in range(n)]
+    rows = [[QQ.zero] * n for _ in range(n)]
     for col, piv in enumerate(ct.w, start=1):
-        rows[piv - 1][col - 1] = ring.one
+        rows[piv - 1][col - 1] = QQ.one
     for (r, c), arc in ct.slots.items():
         rows[r - 1][c - 1] = params[arc]
     return FlagMatrix(mat_from_rows(rows))

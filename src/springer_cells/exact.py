@@ -1,24 +1,19 @@
-"""Exact scalars and linear algebra over Q, prime fields and Q[t].
+"""Exact scalars and linear algebra over Q and Q[t].
 
 Matrices are plain tuples of row tuples.  Entries carry their own
 arithmetic: they support ``+ - * == /`` and are falsy exactly at zero, so
-every algorithm that only reads or combines entries is generic without
-being told the ring.  An entry of Q is an ``int`` when the library builds
-it integral (``QQ.zero``, ``QQ.one``, ``QQ.of``, ``sampling``) and a
-``fractions.Fraction`` otherwise; results of Fraction arithmetic and
-``Poly.coeff`` stay Fractions, and ``str`` prints both alike.  Since
-``int / int`` is a float, a division of Q entries first makes one operand
-a Fraction, as ``SpanBasis.add`` does with an ``int`` pivot.
-``GFElement`` and ``Poly`` are the entries of F_q and Q[t], where ``/`` is
-exact division and raises ``NotDivisible`` on a remainder.  A
-``GFElement`` is a plain value, its residue mod p and p, compared and
-hashed by value.  A ``Poly`` keeps an integral coefficient as an
-``int`` and divides ``int`` by ``int`` into a Fraction only on a
-remainder (``exact_div``), so integer work over Q[t] allocates no
-Fractions and never turns into float arithmetic.  A ring object
-(``QQ``, ``PrimeField(p)``, ``POLY_RING``) only supplies ``zero``, ``one``
-and ``of(int)`` to the constructors that build a matrix out of Python
-values.
+every algorithm that only reads or combines entries takes no ring and
+runs over any field or Q[t] whose entries behave so.  The library builds
+entries of Q: an ``int`` when integral (``QQ.zero``, ``QQ.one``,
+``QQ.of``, ``sampling``) and a ``fractions.Fraction`` otherwise; results
+of Fraction arithmetic and ``Poly.coeff`` stay Fractions, and ``str``
+prints both alike.  Since ``int / int`` is a float, a division of Q
+entries first makes one operand a Fraction, as ``SpanBasis.add`` does
+with an ``int`` pivot.  A ``Poly`` is an entry of Q[t], where ``/`` is
+exact division and raises ``NotDivisible`` on a remainder; it keeps an
+integral coefficient as an ``int`` and divides ``int`` by ``int`` into a
+Fraction only on a remainder (``exact_div``), so integer work over Q[t]
+allocates no Fractions and never turns into float arithmetic.
 
 On top of that arithmetic, one Gaussian elimination (``SpanBasis``) sits
 under span tests, the canonical coset form of a flag matrix and the
@@ -28,8 +23,8 @@ polynomial.  It is sparse in the cheap way: a row update leaves the
 entries where the stored vector is 0, and a vector whose pivot is already
 1 is not rescaled.  ``is_one`` is the one test for a pivot of 1: ``x == 1``,
 which costs no multiply on the entries of a canonical cell matrix over Q, and
-the idempotent test ``x * x == x`` for the entry types that never equal an
-``int``.
+the idempotent test ``x * x == x`` for a ``Poly`` or any other entry type
+that never equals an ``int``.
 
 Beside it sit two fraction-free kernels over Python ``int``s on sparse
 {row: coefficients} columns, in the manner of Bareiss.  The limit
@@ -48,10 +43,8 @@ from __future__ import annotations
 
 from bisect import insort
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, NotDivisible, Singular
 
@@ -78,76 +71,6 @@ class _Rationals:
 
 
 QQ = _Rationals()
-
-
-@cache
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
-
-
-@dataclass(frozen=True)
-class GFElement:
-    """An element of the prime field F_p: the residue ``value`` in
-    ``range(p)``, reduced on construction, and the prime p.
-
-    Equality and hashing are by value, and the element is falsy exactly at
-    zero.  An operand of another field or of another type raises
-    TypeError, and a p that is not prime raises ValueError.
-    """
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _coerce(self, other: "GFElement") -> None:
-        if not isinstance(other, GFElement) or other.p != self.p:
-            raise TypeError(f"incompatible field element: {other!r}")
-
-    def __add__(self, other: "GFElement") -> "GFElement":
-        self._coerce(other)
-        return GFElement(self.value + other.value, self.p)
-
-    def __sub__(self, other: "GFElement") -> "GFElement":
-        self._coerce(other)
-        return GFElement(self.value - other.value, self.p)
-
-    def __mul__(self, other: "GFElement") -> "GFElement":
-        self._coerce(other)
-        return GFElement(self.value * other.value, self.p)
-
-    def __truediv__(self, other: "GFElement") -> "GFElement":
-        self._coerce(other)
-        if not other.value:
-            raise ZeroDivisionError("division by zero in GF(p)")
-        return GFElement(self.value * pow(other.value, -1, self.p), self.p)
-
-    def __neg__(self) -> "GFElement":
-        return GFElement(-self.value, self.p)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.p})"
-
-
-class PrimeField:
-    """The prime field F_p for small prime p."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.zero = GFElement(0, p)  # raises ValueError unless p is prime
-        self.one = GFElement(1, p)
-
-    def of(self, x) -> GFElement:
-        return GFElement(int(x), self.p)
-
-    def elements(self) -> list[GFElement]:
-        return [GFElement(v, self.p) for v in range(self.p)]
 
 
 def exact_div(a: Fraction | int, b: Fraction | int) -> Fraction | int:
@@ -239,11 +162,12 @@ class Poly:
         return Poly(out)
 
     def __call__(self, x):
-        """Evaluate at x (Fraction/int for exact, float for numeric work)."""
-        numeric = isinstance(x, float)
-        acc = 0.0 if numeric else _ZERO
+        """Evaluate at x by Horner's rule: exact at a Fraction or ``int``, a
+        float at a float, except that the zero polynomial gives Fraction(0).
+        """
+        acc = _ZERO
         for c in reversed(self.coeffs):
-            acc = acc * x + (float(c) if numeric else c)
+            acc = acc * x + c
         return acc
 
     def __truediv__(self, other: "Poly") -> "Poly":
@@ -279,18 +203,6 @@ class Poly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-class _PolyRing:
-    zero = Poly()
-    one = Poly([1])
-
-    @staticmethod
-    def of(x) -> Poly:
-        return Poly.const(x)
-
-
-POLY_RING = _PolyRing()
-
-
 Matrix = tuple  # tuple of row tuples; informal alias used in signatures
 
 
@@ -312,9 +224,9 @@ def is_one(x) -> bool:
     """Whether the nonzero entry x is 1.
 
     ``x == 1`` answers for ``int`` and Fraction entries without a multiply;
-    for the other entry types, which never equal an ``int``, the idempotent
-    test ``x * x == x`` answers, since 1 is the only nonzero idempotent of
-    a field or of Q[t].
+    for a ``Poly``, which never equals an ``int``, the idempotent test
+    ``x * x == x`` answers, since 1 is the only nonzero idempotent of Q[t],
+    as it does for the entries of any field a caller brings.
     """
     return x == 1 or x * x == x
 

@@ -95,6 +95,7 @@ def enumerate_springer_flags(cfg: FqConfig) -> dict[tuple[int, ...], list[FlagMa
             # is spanned by the stored rows that pivot in the unit block
             if any(res[m:]):  # no column pivots here: store the row monic
                 lead = max(i for i in range(m, 2 * m) if res[i])
+                # the clearing above needs monic rows; no feasible input has yet needed it
                 inv = pow(res[lead], -1, p)
                 system.append((lead, [a * inv % p for a in res]))
                 continue

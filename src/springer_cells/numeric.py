@@ -104,5 +104,7 @@ def numeric_infimum(
 
 
 def curve_seed_points(curve, arcs) -> list[np.ndarray]:
-    """Evaluate an exact limit curve at t = 10, 1e2, ..., 1e6 as starts."""
-    return [np.array([curve[a](t) for a in arcs]) for t in (10.0, 1e2, 1e3, 1e4, 1e5, 1e6)]
+    """Evaluate an exact limit curve at t = 10, 1e2, ..., 1e6 as starts;
+    ``float`` turns the Fraction(0) of a zero polynomial into 0.0.
+    """
+    return [np.array([float(curve[a](t)) for a in arcs]) for t in (10.0, 1e2, 1e3, 1e4, 1e5, 1e6)]

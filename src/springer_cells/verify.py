@@ -54,7 +54,6 @@ from .closure import (
 from .cutting import ZERO, arc_subsets, contravariant_order, cut, cut_set, labeled_cut, piece_matrix
 from .errors import CurveNotFound
 from .exact import (
-    POLY_RING,
     QQ,
     Poly,
     SpanBasis,
@@ -352,8 +351,8 @@ def _orthogonal_residual(v, ortho):
 def check_leading_direction_numeric(max_n: int, rng):
     """The exact limit flag of a random quadratic curve agrees with the
     curve at t = 1e6: the vectors b_i are independent, and the sine from
-    b_i to the span of the first i columns at t = 1e6 is below 1e-6,
-    computed exactly.
+    b_i to the span of the first i columns of the cell matrix at the
+    curve's value at t = 1e6 is below 1e-6, computed exactly.
     """
     t = Fraction(10**6)
     for jt, m in _cells(min(max_n, 6)):
@@ -364,14 +363,14 @@ def check_leading_direction_numeric(max_n: int, rng):
             a: Poly([random_rational(rng), random_rational(rng), random_rational(rng)])
             for a in m.arcs
         }
-        cols = instantiate(template, curve, POLY_RING).cols()
+        cols = instantiate(template, {a: p(t) for a, p in curve.items()}).cols()
         limit = SpanBasis()
         ortho = []  # orthogonal basis of the first i columns at t
         limits = limit_vectors(poly_columns(template, curve))
         for i, ((_, sparse), col) in enumerate(zip(limits, cols), start=1):
             yield
             b = [sparse.get(row, 0) for row in range(len(col))]
-            ortho.append(_orthogonal_residual([p(t) for p in col], ortho))
+            ortho.append(_orthogonal_residual(col, ortho))
             res = _orthogonal_residual(b, ortho)
             if not limit.add(b) or _dot(res, res) * 10**12 >= _dot(b, b):
                 raise _Failed(f"{m.arcs} i={i}")

@@ -1,6 +1,8 @@
 """Shared brute-force oracles, independent of the library's algorithms,
-the column diagnostics of canonical Springer matrices, and counters of
-the pieces the library cuts and of the span bases it builds.
+reference entry types the library's readers are driven over (a prime
+field and the polynomial matrix of a curve), the column diagnostics of
+canonical Springer matrices, and counters of the pieces the library cuts
+and of the span bases it builds.
 """
 
 from __future__ import annotations
@@ -8,17 +10,88 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 
 from springer_cells import cells, cutting, exact
 from springer_cells.cells import NOT_COORDINATE, FlagMatrix, apply_nilpotent
-from springer_cells.exact import in_span, pivot_pattern
+from springer_cells.exact import Poly, in_span, pivot_pattern
 from springer_cells.matchings import JordanType
 
 
 def Q(rows):
     """Fraction matrix literal from a nested int/str list."""
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+@dataclass(frozen=True)
+class Residue:
+    """An element of the prime field F_p: ``value`` reduced into
+    ``range(p)``, and p.  Equal and hashed by value, falsy exactly at zero;
+    an operand of another field or type raises TypeError.
+    """
+
+    value: int
+    p: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", self.value % self.p)
+
+    def _of(self, other) -> int:
+        if not isinstance(other, Residue) or other.p != self.p:
+            raise TypeError(f"not an element of F_{self.p}: {other!r}")
+        return other.value
+
+    def __add__(self, other):
+        return Residue(self.value + self._of(other), self.p)
+
+    def __sub__(self, other):
+        return Residue(self.value - self._of(other), self.p)
+
+    def __mul__(self, other):
+        return Residue(self.value * self._of(other), self.p)
+
+    def __truediv__(self, other):
+        if not self._of(other):
+            raise ZeroDivisionError(f"division by zero in F_{self.p}")
+        return Residue(self.value * pow(other.value, -1, self.p), self.p)
+
+    def __neg__(self):
+        return Residue(-self.value, self.p)
+
+    def __bool__(self) -> bool:
+        return self.value != 0
+
+
+class GF:
+    """The prime field F_p of ``Residue`` entries."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.zero, self.one = Residue(0, p), Residue(1, p)
+
+    def of(self, x) -> Residue:
+        return Residue(int(x), self.p)
+
+    def elements(self) -> list[Residue]:
+        return [Residue(v, self.p) for v in range(self.p)]
+
+
+#: (zero, one, of) of each entry type the readers are driven over
+RINGS = {
+    "Q": (exact.QQ.zero, exact.QQ.one, exact.QQ.of),
+    "F3": (Residue(0, 3), Residue(1, 3), GF(3).of),
+    "F5": (Residue(0, 5), Residue(1, 5), GF(5).of),
+    "Qt": (Poly(), Poly.const(1), Poly.const),
+}
+
+
+def poly_matrix(template: cells.CellTemplate, curve) -> exact.Matrix:
+    """The rows of the cell matrix over Q[t] at a polynomial curve, built
+    from ``cells.poly_columns``: a Poly in every entry.
+    """
+    cols = cells.poly_columns(template, curve)
+    return tuple(tuple(Poly(col.get(r, ())) for col in cols) for r in range(len(cols)))
 
 
 def brute_det(rows):

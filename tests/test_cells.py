@@ -16,7 +16,7 @@ from springer_cells.cells import (
     verify_springer,
 )
 from springer_cells.errors import DimensionMismatch, MissingParameter, Singular
-from springer_cells.exact import POLY_RING, QQ, Poly, PrimeField, pivot_pattern
+from springer_cells.exact import Poly, pivot_pattern
 from springer_cells.matchings import (
     Arc,
     JordanType,
@@ -26,12 +26,13 @@ from springer_cells.matchings import (
 from springer_cells.sampling import random_params
 from springer_cells.verify import check_cell_injectivity, check_cell_membership
 
-from helpers import Q, brute_prefix_span_basis, count_span_bases, springer_column_diagnostics
+from helpers import GF, RINGS, Q, brute_prefix_span_basis, count_span_bases, springer_column_diagnostics
 
 JT8 = JordanType(4, 8)
 M1 = matching(8, [(1, 8), (2, 3), (4, 7), (5, 6)])
 M2 = matching(8, [(1, 2), (3, 4), (5, 6), (7, 8)])
 M3 = matching(8, [(1, 4), (2, 3), (7, 8)])
+F3 = GF(3)
 
 
 def letters(m):
@@ -196,10 +197,9 @@ def test_prefix_span_basis_edge_cases():
     dependent = FlagMatrix(Q([[1, 2, 0], [1, 2, 0], [0, 0, 1]]))
     assert prefix_span_basis(dependent, 2) is NOT_COORDINATE
     # (1,1,0) and (1,-2,0) are independent over Q but not over F_3
-    gf3 = PrimeField(3)
     rows = [[1, 1, 0], [1, -2, 0], [0, 0, 1]]
     assert prefix_span_basis(FlagMatrix(Q(rows)), 2) == (1, 2)
-    over_f3 = FlagMatrix(tuple(tuple(gf3.of(x) for x in row) for row in rows))
+    over_f3 = FlagMatrix(tuple(tuple(F3.of(x) for x in row) for row in rows))
     assert prefix_span_basis(over_f3, 2) is NOT_COORDINATE
     assert prefix_span_basis(over_f3, 3) is NOT_COORDINATE
 
@@ -224,9 +224,10 @@ def test_prefix_span_basis_agrees_with_rank_on_cell_matrices():
 
 
 def _entry(ring, rng):
-    if ring is POLY_RING:
+    zero, _, of = ring
+    if zero.__class__ is Poly:
         return Poly([rng.randint(-2, 2), rng.randint(-2, 2)])
-    return ring.of(rng.randint(-2, 2))
+    return of(rng.randint(-2, 2))
 
 
 def _colliding_matrix(ring, rng, N: int, i: int, dependent: bool) -> FlagMatrix:
@@ -239,11 +240,12 @@ def _colliding_matrix(ring, rng, N: int, i: int, dependent: bool) -> FlagMatrix:
     Over Q[t], a column only gains multiples of earlier columns, which the
     elimination of SpanBasis has already spanned: its division stays exact.
     """
+    zero, _, of = ring
     support = rng.sample(range(N), i)
-    unit = [ring.of(1), ring.of(2)]
+    unit = [of(1), of(2)]
     cols = []
     for low in support:
-        col = [ring.zero] * N
+        col = [zero] * N
         col[low] = rng.choice(unit)
         for r in support:
             if r < low and rng.random() < 0.5:
@@ -255,7 +257,7 @@ def _colliding_matrix(ring, rng, N: int, i: int, dependent: bool) -> FlagMatrix:
         u = rng.choice(unit)
         cols[b] = [x + u * y for x, y in zip(cols[b], cols[a])]
     if dependent and i >= 2:
-        combo = [ring.zero] * N
+        combo = [zero] * N
         for col in cols[:-1]:
             c = _entry(ring, rng)
             combo = [x + c * y for x, y in zip(combo, col)]
@@ -264,7 +266,7 @@ def _colliding_matrix(ring, rng, N: int, i: int, dependent: bool) -> FlagMatrix:
     return FlagMatrix(tuple(zip(*cols)))
 
 
-@pytest.mark.parametrize("ring", [QQ, PrimeField(3), POLY_RING], ids=["Q", "F3", "Qt"])
+@pytest.mark.parametrize("ring", [RINGS[k] for k in ("Q", "F3", "Qt")], ids=["Q", "F3", "Qt"])
 def test_prefix_span_basis_agrees_with_rank_under_lowest_row_collisions(ring):
     rng = random.Random(7)
     outcomes = set()
@@ -297,13 +299,13 @@ def test_prefix_span_basis_reads_cell_matrices_without_elimination(monkeypatch):
 def test_readers_take_the_ring_from_the_entries():
     # no ring argument: over F_3 and Q[t] the identity has pivots (1, 2),
     # is canonical and its prefixes span coordinate subspaces
-    for ring in (PrimeField(3), POLY_RING):
-        ident = FlagMatrix(((ring.one, ring.zero), (ring.zero, ring.one)))
+    for zero, one, _ in (RINGS["F3"], RINGS["Qt"]):
+        ident = FlagMatrix(((one, zero), (zero, one)))
         assert pivot_pattern(ident.rows) == (1, 2)
         assert verify_canonical(ident)
         assert prefix_span_basis(ident, 1) == (1,)
         assert prefix_span_basis(ident, 2) == (1, 2)
-        doubled = FlagMatrix(((ring.one, ring.zero), (ring.zero, ring.one + ring.one)))
+        doubled = FlagMatrix(((one, zero), (zero, one + one)))
         assert not verify_canonical(doubled)
     assert verify_canonical(FlagMatrix(()))
 

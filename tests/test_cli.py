@@ -398,20 +398,19 @@ def test_json_determinism():
 
 
 def test_cli_import_loads_no_numeric_stack():
-    """numpy and scipy load only when the numeric oracle is asked for."""
+    """numpy and scipy load only with the numeric oracle's own module."""
     probe = (
         "import sys, springer_cells.cli\n"
         "print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
-        "from springer_cells import numeric_infimum\n"
-        "print(numeric_infimum.__module__, 'numpy' in sys.modules)\n"
+        "import springer_cells.numeric\n"
+        "print('numpy' in sys.modules)\n"
     )
     src = str(Path(springer_cells.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120, check=True
     )
-    assert done.stdout.splitlines() == ["[]", "springer_cells.numeric True"]
-    assert "numeric_infimum" in springer_cells.__all__
+    assert done.stdout.splitlines() == ["[]", "True"]
     with pytest.raises(AttributeError):
         springer_cells.no_such_name
 

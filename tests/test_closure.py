@@ -41,11 +41,11 @@ from springer_cells.errors import (
     TooManyArcs,
 )
 from springer_cells.exact import (
-    POLY_RING,
     Poly,
     SpanBasis,
     canonical_reduce,
     limit_vectors,
+    mat_cols,
     mat_from_rows,
     pivot_pattern,
 )
@@ -66,7 +66,7 @@ from springer_cells.verify import (
     check_swap_candidate_bijection,
 )
 
-from helpers import Q, brute_minors, count_cuts
+from helpers import Q, brute_minors, count_cuts, poly_matrix
 
 JT4 = JordanType(2, 4)
 NESTED4 = matching(4, [(1, 4), (2, 3)])
@@ -715,23 +715,23 @@ def _twisted_by_poly_matrix(inner_m, inner_jt, inner_curve, germs=()):
         return {}
     half, t = h // 2, Poly.t(1)
     template = build_template(inner_m, inner_jt)
-    w = [list(row) for row in instantiate(template, inner_curve, POLY_RING).rows]
+    w = [list(row) for row in poly_matrix(template, inner_curve)]
     germ_slots = [(r, c) for (r, c), arc in template.slots.items() if arc in germs]
     for c in {c for _, c in germ_slots}:
         for row in w:
             row[c - 1] = t * row[c - 1]
     for r, c in germ_slots:
-        w[r - 1][c - 1] = POLY_RING.one
+        w[r - 1][c - 1] = Poly.const(1)
     twisted = [[-(Poly.t(2) * x) for x in w[half + r]] for r in range(half)]
     for s in range(half):
-        below = w[half + s + 1] if s + 1 < half else [POLY_RING.zero] * h
+        below = w[half + s + 1] if s + 1 < half else [Poly()] * h
         twisted.append([x + t * y for x, y in zip(w[s], below)])
     try:
         reduced = canonical_reduce(mat_from_rows(twisted))
     except (Singular, NotDivisible):
         return None
     coords = {arc: reduced[template.top_offset[arc]][arc.init - 1] for arc in inner_m.arcs}
-    if instantiate(template, coords, POLY_RING).rows != reduced:
+    if poly_matrix(template, coords) != reduced:
         return None
     return coords
 
@@ -837,7 +837,7 @@ def test_certifier_agrees_with_minor_vectors():
                     for a in m.arcs
                 }
                 for curve, points in ((synthesized, (target, shifted)), (random_curve, (target,))):
-                    rows = instantiate(template, curve, POLY_RING).rows
+                    rows = poly_matrix(template, curve)
                     minors = [brute_minors(rows, i) for i in range(1, N + 1)]
                     for point in points:
                         expected = _minor_verdict(minors, piece_matrix(piece, point).rows)
@@ -897,7 +897,7 @@ def _residual_verdict(m, jt, curve, piece, target) -> bool:
     point, cleared of denominators, reduces to 0 against the first i
     first-row limit vectors, cleared in ascending pivot order.
     """
-    moving = instantiate(build_template(m, jt), curve, POLY_RING).cols()
+    moving = mat_cols(poly_matrix(build_template(m, jt), curve))
     limit = {}
     for (piv, b), col in zip(_first_row_limit_vectors(moving), piece_matrix(piece, target).cols()):
         limit[piv] = b

@@ -10,7 +10,6 @@ from springer_cells.cells import FlagMatrix, verify_springer
 from springer_cells.cli import run
 from springer_cells.closure import flag_necessary_conditions
 from springer_cells.errors import Infeasible
-from springer_cells.exact import GFElement, PrimeField
 from springer_cells.fqoracle import (
     FqConfig,
     cross_check_cells,
@@ -25,7 +24,7 @@ from springer_cells.matchings import (
 )
 from springer_cells.verify import check_fq_oracle
 
-from helpers import brute_springer_buckets
+from helpers import GF, brute_springer_buckets
 
 
 def test_full_flag_counts():
@@ -136,10 +135,11 @@ def test_fq_flags_satisfy_the_conditions_of_their_cell():
     jt = JordanType(2, 4)
     cells = {matching_permutation(m, jt): m for m in enumerate_matchings(jt)}
     buckets = enumerate_springer_flags(FqConfig(3, jt))
+    f3 = GF(3)
     assert sum(len(flags) for flags in buckets.values()) == 28
     for w, flags in buckets.items():
         for flag in flags:
-            g = FlagMatrix(tuple(tuple(GFElement(x, 3) for x in row) for row in flag.rows))
+            g = FlagMatrix(tuple(tuple(f3.of(x) for x in row) for row in flag.rows))
             assert verify_springer(g, jt)
             assert flag_necessary_conditions(cells[w], jt, g) == []
 
@@ -159,7 +159,7 @@ def test_enumeration_matches_brute_force(q, jt):
     found = {w: [g.rows for g in flags] for w, flags in buckets.items()}
     expected = {
         w: [tuple(tuple(x.value for x in row) for row in g) for g in brute]
-        for w, brute in brute_springer_buckets(jt, PrimeField(q)).items()
+        for w, brute in brute_springer_buckets(jt, GF(q)).items()
     }
     assert {w: set(rows) for w, rows in found.items()} == {w: set(rows) for w, rows in expected.items()}
     assert all(len(rows) == len(set(rows)) for rows in found.values())

@@ -168,6 +168,35 @@ def test_fq_oracle_takes_no_field_type():
     assert not {"exact", "GFElement", "PrimeField", "SpanBasis"} & read_names(source)
 
 
+def ring_parameters(source: str) -> list[str]:
+    """The functions that take a parameter named ``ring``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            if any(arg.arg == "ring" for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)):
+                found.append(node.name)
+    return found
+
+
+def test_ring_parameters_are_found():
+    source = "def f(x, ring=None):\n    pass\n\ndef g(*, ring):\n    pass\n\ndef h(rings):\n    pass\n"
+    assert ring_parameters(source) == ["f", "g"]
+
+
+def test_no_function_takes_a_ring():
+    """Entries carry their own arithmetic and the library builds Q, so no
+    function takes a ring, and no module names the field and ring objects
+    that only tests need: the tests drive the readers over F_p and Q[t]
+    through reference types of their own.
+    """
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, src in sources.items() if (found := ring_parameters(src))} == {}
+    gone = {"GFElement", "PrimeField", "POLY_RING", "_PolyRing", "_is_prime"}
+    named = {name: gone & (read_names(src) | set(definitions(src))) for name, src in sources.items()}
+    assert {name: names for name, names in named.items() if names} == {}
+
+
 def memoized_functions(source: str) -> list[str]:
     """The functions decorated with ``functools.cache`` or ``lru_cache``,
     spelled bare, through ``functools`` or called with arguments.
@@ -197,6 +226,6 @@ def test_memos_are_the_ones_readme_names():
     both places.
     """
     memos = [name for path in sorted(PACKAGE.glob("*.py")) for name in memoized_functions(path.read_text())]
-    assert sorted(memos) == ["_is_prime", "_route", "_top_down_cut", "build_template"]
+    assert sorted(memos) == ["_route", "_top_down_cut", "build_template"]
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     assert [name for name in memos if f"`{name}`" not in readme] == []
