@@ -7,6 +7,8 @@ ways (exact polynomial limit curves and a numeric projector-distance
 oracle), with a finite-field brute-force enumeration as ground truth.
 """
 
+from types import ModuleType as _ModuleType
+
 from .cells import (
     CellTemplate,
     FlagMatrix,
@@ -64,4 +66,7 @@ from .matchings import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules those imports bind
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .errors import DimensionMismatch, MissingParameter, Singular
 from .exact import QQ, Matrix, Poly, SpanBasis, is_one, mat_cols, mat_from_rows, pivot_pattern, rank
-from .matchings import Arc, JordanType, Matching, T, ancestors, bt_word, word_permutation
+from .matchings import Arc, JordanType, Matching, T, bt_word, word_permutation
 
 #: Returned by prefix_span_basis when V_i is not a span of basis vectors.
 NOT_COORDINATE = object()
@@ -96,14 +96,21 @@ def build_template(m: Matching, jt: JordanType) -> CellTemplate:
     word = bt_word(m, jt)
     slots: dict[tuple[int, int], Arc] = {}
     offsets: dict[Arc, int] = {}
-    for arc in m.arcs:
-        r0 = word[: arc.init - 1].count(T)
-        offsets[arc] = r0
-        chain = ancestors(m, arc)
-        for j, anc in enumerate(chain, start=1):
-            row = r0 + j
-            assert row <= jt.n, "variable slots stay inside the top block"
-            slots[(row, arc.init)] = anc
+    # one scan of the word: the arcs open at a start point, innermost
+    # last, are the ancestor chain of the arc starting there
+    open_arcs: list[Arc] = []
+    tops = 0  # T letters strictly left of pos
+    for pos, letter in enumerate(word, start=1):
+        arc = m.endpoint_map.get(pos)
+        if arc is not None and arc.init == pos:
+            open_arcs.append(arc)
+            offsets[arc] = tops
+            for row, anc in enumerate(reversed(open_arcs), start=tops + 1):
+                assert row <= jt.n, "variable slots stay inside the top block"
+                slots[(row, pos)] = anc
+        elif arc is not None:
+            open_arcs.pop()
+        tops += letter == T
     return CellTemplate(jt, m, word_permutation(word, jt.n), word, slots, offsets)
 
 

@@ -25,7 +25,7 @@ from .matchings import (
     Matching,
     bt_word,
     nesting_depth,
-    parent,
+    word_pairs,
     word_to_matching,
 )
 
@@ -149,22 +149,29 @@ def _top_down_cut(m: Matching, cut_arcs: frozenset[Arc], jt: JordanType) -> Labe
 def _cut_in_order(
     m: Matching, cut_arcs: frozenset[Arc], jt: JordanType, order: Sequence[Arc]
 ) -> LabeledPiece:
-    current = m
-    labels: dict[Arc, Label] = {a: a for a in m.arcs}
-    for arc in order:
-        assert arc in current, "top-down cutting keeps the next arc intact"
-        par = parent(current, arc)
-        nxt = cut(current, arc, jt)
-        new_labels: dict[Arc, Label] = {}
-        for b in nxt.arcs:
-            if b in current:
-                new_labels[b] = labels[b]
-            elif par is not None and (b.init == par.init or b.term == par.term):
-                new_labels[b] = labels[par]
+    """Cut on the {B,T} word of m: per arc, swap its two letters, re-pair
+    the word, and pass the labels on.  Arcs are kept as {start: end} and
+    labels by start point until the cut matching is built.
+    """
+    letters = list(bt_word(m, jt))
+    pairs = {a.init: a.term for a in m.arcs}
+    labels: dict[int, Label] = {a.init: a for a in m.arcs}
+    for i, j in order:
+        assert pairs.get(i) == j, "top-down cutting keeps the next arc intact"
+        par = max((s for s, e in pairs.items() if s < i and j < e), default=None)
+        letters[i - 1], letters[j - 1] = letters[j - 1], letters[i - 1]
+        nxt = word_pairs(letters)
+        new_labels: dict[int, Label] = {}
+        for s, e in nxt.items():
+            if pairs.get(s) == e:
+                new_labels[s] = labels[s]
+            elif par is not None and (s == par or e == pairs[par]):
+                new_labels[s] = labels[par]
             else:
-                new_labels[b] = ZERO
-        current, labels = nxt, new_labels
-    return LabeledPiece(current, labels, m, cut_arcs, jt)
+                new_labels[s] = ZERO
+        pairs, labels = nxt, new_labels
+    base = Matching(m.N, tuple(Arc(s, e) for s, e in pairs.items()))
+    return LabeledPiece(base, {b: labels[b.init] for b in base.arcs}, m, cut_arcs, jt)
 
 
 def piece_params(piece: LabeledPiece, values: Mapping[Arc, object]) -> dict[Arc, object]:

@@ -7,6 +7,10 @@ and with the permutations whose pivots increase within the top n rows and
 within the bottom N-n rows.  Those permutations are the pivot patterns of
 the nonempty Springer Schubert cells of the two-block nilpotent of Jordan
 type (n, N-n).
+
+Arcs and Jordan types are immutable tuples of two ints (``Arc(1, 2) ==
+(1, 2)``), so hashing, sorting and equality run at C level; a matching
+computes its arc set and its hash once, when it is built.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ArcNotInMatching, TooManyArcs
 
@@ -21,33 +26,48 @@ B = "B"
 T = "T"
 
 
-@dataclass(frozen=True, order=True)
-class Arc:
+class _ArcFields(NamedTuple):
     init: int
     term: int
 
-    def __post_init__(self):
-        if not (1 <= self.init < self.term):
-            raise ValueError(f"arc needs 1 <= init < term, got ({self.init},{self.term})")
+
+class Arc(_ArcFields):
+    """An arc from ``init`` to ``term``, an immutable pair of ints.
+
+    Being a tuple, it hashes, sorts and compares as ``(init, term)`` does,
+    so ``Arc(1, 2) == (1, 2)`` holds.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, init: int, term: int):
+        if not (1 <= init < term):
+            raise ValueError(f"arc needs 1 <= init < term, got ({init},{term})")
+        return tuple.__new__(cls, (init, term))
 
     def __repr__(self) -> str:
         return f"({self.init},{self.term})"
 
 
-@dataclass(frozen=True)
-class JordanType:
-    """Two nilpotent Jordan blocks: top block size n, total dimension N.
-
-    The nilpotent sends basis vector e_i to e_{i-1} except e_1 and e_{n+1},
-    which it kills.
-    """
-
+class _JordanFields(NamedTuple):
     n: int
     N: int
 
-    def __post_init__(self):
-        if not (0 <= self.n <= self.N):
-            raise ValueError(f"need 0 <= n <= N, got ({self.n},{self.N})")
+
+class JordanType(_JordanFields):
+    """Two nilpotent Jordan blocks: top block size n, total dimension N.
+
+    The nilpotent sends basis vector e_i to e_{i-1} except e_1 and e_{n+1},
+    which it kills.  Like ``Arc``, an immutable pair of ints:
+    ``JordanType(2, 4) == (2, 4)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, N: int):
+        if not (0 <= n <= N):
+            raise ValueError(f"need 0 <= n <= N, got ({n},{N})")
+        return tuple.__new__(cls, (n, N))
 
     @property
     def bottom(self) -> int:
@@ -71,6 +91,9 @@ class Matching:
             if a.init in ends or a.term in ends:
                 raise ValueError(f"arc {a} reuses an endpoint")
             ends.update((a.init, a.term))
+        object.__setattr__(self, "_arc_set", frozenset(arcs))
+        # the dataclass hash of (N, arcs), computed once per instance
+        object.__setattr__(self, "_hash", hash((self.N, arcs)))
 
     def __len__(self) -> int:
         return len(self.arcs)
@@ -81,17 +104,8 @@ class Matching:
     def __contains__(self, arc: Arc) -> bool:
         return arc in self._arc_set
 
-    @cached_property
-    def _arc_set(self) -> frozenset[Arc]:
-        return frozenset(self.arcs)
-
     def __hash__(self) -> int:
         return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The dataclass hash of (N, arcs), computed once per instance."""
-        return hash((self.N, self.arcs))
 
     @cached_property
     def endpoint_map(self) -> dict[int, Arc]:
@@ -245,23 +259,31 @@ def matching_permutation(m: Matching, jt: JordanType) -> tuple[int, ...]:
     return word_permutation(bt_word(m, jt), jt.n)
 
 
-def word_to_matching(word: str) -> Matching:
-    """Inverse of bt_word: repeatedly pair adjacent BT and erase.
+def word_pairs(letters) -> dict[int, int]:
+    """The arcs a {B,T} word pairs, as {start: end}, 1-based, in order of end.
 
-    Pairing each T with the nearest unmatched B to its left realizes the
-    recursion in one stack scan; leftover letters are the free points and
-    always read as T's followed by B's.
+    One stack scan pairs each T with the nearest unmatched B to its left;
+    the unpaired letters are the free points.
     """
-    if set(word) - {B, T}:
-        raise ValueError(f"word {word!r} has letters outside {{B,T}}")
     stack: list[int] = []
-    arcs = []
-    for pos, letter in enumerate(word, start=1):
+    pairs: dict[int, int] = {}
+    for pos, letter in enumerate(letters, start=1):
         if letter == B:
             stack.append(pos)
         elif stack:
-            arcs.append(Arc(stack.pop(), pos))
-    return Matching(len(word), tuple(arcs))
+            pairs[stack.pop()] = pos
+    return pairs
+
+
+def word_to_matching(word: str) -> Matching:
+    """Inverse of bt_word: repeatedly pair adjacent BT and erase.
+
+    ``word_pairs`` realizes the recursion in one stack scan; leftover
+    letters are the free points and always read as T's followed by B's.
+    """
+    if set(word) - {B, T}:
+        raise ValueError(f"word {word!r} has letters outside {{B,T}}")
+    return Matching(len(word), tuple(Arc(i, j) for i, j in word_pairs(word).items()))
 
 
 def enumerate_words(N: int, n: int) -> list[str]:

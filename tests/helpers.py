@@ -1,8 +1,9 @@
 """Shared brute-force oracles, independent of the library's algorithms,
 reference entry types the library's readers are driven over (a prime
 field and the polynomial matrix of a curve), the column diagnostics of
-canonical Springer matrices, and counters of the pieces the library cuts
-and of the span bases it builds.
+canonical Springer matrices, a labeled cut made of single public cuts,
+and counters of the pieces the library cuts and of the span bases it
+builds.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from springer_cells import cells, cutting, exact
 from springer_cells.cells import NOT_COORDINATE, FlagMatrix, apply_nilpotent
 from springer_cells.exact import Poly, in_span, pivot_pattern
-from springer_cells.matchings import JordanType
+from springer_cells.matchings import JordanType, Matching, parent
 
 
 def Q(rows):
@@ -208,6 +209,29 @@ def springer_column_diagnostics(g: FlagMatrix, jt: JordanType) -> list[str]:
                 if not in_span(diff, cols[: j - 1]):
                     issues.append(f"column {j}: shifted column minus column {k2} outside prefix span")
     return issues
+
+
+def reference_labeled_cut(m: Matching, order, jt: JordanType) -> tuple[Matching, dict]:
+    """The cut matching and labels of cutting the arcs of ``order`` one at a
+    time with the public single ``cut``: an arc that survives keeps its
+    label, the two arcs that share an endpoint with the cut arc's
+    ``parent`` take the parent's label, and any other new arc is ZERO.
+    """
+    current = m
+    labels = {a: a for a in m.arcs}
+    for arc in order:
+        par = parent(current, arc)
+        nxt = cutting.cut(current, arc, jt)
+        labels = {
+            b: labels[b]
+            if b in current
+            else labels[par]
+            if par is not None and (b.init == par.init or b.term == par.term)
+            else cutting.ZERO
+            for b in nxt.arcs
+        }
+        current = nxt
+    return current, labels
 
 
 def count_cuts(monkeypatch) -> list:

@@ -20,6 +20,8 @@ from springer_cells.exact import Poly, pivot_pattern
 from springer_cells.matchings import (
     Arc,
     JordanType,
+    ancestors,
+    bt_word,
     enumerate_matchings,
     matching,
 )
@@ -105,6 +107,29 @@ def test_build_template_is_memoized():
     for _ in range(2):
         with pytest.raises(ValueError, match="standard noncrossing"):
             build_template(matching(4, [(1, 4)]), JordanType(2, 4))
+
+
+def test_template_slots_follow_the_ancestor_chains():
+    """build_template reads each arc's chain off one scan of the word; the
+    definition puts ancestors(m, arc), the arc first, in the rows just
+    below the T letters left of its start.  Slots and offsets agree, in
+    order, for every matching of every proper type with N <= 10.
+    """
+    count = 0
+    for N in range(2, 11):
+        for n in range(1, N):
+            jt = JordanType(n, N)
+            for m in enumerate_matchings(jt):
+                word = bt_word(m, jt)
+                offsets = {a: word[: a.init - 1].count("T") for a in m.arcs}
+                slots = {
+                    (offsets[a] + j, a.init): anc for a in m.arcs for j, anc in enumerate(ancestors(m, a), start=1)
+                }
+                template = build_template(m, jt)
+                assert list(template.slots.items()) == list(slots.items()), m
+                assert list(template.top_offset.items()) == list(offsets.items()), m
+                count += 1
+    assert count == sum(2**N - 2 for N in range(2, 11))
 
 
 def test_small_cell_matrix():

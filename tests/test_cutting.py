@@ -8,6 +8,7 @@ import pytest
 from springer_cells import cutting
 from springer_cells.cutting import (
     ZERO,
+    arc_subsets,
     contravariant_order,
     cut,
     cut_set,
@@ -15,7 +16,7 @@ from springer_cells.cutting import (
     piece_matrix,
 )
 from springer_cells.errors import ArcNotInMatching, MissingParameter
-from springer_cells.matchings import Arc, JordanType, matching
+from springer_cells.matchings import Arc, JordanType, enumerate_matchings, matching, nesting_depth
 from springer_cells.verify import (
     check_cut_distinctness,
     check_cut_order_independence,
@@ -23,7 +24,7 @@ from springer_cells.verify import (
     check_unnesting,
 )
 
-from helpers import Q
+from helpers import Q, reference_labeled_cut
 
 JT8 = JordanType(4, 8)
 JT4 = JordanType(2, 4)
@@ -118,16 +119,17 @@ def test_order_must_list_each_cut_arc_once():
 def test_default_order_is_memoized_and_an_explicit_order_is_not(monkeypatch):
     """The default top-down cut is served from a cache; an explicit order is
     validated and cut afresh on every call, so the order-independence check
-    compares two computations and not the cache with itself.
+    compares two computations and not the cache with itself.  Each single
+    cut re-pairs the {B,T} word once, so the re-pairings count the cuts.
     """
     cut_calls = []
-    real_cut = cutting.cut
+    real_word_pairs = cutting.word_pairs
 
-    def counting_cut(m, arc, jt):
-        cut_calls.append(arc)
-        return real_cut(m, arc, jt)
+    def counting_word_pairs(letters):
+        cut_calls.append("".join(letters))
+        return real_word_pairs(letters)
 
-    monkeypatch.setattr(cutting, "cut", counting_cut)
+    monkeypatch.setattr(cutting, "word_pairs", counting_word_pairs)
     arcs = [Arc(1, 8), Arc(5, 6)]
     piece = labeled_cut(M1, arcs, JT8)
     cut_calls.clear()
@@ -138,9 +140,32 @@ def test_default_order_is_memoized_and_an_explicit_order_is_not(monkeypatch):
         alt = labeled_cut(M1, arcs, JT8, order=order)
         assert alt == piece and alt is not piece
         assert len(cut_calls) == calls
+    assert cut_calls[:2] == ["TBTBBTTB", "TBTBTBTB"]
     for _ in range(2):
         with pytest.raises(ValueError, match="order must list the cut arcs top-down"):
             labeled_cut(M1, arcs, JT8, order=order[::-1])
         with pytest.raises(ArcNotInMatching):
             labeled_cut(M1, [Arc(1, 8), Arc(2, 5)], JT8)
     assert len(cut_calls) == 4
+
+
+def test_labeled_cut_agrees_with_single_public_cuts():
+    """Every piece of every cell with N <= 8, cut on the {B,T} word, equals
+    the reference made of single public ``cut``s and ``parent`` labels,
+    label order included: in the default order, and in the explicit
+    top-down order that breaks depth ties from the right.
+    """
+    pieces = 0
+    for N in range(2, 9):
+        for n in range(1, N):
+            jt = JordanType(n, N)
+            for m in enumerate_matchings(jt):
+                for combo in arc_subsets(m.arcs):
+                    right_first = sorted(combo, key=lambda a: (nesting_depth(m, a), -a.init))
+                    for order in (None, right_first):
+                        piece = labeled_cut(m, combo, jt, order=order)
+                        base, labels = reference_labeled_cut(m, order or contravariant_order(m, combo), jt)
+                        assert piece.base == base, (m, combo, order)
+                        assert list(piece.labels.items()) == list(labels.items()), (m, combo, order)
+                    pieces += 1
+    assert pieces == 2248

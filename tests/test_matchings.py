@@ -1,5 +1,6 @@
 """Matchings, words, ancestor machinery and the pivot permutation."""
 
+import pickle
 import random
 
 import pytest
@@ -181,3 +182,31 @@ def test_enumeration_is_word_lexicographic():
 
 def test_counts_match_binomials_up_to_twelve():
     assert check_counts(12, random.Random(0)).passed
+
+
+def test_arcs_and_jordan_types_are_validated_tuples():
+    """Arcs and Jordan types are immutable tuples of two ints: they hash,
+    sort and compare as the plain pair does (so sets and dicts of arcs
+    keep the order they had as frozen dataclasses hashing the same pair),
+    and validate on construction.
+    """
+    with pytest.raises(ValueError, match=r"^arc needs 1 <= init < term, got \(3,3\)$"):
+        Arc(3, 3)
+    with pytest.raises(ValueError, match=r"^arc needs 1 <= init < term, got \(0,2\)$"):
+        Arc(0, 2)
+    with pytest.raises(ValueError, match=r"^need 0 <= n <= N, got \(5,4\)$"):
+        JordanType(5, 4)
+    with pytest.raises(ValueError, match=r"^need 0 <= n <= N, got \(-1,4\)$"):
+        JordanType(-1, 4)
+    arc, jt = Arc(2, 5), JordanType(2, 6)
+    for obj, name in ((arc, "init"), (arc, "other"), (jt, "n"), (jt, "other")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 1)
+    assert hash(arc) == hash((2, 5)) and hash(jt) == hash((2, 6))
+    assert arc == (2, 5) and (arc.init, arc.term) == (2, 5) and (jt.n, jt.N, jt.bottom) == (2, 6, 4)
+    assert repr(arc) == "(2,5)" and repr(jt) == "JordanType(n=2, N=6)"
+    assert sorted([Arc(3, 4), Arc(1, 6), Arc(1, 2), Arc(2, 5)]) == [Arc(1, 2), Arc(1, 6), Arc(2, 5), Arc(3, 4)]
+    for obj in (arc, jt, M1):
+        copy = pickle.loads(pickle.dumps(obj))
+        assert copy == obj and type(copy) is type(obj) and hash(copy) == hash(obj)
+    assert hash(M1) == hash((M1.N, M1.arcs)) and Arc(4, 7) in M1 and Arc(4, 8) not in M1

@@ -3,6 +3,7 @@
 import ast
 import re
 from pathlib import Path
+from types import ModuleType
 
 import springer_cells
 
@@ -229,3 +230,15 @@ def test_memos_are_the_ones_readme_names():
     assert sorted(memos) == ["_route", "_top_down_cut", "build_template"]
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     assert [name for name in memos if f"`{name}`" not in readme] == []
+
+
+def test_all_lists_no_submodule():
+    """``__all__`` lists what the package exports, not the submodules its
+    own imports bind, so ``import *`` shadows no module name of a caller.
+    """
+    assert [name for name in springer_cells.__all__ if isinstance(getattr(springer_cells, name), ModuleType)] == []
+    star: dict = {}
+    exec("from springer_cells import *", star)
+    submodules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
+    assert submodules & set(star) == set()
+    assert {"Arc", "JordanType", "cut", "ancestors"} <= set(star)
