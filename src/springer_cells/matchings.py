@@ -10,7 +10,7 @@ type (n, N-n).
 
 Arcs and Jordan types are immutable tuples of two ints (``Arc(1, 2) ==
 (1, 2)``), so hashing, sorting and equality run at C level; a matching
-computes its arc set and its hash once, when it is built.
+computes its hash once, when it is built.
 """
 
 from __future__ import annotations
@@ -91,7 +91,6 @@ class Matching:
             if a.init in ends or a.term in ends:
                 raise ValueError(f"arc {a} reuses an endpoint")
             ends.update((a.init, a.term))
-        object.__setattr__(self, "_arc_set", frozenset(arcs))
         # the dataclass hash of (N, arcs), computed once per instance
         object.__setattr__(self, "_hash", hash((self.N, arcs)))
 
@@ -102,7 +101,9 @@ class Matching:
         return iter(self.arcs)
 
     def __contains__(self, arc: Arc) -> bool:
-        return arc in self._arc_set
+        # a scan of at most N/2 tuples compared at C level; a frozenset per
+        # matching would cost more memory than it saves time
+        return arc in self.arcs
 
     def __hash__(self) -> int:
         return self._hash
