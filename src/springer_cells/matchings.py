@@ -261,7 +261,8 @@ def matching_permutation(m: Matching, jt: JordanType) -> tuple[int, ...]:
 
 
 def word_pairs(letters) -> dict[int, int]:
-    """The arcs a {B,T} word pairs, as {start: end}, 1-based, in order of end.
+    """The arcs a {B,T} word (a string or a list of its letters) pairs, as
+    {start: end}, 1-based, in order of end.
 
     One stack scan pairs each T with the nearest unmatched B to its left;
     the unpaired letters are the free points.

@@ -222,15 +222,15 @@ def reference_labeled_cut(m: Matching, order, jt: JordanType) -> tuple[Matching,
     for arc in order:
         par = parent(current, arc)
         nxt = cutting.cut(current, arc, jt)
-        labels = {
-            b: labels[b]
-            if b in current
-            else labels[par]
-            if par is not None and (b.init == par.init or b.term == par.term)
-            else cutting.ZERO
-            for b in nxt.arcs
-        }
-        current = nxt
+        new_labels = {}
+        for b in nxt.arcs:
+            if b in current:
+                new_labels[b] = labels[b]
+            elif par is not None and (b.init == par.init or b.term == par.term):
+                new_labels[b] = labels[par]
+            else:
+                new_labels[b] = cutting.ZERO
+        current, labels = nxt, new_labels
     return current, labels
 
 
