@@ -95,7 +95,7 @@ def arc_subsets(arcs: Sequence[Arc]) -> Iterator[tuple[Arc, ...]]:
 
 
 def contravariant_order(m: Matching, arcs: Iterable[Arc]) -> list[Arc]:
-    """Deterministic top-down order: descending nesting depth, then start.
+    """Deterministic top-down order: ascending nesting depth (outermost first), then start.
 
     Any order that never cuts an arc before one nested above it yields the
     same labels; fixing this one makes label maps reproducible.

@@ -1,22 +1,18 @@
 """Brute-force ground truth over small prime fields.
 
 Enumerates every canonical coset representative fixed by the nilpotent,
-bucketed by pivot pattern, by depth-first extension one column at a time.
-A partial prefix survives only if the shifted image of each new column
-already lies in the span of the previous columns, which is exactly the
-flag-stability condition, so the procedure enumerates precisely the
-canonical matrices of Springer flags while skipping dead subtrees early.
+bucketed by pivot pattern, by depth-first extension one column at a time:
+a prefix survives only if the shift image of each new column lies in the
+span of the columns before it, the flag-stability condition, so dead
+subtrees are cut early.  All that lies below a node is fixed by its state:
+its unused rows and the residuals of their shift images against the prefix
+span, read at those rows.  One elimination mod p decides every candidate
+pivot of a state, and each distinct state is solved once, into a table
+freed when the call returns: the 36 ``fq`` benchmark types visit 4968
+nodes in 618 states, type (3,6) over F_3 697 nodes in 40.
 
-The search works on residues mod p as plain ints.  A node holds, for each
-row it has not pivoted in, the residual of the shift image of that basis
-vector against the prefix span, read at those rows only (it vanishes at
-every pivot row); one elimination over them, taken in row order, decides
-every candidate pivot.  A new canonical column (pivot 1, zero at every
-earlier pivot row) reduces each residual in one step, so a child inherits
-its parent's residuals instead of reducing the images again.
-
-Its matrices hold those residues as ints in ``range(q)``.  The oracle
-shares with the main path only the flag-matrix wrapper and
+The search and its matrices hold residues mod p as ints in ``range(q)``.
+The oracle shares with the main path only the flag-matrix wrapper and
 ``apply_nilpotent``, neither a field type nor the elimination kernel; it
 never builds cell templates, so agreement between its buckets and the
 matching enumeration is a genuine cross-check.
@@ -63,6 +59,39 @@ def _feasible(cfg: FqConfig) -> None:
         raise Infeasible(f"nominal candidate count exceeds {MAX_NOMINAL_CANDIDATES}")
 
 
+def _pivot_solutions(p: int, images: tuple[tuple[int, ...], ...]) -> list[tuple[int, list[int], list[list[int]]]]:
+    """Every candidate pivot of one search state, from one elimination mod p.
+
+    ``images[k]`` is the residual of the shift image of the k-th unused
+    basis vector, read at the unused rows.  The new column with pivot at
+    the k-th unused row is e_piv + sum y_i e_{r_i} over the unused rows r_i
+    before it, and its shift image falls in the prefix span exactly when
+    R_k + sum y_i R_i = 0 for the residuals R.  Returns, in order of k,
+    ``(k, y, null_basis)`` for each solvable k: the solutions are y plus
+    the combinations of the null basis.
+    """
+    m = len(images)
+    # row k enters one system as (e_k | R_k), reduced by the rows before it
+    system: list[tuple[int, list[int]]] = []
+    solutions = []
+    for k, img in enumerate(images):
+        res = [int(i == k) for i in range(m)] + list(img)
+        for lead, vec in system:
+            if c := res[lead]:
+                res = [(a - c * b) % p for a, b in zip(res, vec)]
+        # y solves it exactly when the image part of (y, 1 | R_k + sum y_i R_i)
+        # vanishes; the stored rows that pivot before k span the null space
+        if any(res[m:]):  # no column pivots here: store the row monic
+            lead = max(i for i in range(m, 2 * m) if res[i])
+            # the clearing above needs monic rows; no feasible input has yet needed it
+            inv = pow(res[lead], -1, p)
+            system.append((lead, [a * inv % p for a in res]))
+            continue
+        system.append((k, res))  # its entry at k is 1
+        solutions.append((k, res[:k], [vec[:k] for lead, vec in system if lead < k]))
+    return solutions
+
+
 def enumerate_springer_flags(cfg: FqConfig) -> dict[tuple[int, ...], list[FlagMatrix]]:
     """All canonical representatives over F_q whose flags are fixed by the
     nilpotent, bucketed by pivot pattern, with entries in ``range(q)``.
@@ -70,56 +99,36 @@ def enumerate_springer_flags(cfg: FqConfig) -> dict[tuple[int, ...], list[FlagMa
     _feasible(cfg)
     p = cfg.q
     N = cfg.jt.N
-    buckets: dict[tuple[int, ...], list[FlagMatrix]] = {}
+    # (unused rows, image residuals) -> the (pivots, columns) suffixes below it, depth first
+    table: dict[tuple, list[tuple[tuple[int, ...], tuple]]] = {((), ()): [((), ())]}
 
-    def extend(cols: tuple, pivots: tuple[int, ...], unused: list[int], images: list[list[int]]):
-        # images[k]: the residual of X e_{unused[k]}, read at the unused rows
-        m = len(unused)
-        if not m:
-            buckets.setdefault(pivots, []).append(FlagMatrix(mat_from_cols(cols)))
-            return
-        # The new column with pivot unused[k] is e_piv + sum y_i e_{r_i}
-        # over the free rows r_i = unused[:k], and its shift image must
-        # fall in the prefix span: R_piv + sum y_i R_{r_i} = 0 for the
-        # residuals R.  One system serves every candidate pivot: row k
-        # enters it as (e_k | R_{unused[k]}), reduced by the rows before it.
-        system: list[tuple[int, list[int]]] = []
-        for k, piv in enumerate(unused):
-            res = [0] * m + images[k]
-            res[k] = 1
-            for lead, vec in system:
-                if c := res[lead]:
-                    res = [(a - c * b) % p for a, b in zip(res, vec)]
-            # y solves the condition exactly when the image part of
-            # (y, 1 | R_piv + sum y_i R_{r_i}) vanishes, and the null space
-            # is spanned by the stored rows that pivot in the unit block
-            if any(res[m:]):  # no column pivots here: store the row monic
-                lead = max(i for i in range(m, 2 * m) if res[i])
-                # the clearing above needs monic rows; no feasible input has yet needed it
-                inv = pow(res[lead], -1, p)
-                system.append((lead, [a * inv % p for a in res]))
-                continue
-            system.append((k, res))  # its entry at k is 1
-            null_basis = [vec[:k] for lead, vec in system if lead < k]
+    def tails(unused: tuple[int, ...], images: tuple[tuple[int, ...], ...]) -> list:
+        if (key := (unused, images)) in table:
+            return table[key]
+        out = table[key] = []
+        for k, y, null_basis in _pivot_solutions(p, images):
+            rest = unused[:k] + unused[k + 1 :]
             for coeffs in itertools.product(range(p), repeat=len(null_basis)):
-                values = res[:k]
+                values = y
                 for c, nb in zip(coeffs, null_basis):
                     if c:
                         values = [(v + c * x) % p for v, x in zip(values, nb)]
                 col = [0] * N
-                col[piv - 1] = 1
-                for r, v in zip(unused, values):
+                for r, v in zip(unused, (*values, 1)):  # the free rows, then the pivot
                     col[r - 1] = v
                 # one step against the column (pivot 1, 0 at earlier pivot
                 # rows) reduces a residual to the child's span, 0 at row k
-                child = [
-                    [(a - img[k] * v) % p for a, v in zip(img, values)] + img[k + 1 :]
+                child = tuple(
+                    tuple([(a - img[k] * v) % p for a, v in zip(img, values)]) + img[k + 1 :]
                     for img in images[:k] + images[k + 1 :]
-                ]
-                extend((*cols, tuple(col)), pivots + (piv,), unused[:k] + unused[k + 1 :], child)
+                )
+                out += [((unused[k], *pivots), (col, *cols)) for pivots, cols in tails(rest, child)]
+        return out
 
     units = [tuple(int(r == s) for s in range(N)) for r in range(N)]
-    extend((), (), list(range(1, N + 1)), [list(apply_nilpotent(cfg.jt, e)) for e in units])
+    buckets: dict[tuple[int, ...], list[FlagMatrix]] = {}
+    for pivots, cols in tails(tuple(range(1, N + 1)), tuple(apply_nilpotent(cfg.jt, e) for e in units)):
+        buckets.setdefault(pivots, []).append(FlagMatrix(mat_from_cols(cols)))
     return buckets
 
 

@@ -45,6 +45,8 @@ class Arc(_ArcFields):
             raise ValueError(f"arc needs 1 <= init < term, got ({init},{term})")
         return tuple.__new__(cls, (init, term))
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # validates in __new__; _replace calls it
+
     def __repr__(self) -> str:
         return f"({self.init},{self.term})"
 
@@ -68,6 +70,8 @@ class JordanType(_JordanFields):
         if not (0 <= n <= N):
             raise ValueError(f"need 0 <= n <= N, got ({n},{N})")
         return tuple.__new__(cls, (n, N))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # validates in __new__; _replace calls it
 
     @property
     def bottom(self) -> int:

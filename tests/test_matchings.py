@@ -210,3 +210,22 @@ def test_arcs_and_jordan_types_are_validated_tuples():
         copy = pickle.loads(pickle.dumps(obj))
         assert copy == obj and type(copy) is type(obj) and hash(copy) == hash(obj)
     assert hash(M1) == hash((M1.N, M1.arcs)) and Arc(4, 7) in M1 and Arc(4, 8) not in M1
+
+
+def test_make_and_replace_validate_like_the_constructor():
+    """``_make`` and ``_replace``, inherited from the named-tuple bases,
+    build through ``__new__``: they raise the constructor's errors and
+    return the same validated types.
+    """
+    bad = (
+        (lambda: Arc._make((3, 3)), r"^arc needs 1 <= init < term, got \(3,3\)$"),
+        (lambda: Arc(1, 2)._replace(term=0), r"^arc needs 1 <= init < term, got \(1,0\)$"),
+        (lambda: JordanType._make((5, 2)), r"^need 0 <= n <= N, got \(5,2\)$"),
+        (lambda: JordanType(1, 2)._replace(n=-1), r"^need 0 <= n <= N, got \(-1,2\)$"),
+    )
+    for build, message in bad:
+        with pytest.raises(ValueError, match=message):
+            build()
+    good = (Arc._make([2, 5]), Arc(1, 5)._replace(init=2), JordanType._make((2, 6)), JordanType(2, 4)._replace(N=6))
+    assert good == (Arc(2, 5), Arc(2, 5), JordanType(2, 6), JordanType(2, 6))
+    assert [type(x) for x in good] == [Arc, Arc, JordanType, JordanType]
