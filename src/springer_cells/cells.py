@@ -17,8 +17,8 @@ from functools import cache, cached_property
 from typing import Mapping
 
 from .errors import DimensionMismatch, MissingParameter, Singular
-from .exact import QQ, Matrix, Poly, SpanBasis, is_one, mat_cols, mat_from_rows, pivot_pattern, rank
-from .matchings import Arc, JordanType, Matching, T, bt_word, word_permutation
+from .exact import Matrix, Poly, SpanBasis, is_one, mat_cols, mat_from_rows, pivot_pattern, rank
+from .matchings import Arc, JordanType, Matching, T, ancestors, bt_word, word_permutation
 
 #: Returned by prefix_span_basis when V_i is not a span of basis vectors.
 NOT_COORDINATE = object()
@@ -96,21 +96,13 @@ def build_template(m: Matching, jt: JordanType) -> CellTemplate:
     word = bt_word(m, jt)
     slots: dict[tuple[int, int], Arc] = {}
     offsets: dict[Arc, int] = {}
-    # one scan of the word: the arcs open at a start point, innermost
-    # last, are the ancestor chain of the arc starting there
-    open_arcs: list[Arc] = []
-    tops = 0  # T letters strictly left of pos
-    for pos, letter in enumerate(word, start=1):
-        arc = m.endpoint_map.get(pos)
-        if arc is not None and arc.init == pos:
-            open_arcs.append(arc)
-            offsets[arc] = tops
-            for row, anc in enumerate(reversed(open_arcs), start=tops + 1):
-                assert row <= jt.n, "variable slots stay inside the top block"
-                slots[(row, pos)] = anc
-        elif arc is not None:
-            open_arcs.pop()
-        tops += letter == T
+    # each arc's chain, the arc first, in the rows just below the T
+    # letters (top-block pivots) left of its start column
+    for arc in m.arcs:
+        offsets[arc] = tops = word.count(T, 0, arc.init - 1)
+        for row, anc in enumerate(ancestors(m, arc), start=tops + 1):
+            assert row <= jt.n, "variable slots stay inside the top block"
+            slots[(row, arc.init)] = anc
     return CellTemplate(jt, m, word_permutation(word, jt.n), word, slots, offsets)
 
 
@@ -126,9 +118,9 @@ def instantiate(ct: CellTemplate, params: Mapping[Arc, object]) -> FlagMatrix:
     """
     _check_params(ct, params)
     n = ct.jt.N
-    rows = [[QQ.zero] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for col, piv in enumerate(ct.w, start=1):
-        rows[piv - 1][col - 1] = QQ.one
+        rows[piv - 1][col - 1] = 1
     for (r, c), arc in ct.slots.items():
         rows[r - 1][c - 1] = params[arc]
     return FlagMatrix(mat_from_rows(rows))

@@ -18,15 +18,15 @@ matrix of the piece at the target, which is built once; no level reads a
 label, and each level takes its route (the split or the phi data of its
 cell) from the memo ``_route``.  With no arc cut, the curve is constant
 at the point's slot entries.  When the matching has an index with no arc
-over it, the point is ``chi_embed`` of two blocks, sliced by
-``_chi_frame`` and recursed on alone, and the curves concatenate.  When
-the outermost arc spans everything, the point is ``phi_embed`` of an
-inner point over the line V_1, in the rows of ``_phi_frame``: a finite
-value of that arc, read from the top-left entry, freezes its variable
-once the shear is undone, and the inner point recurses unreduced, exact
-except right of top-block pivots, where nothing reads; cutting the
-outermost arc sends V_1 to its limit line, which twists the inner
-coordinates by a polynomial frame change.  The twisted columns are built
+over it, the point is ``chi_embed`` of two blocks, sliced along the rows
+its ``SplitData`` records and recursed on alone, and the curves
+concatenate.  When the outermost arc spans everything, the point is
+``phi_embed`` of an inner point over the line V_1, in the rows of
+``_phi_frame``: a finite value of that arc, read from the top-left
+entry, freezes its variable once the shear is undone, and the inner
+point recurses unreduced, exact except right of top-block pivots, where
+nothing reads; cutting the outermost arc sends V_1 to its limit line,
+which twists the inner coordinates by a polynomial frame change.  The twisted columns are built
 over Z[t] and brought to canonical form fraction-free
 (``exact.integer_canonical_columns``), the coordinates are read back
 over Q[t], and a twist with no polynomial coordinates gives no curve.
@@ -53,7 +53,6 @@ from .errors import (
     Singular,
 )
 from .exact import (
-    QQ,
     Poly,
     SpanBasis,
     canonical_reduce,
@@ -61,6 +60,7 @@ from .exact import (
     integer_canonical_columns,
     limit_vectors,
     mat_from_rows,
+    rational,
 )
 from .matchings import (
     Arc,
@@ -199,11 +199,19 @@ def flag_necessary_conditions(m: Matching, jt: JordanType, g: FlagMatrix) -> lis
 
 @dataclass(frozen=True)
 class SplitData:
+    """A cell cut at a split index i into the cell of its first i points
+    and that of the rest.  ``left_rows`` and ``right_rows`` are the 0-based
+    rows where ``chi_embed`` puts the left and the right flag: the top rows
+    of each, in turn, lead the top block, and so on below.
+    """
+
     i: int
     mL: Matching
     mR: Matching
     jtL: JordanType
     jtR: JordanType
+    left_rows: tuple[int, ...]
+    right_rows: tuple[int, ...]
 
 
 def _arc_over(m: Matching, i: int) -> bool:
@@ -240,8 +248,7 @@ def chi_split(m: Matching, jt: JordanType, i: int) -> SplitData:
         raise InvalidSplitIndex(f"index {i} outside 1..{m.N}")
     if _arc_over(m, i):
         raise InvalidSplitIndex(f"an arc spans index {i}")
-    word = bt_word(m, jt)
-    t = word[:i].count(T)
+    t = bt_word(m, jt).count(T, 0, i)
     left, right = _halves(m.arcs, i)
     return SplitData(
         i,
@@ -249,31 +256,25 @@ def chi_split(m: Matching, jt: JordanType, i: int) -> SplitData:
         Matching(m.N - i, right),
         JordanType(t, i),
         JordanType(jt.n - t, m.N - i),
+        (*range(t), *range(jt.n, jt.n + i - t)),
+        (*range(t, jt.n), *range(jt.n + i - t, m.N)),
     )
 
 
-def _chi_frame(split: SplitData) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Where chi_embed puts the left and the right flag, as 0-based rows:
-    the top rows of each, in turn, lead the top block, and so on below.
-    """
-    i, nL, n = split.i, split.jtL.n, split.jtL.n + split.jtR.n
-    return (*range(nL), *range(n, n + i - nL)), (*range(nL, n), *range(n + i - nL, i + split.mR.N))
-
-
 def chi_embed(gL: FlagMatrix, gR: FlagMatrix, split: SplitData) -> FlagMatrix:
-    """Interleave two flags into the block flag whose rows ``_chi_frame``
-    gives: the left flag in the first i columns, the right in the rest.
+    """Interleave two flags into one block flag, in the rows
+    ``split.left_rows`` and ``split.right_rows``: the left flag in the
+    first i columns, the right in the rest.
     Canonical inputs give a canonical output.
     """
     i = split.i
     if gL.N != i or gR.N != split.mR.N:
         raise DimensionMismatch(f"expected sizes {i} and {split.mR.N}, got {gL.N} and {gR.N}")
     N = i + gR.N
-    rows = [[QQ.zero] * N for _ in range(N)]
-    left_rows, right_rows = _chi_frame(split)
-    for r, src in zip(left_rows, gL.rows):
+    rows = [[0] * N for _ in range(N)]
+    for r, src in zip(split.left_rows, gL.rows):
         rows[r][:i] = src
-    for r, src in zip(right_rows, gR.rows):
+    for r, src in zip(split.right_rows, gR.rows):
         rows[r][i:] = src
     return FlagMatrix(mat_from_rows(rows))
 
@@ -314,8 +315,8 @@ def phi_embed(a, g: FlagMatrix, jt: JordanType) -> FlagMatrix:
     if g.N != N - 2:
         raise DimensionMismatch(f"inner flag must have size {N - 2}, got {g.N}")
     first, last, inner_rows = _phi_frame(N, a is INFINITY)
-    rows = [[QQ.zero] * N for _ in range(N)]
-    rows[first][0] = rows[last][N - 1] = QQ.one
+    rows = [[0] * N for _ in range(N)]
+    rows[first][0] = rows[last][N - 1] = 1
     for r, inner in zip(inner_rows, g.rows):
         rows[r][1 : N - 1] = inner
     if a is not INFINITY:
@@ -370,14 +371,6 @@ def _inner_matching(m: Matching) -> Matching:
     return Matching(m.N - 2, tuple(_shift_arc(a, -1) for a in m.arcs if a != outer))
 
 
-class _Chi(NamedTuple):
-    """Split at the first split index: the halves and the rows of each block."""
-
-    split: SplitData
-    left_rows: tuple[int, ...]
-    right_rows: tuple[int, ...]
-
-
 class _Phi(NamedTuple):
     """No split index: the outer arc (1, N) and the cell inside it."""
 
@@ -387,7 +380,7 @@ class _Phi(NamedTuple):
 
 
 @cache
-def _route(m: Matching, jt: JordanType) -> _Chi | _Phi:
+def _route(m: Matching, jt: JordanType) -> SplitData | _Phi:
     """How _synthesize recurses on the cell of m once an arc is cut.
 
     Memoized on (m, jt), as ``build_template`` is: the sub-matchings of a
@@ -396,8 +389,7 @@ def _route(m: Matching, jt: JordanType) -> _Chi | _Phi:
     """
     splits = valid_split_indices(m)
     if splits:
-        split = chi_split(m, jt, splits[0])
-        return _Chi(split, *_chi_frame(split))
+        return chi_split(m, jt, splits[0])
     outer = Arc(1, m.N)
     assert outer in m, "a matching without split indices carries the full arc"
     return _Phi(outer, _inner_matching(m), JordanType(jt.n - 1, jt.N - 2))
@@ -490,12 +482,11 @@ def _synthesize(
         top_offset = build_template(m, jt).top_offset
         return {a: Poly.const(point[top_offset[a]][a.init - 1]) for a in m.arcs}
     route = _route(m, jt)
-    if isinstance(route, _Chi):
-        split, left_rows, right_rows = route
-        i = split.i
+    if isinstance(route, SplitData):
+        i = route.i
         left_cut, right_cut = map(frozenset, _halves(cut_arcs, i))
-        left = _synthesize(split.mL, split.jtL, left_cut, [point[r][:i] for r in left_rows])
-        right = _synthesize(split.mR, split.jtR, right_cut, [point[r][i:] for r in right_rows])
+        left = _synthesize(route.mL, route.jtL, left_cut, [point[r][:i] for r in route.left_rows])
+        right = _synthesize(route.mR, route.jtR, right_cut, [point[r][i:] for r in route.right_rows])
         return {**left, **{_shift_arc(a, i): p for a, p in right.items()}}
     # no split: the arc (1, N) is present and the matching is perfect, and
     # the point is phi_embed of an inner point at the outer arc's value
@@ -550,7 +541,7 @@ def synthesize_limit_curve(
     """
     cut_set_ = frozenset(cut_arcs)
     piece = labeled_cut(m, cut_set_, jt)
-    target = {a: QQ.of(target[a]) for a in m.arcs if a not in cut_set_ and a in target}
+    target = {a: rational(target[a]) for a in m.arcs if a not in cut_set_ and a in target}
     curve = _synthesize(m, jt, cut_set_, piece_matrix(piece, target).rows)
     if not verify_limit_curve(m, jt, curve, piece, target):
         raise CurveNotFound(

@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cells import FlagMatrix, build_template, instantiate
 from .errors import ArcNotInMatching, MissingParameter
-from .exact import QQ
 from .matchings import (
     Arc,
     JordanType,
@@ -183,7 +182,7 @@ def piece_params(piece: LabeledPiece, values: Mapping[Arc, object]) -> dict[Arc,
     out: dict[Arc, object] = {}
     for b in piece.base.arcs:
         lab = piece.labels[b]
-        out[b] = QQ.zero if lab is ZERO else values[lab]
+        out[b] = 0 if lab is ZERO else values[lab]
     return out
 
 

@@ -4,10 +4,10 @@ Matrices are plain tuples of row tuples.  Entries carry their own
 arithmetic: they support ``+ - * == /`` and are falsy exactly at zero, so
 every algorithm that only reads or combines entries takes no ring and
 runs over any field or Q[t] whose entries behave so.  The library builds
-entries of Q: an ``int`` when integral (``QQ.zero``, ``QQ.one``,
-``QQ.of``, ``sampling``) and a ``fractions.Fraction`` otherwise; results
-of Fraction arithmetic and ``Poly.coeff`` stay Fractions, and ``str``
-prints both alike.  Since ``int / int`` is a float, a division of Q
+entries of Q: an ``int`` when integral (matrix zeros and pivot ones,
+``rational``, ``sampling``) and a ``fractions.Fraction`` otherwise;
+results of Fraction arithmetic and ``Poly.coeff`` stay Fractions, and
+``str`` prints both alike.  Since ``int / int`` is a float, a division of Q
 entries first makes one operand a Fraction, as ``SpanBasis.add`` does
 with an ``int`` pivot.  A ``Poly`` is an entry of Q[t], where ``/`` is
 exact division and raises ``NotDivisible`` on a remainder; it keeps an
@@ -53,24 +53,13 @@ NEG_INFINITY = float("-inf")
 _ZERO = Fraction(0)
 
 
-def _rational(c) -> Fraction | int:
+def rational(c) -> Fraction | int:
     """c as a rational: an ``int`` when it is integral, else a Fraction."""
     if c.__class__ is int:
         return c
     if c.__class__ is not Fraction:
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
-
-
-class _Rationals:
-    """The field Q: an integral value is an ``int``, any other a Fraction."""
-
-    zero = 0
-    one = 1
-    of = staticmethod(_rational)
-
-
-QQ = _Rationals()
 
 
 def exact_div(a: Fraction | int, b: Fraction | int) -> Fraction | int:
@@ -98,7 +87,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Fraction | int] = ()):
-        cs = [_rational(c) for c in coeffs]
+        cs = [rational(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

@@ -113,14 +113,6 @@ class Matching:
         return self._hash
 
     @cached_property
-    def endpoint_map(self) -> dict[int, Arc]:
-        out: dict[int, Arc] = {}
-        for a in self.arcs:
-            out[a.init] = a
-            out[a.term] = a
-        return out
-
-    @cached_property
     def is_noncrossing(self) -> bool:
         for a, b in itertools.combinations(self.arcs, 2):
             # sorted by init, so a.init < b.init; crossing means b starts
@@ -131,7 +123,7 @@ class Matching:
 
     @cached_property
     def is_standard(self) -> bool:
-        on_arc = set(self.endpoint_map)
+        on_arc = set(itertools.chain.from_iterable(self.arcs))
         for a in self.arcs:
             for i in range(a.init + 1, a.term):
                 if i not in on_arc:
@@ -139,7 +131,7 @@ class Matching:
         return True
 
     def free_points(self) -> list[int]:
-        on_arc = set(self.endpoint_map)
+        on_arc = set(itertools.chain.from_iterable(self.arcs))
         return [i for i in range(1, self.N + 1) if i not in on_arc]
 
 
@@ -148,31 +140,29 @@ def matching(N: int, pairs) -> Matching:
 
 
 def parent(m: Matching, arc: Arc) -> Arc | None:
-    """The arc nested immediately above, if any."""
-    if arc not in m:
-        raise ArcNotInMatching(f"{arc} not in {m.arcs}")
-    best = None
-    for other in m.arcs:
-        if other.init < arc.init and arc.term < other.term:
-            if best is None or other.init > best.init:
-                best = other
-    return best
+    """The arc nested immediately above, if any: the second link of ``ancestors``."""
+    chain = ancestors(m, arc)
+    return chain[1] if len(chain) > 1 else None
 
 
 def ancestors(m: Matching, arc: Arc) -> list[Arc]:
-    """The chain [arc, parent(arc), parent(parent(arc)), ...]."""
-    chain = [arc]
+    """The chain [arc, parent(arc), parent(parent(arc)), ...], in one scan
+    of the arcs, latest start first: the first arc strictly over a link is
+    its parent, the arc over it with the latest start.
+    """
     if arc not in m:
         raise ArcNotInMatching(f"{arc} not in {m.arcs}")
-    current = arc
-    while (p := parent(m, current)) is not None:
-        chain.append(p)
-        current = p
+    chain = [arc]
+    for b in reversed(m.arcs):
+        if b.init < chain[-1].init and chain[-1].term < b.term:
+            chain.append(b)
     return chain
 
 
 def nesting_depth(m: Matching, arc: Arc) -> int:
-    """Number of arcs strictly above: len(ancestors) - 1."""
+    """Links above the arc in its chain, len(ancestors) - 1: the number of
+    arcs strictly above it when m is noncrossing.
+    """
     return len(ancestors(m, arc)) - 1
 
 

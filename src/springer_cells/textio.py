@@ -12,10 +12,10 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .cells import CellTemplate, FlagMatrix
+from .cells import CellTemplate, FlagMatrix, instantiate
 from .closure import ClosureDecomposition
 from .cutting import LabeledPiece, ZERO
-from .exact import QQ, Poly
+from .exact import Poly, rational
 from .matchings import Arc, JordanType, Matching, bt_word, matching_permutation
 
 _ARC_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
@@ -50,7 +50,7 @@ def parse_scalar(text: str) -> Fraction | int:
     integral; ValueError if malformed.
     """
     try:
-        return QQ.of(text)
+        return rational(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 
@@ -161,15 +161,9 @@ def decomposition_dot(dec: ClosureDecomposition) -> str:
 
 
 def template_latex(ct: CellTemplate) -> str:
-    letters = arc_letters(ct.matching)
-    n = ct.jt.N
-    cells = [["0"] * n for _ in range(n)]
-    for col, piv in enumerate(ct.w, start=1):
-        cells[piv - 1][col - 1] = "1"
-    for (r, c), arc in ct.slots.items():
-        cells[r - 1][c - 1] = letters[arc]
-    body = " \\\\\n".join(" & ".join(row) for row in cells)
-    return f"\\left(\\begin{{array}}{{{'c' * n}}}\n{body}\n\\end{{array}}\\right)"
+    rows = instantiate(ct, arc_letters(ct.matching)).rows
+    body = " \\\\\n".join(" & ".join(map(str, row)) for row in rows)
+    return f"\\left(\\begin{{array}}{{{'c' * ct.jt.N}}}\n{body}\n\\end{{array}}\\right)"
 
 
 def dumps(payload) -> str:

@@ -54,7 +54,6 @@ from .closure import (
 from .cutting import ZERO, arc_subsets, contravariant_order, cut, cut_set, labeled_cut, piece_matrix
 from .errors import CurveNotFound
 from .exact import (
-    QQ,
     Poly,
     SpanBasis,
     canonical_reduce,
@@ -501,8 +500,8 @@ def check_chi_compatibility(max_n: int, rng):
             tL = build_template(split.mL, split.jtL)
             tR = build_template(split.mR, split.jtR)
             zeros = chi_embed(
-                instantiate(tL, dict.fromkeys(split.mL.arcs, QQ.zero)),
-                instantiate(tR, dict.fromkeys(split.mR.arcs, QQ.zero)),
+                instantiate(tL, dict.fromkeys(split.mL.arcs, 0)),
+                instantiate(tR, dict.fromkeys(split.mR.arcs, 0)),
                 split,
             )
             if pivot_pattern(zeros.rows) != w_full:

@@ -80,7 +80,7 @@ class GF:
 
 #: (zero, one, of) of each entry type the readers are driven over
 RINGS = {
-    "Q": (exact.QQ.zero, exact.QQ.one, exact.QQ.of),
+    "Q": (0, 1, exact.rational),
     "F3": (Residue(0, 3), Residue(1, 3), GF(3).of),
     "F5": (Residue(0, 5), Residue(1, 5), GF(5).of),
     "Qt": (Poly(), Poly.const(1), Poly.const),

@@ -280,6 +280,8 @@ def test_chi_split_examples():
     # the first four letters TTBT carry three pivots of the top block
     assert (split.jtL.n, split.jtL.N) == (3, 4)
     assert (split.jtR.n, split.jtR.N) == (1, 4)
+    # the left flag's top rows lead the top block, the right's follow
+    assert split.left_rows == (0, 1, 2, 4) and split.right_rows == (3, 5, 6, 7)
 
     m = matching(8, [(5, 6), (7, 8)])
     split2 = chi_split(m, jt, 6)
@@ -660,12 +662,11 @@ def test_route_is_computed_once_per_cell(monkeypatch):
         got = route(m, jt)
         splits = closure.valid_split_indices(m)
         if splits:
-            split = chi_split(m, jt, splits[0])
-            assert got == (split, *closure._chi_frame(split))
+            assert got == chi_split(m, jt, splits[0])
         else:
             assert got == (Arc(1, m.N), closure._inner_matching(m), JordanType(jt.n - 1, jt.N - 2))
         kinds.add(type(got).__name__)
-    assert kinds == {"_Chi", "_Phi"}
+    assert kinds == {"SplitData", "_Phi"}
 
 
 def _synthesis_outcome(m, jt, cut_arcs, rows):

@@ -19,6 +19,7 @@ from springer_cells.matchings import (
     j_functions,
     matching,
     matching_permutation,
+    nesting_depth,
     parent,
     word_to_matching,
 )
@@ -51,6 +52,51 @@ def test_ancestors_examples():
     assert ancestors(M3, Arc(7, 8)) == [Arc(7, 8)]
     with pytest.raises(ArcNotInMatching):
         ancestors(M1, Arc(2, 5))
+
+
+def _all_matchings(N: int):
+    """Every set of arcs with disjoint endpoints on {1..N}, crossing and
+    non-standard ones included.
+    """
+
+    def pairings(points):
+        if not points:
+            yield ()
+            return
+        first, rest = points[0], points[1:]
+        yield from pairings(rest)
+        for k, other in enumerate(rest):
+            for tail in pairings(rest[:k] + rest[k + 1 :]):
+                yield ((first, other), *tail)
+
+    return [matching(N, pairs) for pairs in pairings(tuple(range(1, N + 1)))]
+
+
+def _reference_parent(m, arc):
+    """Among the arcs strictly over arc, the one with the largest start."""
+    over = [b for b in m.arcs if b.init < arc.init and arc.term < b.term]
+    return max(over, key=lambda b: b.init, default=None)
+
+
+def test_ancestors_follow_the_parent_chain_on_every_matching():
+    """The one-scan chain is the chain of nearest arcs over each link, on
+    every matching with N <= 8, including crossing ones, where it differs
+    from the set of every arc over the first arc.
+    """
+    arcs = 0
+    for N in range(1, 9):
+        for m in _all_matchings(N):
+            for arc in m.arcs:
+                chain = [arc]
+                while (up := _reference_parent(m, chain[-1])) is not None:
+                    chain.append(up)
+                assert ancestors(m, arc) == chain
+                assert parent(m, arc) == (chain[1] if len(chain) > 1 else None)
+                arcs += 1
+    assert arcs == 2880
+    crossing = matching(7, [(1, 5), (2, 7), (3, 4)])
+    assert ancestors(crossing, Arc(3, 4)) == [(3, 4), (2, 7)]
+    assert nesting_depth(crossing, Arc(3, 4)) == 1  # two arcs lie over it
 
 
 def test_ancestor_function_tables():

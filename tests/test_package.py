@@ -188,12 +188,14 @@ def test_ring_parameters_are_found():
 def test_no_function_takes_a_ring():
     """Entries carry their own arithmetic and the library builds Q, so no
     function takes a ring, and no module names the field and ring objects
-    that only tests need: the tests drive the readers over F_p and Q[t]
-    through reference types of their own.
+    that only tests need (the tests drive the readers over F_p and Q[t]
+    through reference types of their own), the Q namespace whose zero and
+    one are 0 and 1, or the split-frame wrappers that ``SplitData`` holds.
     """
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: found for name, src in sources.items() if (found := ring_parameters(src))} == {}
     gone = {"GFElement", "PrimeField", "POLY_RING", "_PolyRing", "_is_prime"}
+    gone |= {"QQ", "_Rationals", "_Chi", "_chi_frame"}
     named = {name: gone & (read_names(src) | set(definitions(src))) for name, src in sources.items()}
     assert {name: names for name, names in named.items() if names} == {}
 
