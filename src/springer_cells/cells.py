@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .errors import DimensionMismatch, MissingParameter, Singular
 from .exact import Matrix, Poly, SpanBasis, is_one, mat_cols, mat_from_rows, pivot_pattern, rank
-from .matchings import Arc, JordanType, Matching, T, ancestors, bt_word, word_permutation
+from .matchings import Arc, JordanType, Matching, T, _chain, bt_word, word_permutation
 
 #: Returned by prefix_span_basis when V_i is not a span of basis vectors.
 NOT_COORDINATE = object()
@@ -97,10 +97,11 @@ def build_template(m: Matching, jt: JordanType) -> CellTemplate:
     slots: dict[tuple[int, int], Arc] = {}
     offsets: dict[Arc, int] = {}
     # each arc's chain, the arc first, in the rows just below the T
-    # letters (top-block pivots) left of its start column
+    # letters (top-block pivots) left of its start column; the arcs come
+    # from m, so the chains skip the membership check of ``ancestors``
     for arc in m.arcs:
         offsets[arc] = tops = word.count(T, 0, arc.init - 1)
-        for row, anc in enumerate(ancestors(m, arc), start=tops + 1):
+        for row, anc in enumerate(_chain(m, arc), start=tops + 1):
             assert row <= jt.n, "variable slots stay inside the top block"
             slots[(row, arc.init)] = anc
     return CellTemplate(jt, m, word_permutation(word, jt.n), word, slots, offsets)

@@ -146,12 +146,18 @@ def parent(m: Matching, arc: Arc) -> Arc | None:
 
 
 def ancestors(m: Matching, arc: Arc) -> list[Arc]:
-    """The chain [arc, parent(arc), parent(parent(arc)), ...], in one scan
-    of the arcs, latest start first: the first arc strictly over a link is
-    its parent, the arc over it with the latest start.
-    """
+    """The chain [arc, parent(arc), parent(parent(arc)), ...] of an arc of m."""
     if arc not in m:
         raise ArcNotInMatching(f"{arc} not in {m.arcs}")
+    return _chain(m, arc)
+
+
+def _chain(m: Matching, arc: Arc) -> list[Arc]:
+    """The chain of ``ancestors`` without its membership check, for an arc
+    taken from ``m.arcs``, in one scan of the arcs, latest start first: the
+    first arc strictly over a link is its parent, the arc over it with the
+    latest start.
+    """
     chain = [arc]
     for b in reversed(m.arcs):
         if b.init < chain[-1].init and chain[-1].term < b.term:

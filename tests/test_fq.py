@@ -6,7 +6,7 @@ import random
 import pytest
 
 from springer_cells import fqoracle
-from springer_cells.cells import FlagMatrix, apply_nilpotent, verify_springer
+from springer_cells.cells import FlagMatrix, apply_nilpotent, build_template, instantiate, verify_springer
 from springer_cells.cli import run
 from springer_cells.closure import flag_necessary_conditions
 from springer_cells.errors import Infeasible
@@ -73,11 +73,47 @@ def _change_an_entry(buckets):
     buckets[(1, 2, 3, 4)][0] = FlagMatrix(tuple(map(tuple, rows)))
 
 
+def _duplicate_a_flag(buckets):
+    bucket = max(buckets.values(), key=len)
+    bucket[0] = bucket[1]
+
+
+def _set_slots(buckets, arcs, change):
+    """Replace the first flag of the cell of ``arcs`` (type (2,4)) by one
+    whose slots ``change`` rewrites, given the template's slot items."""
+    template = build_template(matching(4, arcs), JordanType(2, 4))
+    bucket = buckets[template.w]
+    rows = [list(row) for row in bucket[0].rows]
+    change(rows, template.slot_items())
+    bucket[0] = FlagMatrix(tuple(map(tuple, rows)))
+
+
+def _split_an_arc(buckets):
+    # in the nested cell the outer arc (1,4) fills (1,1) and, on the chain
+    # of (2,3), (2,2); the second gets the other value of F_2
+    def change(rows, slots):
+        (r1, c1), (r2, c2) = [(r, c) for r, c, arc in slots if arc == (1, 4)]
+        rows[r2 - 1][c2 - 1] = 1 - rows[r1 - 1][c1 - 1]
+
+    _set_slots(buckets, [(1, 4), (2, 3)], change)
+
+
+def _slot_value_q(buckets):
+    def change(rows, slots):
+        r, c, _ = slots[0]
+        rows[r - 1][c - 1] = 2  # q itself, outside range(q)
+
+    _set_slots(buckets, [(1, 2), (3, 4)], change)
+
+
 @pytest.mark.parametrize(
     "change, flags",
     [
         (_drop_a_matrix, (True, False, False, False)),
         (_change_an_entry, (True, True, False, True)),
+        (_duplicate_a_flag, (True, True, False, True)),
+        (_split_an_arc, (True, True, False, True)),
+        (_slot_value_q, (True, True, False, True)),
     ],
 )
 def test_cross_check_reports_a_wrong_bucket(monkeypatch, capsys, change, flags):
@@ -95,6 +131,23 @@ def test_cross_check_reports_a_wrong_bucket(monkeypatch, capsys, change, flags):
     assert rep.all_pass is False
     assert run(["fqcount", "--q", "2", "--N", "4", "--n", "2"]) == 1
     assert capsys.readouterr().out.endswith("cross-checks pass: False\n")
+
+
+@pytest.mark.parametrize(
+    "q, jt",
+    [(q, JordanType(n, N)) for q in (2, 3) for N in range(2, 7) for n in range(1, N)] + [(2, JordanType(0, 0))],
+    ids=str,
+)
+def test_template_points_are_the_instantiated_matrices(q, jt):
+    # the cross-check's point sets against the reference map, ``instantiate``
+    # at every vector of values in range(q), flattened row by row
+    for m in enumerate_matchings(jt):
+        template = build_template(m, jt)
+        expected = {
+            tuple(itertools.chain.from_iterable(instantiate(template, dict(zip(m.arcs, values))).rows))
+            for values in itertools.product(range(q), repeat=len(m))
+        }
+        assert fqoracle._template_points(template, q) == expected
 
 
 def test_projective_line_type():
