@@ -11,21 +11,23 @@ pivot of a state, and each distinct state is solved once, into a table
 freed when the call returns: the 36 ``fq`` benchmark types visit 4968
 nodes in 618 states, type (3,6) over F_3 697 nodes in 40.
 
-The search and its matrices hold residues mod p as ints in ``range(q)``.
-The search shares with the main path only the flag-matrix wrapper and
-``apply_nilpotent``, neither a field type nor the elimination kernel; it
-never builds cell templates, so agreement between its buckets and the
-matching enumeration is a genuine cross-check.
+The search holds residues mod p as ints in ``range(q)``, and its leaves
+are ``(pivots, columns)`` (``_flag_columns``); ``enumerate_springer_flags``
+wraps them in flag matrices for its callers.  The search shares with the
+main path only the flag-matrix wrapper and ``apply_nilpotent``, neither a
+field type nor the elimination kernel; it never builds cell templates, so
+agreement between its buckets and the matching enumeration is a genuine
+cross-check.
 
-The cross-check reads each cell off its memoized template: the pattern is
-``w``, and the points are one flat base with the pivot 1s at ``w``, copied
-per vector of arc values with each of the ``slots`` holding its arc's
-value, compared row-major with the flattened bucket matrices.  No N x N
-matrix is built per point (one round of the ``fq`` benchmark compares
-1513), and the tests keep the point sets equal to ``instantiate``'s.
-With child residuals that skip the rows already 0 at the new pivot,
-``fq`` went from 632 to 778 ops/s at seed 0 and from 629 to 805 at seed
-7 (medians of 10 runs on a shared 2-core Linux VM, ``BENCH_fq_points.json``).
+The cross-check compares column-major points: it flattens each leaf's
+columns in turn, with no flag matrix and no transpose, and reads each
+cell off its memoized template.  A cell's points are one flat base with
+the pivot 1s at ``w``, copied per vector of arc values with each of the
+``slots`` holding its arc's value; no N x N matrix is built per point
+(one round of the ``fq`` benchmark compares 1513), and the tests keep
+the point sets equal to ``instantiate``'s.  With that, ``fq`` went from
+803 to 971 ops/s at seed 0 and from 834 to 977 at seed 7 (medians of
+10 runs on a shared 2-core Linux VM, ``BENCH_fq_columns.json``).
 """
 
 from __future__ import annotations
@@ -102,9 +104,11 @@ def _pivot_solutions(p: int, images: tuple[tuple[int, ...], ...]) -> list[tuple[
     return solutions
 
 
-def enumerate_springer_flags(cfg: FqConfig) -> dict[tuple[int, ...], list[FlagMatrix]]:
-    """All canonical representatives over F_q whose flags are fixed by the
-    nilpotent, bucketed by pivot pattern, with entries in ``range(q)``.
+def _flag_columns(cfg: FqConfig) -> list[tuple[tuple[int, ...], tuple[list[int], ...]]]:
+    """Every canonical representative over F_q whose flag is fixed by the
+    nilpotent, as ``(pivots, columns)`` in depth-first order: ``pivots[c]``
+    is the pivot row of column c, and each column is a list of N entries
+    in ``range(q)``.  Leaves share column lists, so none may be mutated.
     """
     _feasible(cfg)
     p = cfg.q
@@ -139,8 +143,19 @@ def enumerate_springer_flags(cfg: FqConfig) -> dict[tuple[int, ...], list[FlagMa
         return out
 
     units = [tuple(int(r == s) for s in range(N)) for r in range(N)]
+    return tails(tuple(range(1, N + 1)), tuple(apply_nilpotent(cfg.jt, e) for e in units))
+
+
+def enumerate_springer_flags(cfg: FqConfig) -> dict[tuple[int, ...], list[FlagMatrix]]:
+    """All canonical representatives over F_q whose flags are fixed by the
+    nilpotent, bucketed by pivot pattern, with entries in ``range(q)``.
+
+    The buckets and their order are the search's leaves (``_flag_columns``)
+    in depth-first order, each transposed into a ``FlagMatrix``; the
+    cross-check reads those leaves directly and builds no matrix.
+    """
     buckets: dict[tuple[int, ...], list[FlagMatrix]] = {}
-    for pivots, cols in tails(tuple(range(1, N + 1)), tuple(apply_nilpotent(cfg.jt, e) for e in units)):
+    for pivots, cols in _flag_columns(cfg):
         buckets.setdefault(pivots, []).append(FlagMatrix(mat_from_cols(cols)))
     return buckets
 
@@ -167,16 +182,17 @@ class FqReport:
 
 
 def _template_points(template: CellTemplate, q: int) -> set[tuple[int, ...]]:
-    """Every point of the template over F_q, each its matrix flattened row
-    by row: one copy of the base (pivot 1s at ``w``) per vector of arc
-    values in ``range(q)``, with each slot holding its arc's value.
+    """Every point of the template over F_q, each its matrix flattened
+    column by column: one copy of the base (the pivot 1 of column c at
+    row ``w[c]``) per vector of arc values in ``range(q)``, with each slot
+    holding its arc's value.
     """
     N = template.jt.N
     base = [0] * (N * N)
     for col, piv in enumerate(template.w):
-        base[(piv - 1) * N + col] = 1
+        base[col * N + piv - 1] = 1
     index = {arc: i for i, arc in enumerate(template.matching.arcs)}
-    slots = [((r - 1) * N + c - 1, index[arc]) for (r, c), arc in template.slots.items()]
+    slots = [((c - 1) * N + r - 1, index[arc]) for (r, c), arc in template.slots.items()]
     points = set()
     for values in itertools.product(range(q), repeat=len(index)):
         point = base.copy()
@@ -191,11 +207,17 @@ def cross_check_cells(cfg: FqConfig) -> FqReport:
     same nonempty pivot patterns, bucket sizes q^{arcs}, templates filling
     each bucket exactly, and totals adding up.
 
-    Each cell's pattern is its memoized template's ``w`` and its points
-    come from ``_template_points``; flag matrices are square, so two are
-    equal exactly when their flattened rows are.
+    The buckets are the search's own leaves (``_flag_columns``), each
+    flattened column by column with no ``FlagMatrix`` built; each cell's
+    pattern is its memoized template's ``w`` and its points come from
+    ``_template_points``.  Flag matrices are square, so two are equal
+    exactly when their column-major flattenings are.  The total is
+    compared with the sum over every matching, not over the map from
+    ``w``, so a matching listed twice is caught.
     """
-    buckets = enumerate_springer_flags(cfg)
+    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for pivots, cols in _flag_columns(cfg):
+        buckets.setdefault(pivots, []).append(tuple(itertools.chain.from_iterable(cols)))
     jt = cfg.jt
     matchings = enumerate_matchings(jt)
     templates = {t.w: t for t in (build_template(m, jt) for m in matchings)}
@@ -206,7 +228,7 @@ def cross_check_cells(cfg: FqConfig) -> FqReport:
         bucket = buckets.get(w, [])
         if len(bucket) != cfg.q ** template.dimension:
             sizes_match = False
-        if _template_points(template, cfg.q) != {tuple(itertools.chain.from_iterable(g.rows)) for g in bucket}:
+        if _template_points(template, cfg.q) != set(bucket):
             instantiation_match = False
     total = sum(len(v) for v in buckets.values())
     sum_matches = total == sum(cfg.q ** len(m) for m in matchings)

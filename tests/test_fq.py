@@ -1,5 +1,6 @@
 """Finite-field brute-force oracle and its cross-checks."""
 
+import collections
 import itertools
 import random
 
@@ -63,47 +64,71 @@ def test_springer_count_q5_type_2_4():
     assert rep.all_pass
 
 
-def _drop_a_matrix(buckets):
-    max(buckets.values(), key=len).pop()
+def _indices(leaves, w):
+    return [i for i, (pivots, _) in enumerate(leaves) if pivots == w]
 
 
-def _change_an_entry(buckets):
-    rows = [list(row) for row in buckets[(1, 2, 3, 4)][0].rows]
-    rows[0][3] = rows[0][0]  # a 1 right of the pivot of row 1
-    buckets[(1, 2, 3, 4)][0] = FlagMatrix(tuple(map(tuple, rows)))
+def _largest_bucket(leaves):
+    sizes = collections.Counter(pivots for pivots, _ in leaves)
+    return _indices(leaves, max(sizes, key=sizes.get))
 
 
-def _duplicate_a_flag(buckets):
-    bucket = max(buckets.values(), key=len)
-    bucket[0] = bucket[1]
+def _drop_a_matrix(leaves):
+    del leaves[_largest_bucket(leaves)[-1]]
 
 
-def _set_slots(buckets, arcs, change):
+def _set_columns(leaves, w, change):
+    """Replace the first leaf of pattern ``w`` by a copy whose columns
+    (lists of entries, 0-based) ``change`` rewrites; leaves share their
+    column lists, so these are copied first."""
+    i = _indices(leaves, w)[0]
+    cols = [list(col) for col in leaves[i][1]]
+    change(cols)
+    leaves[i] = (w, tuple(cols))
+
+
+def _change_an_entry(leaves):
+    def change(cols):
+        cols[3][0] = cols[0][0]  # a 1 right of the pivot of row 1
+
+    _set_columns(leaves, (1, 2, 3, 4), change)
+
+
+def _duplicate_a_flag(leaves):
+    first, second = _largest_bucket(leaves)[:2]
+    leaves[first] = leaves[second]
+
+
+def _set_slots(leaves, arcs, change):
     """Replace the first flag of the cell of ``arcs`` (type (2,4)) by one
     whose slots ``change`` rewrites, given the template's slot items."""
     template = build_template(matching(4, arcs), JordanType(2, 4))
-    bucket = buckets[template.w]
-    rows = [list(row) for row in bucket[0].rows]
-    change(rows, template.slot_items())
-    bucket[0] = FlagMatrix(tuple(map(tuple, rows)))
+    _set_columns(leaves, template.w, lambda cols: change(cols, template.slot_items()))
 
 
-def _split_an_arc(buckets):
+def _split_an_arc(leaves):
     # in the nested cell the outer arc (1,4) fills (1,1) and, on the chain
     # of (2,3), (2,2); the second gets the other value of F_2
-    def change(rows, slots):
+    def change(cols, slots):
         (r1, c1), (r2, c2) = [(r, c) for r, c, arc in slots if arc == (1, 4)]
-        rows[r2 - 1][c2 - 1] = 1 - rows[r1 - 1][c1 - 1]
+        cols[c2 - 1][r2 - 1] = 1 - cols[c1 - 1][r1 - 1]
 
-    _set_slots(buckets, [(1, 4), (2, 3)], change)
+    _set_slots(leaves, [(1, 4), (2, 3)], change)
 
 
-def _slot_value_q(buckets):
-    def change(rows, slots):
+def _slot_value_q(leaves):
+    def change(cols, slots):
         r, c, _ = slots[0]
-        rows[r - 1][c - 1] = 2  # q itself, outside range(q)
+        cols[c - 1][r - 1] = 2  # q itself, outside range(q)
 
-    _set_slots(buckets, [(1, 2), (3, 4)], change)
+    _set_slots(leaves, [(1, 2), (3, 4)], change)
+
+
+def _transpose_a_flag(leaves):
+    # a point read row by row where columns were meant is a wrong point
+    i = next(i for i, (_, cols) in enumerate(leaves) if list(zip(*cols)) != list(map(tuple, cols)))
+    pivots, cols = leaves[i]
+    leaves[i] = (pivots, tuple(map(list, zip(*cols))))
 
 
 @pytest.mark.parametrize(
@@ -114,18 +139,19 @@ def _slot_value_q(buckets):
         (_duplicate_a_flag, (True, True, False, True)),
         (_split_an_arc, (True, True, False, True)),
         (_slot_value_q, (True, True, False, True)),
+        (_transpose_a_flag, (True, True, False, True)),
     ],
 )
 def test_cross_check_reports_a_wrong_bucket(monkeypatch, capsys, change, flags):
     """(patterns, sizes, instantiation, sum) when the oracle errs."""
-    enumerate_flags = fqoracle.enumerate_springer_flags
+    flag_columns = fqoracle._flag_columns
 
     def wrong(cfg):
-        buckets = enumerate_flags(cfg)
-        change(buckets)
-        return buckets
+        leaves = list(flag_columns(cfg))
+        change(leaves)
+        return leaves
 
-    monkeypatch.setattr(fqoracle, "enumerate_springer_flags", wrong)
+    monkeypatch.setattr(fqoracle, "_flag_columns", wrong)
     rep = cross_check_cells(FqConfig(2, JordanType(2, 4)))
     assert (rep.patterns_match, rep.sizes_match, rep.instantiation_match, rep.sum_matches) == flags
     assert rep.all_pass is False
@@ -140,11 +166,11 @@ def test_cross_check_reports_a_wrong_bucket(monkeypatch, capsys, change, flags):
 )
 def test_template_points_are_the_instantiated_matrices(q, jt):
     # the cross-check's point sets against the reference map, ``instantiate``
-    # at every vector of values in range(q), flattened row by row
+    # at every vector of values in range(q), flattened column by column
     for m in enumerate_matchings(jt):
         template = build_template(m, jt)
         expected = {
-            tuple(itertools.chain.from_iterable(instantiate(template, dict(zip(m.arcs, values))).rows))
+            tuple(itertools.chain.from_iterable(instantiate(template, dict(zip(m.arcs, values))).cols()))
             for values in itertools.product(range(q), repeat=len(m))
         }
         assert fqoracle._template_points(template, q) == expected
@@ -310,3 +336,48 @@ def test_each_search_state_is_solved_once(monkeypatch):
     for q, jt in bench:
         enumerate_springer_flags(FqConfig(q, jt))
     assert (len(bench), len(calls)) == (36, 582)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [FqConfig(2, JordanType(0, 0)), FqConfig(2, JordanType(2, 4)), FqConfig(3, JordanType(3, 6))],
+    ids=lambda cfg: f"q{cfg.q}-{cfg.jt.n}-{cfg.jt.N}",
+)
+def test_buckets_are_the_search_leaves_transposed(cfg):
+    # the public buckets against the leaves the cross-check reads: the same
+    # pivot patterns in the same order, each leaf's columns the columns of
+    # its matrix, in the same order
+    expected = {}
+    for pivots, cols in fqoracle._flag_columns(cfg):
+        expected.setdefault(pivots, []).append(tuple(zip(*cols)))
+    found = {w: [g.rows for g in flags] for w, flags in enumerate_springer_flags(cfg).items()}
+    assert list(found) == list(expected)
+    assert found == expected
+
+
+def test_cross_check_builds_no_matrix(monkeypatch):
+    """The cross-check flattens the search's leaves and wraps none of them
+    in a ``FlagMatrix``; the public buckets wrap every one.
+    """
+    matrices = []
+
+    class CountedFlagMatrix(FlagMatrix):
+        def __post_init__(self):
+            matrices.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(fqoracle, "FlagMatrix", CountedFlagMatrix)
+    cfg = FqConfig(3, JordanType(3, 6))
+    assert cross_check_cells(cfg).all_pass
+    assert matrices == []
+    assert sum(len(flags) for flags in enumerate_springer_flags(cfg).values()) == len(matrices) > 0
+
+
+def test_cross_check_counts_every_matching(monkeypatch):
+    """A matching listed twice gives two templates with one ``w``; the map
+    from ``w`` keeps one, so only the total over every matching sees it.
+    """
+    enumerate_all = fqoracle.enumerate_matchings
+    monkeypatch.setattr(fqoracle, "enumerate_matchings", lambda jt: [*enumerate_all(jt), enumerate_all(jt)[0]])
+    rep = cross_check_cells(FqConfig(2, JordanType(2, 4)))
+    assert (rep.patterns_match, rep.sizes_match, rep.instantiation_match, rep.sum_matches) == (True, True, True, False)
