@@ -2,13 +2,16 @@
 reference entry types the library's readers are driven over (a prime
 field and the polynomial matrix of a curve), the column diagnostics of
 canonical Springer matrices, a labeled cut made of single public cuts,
-and counters of the pieces the library cuts and of the span bases it
-builds.
+counters of the pieces the library cuts and of the span bases it builds,
+and a switch that keeps the garbage collector off while a test counts
+the cyclic garbage each call leaves.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import itertools
 import operator
 from dataclasses import dataclass
@@ -263,3 +266,20 @@ def count_span_bases(monkeypatch) -> list:
     for module in (exact, cells):
         monkeypatch.setattr(module, "SpanBasis", CountingSpanBasis)
     return built
+
+
+@contextlib.contextmanager
+def collector_off():
+    """Collect, freeze what is left and turn the collector off, so that each
+    ``gc.collect()`` inside returns the cyclic garbage made since the last
+    one and walks only the objects made since the freeze.  Reference
+    counting still frees everything that is not in a cycle.
+    """
+    gc.collect()
+    gc.freeze()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+        gc.unfreeze()

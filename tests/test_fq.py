@@ -1,6 +1,7 @@
 """Finite-field brute-force oracle and its cross-checks."""
 
 import collections
+import gc
 import itertools
 import random
 
@@ -25,7 +26,7 @@ from springer_cells.matchings import (
 )
 from springer_cells.verify import check_fq_oracle
 
-from helpers import GF, brute_springer_buckets
+from helpers import GF, brute_springer_buckets, collector_off
 
 
 def test_full_flag_counts():
@@ -381,3 +382,21 @@ def test_cross_check_counts_every_matching(monkeypatch):
     monkeypatch.setattr(fqoracle, "enumerate_matchings", lambda jt: [*enumerate_all(jt), enumerate_all(jt)[0]])
     rep = cross_check_cells(FqConfig(2, JordanType(2, 4)))
     assert (rep.patterns_match, rep.sizes_match, rep.instantiation_match, rep.sum_matches) == (True, True, True, False)
+
+
+def test_the_search_leaves_no_reference_cycles():
+    """The search's state table is reachable only from its call, so
+    reference counting frees it when the call returns and the collector
+    finds nothing.  A search that closes over its table with a recursive
+    nested function leaves the whole table as cyclic garbage: 1015, 2364
+    and 2125 objects for these three types.
+    """
+    found = {}
+    with collector_off():
+        for q, n, N in ((2, 3, 6), (3, 3, 6), (2, 3, 7)):
+            cfg = FqConfig(q, JordanType(n, N))
+            assert cross_check_cells(cfg).all_pass
+            found[cfg, "cross_check_cells"] = gc.collect()
+            assert enumerate_springer_flags(cfg)
+            found[cfg, "enumerate_springer_flags"] = gc.collect()
+    assert found == dict.fromkeys(found, 0)
