@@ -13,7 +13,7 @@ parameters give distinct flags.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 from .errors import DimensionMismatch, MissingParameter, Singular
@@ -83,13 +83,15 @@ class CellTemplate:
         return cols
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def build_template(m: Matching, jt: JordanType) -> CellTemplate:
     """The template of the cell of m.
 
-    Memoized on (m, jt): every call with equal arguments returns the same
-    template, so callers treat it, its ``slots`` and its ``top_offset`` as
-    read-only.  A matching that indexes no cell raises on every call.
+    Memoized on (m, jt) and their types: every call with equal arguments
+    returns the same template, so callers treat it, its ``slots`` and its
+    ``top_offset`` as read-only.  A matching that indexes no cell raises on
+    every call, and so does an ``Arc`` or a bare pair in place of ``jt``,
+    although it equals the Jordan type of the same two ints.
     """
     if not (m.is_noncrossing and m.is_standard):
         raise ValueError("cell templates require a standard noncrossing matching")

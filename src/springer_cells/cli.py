@@ -86,8 +86,8 @@ def cmd_enumerate(args, parser) -> int:
     items = [textio.matching_json(m, jt) for m in matchings]
     payload = {"N": jt.N, "n": jt.n, "count": len(items), "matchings": items}
     lines = [f"{len(items)} matchings for Jordan type ({jt.n},{jt.N})"]
-    for item in items:
-        arcs = textio.format_matching(word_to_matching(item["word"])) or "(no arcs)"
+    for m, item in zip(matchings, items):
+        arcs = textio.format_matching(m) or "(no arcs)"
         lines.append(f"  {item['word']}  {arcs}  perm {tuple(item['perm'])}")
     _emit(args, payload, "\n".join(lines))
     return 0

@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from itertools import zip_longest
 from math import lcm
 from typing import NamedTuple
@@ -379,13 +379,13 @@ class _Phi(NamedTuple):
     inner_jt: JordanType
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def _route(m: Matching, jt: JordanType) -> SplitData | _Phi:
     """How _synthesize recurses on the cell of m once an arc is cut.
 
-    Memoized on (m, jt), as ``build_template`` is: the sub-matchings of a
-    run recur across its pieces and cells, and callers treat the route as
-    read-only.
+    Memoized on (m, jt) and their types, as ``build_template`` is: the
+    sub-matchings of a run recur across its pieces and cells, and callers
+    treat the route as read-only.
     """
     splits = valid_split_indices(m)
     if splits:

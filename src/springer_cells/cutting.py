@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cells import FlagMatrix, build_template, instantiate
@@ -123,9 +123,10 @@ def labeled_cut(
     replacing a cut arc and its parent inherit the parent's label; any arc
     created by cutting a parentless arc is labeled ZERO.
 
-    The default order is memoized on (m, cut arcs, jt), so equal calls
-    return the same piece, which callers treat as read-only.  An explicit
-    top-down order is validated and cut afresh on every call.
+    The default order is memoized on (m, cut arcs, jt) and their types,
+    so equal calls return the same piece, which callers treat as
+    read-only, and an ``Arc`` in place of ``jt`` raises on every call.
+    An explicit top-down order is validated and cut afresh on every call.
     """
     cut_arcs = frozenset(arcs)
     for a in cut_arcs:
@@ -140,7 +141,7 @@ def labeled_cut(
     return _cut_in_order(m, cut_arcs, jt, order)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def _top_down_cut(m: Matching, cut_arcs: frozenset[Arc], jt: JordanType) -> LabeledPiece:
     return _cut_in_order(m, cut_arcs, jt, contravariant_order(m, cut_arcs))
 

@@ -16,28 +16,28 @@ call returns.  (A recursive nested function closing over the table forms
 a reference cycle and left the whole table to the garbage collector:
 19,553 objects per round of the ``fq`` types, against 0 now.)
 
-The search holds residues mod p as ints in ``range(q)``, and its leaves
-are ``(pivots, columns)`` (``_flag_columns``); ``enumerate_springer_flags``
-wraps them in flag matrices for its callers.  The search shares with the
-main path only the flag-matrix wrapper and ``apply_nilpotent``, neither a
-field type nor the elimination kernel; it never builds cell templates, so
-agreement between its buckets and the matching enumeration is a genuine
-cross-check.
+The search holds residues mod p as ints in ``range(q)``, and each leaf is
+``(pivots, point)`` (``_flag_columns``): the point is the matrix flattened
+column by column, each column a tuple laid in front of the point of the
+state below it.  ``enumerate_springer_flags`` cuts each point into its N
+columns for a flag matrix.  The search shares with the main path only the
+flag-matrix wrapper and ``apply_nilpotent``, neither a field type nor the
+elimination kernel; it never builds cell templates, so agreement between
+its buckets and the matching enumeration is a genuine cross-check.
 
-The cross-check compares column-major points: it flattens each leaf's
-columns in turn, with no flag matrix and no transpose, and reads each
-cell off its memoized template.  A cell's points are one flat base with
-the pivot 1s at ``w``, copied per vector of arc values with each of the
-``slots`` holding its arc's value; no N x N matrix is built per point
-(one round of the ``fq`` benchmark compares 1513), and the tests keep
-the point sets equal to ``instantiate``'s.
+The cross-check buckets those points as they come, with no flag matrix, no
+transpose and no second flattening, and reads each cell off its memoized
+template; the type's matchings are the tuple ``enumerate_matchings`` builds
+once per process.  A cell's points are one flat base with the pivot 1s at
+``w``, copied per vector of arc values with each of the ``slots`` holding
+its arc's value; no N x N matrix is built per point (one round of the
+``fq`` benchmark compares 1513), and the tests keep the point sets equal
+to ``instantiate``'s.
 
-With no cyclic garbage, 540 ``fq`` operations make 30 gen-0 and 2 gen-1
-collections, under 1 % of the CPU, against 98 and 8, 9-12 %, with the
-closure.  ``fq``'s 90th-percentile operation went from 2.52 to 1.98 ms
-at seed 0 and from 2.51 to 1.95 ms at seed 7, and its rate from 982 to
-1063 ops/s and from 952 to 1071 (medians of 10 runs on a shared 2-core
-Linux VM, ``BENCH_fq_cycles.json``).
+``fq``'s rate went from 1076 to 1243 ops/s at seed 0 and from 1075 to
+1257 at seed 7, and its 90th-percentile operation from 1.94 to 1.73 ms
+and from 1.96 to 1.65 ms (medians of 10 runs on a shared 2-core Linux
+VM, ``BENCH_fq_matchings.json``).
 """
 
 from __future__ import annotations
@@ -115,10 +115,11 @@ def _pivot_solutions(p: int, images: tuple[tuple[int, ...], ...]) -> list[tuple[
 
 
 def _tails(p: int, N: int, table: dict, unused: tuple[int, ...], images: tuple[tuple[int, ...], ...]) -> list:
-    """The ``(pivots, columns)`` suffixes below one search state, depth
-    first, solved once per state into ``table``.  It takes the table as an
-    argument rather than closing over it, so nothing outlives the caller's
-    reference to the table.
+    """The ``(pivots, point)`` suffixes below one search state, depth
+    first, solved once per state into ``table``; a suffix's point is its
+    columns laid end to end.  It takes the table as an argument rather
+    than closing over it, so nothing outlives the caller's reference to
+    the table.
     """
     if (key := (unused, images)) in table:
         return table[key]
@@ -133,6 +134,7 @@ def _tails(p: int, N: int, table: dict, unused: tuple[int, ...], images: tuple[t
             col = [0] * N
             for r, v in zip(unused, (*values, 1)):  # the free rows, then the pivot
                 col[r - 1] = v
+            col = tuple(col)
             # one step against the column (pivot 1, 0 at earlier pivot
             # rows) reduces a residual to the child's span, 0 at row k;
             # a residual already 0 at row k only loses that entry
@@ -142,20 +144,20 @@ def _tails(p: int, N: int, table: dict, unused: tuple[int, ...], images: tuple[t
                 else img[:k] + img[k + 1 :]
                 for img in images[:k] + images[k + 1 :]
             )
-            out += [((unused[k], *pivots), (col, *cols)) for pivots, cols in _tails(p, N, table, rest, child)]
+            out += [((unused[k], *pivots), col + point) for pivots, point in _tails(p, N, table, rest, child)]
     return out
 
 
-def _flag_columns(cfg: FqConfig) -> list[tuple[tuple[int, ...], tuple[list[int], ...]]]:
+def _flag_columns(cfg: FqConfig) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every canonical representative over F_q whose flag is fixed by the
-    nilpotent, as ``(pivots, columns)`` in depth-first order: ``pivots[c]``
-    is the pivot row of column c, and each column is a list of N entries
-    in ``range(q)``.  Leaves share column lists, so none may be mutated.
+    nilpotent, as ``(pivots, point)`` in depth-first order: ``pivots[c]``
+    is the pivot row of column c, and ``point`` is the matrix flattened
+    column by column, N * N entries in ``range(q)``.
     """
     _feasible(cfg)
     N = cfg.jt.N
-    # (unused rows, image residuals) -> the (pivots, columns) suffixes below it, depth first
-    table: dict[tuple, list[tuple[tuple[int, ...], tuple]]] = {((), ()): [((), ())]}
+    # (unused rows, image residuals) -> the (pivots, point) suffixes below it, depth first
+    table: dict[tuple, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {((), ()): [((), ())]}
     units = [tuple(int(r == s) for s in range(N)) for r in range(N)]
     return _tails(cfg.q, N, table, tuple(range(1, N + 1)), tuple(apply_nilpotent(cfg.jt, e) for e in units))
 
@@ -165,11 +167,14 @@ def enumerate_springer_flags(cfg: FqConfig) -> dict[tuple[int, ...], list[FlagMa
     nilpotent, bucketed by pivot pattern, with entries in ``range(q)``.
 
     The buckets and their order are the search's leaves (``_flag_columns``)
-    in depth-first order, each transposed into a ``FlagMatrix``; the
-    cross-check reads those leaves directly and builds no matrix.
+    in depth-first order, each column-major point cut into its N columns
+    and transposed into a ``FlagMatrix``; the cross-check reads those
+    points directly and builds no matrix.
     """
+    N = cfg.jt.N
     buckets: dict[tuple[int, ...], list[FlagMatrix]] = {}
-    for pivots, cols in _flag_columns(cfg):
+    for pivots, point in _flag_columns(cfg):
+        cols = (point[c * N : (c + 1) * N] for c in range(N))  # none when N = 0
         buckets.setdefault(pivots, []).append(FlagMatrix(mat_from_cols(cols)))
     return buckets
 
@@ -221,8 +226,8 @@ def cross_check_cells(cfg: FqConfig) -> FqReport:
     same nonempty pivot patterns, bucket sizes q^{arcs}, templates filling
     each bucket exactly, and totals adding up.
 
-    The buckets are the search's own leaves (``_flag_columns``), each
-    flattened column by column with no ``FlagMatrix`` built; each cell's
+    The buckets are the search's own leaves (``_flag_columns``), points
+    flattened column by column, with no ``FlagMatrix`` built; each cell's
     pattern is its memoized template's ``w`` and its points come from
     ``_template_points``.  Flag matrices are square, so two are equal
     exactly when their column-major flattenings are.  The total is
@@ -230,8 +235,8 @@ def cross_check_cells(cfg: FqConfig) -> FqReport:
     ``w``, so a matching listed twice is caught.
     """
     buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for pivots, cols in _flag_columns(cfg):
-        buckets.setdefault(pivots, []).append(tuple(itertools.chain.from_iterable(cols)))
+    for pivots, point in _flag_columns(cfg):
+        buckets.setdefault(pivots, []).append(point)
     jt = cfg.jt
     matchings = enumerate_matchings(jt)
     templates = {t.w: t for t in (build_template(m, jt) for m in matchings)}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 from .errors import ArcNotInMatching, TooManyArcs
@@ -299,10 +299,19 @@ def enumerate_words(N: int, n: int) -> list[str]:
     return sorted(words)
 
 
-def enumerate_matchings(jt: JordanType) -> list[Matching]:
+def enumerate_matchings(jt: JordanType) -> tuple[Matching, ...]:
     """Images of all C(N,n) words, in word-lexicographic order.
 
-    The word map is a bijection, so the list has no repeats; these are
+    The word map is a bijection, so the tuple has no repeats; these are
     exactly the matchings indexing nonempty cells for the Jordan type.
+    Built once per process for each (N, n) and shared by every caller.
+    The ints are read before the lookup: an ``Arc`` or a bare pair equals
+    the Jordan type of the same two ints but has no ``N``, so it raises
+    ``AttributeError`` however many types were enumerated before.
     """
-    return [word_to_matching(w) for w in enumerate_words(jt.N, jt.n)]
+    return _matchings(jt.N, jt.n)
+
+
+@cache
+def _matchings(N: int, n: int) -> tuple[Matching, ...]:
+    return tuple(word_to_matching(w) for w in enumerate_words(N, n))

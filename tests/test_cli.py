@@ -111,6 +111,22 @@ def test_enumerate_json_schema():
     assert words == sorted(words)
 
 
+def test_enumerate_table_text():
+    # one row per matching in word order: its word, its arcs and its pivot
+    # permutation, "(no arcs)" for the empty matching
+    code, out, err = invoke(["enumerate", "--N", "4", "--n", "2"])
+    assert (code, err) == (0, "")
+    assert out == (
+        "6 matchings for Jordan type (2,4)\n"
+        "  BBTT  (1,4)(2,3)  perm (3, 4, 1, 2)\n"
+        "  BTBT  (1,2)(3,4)  perm (3, 1, 4, 2)\n"
+        "  BTTB  (1,2)  perm (3, 1, 2, 4)\n"
+        "  TBBT  (3,4)  perm (1, 3, 4, 2)\n"
+        "  TBTB  (2,3)  perm (1, 3, 2, 4)\n"
+        "  TTBB  (no arcs)  perm (1, 2, 3, 4)\n"
+    )
+
+
 def test_word_conversion_and_agreement():
     code, out, _ = invoke(["word", "--word", "BBTBBTTT", "--format", "json"])
     assert code == 0

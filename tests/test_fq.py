@@ -3,6 +3,7 @@
 import collections
 import gc
 import itertools
+import math
 import random
 
 import pytest
@@ -78,14 +79,19 @@ def _drop_a_matrix(leaves):
     del leaves[_largest_bucket(leaves)[-1]]
 
 
+def _columns(point):
+    """The columns of a column-major point of a square matrix."""
+    N = math.isqrt(len(point))
+    return [point[c * N : (c + 1) * N] for c in range(N)]
+
+
 def _set_columns(leaves, w, change):
-    """Replace the first leaf of pattern ``w`` by a copy whose columns
-    (lists of entries, 0-based) ``change`` rewrites; leaves share their
-    column lists, so these are copied first."""
+    """Replace the first leaf of pattern ``w`` by one whose columns (lists
+    of entries, 0-based) ``change`` rewrites, laid end to end again."""
     i = _indices(leaves, w)[0]
-    cols = [list(col) for col in leaves[i][1]]
+    cols = [list(col) for col in _columns(leaves[i][1])]
     change(cols)
-    leaves[i] = (w, tuple(cols))
+    leaves[i] = (w, tuple(itertools.chain.from_iterable(cols)))
 
 
 def _change_an_entry(leaves):
@@ -127,9 +133,12 @@ def _slot_value_q(leaves):
 
 def _transpose_a_flag(leaves):
     # a point read row by row where columns were meant is a wrong point
-    i = next(i for i, (_, cols) in enumerate(leaves) if list(zip(*cols)) != list(map(tuple, cols)))
-    pivots, cols = leaves[i]
-    leaves[i] = (pivots, tuple(map(list, zip(*cols))))
+    def rows(point):
+        return tuple(itertools.chain.from_iterable(zip(*_columns(point))))
+
+    i = next(i for i, (_, point) in enumerate(leaves) if rows(point) != point)
+    pivots, point = leaves[i]
+    leaves[i] = (pivots, rows(point))
 
 
 @pytest.mark.parametrize(
@@ -346,14 +355,29 @@ def test_each_search_state_is_solved_once(monkeypatch):
 )
 def test_buckets_are_the_search_leaves_transposed(cfg):
     # the public buckets against the leaves the cross-check reads: the same
-    # pivot patterns in the same order, each leaf's columns the columns of
-    # its matrix, in the same order
+    # pivot patterns in the same order, each leaf's point cut into N
+    # columns the columns of its matrix, in the same order
     expected = {}
-    for pivots, cols in fqoracle._flag_columns(cfg):
-        expected.setdefault(pivots, []).append(tuple(zip(*cols)))
+    for pivots, point in fqoracle._flag_columns(cfg):
+        expected.setdefault(pivots, []).append(tuple(zip(*_columns(point))))
     found = {w: [g.rows for g in flags] for w, flags in enumerate_springer_flags(cfg).items()}
     assert list(found) == list(expected)
     assert found == expected
+
+
+@pytest.mark.parametrize("cfg", FEASIBLE, ids=lambda cfg: f"q{cfg.q}-{cfg.jt.n}-{cfg.jt.N}")
+def test_each_leaf_point_is_its_flag_flattened_column_by_column(cfg):
+    # what the cross-check compares: the search's points, in order, are the
+    # public matrices read column by column
+    leaves = {}
+    for pivots, point in fqoracle._flag_columns(cfg):
+        leaves.setdefault(pivots, []).append(point)
+    flattened = {
+        w: [tuple(itertools.chain.from_iterable(g.cols())) for g in flags]
+        for w, flags in enumerate_springer_flags(cfg).items()
+    }
+    assert list(leaves) == list(flattened)
+    assert leaves == flattened
 
 
 def test_cross_check_builds_no_matrix(monkeypatch):

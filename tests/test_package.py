@@ -9,17 +9,20 @@ import re
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import springer_cells
-from springer_cells.cells import cell_matrix, prefix_span_basis, verify_canonical, verify_springer
+from springer_cells.cells import build_template, cell_matrix, prefix_span_basis, verify_canonical, verify_springer
 from springer_cells.closure import (
+    _route,
     closure_decomposition,
     flag_necessary_conditions,
     synthesize_limit_curve,
     verify_limit_curve,
 )
-from springer_cells.cutting import piece_matrix
+from springer_cells.cutting import labeled_cut, piece_matrix
 from springer_cells.exact import canonical_reduce
-from springer_cells.matchings import JordanType, enumerate_matchings
+from springer_cells.matchings import Arc, JordanType, enumerate_matchings, matching
 from springer_cells.sampling import random_params
 
 from helpers import collector_off
@@ -246,9 +249,29 @@ def test_memos_are_the_ones_readme_names():
     both places.
     """
     memos = [name for path in sorted(PACKAGE.glob("*.py")) for name in memoized_functions(path.read_text())]
-    assert sorted(memos) == ["_route", "_top_down_cut", "build_template"]
+    assert sorted(memos) == ["_matchings", "_route", "_top_down_cut", "build_template"]
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     assert [name for name in memos if f"`{name}`" not in readme] == []
+
+
+@pytest.mark.parametrize("not_a_type", [Arc(2, 4), (2, 4)], ids=repr)
+def test_memos_answer_a_non_type_as_they_do_cold(not_a_type):
+    """``Arc(2, 4)`` and ``(2, 4)`` equal ``JordanType(2, 4)`` as tuples but
+    have no ``n`` or ``N``: every memo keyed on a Jordan type raises for
+    them as it does cold, also once the equal type is memoized.
+    """
+    jt = JordanType(2, 4)
+    m = matching(4, [(1, 4), (2, 3)])
+    calls = [
+        lambda t: enumerate_matchings(t),
+        lambda t: build_template(m, t),
+        lambda t: labeled_cut(m, [Arc(1, 4)], t),
+        lambda t: _route(m, t),
+    ]
+    for call in calls:
+        call(jt)
+        with pytest.raises(AttributeError):
+            call(not_a_type)
 
 
 def test_all_lists_no_submodule():
