@@ -39,8 +39,7 @@ def _matching_from_args(args, parser) -> tuple[Matching, JordanType]:
     """Resolve --matching/--word/--N/--n into a matching and Jordan type;
     when both spellings are given they must agree.
     """
-    m = None
-    if getattr(args, "word", None):
+    if args.word is not None:
         m = word_to_matching(args.word)
         n = args.word.count("T")
         if args.n is not None and args.n != n:
@@ -48,12 +47,12 @@ def _matching_from_args(args, parser) -> tuple[Matching, JordanType]:
         jt = JordanType(n, m.N)
         if args.N is not None and args.N != m.N:
             parser.error(f"--N {args.N} conflicts with word length {m.N}")
-        if getattr(args, "matching", None):
+        if args.matching is not None:
             other = textio.parse_matching(args.matching, m.N)
             if other.arcs != m.arcs:
                 parser.error("--matching and --word disagree")
         return m, jt
-    if not getattr(args, "matching", None) and args.matching != "":
+    if args.matching is None:
         parser.error("need --matching or --word")
     if args.n is None:
         parser.error("--n is required with --matching")

@@ -147,48 +147,54 @@ def swap_candidates(m: Matching, jt: JordanType) -> set[str]:
 # necessary conditions satisfied by every flag in the closure
 
 
-def _power_image_contained(
-    jt: JordanType, cols: Sequence, upto: int, power: int, bound: int
-) -> bool:
-    """X^power (span of cols[:upto]) inside span of cols[:bound]?"""
-    target = SpanBasis()
-    for c in cols[:bound]:
-        target.add(c)
-    for c in cols[:upto]:
-        img = c
-        for _ in range(power):
-            img = apply_nilpotent(jt, img)
-        if not target.contains(img):
-            return False
-    return True
+def closure_conditions(
+    m: Matching, jt: JordanType
+) -> tuple[dict[int, tuple[int, ...]], list[tuple[Arc, int]]]:
+    """The closure conditions of the cell of m, as ``(prefixes, shifts)``:
+    at each index i with no arc over it, N included, V_i is spanned by the
+    e_r for r in ``prefixes[i]``, the sorted pivot rows of the first i
+    columns; for each ``(arc, k)`` in ``shifts``, one per arc in order of
+    start, k counting the arcs from ``arc.init`` to ``arc.term``, the arc
+    itself included, X^k V_{arc.term} lies inside V_{arc.init - 1}.
+    """
+    w = matching_permutation(m, jt)
+    prefixes = {i: tuple(sorted(w[:i])) for i in valid_split_indices(m) + [m.N]}
+    return prefixes, [(a, sum(a.init <= b.init and b.term <= a.term for b in m.arcs)) for a in m.arcs]
 
 
 def flag_necessary_conditions(m: Matching, jt: JordanType, g: FlagMatrix) -> list[str]:
     """Violations of the closure conditions of the cell of m by the
     Springer flag g (X V_i inside V_{i-1} for every i).
 
-    Checks, exactly: the frozen coordinate subspace at every index not
-    under an arc, and for each arc spanning k arcs (itself included), the
-    k-fold shift maps the subspace at its end inside the subspace before
-    its start.  These imply the condition between the ends of an arc a and
-    its parent p, X^{k+1} V_{p.term} inside V_{a.term} for
-    k = (p.term - a.term) // 2, which is therefore not checked.  The points
-    a.term + 1 .. p.term - 1 are covered end to end by the arcs c_1 .. c_r
-    right of a under p, whose arc counts k_s sum to k; chaining their
-    conditions X^{k_s} V_{c_s.term} inside V_{c_s.init - 1} gives
-    X^k V_{p.term - 1} inside V_{a.term}, and the Springer condition
-    X V_{p.term} inside V_{p.term - 1} adds the last shift.  When r = 0 the
-    condition is the Springer condition itself.
+    Checks, exactly, the conditions of ``closure_conditions``: the frozen
+    coordinate subspace at every index not under an arc, and for each arc
+    spanning k arcs (itself included), the k-fold shift maps the subspace at
+    its end inside the subspace before its start, read on one span that
+    grows over the columns as the arcs come by start.  These imply the
+    condition between the ends of an arc a and its parent p,
+    X^{k+1} V_{p.term} inside V_{a.term} for k = (p.term - a.term) // 2,
+    which is therefore not checked.  The points a.term + 1 .. p.term - 1 are
+    covered end to end by the arcs c_1 .. c_r right of a under p, whose arc
+    counts k_s sum to k; chaining their conditions X^{k_s} V_{c_s.term}
+    inside V_{c_s.init - 1} gives X^k V_{p.term - 1} inside V_{a.term}, and
+    the Springer condition X V_{p.term} inside V_{p.term - 1} adds the last
+    shift.  When r = 0 the condition is the Springer condition itself.
     """
-    w = matching_permutation(m, jt)
-    cols = g.cols()
+    prefixes, shifts = closure_conditions(m, jt)
     issues: list[str] = []
-    for i in valid_split_indices(m) + [m.N]:
-        if prefix_span_basis(g, i) != frozen_prefix(w, i):
+    for i, rows in prefixes.items():
+        if prefix_span_basis(g, i) != rows:
             issues.append(f"split {i}: prefix span is not the frozen coordinate subspace")
-    for a in m.arcs:
-        k = sum(1 for b in m.arcs if a.init <= b.init and b.term <= a.term)
-        if not _power_image_contained(jt, cols, a.term, k, a.init - 1):
+    cols = g.cols()
+    span, spanned = SpanBasis(), 0
+    for a, k in shifts:
+        for c in cols[spanned : a.init - 1]:
+            span.add(c)
+        spanned = a.init - 1
+        images = cols[: a.term]
+        for _ in range(k):
+            images = [apply_nilpotent(jt, c) for c in images]
+        if not all(map(span.contains, images)):
             issues.append(f"arc {a}: {k}-fold shift image escapes the prefix span")
     return issues
 
@@ -224,14 +230,6 @@ def valid_split_indices(m: Matching) -> list[int]:
     parentless arcs.
     """
     return [i for i in range(1, m.N) if not _arc_over(m, i)]
-
-
-def frozen_prefix(w: Sequence[int], i: int) -> tuple[int, ...]:
-    """The rows r with e_r spanning V_i at an index i with no arc over it,
-    the same for every flag of the cell of the pivot permutation w: the
-    pivot rows of the first i columns.
-    """
-    return tuple(sorted(w[:i]))
 
 
 def _shift_arc(a: Arc, offset: int) -> Arc:

@@ -12,9 +12,7 @@ local to the call: the 36 ``fq`` benchmark types visit 4968 nodes in 618
 states, type (3,6) over F_3 697 nodes in 40.  The traversal ``_tails`` is
 a module-level function that takes the table as an argument, so the table
 is reachable only from the call and reference counting frees it when the
-call returns.  (A recursive nested function closing over the table forms
-a reference cycle and left the whole table to the garbage collector:
-19,553 objects per round of the ``fq`` types, against 0 now.)
+call returns.
 
 The search holds residues mod p as ints in ``range(q)``, and each leaf is
 ``(pivots, point)`` (``_flag_columns``): the point is the matrix flattened
@@ -33,16 +31,13 @@ once per process.  A cell's points are one flat base with the pivot 1s at
 its arc's value; no N x N matrix is built per point (one round of the
 ``fq`` benchmark compares 1513), and the tests keep the point sets equal
 to ``instantiate``'s.
-
-``fq``'s rate went from 1076 to 1243 ops/s at seed 0 and from 1075 to
-1257 at seed 7, and its 90th-percentile operation from 1.94 to 1.73 ms
-and from 1.96 to 1.65 ms (medians of 10 runs on a shared 2-core Linux
-VM, ``BENCH_fq_matchings.json``).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 from .cells import CellTemplate, FlagMatrix, apply_nilpotent, build_template
@@ -65,19 +60,29 @@ class FqConfig:
             raise ValueError(f"q={self.q} not in {{2,3,5}}")
 
 
+def _q_factorial_factors(q: int, N: int):
+    """The factors (q^i - 1)/(q - 1), i = 1..N, of the q-factorial [N]_q!."""
+    return ((q**i - 1) // (q - 1) for i in range(1, N + 1))
+
+
 def full_flag_count(q: int, N: int) -> int:
     """Number of complete flags over F_q: the q-factorial
     [N]_q! = prod_{i<=N} (q^i - 1)/(q - 1) (Stanley, *Enumerative
     Combinatorics* I, 1.7).
     """
-    total = 1
-    for i in range(1, N + 1):
-        total *= (q**i - 1) // (q - 1)
-    return total
+    return math.prod(_q_factorial_factors(q, N))
+
+
+def within_enumeration_cap(q: int, N: int) -> bool:
+    """Whether ``full_flag_count(q, N)`` is at most MAX_NOMINAL_CANDIDATES.
+    No factor is below 1, so the running product stops once it passes the cap.
+    """
+    products = itertools.accumulate(_q_factorial_factors(q, N), operator.mul)
+    return all(total <= MAX_NOMINAL_CANDIDATES for total in products)
 
 
 def _feasible(cfg: FqConfig) -> None:
-    if full_flag_count(cfg.q, cfg.jt.N) > MAX_NOMINAL_CANDIDATES:
+    if not within_enumeration_cap(cfg.q, cfg.jt.N):
         raise Infeasible(f"nominal candidate count exceeds {MAX_NOMINAL_CANDIDATES}")
 
 

@@ -43,13 +43,12 @@ from .closure import (
     INFINITY,
     chi_embed,
     chi_split,
+    closure_conditions,
     closure_decomposition,
     flag_necessary_conditions,
-    frozen_prefix,
     phi_embed,
     swap_candidates,
     synthesize_limit_curve,
-    valid_split_indices,
 )
 from .cutting import ZERO, arc_subsets, contravariant_order, cut, cut_set, labeled_cut, piece_matrix
 from .errors import CurveNotFound
@@ -61,7 +60,7 @@ from .exact import (
     pivot_pattern,
     rank,
 )
-from .fqoracle import MAX_NOMINAL_CANDIDATES, FqConfig, cross_check_cells, full_flag_count
+from .fqoracle import FqConfig, cross_check_cells, within_enumeration_cap
 from .matchings import (
     Arc,
     JordanType,
@@ -300,10 +299,10 @@ def check_coordinate_prefixes(max_n: int, rng):
     """
     for jt, m in _cells(max_n):
         template = build_template(m, jt)
-        frozen = {i: frozen_prefix(template.w, i) for i in valid_split_indices(m) + [m.N]}
+        prefixes, _ = closure_conditions(m, jt)
         for _ in range(10):
             g = instantiate(template, random_params(m.arcs, rng))
-            for i, rows in frozen.items():
+            for i, rows in prefixes.items():
                 yield
                 if prefix_span_basis(g, i) != rows:
                     raise _Failed(f"{m.arcs} i={i}")
@@ -489,9 +488,8 @@ def check_chi_compatibility(max_n: int, rng):
     """
     for jt, m in _cells(max_n):
         word = bt_word(m, jt)
-        w_full = matching_permutation(m, jt)
         template = build_template(m, jt)
-        for i in valid_split_indices(m) + [m.N]:
+        for i in closure_conditions(m, jt)[0]:
             yield
             split = chi_split(m, jt, i)
             halves = (bt_word(split.mL, split.jtL), bt_word(split.mR, split.jtR))
@@ -504,7 +502,7 @@ def check_chi_compatibility(max_n: int, rng):
                 instantiate(tR, dict.fromkeys(split.mR.arcs, 0)),
                 split,
             )
-            if pivot_pattern(zeros.rows) != w_full:
+            if pivot_pattern(zeros.rows) != template.w:
                 raise _Failed(f"permutation: {m.arcs} i={i}")
             uL = random_params(split.mL.arcs, rng)
             uR = random_params(split.mR.arcs, rng)
@@ -608,7 +606,7 @@ def check_fq_oracle(max_n: int, rng):
     """
     for q in (2, 3):
         for N in range(2, max_n + 1):
-            if full_flag_count(q, N) > MAX_NOMINAL_CANDIDATES:
+            if not within_enumeration_cap(q, N):
                 continue
             for n in range(1, N):
                 jt = JordanType(n, N)

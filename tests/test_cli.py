@@ -85,6 +85,8 @@ def test_usage_error_exits_two():
         # more arcs than min(n, N - n)
         ["cell", "--matching", "(1,4)(2,3)", "--n", "1"],
         ["cut", "--matching", "(1,2)(3,4)", "--n", "1", "--arcs", "(1,2)"],
+        # neither spelling of a matching
+        ["word", "--n", "0", "--N", "0"],
     ],
 )
 def test_bad_input_exits_two_with_one_line(argv):
@@ -143,6 +145,19 @@ def test_word_conversion_and_agreement():
         ["word", "--word", "BBTT", "--matching", "(1,2)(3,4)", "--format", "json"]
     )
     assert code == 2
+
+
+def test_empty_word_is_the_empty_matching():
+    # the empty word spells the empty matching of type (0,0), as the empty
+    # arc literal does
+    code, out, err = invoke(["word", "--word", "", "--format", "json"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    validate(payload, "matching.json")
+    assert payload == {"N": 0, "n": 0, "arcs": [], "word": "", "perm": []}
+    assert invoke(["word", "--matching", "", "--n", "0", "--N", "0", "--format", "json"]) == (0, out, "")
+    code, _, err = invoke(["cell", "--word", "", "--n", "0"])
+    assert (code, err) == (0, "")
 
 
 def test_cell_latex_golden():
@@ -368,6 +383,7 @@ GOLDEN = Path(__file__).parent / "golden"
             ["closure", "--matching", "(1,8)(2,7)(3,6)(4,5)", "--n", "4", "--certify", "--format", "json", "--seed", "0"],
         ),
         ("verify_geometry_max6_seed0.json", ["verify", "--suite", "geometry", "--max-N", "6", "--format", "json", "--seed", "0"]),
+        ("verify_all_default_seed0.json", ["verify", "--suite", "all", "--format", "json", "--seed", "0"]),
     ],
 )
 def test_output_matches_golden_bytes(name, argv):

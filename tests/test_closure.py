@@ -16,12 +16,14 @@ from springer_cells.cells import (
     cell_matrix,
     instantiate,
     poly_columns,
+    prefix_span_basis,
     verify_canonical,
 )
 from springer_cells.closure import (
     INFINITY,
     chi_embed,
     chi_split,
+    closure_conditions,
     closure_decomposition,
     flag_necessary_conditions,
     phi_embed,
@@ -55,6 +57,7 @@ from springer_cells.matchings import (
     bt_word,
     enumerate_matchings,
     matching,
+    matching_permutation,
     parent,
     word_to_matching,
 )
@@ -244,13 +247,11 @@ def _shift_between_arc_ends(jt, cols, a, par) -> bool:
     return True
 
 
-def test_shift_between_arc_ends_follows_from_the_sibling_arcs():
-    # two points of every cell of every proper type with N <= 7, each
-    # against every matching of its type: wherever the condition between
-    # the ends of an arc and its parent fails, the arc condition of a
-    # sibling right of the arc fails too
+def _flag_matching_pairs():
+    """Two draws of every cell of every proper type with N <= 7, each
+    against every matching of its type: 9384 pairs ``(jt, other, g)``.
+    """
     rng = random.Random(0)
-    draws = failures = 0
     for N in range(2, 8):
         for n in range(1, N):
             jt = JordanType(n, N)
@@ -258,18 +259,76 @@ def test_shift_between_arc_ends_follows_from_the_sibling_arcs():
             for m in ms:
                 for _ in range(2):
                     g = cell_matrix(m, jt, random_params(m.arcs, rng))
-                    cols = g.cols()
                     for other in ms:
-                        draws += 1
-                        for a in other.arcs:
-                            par = parent(other, a)
-                            if par is None or _shift_between_arc_ends(jt, cols, a, par):
-                                continue
-                            failures += 1
-                            issues = flag_necessary_conditions(other, jt, g)
-                            siblings = [c for c in other.arcs if parent(other, c) == par and c.init > a.term]
-                            assert any(f"arc {c}: " in issue for c in siblings for issue in issues)
+                        yield jt, other, g
+
+
+def test_shift_between_arc_ends_follows_from_the_sibling_arcs():
+    # wherever the condition between the ends of an arc and its parent
+    # fails, the arc condition of a sibling right of the arc fails too
+    draws = failures = 0
+    for jt, other, g in _flag_matching_pairs():
+        draws += 1
+        cols = g.cols()
+        for a in other.arcs:
+            par = parent(other, a)
+            if par is None or _shift_between_arc_ends(jt, cols, a, par):
+                continue
+            failures += 1
+            issues = flag_necessary_conditions(other, jt, g)
+            siblings = [c for c in other.arcs if parent(other, c) == par and c.init > a.term]
+            assert any(f"arc {c}: " in issue for c in siblings for issue in issues)
     assert draws == 9384 and failures > 0
+
+
+def _conditions_arc_by_arc(m, jt, g) -> list[str]:
+    """flag_necessary_conditions with each condition restated: the split
+    indices with their pivot rows, and for each arc a fresh span of the
+    columns before its start.
+    """
+    w = matching_permutation(m, jt)
+    issues = [
+        f"split {i}: prefix span is not the frozen coordinate subspace"
+        for i in closure.valid_split_indices(m) + [m.N]
+        if prefix_span_basis(g, i) != tuple(sorted(w[:i]))
+    ]
+    cols = g.cols()
+    for a in m.arcs:
+        k = len([b for b in m.arcs if a.init <= b.init and b.term <= a.term])
+        span = SpanBasis()
+        for c in cols[: a.init - 1]:
+            span.add(c)
+        for img in cols[: a.term]:
+            for _ in range(k):
+                img = apply_nilpotent(jt, img)
+            if not span.contains(img):
+                issues.append(f"arc {a}: {k}-fold shift image escapes the prefix span")
+                break
+    return issues
+
+
+def test_one_growing_span_agrees_with_a_fresh_span_per_arc():
+    arc_failures = 0
+    for jt, other, g in _flag_matching_pairs():
+        issues = flag_necessary_conditions(other, jt, g)
+        assert issues == _conditions_arc_by_arc(other, jt, g), (other.arcs, g.rows)
+        arc_failures += any(issue.startswith("arc ") for issue in issues)
+    assert arc_failures > 0
+
+
+def test_closure_conditions_of_the_criterion_one_matchings():
+    jt = JordanType(4, 8)
+    prefixes, shifts = closure_conditions(matching(8, [(1, 8), (2, 3), (4, 7), (5, 6)]), jt)
+    assert prefixes == {8: (1, 2, 3, 4, 5, 6, 7, 8)}
+    assert shifts == [(Arc(1, 8), 4), (Arc(2, 3), 1), (Arc(4, 7), 2), (Arc(5, 6), 1)]
+    prefixes, shifts = closure_conditions(matching(8, [(1, 4), (2, 3), (7, 8)]), jt)
+    assert prefixes == {
+        4: (1, 2, 5, 6),
+        5: (1, 2, 3, 5, 6),
+        6: (1, 2, 3, 5, 6, 7),
+        8: (1, 2, 3, 4, 5, 6, 7, 8),
+    }
+    assert shifts == [(Arc(1, 4), 2), (Arc(2, 3), 1), (Arc(7, 8), 1)]
 
 
 def test_chi_split_examples():

@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -213,6 +214,11 @@ def test_cross_check_covers_every_type_up_to_the_cap():
 def test_feasibility_guard():
     with pytest.raises(Infeasible):
         enumerate_springer_flags(FqConfig(2, JordanType(4, 8)))
+    # the running product passes the cap after a few factors of [6000]_2!
+    start = time.process_time()
+    with pytest.raises(Infeasible):
+        cross_check_cells(FqConfig(2, JordanType(1, 6000)))
+    assert time.process_time() - start < 0.5
     with pytest.raises(ValueError):
         FqConfig(7, JordanType(2, 4))
 
