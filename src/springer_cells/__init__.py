@@ -47,7 +47,7 @@ from .errors import (
     SpringerCellsError,
     TooManyArcs,
 )
-from .exact import Poly, canonical_reduce, in_span
+from .exact import Poly, canonical_reduce
 from .fqoracle import FqConfig, cross_check_cells, enumerate_springer_flags
 from .matchings import (
     Arc,

@@ -47,10 +47,9 @@ def _matching_from_args(args, parser) -> tuple[Matching, JordanType]:
         jt = JordanType(n, m.N)
         if args.N is not None and args.N != m.N:
             parser.error(f"--N {args.N} conflicts with word length {m.N}")
-        if args.matching is not None:
-            other = textio.parse_matching(args.matching, m.N)
-            if other.arcs != m.arcs:
-                parser.error("--matching and --word disagree")
+        # matching text carries no size: compare the arcs alone
+        if args.matching is not None and textio.parse_matching(args.matching).arcs != m.arcs:
+            parser.error("--matching and --word disagree")
         return m, jt
     if args.matching is None:
         parser.error("need --matching or --word")
@@ -125,7 +124,7 @@ def cmd_cell(args, parser) -> int:
 def _arcs_from_args(args, parser, m: Matching) -> list[Arc]:
     """The arcs of m that --arcs names; naming an arc not in m is an error."""
     wanted = set(textio.parse_arcs(args.arcs))
-    arcs = [a for a in m.arcs if (a.init, a.term) in wanted]
+    arcs = [a for a in m.arcs if a in wanted]
     if len(arcs) != len(wanted):
         parser.error(f"arcs {sorted(wanted)} not all present in the matching")
     return arcs
@@ -225,9 +224,9 @@ def cmd_limit(args, parser) -> int:
             if len(pairs) != 1:
                 parser.error(f"bad target entry {part!r}")
             i, j = pairs[0]
-            arc = next((a for a in m.arcs if (a.init, a.term) == (i, j)), None)
-            if arc is None:
+            if (i, j) not in m.arcs:
                 parser.error(f"target arc ({i},{j}) not in matching")
+            arc = Arc(i, j)
             if arc in arcs:
                 parser.error(f"target arc {arc!r} is cut")
             if arc in target:

@@ -1,19 +1,19 @@
-"""Exact scalars and linear algebra over Q and Q[t].
+"""Exact scalars, linear algebra over Q and Z[t], and limit-curve values.
 
 Matrices are plain tuples of row tuples.  Entries carry their own
 arithmetic: they support ``+ - * == /`` and are falsy exactly at zero, so
 every algorithm that only reads or combines entries takes no ring and
-runs over any field or Q[t] whose entries behave so.  The library builds
-entries of Q: an ``int`` when integral (matrix zeros and pivot ones,
-``rational``, ``sampling``) and a ``fractions.Fraction`` otherwise;
-results of Fraction arithmetic and ``Poly.coeff`` stay Fractions, and
-``str`` prints both alike.  Since ``int / int`` is a float, a division of Q
-entries first makes one operand a Fraction, as ``SpanBasis.add`` does
-with an ``int`` pivot.  A ``Poly`` is an entry of Q[t], where ``/`` is
-exact division and raises ``NotDivisible`` on a remainder; it keeps an
-integral coefficient as an ``int`` and divides ``int`` by ``int`` into a
-Fraction only on a remainder (``exact_div``), so integer work over Q[t]
-allocates no Fractions and never turns into float arithmetic.
+runs over any field, or Q[t] with exact division, whose entries behave
+so.  The library builds entries of Q: an ``int`` when integral (matrix
+zeros and pivot ones, ``rational``, ``sampling``) and a
+``fractions.Fraction`` otherwise; results of Fraction arithmetic stay
+Fractions, and ``str`` prints both alike.  Since ``int / int`` is a
+float, a division of Q entries first makes one operand a Fraction, as
+``SpanBasis.add`` does with an ``int`` pivot, or goes through
+``exact_div``, which gives a Fraction only on a remainder.  A ``Poly`` is
+not an entry: it is a coordinate of a limit curve, a polynomial in t
+with rational coefficients that the library builds, compares and
+evaluates, and it has no arithmetic.
 
 On top of that arithmetic, one Gaussian elimination (``SpanBasis``) sits
 under span tests, the canonical coset form of a flag matrix and the
@@ -23,8 +23,8 @@ polynomial.  It is sparse in the cheap way: a row update leaves the
 entries where the stored vector is 0, and a vector whose pivot is already
 1 is not rescaled.  ``is_one`` is the one test for a pivot of 1: ``x == 1``,
 which costs no multiply on the entries of a canonical cell matrix over Q, and
-the idempotent test ``x * x == x`` for a ``Poly`` or any other entry type
-that never equals an ``int``.
+the idempotent test ``x * x == x`` for any other entry type that never
+equals an ``int``.
 
 Beside it sit two fraction-free kernels over Python ``int``s on sparse
 {row: coefficients} columns, in the manner of Bareiss.  The limit
@@ -49,7 +49,7 @@ from math import gcd, lcm
 from .errors import DimensionMismatch, NotDivisible, Singular
 
 NEG_INFINITY = float("-inf")
-#: The zero that Poly coefficient reads and exact evaluation share.
+#: The zero that Poly evaluation starts from.
 _ZERO = Fraction(0)
 
 
@@ -73,15 +73,15 @@ def exact_div(a: Fraction | int, b: Fraction | int) -> Fraction | int:
 
 
 class Poly:
-    """Univariate polynomial in t with rational coefficients, dense form.
+    """Univariate polynomial in t with rational coefficients, dense form:
+    a limit curve's coordinate, which the library builds, compares and
+    evaluates but does not compute with.
 
     Coefficients are stored ascending; trailing zeros are stripped, so the
     zero polynomial has an empty coefficient tuple and degree -inf.  A
     coefficient is stored as an ``int`` when its denominator is 1 and as a
-    Fraction otherwise, so the integer arithmetic that dominates over Q[t]
-    allocates no Fraction; since ``3 == Fraction(3)`` with the same hash,
+    Fraction otherwise; since ``3 == Fraction(3)`` with the same hash,
     equality, hashing and the printed coefficients do not depend on it.
-    ``coeff`` reads a coefficient as a Fraction.
     """
 
     __slots__ = ("coeffs",)
@@ -95,22 +95,17 @@ class Poly:
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("Poly is immutable")
 
-    @staticmethod
-    def const(c) -> "Poly":
-        return Poly([c])
+    @classmethod
+    def const(cls, c) -> "Poly":
+        return cls([c])
 
-    @staticmethod
-    def t(power: int = 1, coeff=1) -> "Poly":
-        return Poly([0] * power + [coeff])
+    @classmethod
+    def t(cls, power: int = 1, coeff=1) -> "Poly":
+        return cls([0] * power + [coeff])
 
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
-
-    def coeff(self, d: int) -> Fraction:
-        if 0 <= d < len(self.coeffs):
-            return Fraction(self.coeffs[d])
-        return _ZERO
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -121,35 +116,6 @@ class Poly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        out = list(a) + [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] -= c
-        return Poly(out)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if not self.coeffs or not other.coeffs:
-            return Poly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
-
     def __call__(self, x):
         """Evaluate at x by Horner's rule: exact at a Fraction or ``int``, a
         float at a float, except that the zero polynomial gives Fraction(0).
@@ -158,24 +124,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __truediv__(self, other: "Poly") -> "Poly":
-        """The exact quotient; raises NotDivisible when other leaves a remainder."""
-        if not other.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = len(other.coeffs) - 1
-        lead = other.coeffs[-1]
-        quot = [0] * max(len(rem) - d, 0)
-        for i in range(len(quot) - 1, -1, -1):
-            c = exact_div(rem[i + d], lead)
-            quot[i] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= c * b
-        if any(rem[:d]):
-            raise NotDivisible(f"{other!r} does not divide {self!r}")
-        return Poly(quot)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -213,9 +161,9 @@ def is_one(x) -> bool:
     """Whether the nonzero entry x is 1.
 
     ``x == 1`` answers for ``int`` and Fraction entries without a multiply;
-    for a ``Poly``, which never equals an ``int``, the idempotent test
-    ``x * x == x`` answers, since 1 is the only nonzero idempotent of Q[t],
-    as it does for the entries of any field a caller brings.
+    for an entry type a caller brings that never equals an ``int``, the
+    idempotent test ``x * x == x`` answers, since 1 is the only nonzero
+    idempotent of a field or of Q[t].
     """
     return x == 1 or x * x == x
 
@@ -270,27 +218,17 @@ class SpanBasis:
         return len(self.echelon)
 
 
-def _span_of(vectors: Sequence[Sequence], *more: Sequence) -> SpanBasis:
-    """The span of the vectors, after checking that they and ``more`` all
-    have one length: SpanBasis pairs entries by position and would cut
-    the longer ones short.
+def rank(vectors: Sequence[Sequence]) -> int:
+    """The rank of the vectors, which must all have one length: SpanBasis
+    pairs entries by position and would cut the longer ones short.
     """
-    sizes = {len(v) for v in (*vectors, *more)}
+    sizes = {len(v) for v in vectors}
     if len(sizes) > 1:
         raise DimensionMismatch(f"mixed vector lengths {sorted(sizes)}")
     basis = SpanBasis()
     for v in vectors:
         basis.add(v)
-    return basis
-
-
-def rank(vectors: Sequence[Sequence]) -> int:
-    return _span_of(vectors).rank
-
-
-def in_span(vector: Sequence, basis_vectors: Sequence[Sequence]) -> bool:
-    """Exact membership of a vector in the span of the given vectors."""
-    return _span_of(basis_vectors, vector).contains(vector)
+    return basis.rank
 
 
 def canonical_reduce(g: Matrix) -> Matrix:

@@ -1,10 +1,10 @@
 """Shared brute-force oracles, independent of the library's algorithms,
 reference entry types the library's readers are driven over (a prime
-field and the polynomial matrix of a curve), the column diagnostics of
-canonical Springer matrices, a labeled cut made of single public cuts,
-counters of the pieces the library cuts and of the span bases it builds,
-and a switch that keeps the garbage collector off while a test counts
-the cyclic garbage each call leaves.
+field, Q[t] and the polynomial matrix of a curve), a span test, the
+column diagnostics of canonical Springer matrices, a labeled cut made of
+single public cuts, counters of the pieces the library cuts and of the
+span bases it builds, and a switch that keeps the garbage collector off
+while a test counts the cyclic garbage each call leaves.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from springer_cells import cells, cutting, exact
 from springer_cells.cells import NOT_COORDINATE, FlagMatrix, apply_nilpotent
-from springer_cells.exact import Poly, in_span, pivot_pattern
+from springer_cells.errors import NotDivisible
+from springer_cells.exact import Poly, pivot_pattern
 from springer_cells.matchings import JordanType, Matching, parent
 
 
@@ -81,21 +82,69 @@ class GF:
         return [Residue(v, self.p) for v in range(self.p)]
 
 
+class QtPoly(Poly):
+    """An element of Q[t]: a ``Poly`` with ``+ - *``, negation and exact
+    division, which raises NotDivisible on a remainder and
+    ZeroDivisionError on 0.  Every result is a ``QtPoly``, so a ``Poly``
+    may stand only on the right of an operator.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return QtPoly([a + b for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
+
+    def __neg__(self):
+        return QtPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        out = [0] * (len(self.coeffs) + len(other.coeffs))
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return QtPoly(out)
+
+    def __truediv__(self, other):
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = [Fraction(c) for c in self.coeffs]
+        d = len(other.coeffs) - 1
+        quot = [0] * max(len(rem) - d, 0)
+        for i in reversed(range(len(quot))):
+            quot[i] = c = rem[i + d] / other.coeffs[-1]
+            for j, b in enumerate(other.coeffs):
+                rem[i + j] -= c * b
+        if any(rem):
+            raise NotDivisible(f"{other!r} does not divide {self!r}")
+        return QtPoly(quot)
+
+
 #: (zero, one, of) of each entry type the readers are driven over
 RINGS = {
     "Q": (0, 1, exact.rational),
     "F3": (Residue(0, 3), Residue(1, 3), GF(3).of),
     "F5": (Residue(0, 5), Residue(1, 5), GF(5).of),
-    "Qt": (Poly(), Poly.const(1), Poly.const),
+    "Qt": (QtPoly(), QtPoly.const(1), QtPoly.const),
 }
+
+
+def in_span(vector, basis_vectors) -> bool:
+    """Whether the vector lies in the span of the given vectors."""
+    basis = exact.SpanBasis()
+    for v in basis_vectors:
+        basis.add(v)
+    return basis.contains(vector)
 
 
 def poly_matrix(template: cells.CellTemplate, curve) -> exact.Matrix:
     """The rows of the cell matrix over Q[t] at a polynomial curve, built
-    from ``cells.poly_columns``: a Poly in every entry.
+    from ``cells.poly_columns``: a QtPoly in every entry.
     """
     cols = cells.poly_columns(template, curve)
-    return tuple(tuple(Poly(col.get(r, ())) for col in cols) for r in range(len(cols)))
+    return tuple(tuple(QtPoly(col.get(r, ())) for col in cols) for r in range(len(cols)))
 
 
 def brute_det(rows):

@@ -16,7 +16,7 @@ from springer_cells.cells import (
     verify_springer,
 )
 from springer_cells.errors import DimensionMismatch, MissingParameter, Singular
-from springer_cells.exact import Poly, pivot_pattern
+from springer_cells.exact import pivot_pattern
 from springer_cells.matchings import (
     Arc,
     JordanType,
@@ -28,7 +28,7 @@ from springer_cells.matchings import (
 from springer_cells.sampling import random_params
 from springer_cells.verify import check_cell_injectivity, check_cell_membership
 
-from helpers import GF, RINGS, Q, brute_prefix_span_basis, count_span_bases, springer_column_diagnostics
+from helpers import GF, RINGS, Q, QtPoly, brute_prefix_span_basis, count_span_bases, springer_column_diagnostics
 
 JT8 = JordanType(4, 8)
 M1 = matching(8, [(1, 8), (2, 3), (4, 7), (5, 6)])
@@ -250,8 +250,8 @@ def test_prefix_span_basis_agrees_with_rank_on_cell_matrices():
 
 def _entry(ring, rng):
     zero, _, of = ring
-    if zero.__class__ is Poly:
-        return Poly([rng.randint(-2, 2), rng.randint(-2, 2)])
+    if zero.__class__ is QtPoly:
+        return QtPoly([rng.randint(-2, 2), rng.randint(-2, 2)])
     return of(rng.randint(-2, 2))
 
 

@@ -87,6 +87,8 @@ def test_usage_error_exits_two():
         ["cut", "--matching", "(1,2)(3,4)", "--n", "1", "--arcs", "(1,2)"],
         # neither spelling of a matching
         ["word", "--n", "0", "--N", "0"],
+        # a target arc written backwards, which no matching holds
+        ["limit", "--matching", "(1,4)(2,3)", "--n", "2", "--arcs", "(1,4)", "--target", "(3,2)=1"],
     ],
 )
 def test_bad_input_exits_two_with_one_line(argv):
@@ -145,6 +147,12 @@ def test_word_conversion_and_agreement():
         ["word", "--word", "BBTT", "--matching", "(1,2)(3,4)", "--format", "json"]
     )
     assert code == 2
+    # matching text carries no size: arcs past the word's end disagree with
+    # it, and arcs that fit leave the word's length alone
+    code, out, err = invoke(["word", "--word", "BT", "--matching", "(1,4)(2,3)"])
+    assert (code, out) == (2, "") and err.endswith(": error: --matching and --word disagree\n")
+    code, out, _ = invoke(["word", "--word", "BTT", "--matching", "(1,2)", "--format", "json"])
+    assert code == 0 and json.loads(out)["N"] == 3
 
 
 def test_empty_word_is_the_empty_matching():

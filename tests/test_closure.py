@@ -69,7 +69,7 @@ from springer_cells.verify import (
     check_swap_candidate_bijection,
 )
 
-from helpers import Q, brute_minors, count_cuts, poly_matrix
+from helpers import Q, QtPoly, brute_minors, count_cuts, poly_matrix
 
 JT4 = JordanType(2, 4)
 NESTED4 = matching(4, [(1, 4), (2, 3)])
@@ -767,13 +767,13 @@ def test_synthesis_reads_no_entry_right_of_a_top_pivot():
 
 def _twisted_by_poly_matrix(inner_m, inner_jt, inner_curve, germs=()):
     """The frame change over Q[t], as a reference: the twisted matrix of
-    Poly entries reduced by ``canonical_reduce``, and the coordinates read
+    QtPoly entries reduced by ``canonical_reduce``, and the coordinates read
     back only if the result is the template at them.
     """
     h = inner_m.N
     if h == 0:
         return {}
-    half, t = h // 2, Poly.t(1)
+    half, t = h // 2, QtPoly.t(1)
     template = build_template(inner_m, inner_jt)
     w = [list(row) for row in poly_matrix(template, inner_curve)]
     germ_slots = [(r, c) for (r, c), arc in template.slots.items() if arc in germs]
@@ -781,10 +781,10 @@ def _twisted_by_poly_matrix(inner_m, inner_jt, inner_curve, germs=()):
         for row in w:
             row[c - 1] = t * row[c - 1]
     for r, c in germ_slots:
-        w[r - 1][c - 1] = Poly.const(1)
-    twisted = [[-(Poly.t(2) * x) for x in w[half + r]] for r in range(half)]
+        w[r - 1][c - 1] = QtPoly.const(1)
+    twisted = [[-(QtPoly.t(2) * x) for x in w[half + r]] for r in range(half)]
     for s in range(half):
-        below = w[half + s + 1] if s + 1 < half else [Poly()] * h
+        below = w[half + s + 1] if s + 1 < half else [QtPoly()] * h
         twisted.append([x + t * y for x, y in zip(w[s], below)])
     try:
         reduced = canonical_reduce(mat_from_rows(twisted))
@@ -872,7 +872,8 @@ def _minor_verdict(moving_minors, fixed):
     """
     for i, minors in enumerate(moving_minors, start=1):
         top = max(p.degree for p in minors)
-        if _projective([p.coeff(top) for p in minors]) != _projective(brute_minors(fixed, i)):
+        tops = [p.coeffs[top] if p.degree == top else 0 for p in minors]
+        if _projective(tops) != _projective(brute_minors(fixed, i)):
             return False
     return True
 

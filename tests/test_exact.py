@@ -17,7 +17,6 @@ from springer_cells.exact import (
     SpanBasis,
     canonical_reduce,
     exact_div,
-    in_span,
     integer_canonical_columns,
     is_one,
     limit_vectors,
@@ -31,7 +30,7 @@ from springer_cells.matchings import JordanType, enumerate_matchings
 from springer_cells.sampling import random_rational
 from springer_cells.verify import _orthogonal_residual, check_canonical_reduce
 
-from helpers import GF, RINGS, Q, Residue, brute_det, brute_minors, poly_matrix
+from helpers import GF, RINGS, Q, QtPoly, Residue, brute_det, brute_minors, in_span, poly_matrix
 
 F3, F5 = GF(3), GF(5)
 
@@ -127,7 +126,7 @@ def test_kernel_over_polynomial_ring_recovers_canonical_form():
             g[w[j]][j] = one
             for r in range(w[j]):
                 if r not in w[:j] and rng.random() < 1 / 3:
-                    g[r][j] = Poly([rng.randint(-2, 2) for _ in range(3)]) or one
+                    g[r][j] = QtPoly([rng.randint(-2, 2) for _ in range(3)]) or one
             b[j][j] = of(rng.choice([-2, -1, 2, 3]))
             for k in range(j):
                 b[k][j] = _sparse_entry(RINGS["Qt"], rng)
@@ -156,7 +155,7 @@ def test_canonical_reduce_over_prime_field():
 
 
 def test_canonical_reduce_over_polynomial_ring():
-    t, (zero, one, _) = Poly.t(), RINGS["Qt"]
+    t, (zero, one, _) = QtPoly.t(), RINGS["Qt"]
     # column (t,t) divides by its pivot t: (1,1); then (1,0) is already reduced
     assert canonical_reduce(((t, one), (t, zero))) == ((one, one), (one, zero))
     # column (1,t) would divide 1 by t: the canonical form is not polynomial
@@ -180,13 +179,11 @@ def test_in_span_examples():
     assert in_span(shifted, [col1])
 
 
-def test_rank_and_in_span_refuse_mixed_lengths():
+def test_rank_refuses_mixed_lengths():
     # SpanBasis pairs entries by position, so a short vector would be read
     # as a prefix of a long one
     with pytest.raises(DimensionMismatch, match=r"mixed vector lengths \[2, 3\]"):
         rank([(1, 0, 0), (1, 0)])
-    with pytest.raises(DimensionMismatch, match=r"mixed vector lengths \[2, 3\]"):
-        in_span((1, 0), [(1, 0, 0)])
     assert rank([(1, 0, 0), (1, 1, 0)]) == 2 and rank([]) == 0
 
 
@@ -339,7 +336,7 @@ def test_limit_vectors_agree_with_the_reference_kernel(cols):
 def test_limit_flag_dependent_columns():
     t, one = Poly.t(), Poly([1])
     with pytest.raises(Singular):
-        limit_flag([(t, one), (t * t, t)])
+        limit_flag([(t, one), (Poly.t(2), t)])
     with pytest.raises(Singular):
         limit_flag([(Poly(), Poly())])
 
@@ -375,7 +372,7 @@ SCALARS = st.one_of(
     st.builds(Fraction, st.integers(-(10**15), 10**15), st.integers(10**12, 10**15)),
     st.builds(Fraction, st.integers(10**12, 10**15), st.integers(1, 9)),
 )
-POLYS = st.lists(SCALARS, max_size=3).map(Poly)
+POLYS = st.lists(SCALARS, max_size=3).map(QtPoly)
 COLUMN_OPS = st.tuples(st.sampled_from(["rational", "poly", "earlier"]), st.integers(0, 5))
 
 
@@ -403,15 +400,15 @@ def test_limit_flag_is_unchanged_by_flag_preserving_column_operations(data):
             q = data.draw(POLYS)
             cols[j] = [p + q * r for p, r in zip(cols[j], cols[k])]
         else:
-            factors = POLYS.filter(bool) if kind == "poly" else SCALARS.filter(bool).map(Poly.const)
+            factors = POLYS.filter(bool) if kind == "poly" else SCALARS.filter(bool).map(QtPoly.const)
             q = data.draw(factors)
             cols[j] = [q * p for p in cols[j]]
     assert limit_flag(cols) == flag
 
 
 def test_poly_arithmetic():
-    p = Poly([1, 2])  # 1 + 2t
-    q = Poly([0, 0, 1])  # t^2
+    p = QtPoly([1, 2])  # 1 + 2t
+    q = QtPoly([0, 0, 1])  # t^2
     assert (p * q).coeffs == (0, 0, 1, 2)
     assert not (p - p)
     assert p.degree == 1 and Poly().degree == NEG_INFINITY
@@ -427,11 +424,13 @@ def _canonical(c) -> bool:
 
 
 def test_poly_shares_its_zero_and_keeps_mixed_coefficients():
-    zero = Poly([1, 2]).coeff(2)
+    zero = Poly()(3)
     assert zero == Fraction(0) and type(zero) is Fraction
-    assert Poly().coeff(0) is zero and Poly([Fraction(5)]).coeff(-1) is zero
-    p = Poly([1, Fraction(1, 2), 0])  # 1 + t/2
-    q = Poly([Fraction(-2), 3])  # -2 + 3t
+    assert Poly()(Fraction(1, 2)) is zero and Poly([0, Fraction(0)])(5) is zero
+    assert Poly([1, Fraction(1, 2), 0]).coeffs == (1, Fraction(1, 2))
+    assert Poly([Fraction(-2), 3]).coeffs == (-2, 3)
+    p = QtPoly([1, Fraction(1, 2), 0])  # 1 + t/2
+    q = QtPoly([Fraction(-2), 3])  # -2 + 3t
     assert p.coeffs == (1, Fraction(1, 2))
     assert (p + q).coeffs == (-1, Fraction(7, 2))
     assert (p - q).coeffs == (3, Fraction(-5, 2))
@@ -439,11 +438,11 @@ def test_poly_shares_its_zero_and_keeps_mixed_coefficients():
     assert (-q).coeffs == (2, -3)
     assert ((p * q) / q).coeffs == p.coeffs
     assert Poly([0, Fraction(0)]).coeffs == ()
-    for r in (p, q, p + q, p - q, p * q, -q, (p * q) / q, Poly([3, 0, 1]) * Poly.t(2)):
+    for r in (p, q, p + q, p - q, p * q, -q, (p * q) / q, QtPoly([3, 0, 1]) * QtPoly.t(2)):
         assert all(_canonical(c) for c in r.coeffs)
     # (t, 1) reduces against the longer (t^2, 1), which pads it with zeros
     t, one = Poly.t(), Poly([1])
-    assert limit_flag([(t * t, one), (t, one)]) == [(1, 0), (0, 1)]
+    assert limit_flag([(Poly.t(2), one), (t, one)]) == [(1, 0), (0, 1)]
 
 
 def test_span_tests_are_exact_on_int_vectors():
@@ -462,15 +461,15 @@ def test_span_tests_are_exact_on_int_vectors():
 
 
 def test_is_one():
-    for one in (1, Fraction(1), Residue(1, 2), Residue(1, 3), Residue(1, 7), Poly.const(1)):
+    for one in (1, Fraction(1), Residue(1, 2), Residue(1, 3), Residue(1, 7), QtPoly.const(1)):
         assert is_one(one), one
-    for other in (2, -1, Fraction(1, 2), Fraction(-1), Residue(2, 3), F3.of(-1), Poly.t(1), Poly([1, 1])):
+    for other in (2, -1, Fraction(1, 2), Fraction(-1), Residue(2, 3), F3.of(-1), QtPoly.t(1), QtPoly([1, 1])):
         assert not is_one(other), other
 
 
 @pytest.mark.parametrize(
     "ring, half",
-    [(RINGS["Q"], Fraction(1, 2)), (RINGS["F3"], Residue(2, 3)), (RINGS["Qt"], Poly([Fraction(1, 2)]))],
+    [(RINGS["Q"], Fraction(1, 2)), (RINGS["F3"], Residue(2, 3)), (RINGS["Qt"], QtPoly([Fraction(1, 2)]))],
     ids=["Q", "F3", "Qt"],
 )
 def test_span_basis_rescales_only_a_pivot_that_is_not_one(ring, half):
@@ -489,22 +488,22 @@ def test_span_basis_rescales_only_a_pivot_that_is_not_one(ring, half):
 
 def test_span_basis_divides_a_polynomial_pivot():
     basis = SpanBasis()
-    basis.add((Poly.t(2), Poly.t(1)))
-    assert basis.echelon == [(1, [Poly.t(1), Poly.const(1)])]
+    basis.add((QtPoly.t(2), QtPoly.t(1)))
+    assert basis.echelon == [(1, [QtPoly.t(1), QtPoly.const(1)])]
 
 
 def test_poly_exact_division():
-    p = Poly([1, 2])  # 1 + 2t
-    q = Poly([0, 0, 1])  # t^2
+    p = QtPoly([1, 2])  # 1 + 2t
+    q = QtPoly([0, 0, 1])  # t^2
     assert (p * q) / p == q
-    assert (p * q) / Poly([Fraction(1, 2)]) == Poly([0, 0, 2, 4])
-    assert Poly() / p == Poly()
+    assert (p * q) / QtPoly([Fraction(1, 2)]) == QtPoly([0, 0, 2, 4])
+    assert QtPoly() / p == QtPoly()
     with pytest.raises(NotDivisible):
-        (p * q + Poly([5])) / p
+        (p * q + QtPoly([5])) / p
     with pytest.raises(NotDivisible):
-        Poly([1]) / Poly.t()
+        QtPoly([1]) / QtPoly.t()
     with pytest.raises(ZeroDivisionError):
-        p / Poly()
+        p / QtPoly()
 
 
 def test_int_entries_divide_exactly():
@@ -528,36 +527,35 @@ def test_int_coefficients_divide_exactly():
     """Integral coefficients are stored as ints, and int / int would give a
     float: every division path on them stays exact.
     """
-    half = Poly([1, 2]) / Poly([2])
+    half = QtPoly([1, 2]) / QtPoly([2])
     assert half == Poly([Fraction(1, 2), 1]) and half.coeffs == (Fraction(1, 2), 1)
     assert all(_canonical(c) for c in half.coeffs)
-    assert (Poly([2, 4]) / Poly([2])).coeffs == (1, 2)
-    assert all(type(c) is int for c in (Poly([2, 4]) / Poly([2])).coeffs)
+    assert (QtPoly([2, 4]) / QtPoly([2])).coeffs == (1, 2)
+    assert all(type(c) is int for c in (QtPoly([2, 4]) / QtPoly([2])).coeffs)
     with pytest.raises(NotDivisible):
-        Poly([1, 0, 1]) / Poly([1, 1])  # t^2 + 1 = (t + 1)(t - 1) + 2
+        QtPoly([1, 0, 1]) / QtPoly([1, 1])  # t^2 + 1 = (t + 1)(t - 1) + 2
     with pytest.raises(NotDivisible):
-        Poly([1, 3]) / Poly([0, 2])
+        QtPoly([1, 3]) / QtPoly([0, 2])
     basis = SpanBasis()
-    assert basis.add([Poly([1]), Poly([0, 3]), Poly([2])])
+    assert basis.add([QtPoly([1]), QtPoly([0, 3]), QtPoly([2])])
     (piv, vec), = basis.echelon
     assert piv == 2 and vec == [Poly([Fraction(1, 2)]), Poly([0, Fraction(3, 2)]), Poly([1])]
     assert all(_canonical(c) for p in vec for c in p.coeffs)
-    assert basis.contains([Poly([2]), Poly([0, 6]), Poly([4])])
+    assert basis.contains([QtPoly([2]), QtPoly([0, 6]), QtPoly([4])])
     p = Poly([3, 0, 1])  # 3 + t^2
     assert p(Fraction(1, 2)) == Fraction(13, 4) and type(p(Fraction(1, 2))) is Fraction
     assert p(2) == 7 and type(p(2)) is Fraction
     assert p(0.5) == 3.25 and type(p(0.5)) is float
-    assert type(p.coeff(0)) is Fraction and p.coeff(0) == 3
-    assert type(p.coeff(1)) is Fraction and p.coeff(1) == 0
-    t, zero, one = Poly.t(), Poly(), Poly([1])
+    assert p.coeffs == (3, 0, 1) and all(type(c) is int for c in p.coeffs)
+    t, zero, one = QtPoly.t(), Poly(), Poly([1])
     cols = [(Poly([0, 2]), Poly([4]), zero), (Poly([6]), one, zero), (zero, zero, Poly([0, 0, 3]))]
     assert list(limit_vectors(sparse(cols))) == [(0, {0: 1}), (1, {1: 1}), (2, {2: 1})]
-    assert list(limit_vectors(sparse([(t * Poly([2]), Poly([6]))]))) == [(0, {0: 1})]
+    assert list(limit_vectors(sparse([(t * QtPoly([2]), Poly([6]))]))) == [(0, {0: 1})]
 
 
 def _poly_column(vec, n, d=1):
-    """A sparse integer polynomial vector over rows 0..n-1, divided by d, as Polys."""
-    return tuple(Poly([exact_div(x, d) for x in vec.get(r, ())]) for r in range(n))
+    """A sparse integer polynomial vector over rows 0..n-1, divided by d, as QtPolys."""
+    return tuple(QtPoly([exact_div(x, d) for x in vec.get(r, ())]) for r in range(n))
 
 
 def test_integer_canonical_columns_divide_exactly():

@@ -215,9 +215,20 @@ def test_no_function_takes_a_ring():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: found for name, src in sources.items() if (found := ring_parameters(src))} == {}
     gone = {"GFElement", "PrimeField", "POLY_RING", "_PolyRing", "_is_prime"}
-    gone |= {"QQ", "_Rationals", "_Chi", "_chi_frame"}
+    gone |= {"QQ", "_Rationals", "_Chi", "_chi_frame", "in_span"}
     named = {name: gone & (read_names(src) | set(definitions(src))) for name, src in sources.items()}
     assert {name: names for name, names in named.items() if names} == {}
+
+
+def test_poly_is_a_curve_value():
+    """``Poly`` builds, compares and evaluates a limit curve and has no
+    arithmetic: the tests' ``QtPoly`` adds the Q[t] operations.
+    """
+    tree = ast.parse((PACKAGE / "exact.py").read_text())
+    (poly,) = (node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Poly")
+    defined = set(definitions(ast.unparse(ast.Module(poly.body, type_ignores=[]))))
+    assert {"__init__", "__eq__", "__call__", "degree"} <= defined
+    assert defined & {"__add__", "__sub__", "__neg__", "__mul__", "__truediv__", "coeff"} == set()
 
 
 def memoized_functions(source: str) -> list[str]:
