@@ -8,46 +8,106 @@ consecutive rows just below the top-block pivots already used to the left.
 Instantiating the template at any parameter vector gives the canonical
 coset representative of a flag fixed by the nilpotent, and distinct
 parameters give distinct flags.
+
+The checks read a ``FlagMatrix`` through its column view, built on the
+first read and kept on the matrix: the columns, the nonzero rows of each,
+and per prefix the sorted nonzero rows of its columns with whether their
+lowest rows are distinct.  ``verify_canonical`` takes the pivots from it,
+``prefix_span_basis`` reads one prefix and eliminates only when two lowest
+rows coincide, and ``verify_springer`` and ``closure`` read its columns.
+The view only tests entries for zero, so the readers still take no ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Mapping
+from itertools import compress
+from typing import Mapping, NamedTuple
 
 from .errors import DimensionMismatch, MissingParameter, Singular
-from .exact import Matrix, Poly, SpanBasis, is_one, mat_cols, mat_from_rows, pivot_pattern, rank
+from .exact import Matrix, Poly, SpanBasis, is_one, mat_from_rows, rank
 from .matchings import Arc, JordanType, Matching, T, _chain, bt_word, word_permutation
 
 #: Returned by prefix_span_basis when V_i is not a span of basis vectors.
 NOT_COORDINATE = object()
 
 
+class _ColumnView(NamedTuple):
+    """What the checks read of a flag matrix's columns: the columns, the
+    nonzero rows of each (1-based, ascending) and, for each prefix
+    i = 0..N, the sorted nonzero rows of the first i columns with whether
+    their lowest rows are pairwise distinct (a zero column has no lowest
+    row, so no prefix holding one has distinct lowest rows).
+    """
+
+    cols: tuple[tuple, ...]
+    supports: tuple[tuple[int, ...], ...]
+    prefixes: tuple[tuple[tuple[int, ...], bool], ...]
+
+
+def _build_column_view(rows: Matrix) -> _ColumnView:
+    cols = tuple(zip(*rows))
+    index = range(1, len(rows) + 1)
+    supports = tuple([tuple(compress(index, c)) for c in cols])
+    seen: set[int] = set()
+    lowest: set[int] = set()
+    distinct = True
+    prefixes = [((), True)]
+    for support in supports:
+        seen.update(support)
+        distinct = distinct and bool(support) and support[-1] not in lowest
+        if distinct:
+            lowest.add(support[-1])
+        prefixes.append((tuple(sorted(seen)), distinct))
+    return _ColumnView(cols, supports, tuple(prefixes))
+
+
+def _offset(k: int, N: int, what: str) -> int:
+    """The 0-based offset of the 1-based index k; DimensionMismatch outside 1..N."""
+    if not 1 <= k <= N:
+        raise DimensionMismatch(f"{what} {k} outside 1..{N}")
+    return k - 1
+
+
 @dataclass(frozen=True)
 class FlagMatrix:
-    """Square exact matrix whose column-prefix spans are the flag."""
+    """Square exact matrix whose column-prefix spans are the flag.
+
+    Its column view is built on the first read and kept on the instance,
+    outside the dataclass fields, so equality, hash and repr see ``rows``
+    only; a matrix whose columns nothing reads never builds it.
+    """
 
     rows: Matrix
+    _view = None  # not a field: the _ColumnView, once built
 
     def __post_init__(self):
         if not set(map(len, self.rows)) <= {len(self.rows)}:
             raise DimensionMismatch("flag matrix must be square")
+
+    def _column_view(self) -> _ColumnView:
+        view = self._view
+        if view is None:
+            view = _build_column_view(self.rows)
+            object.__setattr__(self, "_view", view)
+        return view
 
     @property
     def N(self) -> int:
         return len(self.rows)
 
     def col(self, j: int) -> tuple:
-        """Column j, 1-based."""
-        return tuple(self.rows[r][j - 1] for r in range(self.N))
+        """Column j, 1-based; DimensionMismatch outside 1..N."""
+        return self._column_view().cols[_offset(j, self.N, "column")]
 
-    def cols(self) -> list[tuple]:
-        return mat_cols(self.rows)
+    def cols(self) -> tuple[tuple, ...]:
+        return self._column_view().cols
 
     def __getitem__(self, rc: tuple[int, int]):
+        """Entry (r, c), 1-based; DimensionMismatch outside 1..N."""
         r, c = rc
-        return self.rows[r - 1][c - 1]
+        return self.rows[_offset(r, self.N, "row")][_offset(c, self.N, "column")]
 
 
 @dataclass(frozen=True)
@@ -148,16 +208,21 @@ def cell_matrix(m: Matching, jt: JordanType, params: Mapping[Arc, object]) -> Fl
 
 
 def verify_canonical(g: FlagMatrix) -> bool:
-    """Unique pivot 1 (by ``is_one``) per row and column, zeros below and right of pivots."""
-    try:
-        pivots = pivot_pattern(g.rows)
-    except Singular:
+    """Unique pivot 1 (by ``is_one``) per row and column, zeros below and right of pivots.
+
+    A pivot is its column's lowest nonzero row, so the zeros below it hold
+    by construction; a zero column, or two columns with one lowest row,
+    fail.
+    """
+    view = g._column_view()
+    _, distinct = view.prefixes[-1]
+    if not distinct:
         return False
-    for j, piv in enumerate(pivots, start=1):
-        row = g.rows[piv - 1]
+    for j, support in enumerate(view.supports, start=1):
+        row = g.rows[support[-1] - 1]
         if not is_one(row[j - 1]) or any(row[j:]):
             return False
-    return len(set(pivots)) == g.N
+    return True
 
 
 def apply_nilpotent(jt: JordanType, vec) -> tuple:
@@ -180,7 +245,7 @@ def verify_springer(g: FlagMatrix, jt: JordanType) -> bool:
     """
     span = SpanBasis()
     contained = True
-    for c in g.cols():
+    for c in g._column_view().cols:
         if not span.add(c):
             raise Singular("columns are linearly dependent")
         contained = contained and span.contains(apply_nilpotent(jt, c))
@@ -196,16 +261,15 @@ def prefix_span_basis(g: FlagMatrix, i: int):
     answer is NOT_COORDINATE unless there are exactly i such rows.  Columns
     whose lowest nonzero rows are pairwise distinct are triangular, hence
     independent, as in every canonical matrix; only when two lowest rows
-    coincide (or a column is zero) does a SpanBasis compute the rank.
+    coincide (or a column is zero) does a SpanBasis compute the rank.  Both
+    facts are read off prefix i of the column view.
     """
     if not (0 <= i <= g.N):
         raise DimensionMismatch(f"index {i} outside 0..{g.N}")
-    cols = g.cols()[:i]
-    supports = [[r for r, x in enumerate(c, start=1) if x] for c in cols]
-    rows = tuple(sorted({r for support in supports for r in support}))
+    view = g._column_view()
+    rows, distinct = view.prefixes[i]
     if len(rows) != i:
         return NOT_COORDINATE
-    lowest = {support[-1] for support in supports if support}
-    if len(lowest) == i or rank(cols) == i:
+    if distinct or rank(view.cols[:i]) == i:
         return rows
     return NOT_COORDINATE

@@ -7,9 +7,10 @@ polynomials as ascending coefficient arrays.
 
 from __future__ import annotations
 
-import json
+import math
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping
 
 from .cells import CellTemplate, FlagMatrix, instantiate
@@ -167,4 +168,79 @@ def template_latex(ct: CellTemplate) -> str:
 
 
 def dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte.
+
+    The standard library's indenting encoder is built of nested closures
+    that refer to each other, so each of its calls leaves cyclic garbage;
+    this emitter is one module-level recursion and leaves none.
+    """
+    out: list[str] = []
+    _emit(payload, "\n", out)
+    return "".join(out)
+
+
+def _json_scalar(x) -> str | None:
+    """The JSON text of a str, None, bool, int or float; None otherwise.
+    A subclass of int or float prints as its base type.
+    """
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x in (math.inf, -math.inf):
+            return "Infinity" if x > 0 else "-Infinity"
+        return float.__repr__(x)
+    return None
+
+
+def _json_key(key) -> str:
+    """A dict key as JSON text: a str as is, None, a bool or a number as
+    its JSON scalar, then quoted.
+    """
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = _json_scalar(key)
+    return encode_basestring_ascii(key)
+
+
+def _emit(x, newline: str, out: list[str]) -> None:
+    """Append the JSON text of x to out; its inner lines start with
+    ``newline`` and two more spaces.
+    """
+    text = _json_scalar(x)
+    if text is not None:
+        out.append(text)
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in x:
+            out.append(sep)
+            _emit(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(x.items()):
+            out.append(f"{sep}{_json_key(key)}: ")
+            _emit(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")

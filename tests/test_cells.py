@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from springer_cells import cells
 from springer_cells.cells import (
     FlagMatrix,
     NOT_COORDINATE,
@@ -16,7 +17,8 @@ from springer_cells.cells import (
     verify_springer,
 )
 from springer_cells.errors import DimensionMismatch, MissingParameter, Singular
-from springer_cells.exact import pivot_pattern
+from springer_cells.closure import flag_necessary_conditions
+from springer_cells.exact import is_one, mat_cols, pivot_pattern, rank
 from springer_cells.matchings import (
     Arc,
     JordanType,
@@ -28,7 +30,16 @@ from springer_cells.matchings import (
 from springer_cells.sampling import random_params
 from springer_cells.verify import check_cell_injectivity, check_cell_membership
 
-from helpers import GF, RINGS, Q, QtPoly, brute_prefix_span_basis, count_span_bases, springer_column_diagnostics
+from helpers import (
+    GF,
+    RINGS,
+    Q,
+    QtPoly,
+    brute_prefix_span_basis,
+    count_span_bases,
+    in_span,
+    springer_column_diagnostics,
+)
 
 JT8 = JordanType(4, 8)
 M1 = matching(8, [(1, 8), (2, 3), (4, 7), (5, 6)])
@@ -163,6 +174,19 @@ def test_instantiate_missing_parameter():
 def test_flag_matrix_must_be_square(rows):
     with pytest.raises(DimensionMismatch, match="square"):
         FlagMatrix(Q(rows))
+
+
+def test_one_based_accessors_reject_indices_outside_1_to_N():
+    g = FlagMatrix(Q([[1, 2], [3, 4]]))
+    assert (g.col(1), g.col(2), g[2, 1], g[1, 2]) == ((1, 3), (2, 4), 3, 2)
+    for j in (0, 3, -1):
+        with pytest.raises(DimensionMismatch, match="outside 1..2"):
+            g.col(j)
+    for rc in ((0, 1), (1, 0), (3, 1), (1, 3), (-1, 1)):
+        with pytest.raises(DimensionMismatch, match="outside 1..2"):
+            g[rc]
+    with pytest.raises(DimensionMismatch):
+        FlagMatrix(()).col(0)
 
 
 def test_verify_canonical_examples():
@@ -356,3 +380,154 @@ def test_column_diagnostics_flag_bad_matrix():
     # a canonical matrix outside the Springer fiber trips the diagnostics
     bad = FlagMatrix(Q([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
     assert springer_column_diagnostics(bad, JordanType(2, 3)) != []
+
+
+def _rank_prefix_span_basis(g: FlagMatrix, i: int):
+    """prefix_span_basis by rank: the rows where the first i columns are
+    nonzero, when there are exactly i of them and the columns have rank i.
+    """
+    cols = mat_cols(g.rows)[:i]
+    rows = tuple(r for r in range(1, g.N + 1) if any(c[r - 1] for c in cols))
+    return rows if len(rows) == i and rank(cols) == i else NOT_COORDINATE
+
+
+def _featured_matrices(ring, rng: random.Random, count: int):
+    """(feature, 0-based column of the feature, matrix): N = 0, then random
+    matrices up to N = 5 with a zero column, a column that is a multiple of
+    an earlier one, or a column that gains a multiple of an earlier column
+    whose lowest nonzero row is lower, so that two lowest rows coincide.
+
+    Before the feature, every column has a constant lowest entry, in a row
+    of its own, with entries above it in the lowest rows of earlier columns
+    and, now and then, in another row.  A column only gains multiples of
+    earlier ones, so that over Q[t] every division of SpanBasis stays exact.
+    """
+    zero, _, of = ring
+    yield "N = 0", 0, FlagMatrix(())
+    features = ("zero column", "dependent columns", "coinciding lowest rows")
+    for k in range(count):
+        feature = features[k % 3]
+        N = rng.randint(2, 5)
+        lows = rng.sample(range(N), N)
+        if feature == "coinciding lowest rows" and lows == sorted(lows):
+            lows.reverse()
+        cols = []
+        for j, low in enumerate(lows):
+            col = [zero] * N
+            col[low] = of(rng.choice((1, 2)))
+            for r in range(low):
+                if (r in lows[:j] and rng.random() < 0.5) or rng.random() < 0.1:
+                    col[r] = _entry(ring, rng)
+            cols.append(col)
+        pairs = [(a, b) for a in range(N) for b in range(a + 1, N)]
+        if feature == "coinciding lowest rows":
+            pairs = [(a, b) for a, b in pairs if lows[a] > lows[b]]
+        a, b = rng.choice(pairs)
+        if feature == "zero column":
+            cols[b] = [zero] * N
+        elif feature == "dependent columns":
+            cols[b] = [of(2) * x for x in cols[a]]
+        else:
+            u = of(rng.choice((1, 2)))
+            cols[b] = [x + u * y for x, y in zip(cols[b], cols[a])]
+        yield feature, b, FlagMatrix(tuple(zip(*cols)))
+
+
+@pytest.mark.parametrize("ring", [RINGS[k] for k in ("Q", "F5", "Qt")], ids=["Q", "F5", "Qt"])
+def test_prefix_span_basis_agrees_with_the_rank_reference(ring):
+    rng = random.Random(11)
+    answers = {}
+    for feature, b, g in _featured_matrices(ring, rng, 300):
+        for i in range(g.N + 1):
+            got = prefix_span_basis(g, i)
+            assert got == _rank_prefix_span_basis(g, i), (feature, g.rows, i)
+            if i > b:
+                answers.setdefault(feature, set()).add(got is NOT_COORDINATE)
+    # a prefix holding a zero or dependent column is never a coordinate
+    # subspace; past a coincidence of lowest rows both answers come
+    assert answers == {
+        "zero column": {True},
+        "dependent columns": {True},
+        "coinciding lowest rows": {True, False},
+    }
+
+
+def _canonical_by_pivot_pattern(g: FlagMatrix) -> bool:
+    """verify_canonical read off ``pivot_pattern`` of the rows."""
+    try:
+        pivots = pivot_pattern(g.rows)
+    except Singular:
+        return False
+    for j, piv in enumerate(pivots, start=1):
+        row = g.rows[piv - 1]
+        if not is_one(row[j - 1]) or any(row[j:]):
+            return False
+    return len(set(pivots)) == g.N
+
+
+def _springer_by_spans(g: FlagMatrix, jt: JordanType) -> bool:
+    """verify_springer restated: Singular on dependent columns, else
+    whether each column's image lies in the span of the columns up to it.
+    """
+    cols = mat_cols(g.rows)
+    if rank(cols) < g.N:
+        raise Singular("columns are linearly dependent")
+    return all(in_span(apply_nilpotent(jt, c), cols[:j]) for j, c in enumerate(cols, start=1))
+
+
+@pytest.mark.parametrize("ring", [RINGS[k] for k in ("Q", "F3", "Qt")], ids=["Q", "F3", "Qt"])
+def test_flag_checks_keep_their_verdicts(ring):
+    """verify_canonical and verify_springer against restatements, over
+    the featured random matrices and over permutation matrices with one
+    entry raised: a pivot made non-unit or zero, or a stray entry.
+    """
+    zero, one, of = ring
+    rng = random.Random(13)
+    verdicts = set()
+    for _, _, g in _featured_matrices(ring, rng, 150):
+        jt = JordanType(rng.randint(0, g.N), g.N)
+        perm = rng.sample(range(g.N), g.N)
+        rows = [[one if perm[c] == r else zero for c in range(g.N)] for r in range(g.N)]
+        if g.N:
+            r, c = rng.randrange(g.N), rng.randrange(g.N)
+            rows[r][c] = rows[r][c] + of(rng.choice((1, 2)))
+        for h in (g, FlagMatrix(tuple(map(tuple, rows)))):
+            canonical = verify_canonical(h)
+            assert canonical == _canonical_by_pivot_pattern(h), h.rows
+            try:
+                expected = _springer_by_spans(h, jt)
+            except Singular:
+                with pytest.raises(Singular):
+                    verify_springer(h, jt)
+                continue
+            assert verify_springer(h, jt) == expected, (h.rows, jt)
+            verdicts.add((canonical, expected))
+    assert verdicts == {(a, b) for a in (True, False) for b in (True, False)}
+
+
+def test_a_flag_matrix_builds_its_column_view_once(monkeypatch):
+    builds = []
+    build = cells._build_column_view
+
+    def counting_build(rows):
+        builds.append(rows)
+        return build(rows)
+
+    monkeypatch.setattr(cells, "_build_column_view", counting_build)
+    g = cell_matrix(M1, JT8, letters(M1))
+    assert builds == []  # instantiating reads no column
+    assert verify_canonical(g) and verify_springer(g, JT8)
+    for i in range(g.N + 1):
+        prefix_span_basis(g, i)
+    assert flag_necessary_conditions(M1, JT8, g) == []
+    assert g.col(3) == g.cols()[2]
+    assert builds == [g.rows]
+
+
+def test_column_view_leaves_equality_hash_and_repr_alone():
+    g = cell_matrix(M3, JT8, letters(M3))
+    twin = FlagMatrix(g.rows)
+    before = repr(g)
+    assert verify_canonical(g)
+    assert g == twin and hash(g) == hash(twin) == hash((g.rows,))
+    assert repr(g) == repr(twin) == before == f"FlagMatrix(rows={g.rows!r})"

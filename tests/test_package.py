@@ -301,8 +301,7 @@ def test_library_calls_leave_no_reference_cycles():
     """The cell, kernel and closure calls leave no cyclic garbage, so the
     collector never has to run for them: over every cell of type (4,8) and
     every piece of its closure, ``gc.collect()`` after each call finds
-    nothing.  The one known exception is ``textio.dumps``, whose standard
-    library encoder leaves 33 objects in cycles per call under ``indent=2``.
+    nothing.  ``textio.dumps`` is checked in ``test_textio``.
     """
     jt = JordanType(4, 8)
     rng = random.Random(0)

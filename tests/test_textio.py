@@ -1,8 +1,11 @@
 """Literals, JSON forms and diagram text."""
 
+import gc
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from springer_cells.cells import FlagMatrix, build_template
 from springer_cells.closure import closure_decomposition
@@ -11,6 +14,8 @@ from springer_cells.matchings import Arc, JordanType, matching
 from springer_cells.textio import (
     arc_letters,
     decomposition_dot,
+    decomposition_json,
+    dumps,
     format_matching,
     matching_json,
     matrix_json,
@@ -20,7 +25,7 @@ from springer_cells.textio import (
     template_json,
 )
 
-from helpers import Q
+from helpers import Q, collector_off
 
 
 def test_matching_literal_roundtrip():
@@ -79,3 +84,43 @@ def test_dot_contains_letter_labels():
     dot = decomposition_dot(closure_decomposition(m, jt))
     assert "(1,2)↦a, (3,4)↦a" in dot
     assert dot.count("->") == 4
+
+
+_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=3)
+    | st.dictionaries(st.floats(allow_nan=False), inner, max_size=3),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_values)
+def test_dumps_writes_the_bytes_of_json_dumps(payload):
+    # str, int, float (NaN and infinities too), bool and None, with
+    # non-ASCII and control characters, in nested lists, tuples and dicts
+    # whose keys are all str, all int or all float
+    assert dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_dumps_converts_keys_and_rejects_other_types():
+    for keys in ({True: 1, False: 0}, {None: 1}, {2: 1, 10: 0}, {0.5: 1, float("inf"): 0}):
+        assert dumps(keys) == json.dumps(keys, indent=2, sort_keys=True)
+    # keys of types that do not sort, or of no JSON type, and values of no JSON type
+    for bad in ({1: 0, "1": 0}, {(1,): 2}, {1, 2}, Fraction(1, 2), [object()]):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            dumps(bad)
+
+
+def test_dumps_leaves_no_reference_cycles():
+    dec = closure_decomposition(matching(8, [(1, 8), (2, 3), (4, 7), (5, 6)]), JordanType(4, 8))
+    payload = {"closure": decomposition_json(dec), "empty": [{}, []], "x": 0.25}
+    with collector_off():
+        text = dumps(payload)
+        assert gc.collect() == 0
+    assert text == json.dumps(payload, indent=2, sort_keys=True)
