@@ -55,7 +55,6 @@ from .matchings import (
     Matching,
     PivotProfile,
     ancestors,
-    ancestor_function,
     bt_word,
     enumerate_matchings,
     j_functions,

@@ -172,20 +172,6 @@ def nesting_depth(m: Matching, arc: Arc) -> int:
     return len(ancestors(m, arc)) - 1
 
 
-def ancestor_function(m: Matching) -> tuple[int, ...]:
-    """Position form of the ancestor map: entry i is the start point of the
-    arc immediately above position i, or 0.  Index 0 is padding.
-    """
-    anc = [0] * (m.N + 1)
-    for i in range(1, m.N + 1):
-        best = 0
-        for a in m.arcs:
-            if a.init < i < a.term and a.init > best:
-                best = a.init
-        anc[i] = best
-    return tuple(anc)
-
-
 @dataclass(frozen=True)
 class PivotProfile:
     """Start/end/free counts to the left of each position.

@@ -2,13 +2,14 @@
 
 The matching literal is "(1,8)(2,3)(4,7)(5,6)": 1-based, sorted by start.
 Matrices serialize as JSON arrays of strings like "5" or "-3/2";
-polynomials as ascending coefficient arrays.
+polynomials as ascending coefficient arrays.  ``dumps`` writes payloads
+of str-keyed dicts, lists, str, int, bool and None, and no other type.
 """
 
 from __future__ import annotations
 
-import math
 import re
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping
@@ -20,6 +21,7 @@ from .exact import Poly, rational
 from .matchings import Arc, JordanType, Matching, bt_word, matching_permutation
 
 _ARC_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+_DECIMAL_RE = re.compile(r"[-+]?(\d*)(?:\.(\d*))?(?:[eE][-+]?(\d+))?")
 
 
 def format_matching(m: Matching) -> str:
@@ -47,9 +49,18 @@ def parse_arcs(text: str) -> list[tuple[int, int]]:
 
 
 def parse_scalar(text: str) -> Fraction | int:
-    """An exact rational such as ``3``, ``-7/3`` or ``0.5``, an ``int`` when
-    integral; ValueError if malformed.
+    """An exact rational such as ``3``, ``-7/3``, ``0.5`` or ``1e-3``, an
+    ``int`` when integral; ValueError if malformed, or, in time linear in the
+    text, if its digits and |exponent| sum past ``sys.get_int_max_str_digits()``.
     """
+    limit = sys.get_int_max_str_digits()
+    parts = _DECIMAL_RE.fullmatch(text.strip().replace("_", ""))
+    if limit and parts:
+        whole, frac, exp = parts.groups("")
+        exp = exp.lstrip("0")
+        # the whole part counts one digit at least: 10**k has k + 1
+        if len(exp) > len(str(limit)) or max(len(whole), 1) + len(frac) + int(exp or 0) > limit:
+            raise ValueError(f"{text!r} has more than {limit} digits once its exponent is written out")
     try:
         return rational(text)
     except ZeroDivisionError:
@@ -168,7 +179,9 @@ def template_latex(ct: CellTemplate) -> str:
 
 
 def dumps(payload) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte.
+    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte, on
+    str-keyed dicts, lists, str, int, bool and None; any other value, such
+    as a float, a tuple or a key that is not a str, raises TypeError.
 
     The standard library's indenting encoder is built of nested closures
     that refer to each other, so each of its calls leaves cyclic garbage;
@@ -179,68 +192,32 @@ def dumps(payload) -> str:
     return "".join(out)
 
 
-def _json_scalar(x) -> str | None:
-    """The JSON text of a str, None, bool, int or float; None otherwise.
-    A subclass of int or float prints as its base type.
-    """
-    if isinstance(x, str):
-        return encode_basestring_ascii(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        if x != x:
-            return "NaN"
-        if x in (math.inf, -math.inf):
-            return "Infinity" if x > 0 else "-Infinity"
-        return float.__repr__(x)
-    return None
-
-
-def _json_key(key) -> str:
-    """A dict key as JSON text: a str as is, None, a bool or a number as
-    its JSON scalar, then quoted.
-    """
-    if not isinstance(key, str):
-        if key is not None and not isinstance(key, (int, float)):
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-        key = _json_scalar(key)
-    return encode_basestring_ascii(key)
-
-
 def _emit(x, newline: str, out: list[str]) -> None:
     """Append the JSON text of x to out; its inner lines start with
     ``newline`` and two more spaces.
     """
-    text = _json_scalar(x)
-    if text is not None:
-        out.append(text)
-    elif isinstance(x, (list, tuple)):
+    if isinstance(x, str):
+        out.append(encode_basestring_ascii(x))
+    elif x is None:
+        out.append("null")
+    elif isinstance(x, bool):  # before int, its base
+        out.append("true" if x else "false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, (list, dict)):
+        brackets = "{}" if isinstance(x, dict) else "[]"
         if not x:
-            out.append("[]")
+            out.append(brackets)
             return
         inner = newline + "  "
-        sep = "[" + inner
-        for value in x:
+        sep = brackets[0] + inner
+        for item in sorted(x.items()) if brackets == "{}" else x:
+            if brackets == "{}":  # a key that is not a str raises TypeError here
+                key, item = item
+                sep = f"{sep}{encode_basestring_ascii(key)}: "
             out.append(sep)
-            _emit(value, inner, out)
+            _emit(item, inner, out)
             sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(x, dict):
-        if not x:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in sorted(x.items()):
-            out.append(f"{sep}{_json_key(key)}: ")
-            _emit(value, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
+        out.append(newline + brackets[1])
     else:
         raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")

@@ -1,10 +1,11 @@
 """Shared brute-force oracles, independent of the library's algorithms,
-reference entry types the library's readers are driven over (a prime
-field, Q[t] and the polynomial matrix of a curve), a span test, the
-column diagnostics of canonical Springer matrices, a labeled cut made of
-single public cuts, counters of the pieces the library cuts and of the
-span bases it builds, and a switch that keeps the garbage collector off
-while a test counts the cyclic garbage each call leaves.
+the paper's position table of the ancestor map, reference entry types
+the library's readers are driven over (a prime field, Q[t] and the
+polynomial matrix of a curve), a span test, the column diagnostics of
+canonical Springer matrices, a labeled cut made of single public cuts,
+counters of the pieces the library cuts and of the span bases it builds,
+and a switch that keeps the garbage collector off while a test counts
+the cyclic garbage each call leaves.
 """
 
 from __future__ import annotations
@@ -224,6 +225,19 @@ def brute_standard(arcs) -> bool:
         if any(p not in on_arc for p in range(i + 1, j)):
             return False
     return True
+
+
+def ancestor_table(m: Matching) -> tuple[int, ...]:
+    """The paper's position form of the ancestor map, read from ``parent``:
+    entry i is the start of the parent of the arc with an endpoint at i, or
+    0 if it has none or i is free (in a standard matching no free point lies
+    under an arc); index 0 pads.
+    """
+    table = [0] * (m.N + 1)
+    for a in m.arcs:
+        above = parent(m, a)
+        table[a.init] = table[a.term] = above.init if above else 0
+    return tuple(table)
 
 
 def springer_column_diagnostics(g: FlagMatrix, jt: JordanType) -> list[str]:

@@ -23,7 +23,6 @@ from springer_cells.fqoracle import FqConfig, cross_check_cells
 from springer_cells.matchings import (
     Arc,
     JordanType,
-    ancestor_function,
     j_functions,
     matching,
     matching_permutation,
@@ -46,7 +45,7 @@ from springer_cells.verify import (
     check_word_roundtrip,
 )
 
-from helpers import Q
+from helpers import Q, ancestor_table
 
 JT8 = JordanType(4, 8)
 JT4 = JordanType(2, 4)
@@ -206,9 +205,9 @@ def test_criterion_1_golden_examples():
     assert prof3.jnot[1:] == (0, 0, 0, 0, 0, 1, 2, 2)
 
     # ancestor tables in position form
-    assert ancestor_function(M1)[1:] == (0, 1, 1, 1, 4, 4, 1, 0)
-    assert ancestor_function(M2)[1:] == (0,) * 8
-    assert ancestor_function(M3)[1:] == (0, 1, 1, 0, 0, 0, 0, 0)
+    assert ancestor_table(M1)[1:] == (0, 1, 1, 1, 4, 4, 1, 0)
+    assert ancestor_table(M2)[1:] == (0,) * 8
+    assert ancestor_table(M3)[1:] == (0, 1, 1, 0, 0, 0, 0, 0)
 
     # cutting examples
     assert cut(M1, Arc(4, 7), JT8).arcs == matching(8, [(1, 4), (2, 3), (5, 6), (7, 8)]).arcs

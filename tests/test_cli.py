@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -321,6 +322,30 @@ def test_limit_failure_report_follows_schema(monkeypatch):
     code, out, _ = invoke(argv + ["--format", "table"])
     assert code == 1
     assert out == "certified: False\n  error: no curve\n"
+
+
+LIMIT_WITH_TARGET = ["limit", "--matching", "(1,4)(2,3)", "--n", "2", "--arcs", "(1,4)", "--target"]
+
+
+@pytest.mark.parametrize("exponent", ["-200000000", "-20000000", "-5000"])
+def test_exponent_past_the_digit_limit_exits_two_at_once(exponent):
+    # Fraction would write 10**|exponent| out in full: minutes of work, or
+    # a target too long to print once the curve is certified
+    start = time.perf_counter()
+    code, out, err = invoke(LIMIT_WITH_TARGET + [f"(2,3)=1e{exponent}"])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert f"'1e{exponent}'" in err and str(sys.get_int_max_str_digits()) in err
+
+
+@pytest.mark.parametrize("exponent", ["-4000", "4299"])
+def test_exponent_within_the_digit_limit_certifies(exponent):
+    code, out, _ = invoke(LIMIT_WITH_TARGET + [f"(2,3)=1e{exponent}", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["certified"] is True
+    digits = "1" + "0" * abs(int(exponent))
+    assert payload["target"]["(2,3)"] == (digits if int(exponent) > 0 else f"1/{digits}")
 
 
 def test_fqcount_json_schema():

@@ -11,7 +11,6 @@ from springer_cells.matchings import (
     Arc,
     JordanType,
     Matching,
-    ancestor_function,
     ancestors,
     bt_word,
     enumerate_matchings,
@@ -26,7 +25,7 @@ from springer_cells.matchings import (
 
 from springer_cells.verify import check_counts
 
-from helpers import brute_noncrossing, brute_standard
+from helpers import ancestor_table, brute_noncrossing, brute_standard
 
 M1 = matching(8, [(1, 8), (2, 3), (4, 7), (5, 6)])
 M2 = matching(8, [(1, 2), (3, 4), (5, 6), (7, 8)])
@@ -100,9 +99,9 @@ def test_ancestors_follow_the_parent_chain_on_every_matching():
 
 
 def test_ancestor_function_tables():
-    assert ancestor_function(M1) == (0, 0, 1, 1, 1, 4, 4, 1, 0)
-    assert ancestor_function(M2) == (0,) * 9
-    assert ancestor_function(M3) == (0, 0, 1, 1, 0, 0, 0, 0, 0)
+    assert ancestor_table(M1) == (0, 0, 1, 1, 1, 4, 4, 1, 0)
+    assert ancestor_table(M2) == (0,) * 9
+    assert ancestor_table(M3) == (0, 0, 1, 1, 0, 0, 0, 0, 0)
 
 
 def test_j_function_tables():
