@@ -14,8 +14,11 @@ first read and kept on the matrix: the columns, the nonzero rows of each,
 and per prefix the sorted nonzero rows of its columns with whether their
 lowest rows are distinct.  ``verify_canonical`` takes the pivots from it,
 ``prefix_span_basis`` reads one prefix and eliminates only when two lowest
-rows coincide, and ``verify_springer`` and ``closure`` read its columns.
-The view only tests entries for zero, so the readers still take no ring.
+rows coincide, ``verify_springer`` tests each column's image by back
+substitution on the columns and supports of a triangular matrix (and
+brings any other matrix to canonical form first), and ``closure`` reads
+its columns.  The view only tests entries for zero, so the readers still
+take no ring.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from functools import cached_property, lru_cache
 from itertools import compress
 from typing import Mapping, NamedTuple
 
-from .errors import DimensionMismatch, MissingParameter, Singular
-from .exact import Matrix, Poly, SpanBasis, is_one, mat_from_rows, rank
+from .errors import DimensionMismatch, MissingParameter
+from .exact import Matrix, Poly, canonical_reduce, is_one, mat_from_rows, rank
 from .matchings import Arc, JordanType, Matching, T, _chain, bt_word, word_permutation
 
 #: Returned by prefix_span_basis when V_i is not a span of basis vectors.
@@ -242,14 +245,42 @@ def apply_nilpotent(jt: JordanType, vec) -> tuple:
 def verify_springer(g: FlagMatrix, jt: JordanType) -> bool:
     """Each column's image under the nilpotent stays in the flag subspace
     spanned by the columns up to and including it.
+
+    On triangular columns (distinct lowest rows, each pivot 1 by
+    ``is_one``), as in every cell and piece matrix, membership is back
+    substitution: the lowest row of what is left of an image must be the
+    pivot row of a column so far, whose multiple is then subtracted, over
+    the supports only and with no division.  Other input is first brought
+    to its canonical form, which raises Singular on dependent columns and,
+    over Q[t], NotDivisible when that form is not polynomial.
     """
-    span = SpanBasis()
-    contained = True
-    for c in g._column_view().cols:
-        if not span.add(c):
-            raise Singular("columns are linearly dependent")
-        contained = contained and span.contains(apply_nilpotent(jt, c))
-    return contained
+    if jt.N != g.N:
+        raise DimensionMismatch(f"Jordan type of size {jt.N} vs N={g.N}")
+    view = g._column_view()
+    cols, supports = view.cols, view.supports
+    if not (view.prefixes[-1][1] and all(is_one(c[s[-1] - 1]) for c, s in zip(cols, supports))):
+        cols, supports, _ = _build_column_view(canonical_reduce(g.rows))
+    killed = (1, jt.n + 1)  # e_1 and e_{n+1}; e_r goes to e_{r-1}
+    owner: dict[int, int] = {}  # pivot row -> column index, columns so far
+    for j, (col, support) in enumerate(zip(cols, supports)):
+        owner[support[-1]] = j
+        image = {r - 1: col[r - 1] for r in support if r not in killed}
+        while image:
+            r = max(image)
+            k = owner.get(r)
+            if k is None:
+                return False
+            c = image.pop(r)
+            basis = cols[k]
+            for s in supports[k][:-1]:
+                x = c * basis[s - 1]
+                y = image.get(s)
+                y = -x if y is None else y - x  # no int 0: entry types need not mix with int
+                if y:
+                    image[s] = y
+                else:
+                    image.pop(s, None)
+    return True
 
 
 def prefix_span_basis(g: FlagMatrix, i: int):

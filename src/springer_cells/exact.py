@@ -16,14 +16,17 @@ with rational coefficients that the library builds, compares and
 evaluates, and it has no arithmetic.
 
 On top of that arithmetic, one Gaussian elimination (``SpanBasis``) sits
-under span tests, the canonical coset form of a flag matrix and the
-coordinate-subspace test of ``cells.prefix_span_basis`` (when two lowest
-rows coincide); over Q[t] it yields the canonical form when that form is
-polynomial.  It is sparse in the cheap way: a row update leaves the
-entries where the stored vector is 0, and a vector whose pivot is already
-1 is not rescaled.  ``is_one`` is the one test for a pivot of 1: ``x == 1``,
-which costs no multiply on the entries of a canonical cell matrix over Q, and
-the idempotent test ``x * x == x`` for any other entry type that never
+under ``rank``, the span tests of ``closure.flag_necessary_conditions``,
+the canonical coset form of a flag matrix (which
+``cells.verify_springer`` takes only of a matrix that is not already
+triangular with pivots 1) and the coordinate-subspace test of
+``cells.prefix_span_basis`` (when two lowest rows coincide); over Q[t]
+it yields the canonical form when that form is polynomial.  It is sparse
+in the cheap way: a row update leaves the entries where the stored
+vector is 0, and a vector whose pivot is already 1 is not rescaled.
+``is_one`` is the one test for a pivot of 1: ``x == 1``, which costs no
+multiply on the entries of a canonical cell matrix over Q, and the
+idempotent test ``x * x == x`` for any other entry type that never
 equals an ``int``.
 
 Beside it sit two fraction-free kernels over Python ``int``s on sparse

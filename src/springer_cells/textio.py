@@ -188,35 +188,35 @@ def dumps(payload) -> str:
     this emitter is one module-level recursion and leaves none.
     """
     out: list[str] = []
-    _emit(payload, "\n", out)
+    _emit(payload, "", "\n", out)
     return "".join(out)
 
 
-def _emit(x, newline: str, out: list[str]) -> None:
-    """Append the JSON text of x to out; its inner lines start with
-    ``newline`` and two more spaces.
+def _emit(x, sep: str, newline: str, out: list[str]) -> None:
+    """Append sep and the JSON text of x to out, a scalar as one fragment
+    with sep; the inner lines of x start with ``newline`` and two more
+    spaces.
     """
     if isinstance(x, str):
-        out.append(encode_basestring_ascii(x))
+        out.append(sep + encode_basestring_ascii(x))
     elif x is None:
-        out.append("null")
+        out.append(sep + "null")
     elif isinstance(x, bool):  # before int, its base
-        out.append("true" if x else "false")
+        out.append(sep + ("true" if x else "false"))
     elif isinstance(x, int):
-        out.append(int.__repr__(x))
+        out.append(sep + int.__repr__(x))
     elif isinstance(x, (list, dict)):
         brackets = "{}" if isinstance(x, dict) else "[]"
         if not x:
-            out.append(brackets)
+            out.append(sep + brackets)
             return
         inner = newline + "  "
-        sep = brackets[0] + inner
+        sep += brackets[0] + inner
         for item in sorted(x.items()) if brackets == "{}" else x:
             if brackets == "{}":  # a key that is not a str raises TypeError here
                 key, item = item
                 sep = f"{sep}{encode_basestring_ascii(key)}: "
-            out.append(sep)
-            _emit(item, inner, out)
+            _emit(item, sep, inner, out)
             sep = "," + inner
         out.append(newline + brackets[1])
     else:

@@ -18,6 +18,7 @@ from springer_cells.cells import (
 )
 from springer_cells.errors import DimensionMismatch, MissingParameter, Singular
 from springer_cells.closure import flag_necessary_conditions
+from springer_cells.cutting import labeled_cut, piece_matrix
 from springer_cells.exact import is_one, mat_cols, pivot_pattern, rank
 from springer_cells.matchings import (
     Arc,
@@ -209,6 +210,37 @@ def test_verify_springer_examples():
     assert not verify_springer(swapped, JordanType(2, 3))
     with pytest.raises(Singular):
         verify_springer(FlagMatrix(Q([[1, 1], [1, 1]])), JordanType(1, 2))
+
+
+@pytest.mark.parametrize(
+    "rows, jt",
+    [
+        ((), JordanType(1, 3)),
+        ((), JordanType(0, 1)),
+        (Q([[1, 0], [0, 1]]), JordanType(1, 3)),
+        (Q([[1, 0], [0, 1]]), JordanType(0, 0)),
+        (Q([[0, 0], [0, 1]]), JordanType(1, 3)),  # singular too: the size is checked first
+        (cell_matrix(M1, JT8, letters(M1)).rows, JordanType(2, 4)),
+    ],
+)
+def test_verify_springer_refuses_a_jordan_type_of_another_size(rows, jt):
+    with pytest.raises(DimensionMismatch):
+        verify_springer(FlagMatrix(rows), jt)
+
+
+def test_verify_springer_eliminates_only_off_canonical_input(monkeypatch):
+    built = count_span_bases(monkeypatch)
+    assert verify_springer(FlagMatrix(()), JordanType(0, 0))
+    assert verify_springer(cell_matrix(M1, JT8, letters(M1)), JT8)
+    piece = labeled_cut(M1, [Arc(2, 3)], JT8)
+    assert verify_springer(piece_matrix(piece, letters(M1)), JT8)
+    assert built == []
+    # a non-triangular invertible matrix is brought to canonical form once
+    assert not verify_springer(FlagMatrix(Q([[1, 1], [1, -1]])), JordanType(0, 2))
+    assert len(built) == 1
+    # and so is a triangular one whose pivot is not 1
+    assert verify_springer(FlagMatrix(Q([[2, 0], [0, 1]])), JordanType(1, 2))
+    assert len(built) == 2
 
 
 def test_apply_nilpotent():

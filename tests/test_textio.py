@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from springer_cells import textio
 from springer_cells.cells import FlagMatrix, build_template
 from springer_cells.closure import closure_decomposition
 from springer_cells.exact import Poly
@@ -114,6 +115,15 @@ def test_dumps_rejects_types_no_payload_holds():
 def test_dumps_rewrites_each_golden_payload(path):
     text = path.read_text()
     assert dumps(json.loads(text)) + "\n" == text
+
+
+def test_dumps_writes_each_scalar_with_its_separator():
+    # one fragment per scalar and one per closing bracket; an opening
+    # bracket and a key go with the item after them
+    payload, out = {"a": [1, "x", None], "b": {}, "c": True}, []
+    textio._emit(payload, "", "\n", out)
+    assert out == ['{\n  "a": [\n    1', ',\n    "x"', ',\n    null', "\n  ]", ',\n  "b": {}', ',\n  "c": true', "\n}"]
+    assert "".join(out) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 def test_dumps_leaves_no_reference_cycles():
