@@ -396,9 +396,10 @@ def run(argv: list[str]) -> int:
     except SpringerCellsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         # the library raises ValueError for malformed input: a matching, a
-        # word, a Jordan type, a prime or a number given on the command line
+        # word, a Jordan type, a prime or a number given on the command line;
+        # OverflowError for a size past an index (``--N`` of 10**22, say)
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,6 +7,10 @@ parent's label, so a cut remembers which variable used to sit on top.  Arcs
 created against free points (or against remnants of fully cut arcs) are
 labeled ZERO.  Cutting a subset A of M this way carves out a subspace of
 dimension |M| - |A| inside the cell of the cut matching.
+
+``labeled_cut`` cuts A at once with ``cut_set`` and reads each label off
+the ancestor chains of M in one pass; ``verify`` checks that this is the
+labeling that cutting one arc at a time, top down, leaves.
 """
 
 from __future__ import annotations
@@ -18,15 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cells import FlagMatrix, build_template, instantiate
 from .errors import ArcNotInMatching, MissingParameter
-from .matchings import (
-    Arc,
-    JordanType,
-    Matching,
-    bt_word,
-    nesting_depth,
-    word_pairs,
-    word_to_matching,
-)
+from .matchings import Arc, JordanType, Matching, _chain, bt_word, word_to_matching
 
 
 class _ZeroLabel:
@@ -93,85 +89,45 @@ def arc_subsets(arcs: Sequence[Arc]) -> Iterator[tuple[Arc, ...]]:
         yield from itertools.combinations(arcs, r)
 
 
-def contravariant_order(m: Matching, arcs: Iterable[Arc]) -> list[Arc]:
-    """Deterministic top-down order: ascending nesting depth (outermost first), then start.
+def labeled_cut(m: Matching, arcs: Iterable[Arc], jt: JordanType) -> LabeledPiece:
+    """The piece of cutting the arcs of m: the simultaneous ``cut_set`` as
+    base, each base arc labeled by the ancestor chains of m.
 
-    Any order that never cuts an arc before one nested above it yields the
-    same labels; fixing this one makes label maps reproducible.
+    Memoized on (m, cut arcs, jt) and their types, so equal calls return
+    the same piece, which callers treat as read-only, and an ``Arc`` in
+    place of ``jt`` raises on every call.
     """
-    return sorted(arcs, key=lambda a: (nesting_depth(m, a), a.init))
-
-
-def is_contravariant(m: Matching, order: Sequence[Arc]) -> bool:
-    for i, a in enumerate(order):
-        for b in order[i + 1 :]:
-            # b cut after a must not be nested above a
-            if b.init < a.init and a.term < b.term:
-                return False
-    return True
-
-
-def labeled_cut(
-    m: Matching,
-    arcs: Iterable[Arc],
-    jt: JordanType,
-    order: Sequence[Arc] | None = None,
-) -> LabeledPiece:
-    """Cut the arcs one at a time, top down, propagating labels.
-
-    After each single cut, surviving arcs keep their labels; the two arcs
-    replacing a cut arc and its parent inherit the parent's label; any arc
-    created by cutting a parentless arc is labeled ZERO.
-
-    The default order is memoized on (m, cut arcs, jt) and their types,
-    so equal calls return the same piece, which callers treat as
-    read-only, and an ``Arc`` in place of ``jt`` raises on every call.
-    An explicit top-down order is validated and cut afresh on every call.
-    """
-    cut_arcs = frozenset(arcs)
-    for a in cut_arcs:
-        if a not in m:
-            raise ArcNotInMatching(f"{a} not in {m.arcs}")
-    if order is None:
-        return _top_down_cut(m, cut_arcs, jt)
-    order = list(order)
-    listed_once = len(order) == len(cut_arcs) and set(order) == cut_arcs
-    if not (listed_once and is_contravariant(m, order)):
-        raise ValueError("order must list the cut arcs top-down")
-    return _cut_in_order(m, cut_arcs, jt, order)
+    return _labeled_piece(m, frozenset(arcs), jt)
 
 
 @lru_cache(maxsize=None, typed=True)
-def _top_down_cut(m: Matching, cut_arcs: frozenset[Arc], jt: JordanType) -> LabeledPiece:
-    return _cut_in_order(m, cut_arcs, jt, contravariant_order(m, cut_arcs))
-
-
-def _cut_in_order(
-    m: Matching, cut_arcs: frozenset[Arc], jt: JordanType, order: Sequence[Arc]
-) -> LabeledPiece:
-    """Cut on the {B,T} word of m: per arc, swap its two letters, re-pair
-    the word, and pass the labels on.  Arcs are kept as {start: end} and
-    labels by start point until the cut matching is built.
+def _labeled_piece(m: Matching, cut_arcs: frozenset[Arc], jt: JordanType) -> LabeledPiece:
+    """Label each base arc b by the arc a of m with an endpoint at b.init:
+    ZERO if there is none, a if a is uncut.  Otherwise walk up a's chain
+    with a counter: a cut ancestor raises it, an uncut one met above 0
+    lowers it, and the first uncut one met at 0 is the label (ZERO if the
+    chain runs out).  Cutting the arcs one at a time, top down, leaves
+    the same labels; ``verify.check_cut_order_independence`` compares them.
     """
-    letters = list(bt_word(m, jt))
-    pairs = {a.init: a.term for a in m.arcs}
-    labels: dict[int, Label] = {a.init: a for a in m.arcs}
-    for i, j in order:
-        assert pairs.get(i) == j, "top-down cutting keeps the next arc intact"
-        par = max((s for s, e in pairs.items() if s < i and j < e), default=None)
-        letters[i - 1], letters[j - 1] = letters[j - 1], letters[i - 1]
-        nxt = word_pairs(letters)
-        new_labels: dict[int, Label] = {}
-        for s, e in nxt.items():
-            if pairs.get(s) == e:
-                new_labels[s] = labels[s]
-            elif par is not None and (s == par or e == pairs[par]):
-                new_labels[s] = labels[par]
+    base = cut_set(m, cut_arcs, jt)
+    at = {end: a for a in m.arcs for end in a}
+    labels: dict[Arc, Label] = {}
+    for b in base.arcs:
+        label = at.get(b.init, ZERO)
+        if label in cut_arcs:
+            depth = 0
+            for up in _chain(m, label)[1:]:
+                if up in cut_arcs:
+                    depth += 1
+                elif depth:
+                    depth -= 1
+                else:
+                    label = up
+                    break
             else:
-                new_labels[s] = ZERO
-        pairs, labels = nxt, new_labels
-    base = Matching(m.N, tuple(Arc(s, e) for s, e in pairs.items()))
-    return LabeledPiece(base, {b: labels[b.init] for b in base.arcs}, m, cut_arcs, jt)
+                label = ZERO
+        labels[b] = label
+    return LabeledPiece(base, labels, m, cut_arcs, jt)
 
 
 def piece_params(piece: LabeledPiece, values: Mapping[Arc, object]) -> dict[Arc, object]:

@@ -50,8 +50,8 @@ from .closure import (
     swap_candidates,
     synthesize_limit_curve,
 )
-from .cutting import ZERO, arc_subsets, contravariant_order, cut, cut_set, labeled_cut, piece_matrix
-from .errors import CurveNotFound
+from .cutting import ZERO, arc_subsets, cut, cut_set, labeled_cut, piece_matrix
+from .errors import ArcNotInMatching, CurveNotFound
 from .exact import (
     Poly,
     SpanBasis,
@@ -64,6 +64,7 @@ from .fqoracle import FqConfig, cross_check_cells, within_enumeration_cap
 from .matchings import (
     Arc,
     JordanType,
+    Matching,
     ancestors,
     bt_word,
     enumerate_matchings,
@@ -72,6 +73,7 @@ from .matchings import (
     matching_permutation,
     nesting_depth,
     parent,
+    word_pairs,
     word_to_matching,
 )
 from .sampling import random_invertible_matrix, random_params, random_rational
@@ -118,10 +120,10 @@ def _check(check_id: str):
 
     def wrap(body):
         @functools.wraps(body)
-        def check(max_n: int, rng, **kwargs) -> CheckResult:
+        def check(max_n: int, rng) -> CheckResult:
             count = 0
             try:
-                for _ in body(max_n, rng, **kwargs):
+                for _ in body(max_n, rng):
                     count += 1
             except _Failed as failure:
                 return CheckResult(check_id, False, count, str(failure))
@@ -377,12 +379,44 @@ def check_leading_direction_numeric(max_n: int, rng):
 # --- cutting ---------------------------------------------------------------
 
 
+def _cut_in_order(m: Matching, jt: JordanType, order) -> tuple[Matching, dict]:
+    """The paper's labeled cut: the arcs of ``order`` cut one at a time on
+    the {B,T} word of m.  Per arc, swap its two letters and re-pair the
+    word; an arc that survives keeps its label, the two arcs that share an
+    endpoint with the cut arc's parent take the parent's label, and any
+    other new arc is ZERO.  Arcs are kept as {start: end} and labels by
+    start point until the cut matching is built.  Raises ArcNotInMatching
+    at an arc that an earlier cut removed.
+    """
+    letters = list(bt_word(m, jt))
+    pairs = {a.init: a.term for a in m.arcs}
+    labels: dict[int, object] = {a.init: a for a in m.arcs}
+    for i, j in order:
+        if pairs.get(i) != j:
+            raise ArcNotInMatching(f"{Arc(i, j)} was removed by an earlier cut")
+        par = max((s for s, e in pairs.items() if s < i and j < e), default=None)
+        letters[i - 1], letters[j - 1] = letters[j - 1], letters[i - 1]
+        nxt = word_pairs(letters)
+        new_labels: dict[int, object] = {}
+        for s, e in nxt.items():
+            if pairs.get(s) == e:
+                new_labels[s] = labels[s]
+            elif par is not None and (s == par or e == pairs[par]):
+                new_labels[s] = labels[par]
+            else:
+                new_labels[s] = ZERO
+        pairs, labels = nxt, new_labels
+    base = Matching(m.N, tuple(Arc(s, e) for s, e in pairs.items()))
+    return base, {b: labels[b.init] for b in base.arcs}
+
+
 @_check("cutting.order_independence")
 def check_cut_order_independence(max_n: int, rng):
-    """Cutting the arcs one at a time in any top-down order gives the
-    piece of the default order, whose base is the simultaneous cut_set;
-    labeled_cut refuses an order that cuts an arc after one nested below
-    it.  Every order of up to three arcs is tried; above that, six random
+    """labeled_cut, which reads its labels off the ancestor chains, gives
+    the piece of cutting its arcs one at a time: every top-down order
+    gives its base, the simultaneous cut_set, and its labels, and any
+    other order gives them too or stops at an arc an earlier cut removed.
+    Every order of up to three arcs is tried; above that, six random
     top-down orders.
     """
     for jt, m in _cells(max_n):
@@ -391,7 +425,6 @@ def check_cut_order_independence(max_n: int, rng):
             piece = labeled_cut(m, combo, jt)
             if piece.base.arcs != cut_set(m, combo, jt).arcs:
                 raise _Failed(f"cut_set: {m.arcs} {combo}")
-            default = contravariant_order(m, combo)
             if len(combo) <= 3:
                 orders = itertools.permutations(combo)
             else:
@@ -399,19 +432,13 @@ def check_cut_order_independence(max_n: int, rng):
                 orders = [sorted(rng.sample(combo, len(combo)), key=depth) for _ in range(6)]
             for order in map(list, orders):
                 yield
-                if order == default:
-                    continue  # that is piece
-                top_down = not any(
-                    later in above[a] for a, later in itertools.combinations(order, 2)
-                )
                 try:
-                    alt = labeled_cut(m, combo, jt, order=order)
-                except ValueError:
-                    alt = None
-                if (alt is not None) != top_down:
-                    verdict = "refused top-down" if top_down else "accepted bottom-up"
-                    raise _Failed(f"{verdict} order {order}: {m.arcs}")
-                if alt is not None and (alt.base, alt.labels) != (piece.base, piece.labels):
+                    alt = _cut_in_order(m, jt, order)
+                except ArcNotInMatching:
+                    if any(later in above[a] for a, later in itertools.combinations(order, 2)):
+                        continue
+                    raise _Failed(f"top-down order {order} stopped: {m.arcs}")
+                if alt != (piece.base, piece.labels):
                     raise _Failed(f"order {order}: {m.arcs}")
 
 
@@ -535,11 +562,14 @@ def check_phi_cell_law(max_n: int, rng):
 
 
 @_check("closure.certification")
-def check_certification(max_n: int, rng, targets_per_piece: int = 2):
+def check_certification(max_n: int, rng):
+    """Two random targets of each piece with a cut arc, and one of each
+    cell, are certified by a limit curve.
+    """
     for jt, m in _cells(max_n):
         for combo in arc_subsets(m.arcs):
             uncut = [a for a in m.arcs if a not in combo]
-            for _ in range(targets_per_piece if combo else 1):
+            for _ in range(2 if combo else 1):
                 target = random_params(uncut, rng)
                 yield
                 try:

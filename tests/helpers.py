@@ -302,18 +302,18 @@ def reference_labeled_cut(m: Matching, order, jt: JordanType) -> tuple[Matching,
 
 def count_cuts(monkeypatch) -> list:
     """(matching, cut arcs, Jordan type) of every piece actually cut from
-    now on: the memo of labeled_cut is emptied, and a read it serves adds
-    nothing.
+    now on: the memo of labeled_cut is emptied, and each miss of it cuts
+    its base once with cut_set, while a read it serves adds nothing.
     """
     calls = []
-    real_cut = cutting._cut_in_order
+    real_cut_set = cutting.cut_set
 
-    def counting_cut(m, cut_arcs, jt, order):
+    def counting_cut_set(m, cut_arcs, jt):
         calls.append((m, cut_arcs, jt))
-        return real_cut(m, cut_arcs, jt, order)
+        return real_cut_set(m, cut_arcs, jt)
 
-    cutting._top_down_cut.cache_clear()
-    monkeypatch.setattr(cutting, "_cut_in_order", counting_cut)
+    cutting._labeled_piece.cache_clear()
+    monkeypatch.setattr(cutting, "cut_set", counting_cut_set)
     return calls
 
 

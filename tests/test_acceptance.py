@@ -274,10 +274,12 @@ def test_criterion_5_cut_algebra():
 @criterion(6, "every piece of every cell with N up to 6 certified by an exact limit curve")
 def test_criterion_6_closure_certification():
     start = time.perf_counter()
-    result = check_certification(6, random.Random(123), targets_per_piece=5)
+    # three passes on one random stream: six targets of each cut piece
+    rng = random.Random(123)
+    results = [check_certification(6, rng) for _ in range(3)]
     elapsed = time.perf_counter() - start
-    assert result.passed, result
-    assert result.count >= 1149
+    assert all(result.passed for result in results), results
+    assert sum(result.count for result in results) >= 1149
     assert elapsed < 300.0, f"certification took {elapsed:.1f}s"
 
 

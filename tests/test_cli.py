@@ -90,6 +90,9 @@ def test_usage_error_exits_two():
         ["word", "--n", "0", "--N", "0"],
         # a target arc written backwards, which no matching holds
         ["limit", "--matching", "(1,4)(2,3)", "--n", "2", "--arcs", "(1,4)", "--target", "(3,2)=1"],
+        # a size past an index
+        ["enumerate", "--N", "99999999999999999999999", "--n", "0"],
+        ["closure", "--matching", "(1,2)", "--n", "1", "--N", "99999999999999999999999"],
     ],
 )
 def test_bad_input_exits_two_with_one_line(argv):

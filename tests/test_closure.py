@@ -586,7 +586,7 @@ def test_synthesis_and_verification_reject_bad_arguments():
 
 
 def test_certification_sweep_small():
-    assert check_certification(5, random.Random(12), targets_per_piece=1).passed
+    assert check_certification(5, random.Random(12)).passed
 
 
 def test_certification_at_coincident_targets():

@@ -5,11 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from springer_cells import cutting
 from springer_cells.cutting import (
     ZERO,
     arc_subsets,
-    contravariant_order,
     cut,
     cut_set,
     labeled_cut,
@@ -24,7 +22,7 @@ from springer_cells.verify import (
     check_unnesting,
 )
 
-from helpers import Q, reference_labeled_cut
+from helpers import Q, count_cuts, reference_labeled_cut
 
 JT8 = JordanType(4, 8)
 JT4 = JordanType(2, 4)
@@ -100,60 +98,26 @@ def test_labels_agree_across_topdown_orders():
     assert check_cut_order_independence(6, random.Random(1)).passed
 
 
-def test_contravariant_order_rejects_bottom_up():
-    with pytest.raises(ValueError):
-        labeled_cut(NESTED4, NESTED4.arcs, JT4, order=[Arc(2, 3), Arc(1, 4)])
-    order = contravariant_order(NESTED4, NESTED4.arcs)
-    assert order == [Arc(1, 4), Arc(2, 3)]
-
-
-def test_order_must_list_each_cut_arc_once():
-    with pytest.raises(ValueError, match="order must list the cut arcs top-down"):
-        labeled_cut(NESTED4, [Arc(2, 3)], JT4, order=[Arc(2, 3), Arc(2, 3)])
-    with pytest.raises(ValueError, match="order must list the cut arcs top-down"):
-        labeled_cut(NESTED4, [Arc(2, 3)], JT4, order=[])
-    piece = labeled_cut(NESTED4, [Arc(2, 3)], JT4, order=[Arc(2, 3)])
-    assert piece == labeled_cut(NESTED4, [Arc(2, 3)], JT4)
-
-
-def test_default_order_is_memoized_and_an_explicit_order_is_not(monkeypatch):
-    """The default top-down cut is served from a cache; an explicit order is
-    validated and cut afresh on every call, so the order-independence check
-    compares two computations and not the cache with itself.  Each single
-    cut re-pairs the {B,T} word once, so the re-pairings count the cuts.
+def test_labeled_cut_is_memoized(monkeypatch):
+    """Equal calls are served from one memo, whatever the order of the cut
+    arcs; an arc not in the matching raises on every call.
     """
-    cut_calls = []
-    real_word_pairs = cutting.word_pairs
-
-    def counting_word_pairs(letters):
-        cut_calls.append("".join(letters))
-        return real_word_pairs(letters)
-
-    monkeypatch.setattr(cutting, "word_pairs", counting_word_pairs)
+    cuts = count_cuts(monkeypatch)
     arcs = [Arc(1, 8), Arc(5, 6)]
     piece = labeled_cut(M1, arcs, JT8)
-    cut_calls.clear()
     assert labeled_cut(M1, list(reversed(arcs)), JT8) is piece
-    assert cut_calls == []
-    order = contravariant_order(M1, arcs)
-    for calls in (2, 4):
-        alt = labeled_cut(M1, arcs, JT8, order=order)
-        assert alt == piece and alt is not piece
-        assert len(cut_calls) == calls
-    assert cut_calls[:2] == ["TBTBBTTB", "TBTBTBTB"]
+    assert cuts == [(M1, frozenset(arcs), JT8)]
     for _ in range(2):
-        with pytest.raises(ValueError, match="order must list the cut arcs top-down"):
-            labeled_cut(M1, arcs, JT8, order=order[::-1])
         with pytest.raises(ArcNotInMatching):
             labeled_cut(M1, [Arc(1, 8), Arc(2, 5)], JT8)
-    assert len(cut_calls) == 4
+    assert len(cuts) == 3
 
 
 def test_labeled_cut_agrees_with_single_public_cuts():
-    """Every piece of every cell with N <= 8, cut on the {B,T} word, equals
-    the reference made of single public ``cut``s and ``parent`` labels,
-    label order included: in the default order, and in the explicit
-    top-down order that breaks depth ties from the right.
+    """Every piece of every cell with N <= 8 equals the reference made of
+    single public ``cut``s and ``parent`` labels, label order included, in
+    the top-down order that breaks depth ties from the left and in the one
+    that breaks them from the right.
     """
     pieces = 0
     for N in range(2, 9):
@@ -161,11 +125,50 @@ def test_labeled_cut_agrees_with_single_public_cuts():
             jt = JordanType(n, N)
             for m in enumerate_matchings(jt):
                 for combo in arc_subsets(m.arcs):
-                    right_first = sorted(combo, key=lambda a: (nesting_depth(m, a), -a.init))
-                    for order in (None, right_first):
-                        piece = labeled_cut(m, combo, jt, order=order)
-                        base, labels = reference_labeled_cut(m, order or contravariant_order(m, combo), jt)
+                    piece = labeled_cut(m, combo, jt)
+                    for side in (1, -1):
+                        order = sorted(combo, key=lambda a: (nesting_depth(m, a), side * a.init))
+                        base, labels = reference_labeled_cut(m, order, jt)
                         assert piece.base == base, (m, combo, order)
                         assert list(piece.labels.items()) == list(labels.items()), (m, combo, order)
                     pieces += 1
     assert pieces == 2248
+
+
+@pytest.mark.parametrize(
+    "jt,pairs,cut_pairs,expected",
+    [
+        (
+            JordanType(4, 8),
+            [(1, 8), (2, 7), (3, 4), (5, 6)],
+            [(2, 7), (3, 4), (5, 6)],
+            {(1, 2): (1, 8), (4, 5): ZERO, (7, 8): (1, 8)},
+        ),
+        (
+            JordanType(5, 10),
+            [(1, 10), (2, 9), (3, 8), (4, 5), (6, 7)],
+            [(3, 8), (4, 5), (6, 7)],
+            {(1, 4): (1, 10), (2, 3): (2, 9), (5, 6): (1, 10), (7, 10): (1, 10), (8, 9): (2, 9)},
+        ),
+        (
+            JordanType(5, 10),
+            [(1, 10), (2, 5), (3, 4), (6, 9), (7, 8)],
+            [(2, 5), (3, 4), (6, 9), (7, 8)],
+            {(1, 2): (1, 10), (4, 7): ZERO, (5, 6): (1, 10), (9, 10): (1, 10)},
+        ),
+        (
+            JordanType(6, 11),
+            [(1, 10), (2, 9), (3, 8), (4, 7), (5, 6)],
+            [(3, 8), (4, 7), (5, 6)],
+            {(1, 4): (1, 10), (2, 3): (2, 9), (6, 11): ZERO, (7, 10): (1, 10), (8, 9): (2, 9)},
+        ),
+    ],
+    ids=["4-8", "5-10-chain", "5-10-siblings", "6-11"],
+)
+def test_labels_read_off_the_ancestor_chain(jt, pairs, cut_pairs, expected):
+    """Pieces that tell the counter on the ancestor chain apart from
+    simpler label rules, such as taking the first uncut ancestor: each cut
+    ancestor cancels one uncut ancestor above it.
+    """
+    piece = labeled_cut(matching(jt.N, pairs), [Arc(*p) for p in cut_pairs], jt)
+    assert piece.labels == {Arc(*b): l if l is ZERO else Arc(*l) for b, l in expected.items()}

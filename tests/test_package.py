@@ -260,7 +260,7 @@ def test_memos_are_the_ones_readme_names():
     both places.
     """
     memos = [name for path in sorted(PACKAGE.glob("*.py")) for name in memoized_functions(path.read_text())]
-    assert sorted(memos) == ["_matchings", "_route", "_top_down_cut", "build_template"]
+    assert sorted(memos) == ["_labeled_piece", "_matchings", "_route", "build_template"]
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     assert [name for name in memos if f"`{name}`" not in readme] == []
 

@@ -3,6 +3,7 @@ test suite calls every check.
 """
 
 import ast
+import dataclasses
 import inspect
 import itertools
 import random
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from springer_cells import cells, closure, verify
+from springer_cells.cutting import ZERO, labeled_cut
 from springer_cells.verify import (
     DEFAULT_MAX_N,
     SUITES,
@@ -19,6 +21,7 @@ from springer_cells.verify import (
     check_canonical_reduce,
     check_certification,
     check_coordinate_prefixes,
+    check_cut_order_independence,
     check_fq_oracle,
     check_leading_direction_numeric,
     check_necessary_condition_suite,
@@ -75,6 +78,15 @@ def _wrong_bottom_row(g, i):
     return (*rows[:-1], rows[-1] + 1)
 
 
+def _one_label_zero(m, arcs, jt):
+    """labeled_cut's piece of a cut, with its first non-ZERO label set to ZERO."""
+    piece = labeled_cut(m, arcs, jt)
+    nonzero = [b for b, label in piece.labels.items() if label is not ZERO]
+    if not arcs or not nonzero:
+        return piece
+    return dataclasses.replace(piece, labels={**piece.labels, nonzero[0]: ZERO})
+
+
 def test_every_check_is_called_by_a_test():
     called = {check.__name__ for check, _ in SMALL_CAPS}
     for path in Path(__file__).parent.glob("test_*.py"):
@@ -92,6 +104,7 @@ def test_every_check_is_called_by_a_test():
         (check_swap_candidate_bijection, "swap_candidates", lambda m, jt: set(), "words"),
         (check_necessary_condition_suite, "flag_necessary_conditions", lambda m, jt, g: ["x"], "cut"),
         (check_coordinate_prefixes, "prefix_span_basis", _wrong_bottom_row, "((2,3),) i=1"),
+        (check_cut_order_independence, "labeled_cut", _one_label_zero, "order [(1,4)]: ((1,4), (2,3))"),
     ],
 )
 def test_failing_check_keeps_its_id(monkeypatch, check, name, fake, detail):
