@@ -7,30 +7,38 @@ span of the columns before it, the flag-stability condition, so dead
 subtrees are cut early.  All that lies below a node is fixed by its state:
 its unused rows and the residuals of their shift images against the prefix
 span, read at those rows.  One elimination mod p decides every candidate
-pivot of a state, and each distinct state is solved once, into a table
-local to the call: the 36 ``fq`` benchmark types visit 4968 nodes in 618
-states, type (3,6) over F_3 697 nodes in 40.  The traversal ``_tails`` is
-a module-level function that takes the table as an argument, so the table
-is reachable only from the call and reference counting frees it when the
-call returns.
+pivot of a state, and it depends on the residuals alone, so each distinct
+residual system is solved once per call: the 36 ``fq`` benchmark types
+visit 4968 nodes in 618 states and solve 456 systems, type (3,6) over F_3
+697 nodes in 40 states and 33 systems.  Both tables, states and solved
+systems, are local to the call.  The traversal ``_tails`` is a
+module-level function that takes them as arguments, so they are reachable
+only from the call and reference counting frees them when it returns.
 
-The search holds residues mod p as ints in ``range(q)``, and each leaf is
-``(pivots, point)`` (``_flag_columns``): the point is the matrix flattened
-column by column, each column a tuple laid in front of the point of the
-state below it.  ``enumerate_springer_flags`` cuts each point into its N
-columns for a flag matrix.  The search shares with the main path only the
-flag-matrix wrapper and ``apply_nilpotent``, neither a field type nor the
-elimination kernel; it never builds cell templates, so agreement between
-its buckets and the matching enumeration is a genuine cross-check.
+The search holds residues mod p as ints in ``range(q)``, and each point
+as ``bytes``, one byte per entry (``FqConfig`` admits only q <= 5): the
+matrix flattened column by column, each column laid in front of the
+points of the state below it.  The search builds the buckets itself: each
+state's entry is ``{pivot suffix: [point suffixes]}`` in depth-first order,
+so ``_flag_columns`` returns ``{pivots: [points]}`` with the patterns in
+order of first occurrence and each bucket in depth-first order, as
+bucketing the flat list of leaves would.  ``enumerate_springer_flags``
+cuts each point into its N columns for a flag matrix of int rows.  The
+search shares with the main path only the flag-matrix wrapper and
+``apply_nilpotent``, neither a field type nor the elimination kernel; it
+never builds cell templates, so agreement between its buckets and the
+matching enumeration is a genuine cross-check.
 
-The cross-check buckets those points as they come, with no flag matrix, no
+The cross-check reads the search's buckets with no flag matrix, no
 transpose and no second flattening, and reads each cell off its memoized
-template; the type's matchings are the tuple ``enumerate_matchings`` builds
-once per process.  A cell's points are one flat base with the pivot 1s at
-``w``, copied per vector of arc values with each of the ``slots`` holding
-its arc's value; no N x N matrix is built per point (one round of the
-``fq`` benchmark compares 1513), and the tests keep the point sets equal
-to ``instantiate``'s.
+template; the type's matchings are the tuple ``enumerate_matchings``
+builds once per process.  A cell's points are one flat ``bytes`` base with
+the pivot 1s at ``w``, copied per vector of arc values with each of the
+``slots`` holding its arc's value; no N x N matrix is built per point (one
+round of the ``fq`` benchmark compares 1513), and the tests keep the point
+sets equal to ``instantiate``'s.  The traced peak of one cross-check
+(tracemalloc, templates already memoized) is 89 KiB for type (3,7) over
+F_2, 81 KiB for (3,6) over F_3 and 53 KiB for (2,5) over F_5.
 """
 
 from __future__ import annotations
@@ -102,7 +110,8 @@ def _pivot_solutions(p: int, images: tuple[tuple[int, ...], ...]) -> list[tuple[
     system: list[tuple[int, list[int]]] = []
     solutions = []
     for k, img in enumerate(images):
-        res = [int(i == k) for i in range(m)] + list(img)
+        res = [0] * m + list(img)
+        res[k] = 1
         for lead, vec in system:
             if c := res[lead]:
                 res = [(a - c * b) % p for a, b in zip(res, vec)]
@@ -110,7 +119,8 @@ def _pivot_solutions(p: int, images: tuple[tuple[int, ...], ...]) -> list[tuple[
         # vanishes; the stored rows that pivot before k span the null space
         if any(res[m:]):  # no column pivots here: store the row monic
             lead = max(i for i in range(m, 2 * m) if res[i])
-            # the clearing above needs monic rows; no feasible input has yet needed it
+            # the clearing above needs monic rows: in the feasible range 77
+            # systems lead with 2 over F_3 or with 2, 3 or 4 over F_5
             inv = pow(res[lead], -1, p)
             system.append((lead, [a * inv % p for a in res]))
             continue
@@ -119,69 +129,79 @@ def _pivot_solutions(p: int, images: tuple[tuple[int, ...], ...]) -> list[tuple[
     return solutions
 
 
-def _tails(p: int, N: int, table: dict, unused: tuple[int, ...], images: tuple[tuple[int, ...], ...]) -> list:
-    """The ``(pivots, point)`` suffixes below one search state, depth
-    first, solved once per state into ``table``; a suffix's point is its
-    columns laid end to end.  It takes the table as an argument rather
-    than closing over it, so nothing outlives the caller's reference to
-    the table.
+def _tails(p: int, N: int, table: dict, solved: dict, unused: tuple[int, ...], images: tuple[tuple[int, ...], ...]) -> dict:
+    """The suffixes below one search state as ``{pivot suffix: [point
+    suffixes]}``, keys and points in depth-first order, built once per
+    state into ``table``; a point suffix is its columns laid end to end,
+    one byte per residue.  A residual system is solved once per call, into
+    ``solved``.  Both tables are arguments rather than closed over, so
+    nothing outlives the caller's references to them.
     """
     if (key := (unused, images)) in table:
         return table[key]
-    out = table[key] = []
-    for k, y, null_basis in _pivot_solutions(p, images):
+    out = table[key] = {}
+    if (pivot_solutions := solved.get(images)) is None:
+        pivot_solutions = solved[images] = _pivot_solutions(p, images)
+    for k, y, null_basis in pivot_solutions:
+        piv = unused[k]
         rest = unused[:k] + unused[k + 1 :]
+        others = images[:k] + images[k + 1 :]
+        col = bytearray(N)
+        col[piv - 1] = 1
         for coeffs in itertools.product(range(p), repeat=len(null_basis)):
             values = y
             for c, nb in zip(coeffs, null_basis):
                 if c:
                     values = [(v + c * x) % p for v, x in zip(values, nb)]
-            col = [0] * N
-            for r, v in zip(unused, (*values, 1)):  # the free rows, then the pivot
+            for r, v in zip(unused, values):  # the free rows before the pivot, per solution
                 col[r - 1] = v
-            col = tuple(col)
+            head = bytes(col)
             # one step against the column (pivot 1, 0 at earlier pivot
             # rows) reduces a residual to the child's span, 0 at row k;
             # a residual already 0 at row k only loses that entry
             child = tuple(
-                tuple([(a - c * v) % p for a, v in zip(img, values)]) + img[k + 1 :]
-                if (c := img[k])
-                else img[:k] + img[k + 1 :]
-                for img in images[:k] + images[k + 1 :]
+                [
+                    tuple([(a - c * v) % p for a, v in zip(img, values)]) + img[k + 1 :]
+                    if (c := img[k])
+                    else img[:k] + img[k + 1 :]
+                    for img in others
+                ]
             )
-            out += [((unused[k], *pivots), col + point) for pivots, point in _tails(p, N, table, rest, child)]
+            for pivots, points in _tails(p, N, table, solved, rest, child).items():
+                out.setdefault((piv, *pivots), []).extend(map(head.__add__, points))
     return out
 
 
-def _flag_columns(cfg: FqConfig) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _flag_columns(cfg: FqConfig) -> dict[tuple[int, ...], list[bytes]]:
     """Every canonical representative over F_q whose flag is fixed by the
-    nilpotent, as ``(pivots, point)`` in depth-first order: ``pivots[c]``
-    is the pivot row of column c, and ``point`` is the matrix flattened
-    column by column, N * N entries in ``range(q)``.
+    nilpotent, bucketed by pivot pattern, patterns and points in
+    depth-first order: ``pivots[c]`` is the pivot row of column c, and each
+    point is the matrix flattened column by column, N * N bytes each in
+    ``range(q)`` (q <= 5).
     """
     _feasible(cfg)
     N = cfg.jt.N
-    # (unused rows, image residuals) -> the (pivots, point) suffixes below it, depth first
-    table: dict[tuple, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {((), ()): [((), ())]}
+    # (unused rows, image residuals) -> the buckets of suffixes below it
+    table: dict[tuple, dict[tuple[int, ...], list[bytes]]] = {((), ()): {(): [b""]}}
     units = [tuple(int(r == s) for s in range(N)) for r in range(N)]
-    return _tails(cfg.q, N, table, tuple(range(1, N + 1)), tuple(apply_nilpotent(cfg.jt, e) for e in units))
+    images = tuple(apply_nilpotent(cfg.jt, e) for e in units)
+    return _tails(cfg.q, N, table, {}, tuple(range(1, N + 1)), images)
 
 
 def enumerate_springer_flags(cfg: FqConfig) -> dict[tuple[int, ...], list[FlagMatrix]]:
     """All canonical representatives over F_q whose flags are fixed by the
     nilpotent, bucketed by pivot pattern, with entries in ``range(q)``.
 
-    The buckets and their order are the search's leaves (``_flag_columns``)
-    in depth-first order, each column-major point cut into its N columns
-    and transposed into a ``FlagMatrix``; the cross-check reads those
-    points directly and builds no matrix.
+    The buckets and their order are the search's (``_flag_columns``), each
+    column-major point cut into its N columns and transposed into a
+    ``FlagMatrix`` of int rows; the cross-check reads those points directly
+    and builds no matrix.
     """
     N = cfg.jt.N
-    buckets: dict[tuple[int, ...], list[FlagMatrix]] = {}
-    for pivots, point in _flag_columns(cfg):
-        cols = (point[c * N : (c + 1) * N] for c in range(N))  # none when N = 0
-        buckets.setdefault(pivots, []).append(FlagMatrix(mat_from_cols(cols)))
-    return buckets
+    return {
+        pivots: [FlagMatrix(mat_from_cols(point[c * N : (c + 1) * N] for c in range(N))) for point in points]
+        for pivots, points in _flag_columns(cfg).items()
+    }
 
 
 @dataclass(frozen=True)
@@ -205,14 +225,14 @@ class FqReport:
         )
 
 
-def _template_points(template: CellTemplate, q: int) -> set[tuple[int, ...]]:
+def _template_points(template: CellTemplate, q: int) -> set[bytes]:
     """Every point of the template over F_q, each its matrix flattened
-    column by column: one copy of the base (the pivot 1 of column c at
-    row ``w[c]``) per vector of arc values in ``range(q)``, with each slot
-    holding its arc's value.
+    column by column, one byte per entry: one copy of the base (the pivot
+    1 of column c at row ``w[c]``) per vector of arc values in ``range(q)``,
+    with each slot holding its arc's value.
     """
     N = template.jt.N
-    base = [0] * (N * N)
+    base = bytearray(N * N)
     for col, piv in enumerate(template.w):
         base[col * N + piv - 1] = 1
     index = {arc: i for i, arc in enumerate(template.matching.arcs)}
@@ -222,7 +242,7 @@ def _template_points(template: CellTemplate, q: int) -> set[tuple[int, ...]]:
         point = base.copy()
         for pos, i in slots:
             point[pos] = values[i]
-        points.add(tuple(point))
+        points.add(bytes(point))
     return points
 
 
@@ -239,9 +259,7 @@ def cross_check_cells(cfg: FqConfig) -> FqReport:
     compared with the sum over every matching, not over the map from
     ``w``, so a matching listed twice is caught.
     """
-    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for pivots, point in _flag_columns(cfg):
-        buckets.setdefault(pivots, []).append(point)
+    buckets = _flag_columns(cfg)
     jt = cfg.jt
     matchings = enumerate_matchings(jt)
     templates = {t.w: t for t in (build_template(m, jt) for m in matchings)}

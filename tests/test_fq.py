@@ -1,6 +1,5 @@
 """Finite-field brute-force oracle and its cross-checks."""
 
-import collections
 import gc
 import itertools
 import math
@@ -14,6 +13,7 @@ from springer_cells.cells import FlagMatrix, apply_nilpotent, build_template, in
 from springer_cells.cli import run
 from springer_cells.closure import flag_necessary_conditions
 from springer_cells.errors import Infeasible
+from springer_cells.exact import SpanBasis
 from springer_cells.fqoracle import (
     FqConfig,
     cross_check_cells,
@@ -67,17 +67,12 @@ def test_springer_count_q5_type_2_4():
     assert rep.all_pass
 
 
-def _indices(leaves, w):
-    return [i for i, (pivots, _) in enumerate(leaves) if pivots == w]
+def _largest_bucket(buckets):
+    return max(buckets.values(), key=len)
 
 
-def _largest_bucket(leaves):
-    sizes = collections.Counter(pivots for pivots, _ in leaves)
-    return _indices(leaves, max(sizes, key=sizes.get))
-
-
-def _drop_a_matrix(leaves):
-    del leaves[_largest_bucket(leaves)[-1]]
+def _drop_a_matrix(buckets):
+    del _largest_bucket(buckets)[-1]
 
 
 def _columns(point):
@@ -86,60 +81,58 @@ def _columns(point):
     return [point[c * N : (c + 1) * N] for c in range(N)]
 
 
-def _set_columns(leaves, w, change):
-    """Replace the first leaf of pattern ``w`` by one whose columns (lists
+def _set_columns(buckets, w, change):
+    """Replace the first point of pattern ``w`` by one whose columns (lists
     of entries, 0-based) ``change`` rewrites, laid end to end again."""
-    i = _indices(leaves, w)[0]
-    cols = [list(col) for col in _columns(leaves[i][1])]
+    cols = [list(col) for col in _columns(buckets[w][0])]
     change(cols)
-    leaves[i] = (w, tuple(itertools.chain.from_iterable(cols)))
+    buckets[w][0] = bytes(itertools.chain.from_iterable(cols))
 
 
-def _change_an_entry(leaves):
+def _change_an_entry(buckets):
     def change(cols):
         cols[3][0] = cols[0][0]  # a 1 right of the pivot of row 1
 
-    _set_columns(leaves, (1, 2, 3, 4), change)
+    _set_columns(buckets, (1, 2, 3, 4), change)
 
 
-def _duplicate_a_flag(leaves):
-    first, second = _largest_bucket(leaves)[:2]
-    leaves[first] = leaves[second]
+def _duplicate_a_flag(buckets):
+    bucket = _largest_bucket(buckets)
+    bucket[0] = bucket[1]
 
 
-def _set_slots(leaves, arcs, change):
+def _set_slots(buckets, arcs, change):
     """Replace the first flag of the cell of ``arcs`` (type (2,4)) by one
     whose slots ``change`` rewrites, given the template's slot items."""
     template = build_template(matching(4, arcs), JordanType(2, 4))
-    _set_columns(leaves, template.w, lambda cols: change(cols, template.slot_items()))
+    _set_columns(buckets, template.w, lambda cols: change(cols, template.slot_items()))
 
 
-def _split_an_arc(leaves):
+def _split_an_arc(buckets):
     # in the nested cell the outer arc (1,4) fills (1,1) and, on the chain
     # of (2,3), (2,2); the second gets the other value of F_2
     def change(cols, slots):
         (r1, c1), (r2, c2) = [(r, c) for r, c, arc in slots if arc == (1, 4)]
         cols[c2 - 1][r2 - 1] = 1 - cols[c1 - 1][r1 - 1]
 
-    _set_slots(leaves, [(1, 4), (2, 3)], change)
+    _set_slots(buckets, [(1, 4), (2, 3)], change)
 
 
-def _slot_value_q(leaves):
+def _slot_value_q(buckets):
     def change(cols, slots):
         r, c, _ = slots[0]
         cols[c - 1][r - 1] = 2  # q itself, outside range(q)
 
-    _set_slots(leaves, [(1, 2), (3, 4)], change)
+    _set_slots(buckets, [(1, 2), (3, 4)], change)
 
 
-def _transpose_a_flag(leaves):
+def _transpose_a_flag(buckets):
     # a point read row by row where columns were meant is a wrong point
     def rows(point):
-        return tuple(itertools.chain.from_iterable(zip(*_columns(point))))
+        return bytes(itertools.chain.from_iterable(zip(*_columns(point))))
 
-    i = next(i for i, (_, point) in enumerate(leaves) if rows(point) != point)
-    pivots, point = leaves[i]
-    leaves[i] = (pivots, rows(point))
+    bucket, i = next((b, i) for b in buckets.values() for i, point in enumerate(b) if rows(point) != point)
+    bucket[i] = rows(bucket[i])
 
 
 @pytest.mark.parametrize(
@@ -158,9 +151,9 @@ def test_cross_check_reports_a_wrong_bucket(monkeypatch, capsys, change, flags):
     flag_columns = fqoracle._flag_columns
 
     def wrong(cfg):
-        leaves = list(flag_columns(cfg))
-        change(leaves)
-        return leaves
+        buckets = {w: list(points) for w, points in flag_columns(cfg).items()}
+        change(buckets)
+        return buckets
 
     monkeypatch.setattr(fqoracle, "_flag_columns", wrong)
     rep = cross_check_cells(FqConfig(2, JordanType(2, 4)))
@@ -178,10 +171,11 @@ def test_cross_check_reports_a_wrong_bucket(monkeypatch, capsys, change, flags):
 def test_template_points_are_the_instantiated_matrices(q, jt):
     # the cross-check's point sets against the reference map, ``instantiate``
     # at every vector of values in range(q), flattened column by column
+    # into one byte per entry
     for m in enumerate_matchings(jt):
         template = build_template(m, jt)
         expected = {
-            tuple(itertools.chain.from_iterable(instantiate(template, dict(zip(m.arcs, values))).cols()))
+            bytes(itertools.chain.from_iterable(instantiate(template, dict(zip(m.arcs, values))).cols()))
             for values in itertools.product(range(q), repeat=len(m))
         }
         assert fqoracle._template_points(template, q) == expected
@@ -329,10 +323,12 @@ def test_shared_states_keep_the_node_by_node_output(cfg):
 
 
 def test_each_search_state_is_solved_once(monkeypatch):
-    """The elimination runs once per distinct non-empty (unused rows,
-    image residuals) state, not once per search node: type (3,6) over F_3
-    has 697 nodes in 40 states (one of them empty), and the 36 types of the
-    ``fq`` benchmark 4968 nodes, 3455 of them non-empty, in 618 states.
+    """The search extends each distinct (unused rows, image residuals)
+    state once, not once per search node, and solves each distinct
+    residual system once per call, not once per state: type (3,6) over F_3
+    has 697 nodes in 40 states (one of them empty) and 33 systems, type
+    (3,7) over F_2 31 systems, and the 36 types of the ``fq`` benchmark
+    4968 nodes, 3455 of them non-empty, in 618 states and 456 systems.
     """
     solve = fqoracle._pivot_solutions
     calls = []
@@ -341,17 +337,67 @@ def test_each_search_state_is_solved_once(monkeypatch):
         calls.append(images)
         return solve(p, images)
 
-    monkeypatch.setattr(fqoracle, "_pivot_solutions", counted)
-    for cfg, solved in ((FqConfig(3, JordanType(3, 6)), 39), (FqConfig(2, JordanType(3, 7)), 40)):
+    def systems(cfg):
         calls.clear()
         enumerate_springer_flags(cfg)
-        assert len(calls) == solved
+        assert len(calls) == len(set(calls))  # no system solved twice in a call
+        return len(calls)
+
+    monkeypatch.setattr(fqoracle, "_pivot_solutions", counted)
+    assert systems(FqConfig(3, JordanType(3, 6))) == 33
+    assert systems(FqConfig(2, JordanType(3, 7))) == 31
     bench = [(q, JordanType(n, N)) for q in (2, 3) for N in range(2, 7) for n in range(1, N)]
     bench += [(2, JordanType(n, 7)) for n in range(1, 7)]
-    calls.clear()
-    for q, jt in bench:
-        enumerate_springer_flags(FqConfig(q, jt))
-    assert (len(bench), len(calls)) == (36, 582)
+    assert (len(bench), sum(systems(FqConfig(q, jt)) for q, jt in bench)) == (36, 456)
+
+
+def _brute_pivot_solutions(p, images):
+    """Per k, every y in F_p^k with R_k + sum y_i R_i = 0, by trying all."""
+    m = len(images)
+    return {
+        k: [
+            y
+            for y in itertools.product(range(p), repeat=k)
+            if not any((img[j] + sum(c * images[i][j] for i, c in enumerate(y))) % p for j in range(m))
+        ]
+        for k, img in enumerate(images)
+    }
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_pivot_solutions_match_brute_force(p):
+    # one solution serves every state with the same residuals, so the
+    # solver is checked on its own against all y in F_p^k: seeded random
+    # systems with m <= 4, whose rows lead with every nonzero residue, and
+    # where a row is often a combination of the rows before it
+    rng = random.Random(p)
+    field = GF(p)
+    leads = set()
+    nullities = set()
+    for _ in range(300):
+        m = rng.randint(0, 4)
+        rows = []
+        for _ in range(m):
+            if rows and rng.random() < 0.5:
+                cs = [rng.randrange(p) for _ in rows]
+                rows.append(tuple(sum(c * r[j] for c, r in zip(cs, rows)) % p for j in range(m)))
+            else:
+                rows.append(tuple(rng.randrange(p) for _ in range(m)))
+        images = tuple(rows)
+        brute = _brute_pivot_solutions(p, images)
+        returned = fqoracle._pivot_solutions(p, images)
+        assert [k for k, _, _ in returned] == [k for k, ys in brute.items() if ys]
+        for k, y, null_basis in returned:
+            assert tuple(y) in brute[k]
+            for v in null_basis:
+                assert not any(sum(c * images[i][j] for i, c in enumerate(v)) % p for j in range(m))
+            basis = SpanBasis()  # independent: each vector enlarges the span of those before it
+            assert all(basis.add([field.of(x) for x in v]) for v in null_basis)
+            assert len(brute[k]) == p ** len(null_basis)
+            nullities.add(len(null_basis))
+        leads.update(next((x for x in reversed(img) if x), 0) for img in images)
+    assert leads == set(range(p))
+    assert {0, 1, 2} <= nullities
 
 
 @pytest.mark.parametrize(
@@ -360,12 +406,13 @@ def test_each_search_state_is_solved_once(monkeypatch):
     ids=lambda cfg: f"q{cfg.q}-{cfg.jt.n}-{cfg.jt.N}",
 )
 def test_buckets_are_the_search_leaves_transposed(cfg):
-    # the public buckets against the leaves the cross-check reads: the same
-    # pivot patterns in the same order, each leaf's point cut into N
-    # columns the columns of its matrix, in the same order
-    expected = {}
-    for pivots, point in fqoracle._flag_columns(cfg):
-        expected.setdefault(pivots, []).append(tuple(zip(*_columns(point))))
+    # the public buckets against the buckets the cross-check reads: the
+    # same pivot patterns in the same order, each point cut into N columns
+    # the columns of its matrix, in the same order
+    expected = {
+        pivots: [tuple(zip(*_columns(point))) for point in points]
+        for pivots, points in fqoracle._flag_columns(cfg).items()
+    }
     found = {w: [g.rows for g in flags] for w, flags in enumerate_springer_flags(cfg).items()}
     assert list(found) == list(expected)
     assert found == expected
@@ -374,21 +421,29 @@ def test_buckets_are_the_search_leaves_transposed(cfg):
 @pytest.mark.parametrize("cfg", FEASIBLE, ids=lambda cfg: f"q{cfg.q}-{cfg.jt.n}-{cfg.jt.N}")
 def test_each_leaf_point_is_its_flag_flattened_column_by_column(cfg):
     # what the cross-check compares: the search's points, in order, are the
-    # public matrices read column by column
-    leaves = {}
-    for pivots, point in fqoracle._flag_columns(cfg):
-        leaves.setdefault(pivots, []).append(point)
+    # public matrices read column by column, one byte per entry
+    leaves = fqoracle._flag_columns(cfg)
     flattened = {
-        w: [tuple(itertools.chain.from_iterable(g.cols())) for g in flags]
+        w: [bytes(itertools.chain.from_iterable(g.cols())) for g in flags]
         for w, flags in enumerate_springer_flags(cfg).items()
     }
     assert list(leaves) == list(flattened)
     assert leaves == flattened
 
 
+@pytest.mark.parametrize("cfg", FEASIBLE, ids=lambda cfg: f"q{cfg.q}-{cfg.jt.n}-{cfg.jt.N}")
+def test_leaf_points_are_bytes_of_residues(cfg):
+    # one byte per entry, N * N of them, each a residue in range(q)
+    N = cfg.jt.N
+    for points in fqoracle._flag_columns(cfg).values():
+        for point in points:
+            assert point.__class__ is bytes and len(point) == N * N
+            assert all(x < cfg.q for x in point)
+
+
 def test_cross_check_builds_no_matrix(monkeypatch):
-    """The cross-check flattens the search's leaves and wraps none of them
-    in a ``FlagMatrix``; the public buckets wrap every one.
+    """The cross-check reads the search's buckets and wraps none of their
+    points in a ``FlagMatrix``; the public buckets wrap every one.
     """
     matrices = []
 
