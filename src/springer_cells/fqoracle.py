@@ -8,9 +8,7 @@ subtrees are cut early.  All that lies below a node is fixed by its state:
 its unused rows and the residuals of their shift images against the prefix
 span, read at those rows.  One elimination mod p decides every candidate
 pivot of a state, and it depends on the residuals alone, so each distinct
-residual system is solved once per call: the 36 ``fq`` benchmark types
-visit 4968 nodes in 618 states and solve 456 systems, type (3,6) over F_3
-697 nodes in 40 states and 33 systems.  Both tables, states and solved
+residual system is solved once per call.  Both tables, states and solved
 systems, are local to the call.  The traversal ``_tails`` is a
 module-level function that takes them as arguments, so they are reachable
 only from the call and reference counting frees them when it returns.
@@ -34,11 +32,8 @@ transpose and no second flattening, and reads each cell off its memoized
 template; the type's matchings are the tuple ``enumerate_matchings``
 builds once per process.  A cell's points are one flat ``bytes`` base with
 the pivot 1s at ``w``, copied per vector of arc values with each of the
-``slots`` holding its arc's value; no N x N matrix is built per point (one
-round of the ``fq`` benchmark compares 1513), and the tests keep the point
-sets equal to ``instantiate``'s.  The traced peak of one cross-check
-(tracemalloc, templates already memoized) is 89 KiB for type (3,7) over
-F_2, 81 KiB for (3,6) over F_3 and 53 KiB for (2,5) over F_5.
+``slots`` holding its arc's value; no N x N matrix is built per point,
+and the tests keep the point sets equal to ``instantiate``'s.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from springer_cells.cells import FlagMatrix, apply_nilpotent, build_template, in
 from springer_cells.cli import run
 from springer_cells.closure import flag_necessary_conditions
 from springer_cells.errors import Infeasible
-from springer_cells.exact import SpanBasis
 from springer_cells.fqoracle import (
     FqConfig,
     cross_check_cells,
@@ -325,30 +324,41 @@ def test_shared_states_keep_the_node_by_node_output(cfg):
 def test_each_search_state_is_solved_once(monkeypatch):
     """The search extends each distinct (unused rows, image residuals)
     state once, not once per search node, and solves each distinct
-    residual system once per call, not once per state: type (3,6) over F_3
-    has 697 nodes in 40 states (one of them empty) and 33 systems, type
-    (3,7) over F_2 31 systems, and the 36 types of the ``fq`` benchmark
-    4968 nodes, 3455 of them non-empty, in 618 states and 456 systems.
+    residual system once per call, not once per state.  Per type it
+    counts the calls to ``_tails`` (one per edge into a state, plus the
+    root), the states extended (table misses) and the systems solved.
+    Without the state table every node is a call and a miss: 697 of each
+    for type (3,6) over F_3.
     """
-    solve = fqoracle._pivot_solutions
-    calls = []
+    tails, solve = fqoracle._tails, fqoracle._pivot_solutions
+    calls, extended, solved = [], [], []
 
-    def counted(p, images):
-        calls.append(images)
+    def counted_tails(p, N, table, systems, unused, images):
+        calls.append(None)
+        if (unused, images) not in table:
+            extended.append((unused, images))
+        return tails(p, N, table, systems, unused, images)
+
+    def counted_solve(p, images):
+        solved.append(images)
         return solve(p, images)
 
-    def systems(cfg):
-        calls.clear()
+    def counts(cfg):
+        for seen in (calls, extended, solved):
+            seen.clear()
         enumerate_springer_flags(cfg)
-        assert len(calls) == len(set(calls))  # no system solved twice in a call
-        return len(calls)
+        assert len(extended) == len(set(extended))  # no state extended twice
+        assert len(solved) == len(set(solved))  # no system solved twice in a call
+        return len(calls), len(extended), len(solved)
 
-    monkeypatch.setattr(fqoracle, "_pivot_solutions", counted)
-    assert systems(FqConfig(3, JordanType(3, 6))) == 33
-    assert systems(FqConfig(2, JordanType(3, 7))) == 31
+    monkeypatch.setattr(fqoracle, "_tails", counted_tails)
+    monkeypatch.setattr(fqoracle, "_pivot_solutions", counted_solve)
+    assert counts(FqConfig(3, JordanType(3, 6))) == (109, 39, 33)
+    assert counts(FqConfig(2, JordanType(3, 7))) == (85, 40, 31)
     bench = [(q, JordanType(n, N)) for q in (2, 3) for N in range(2, 7) for n in range(1, N)]
     bench += [(2, JordanType(n, 7)) for n in range(1, 7)]
-    assert (len(bench), sum(systems(FqConfig(q, jt)) for q, jt in bench)) == (36, 456)
+    totals = [sum(column) for column in zip(*(counts(FqConfig(q, jt)) for q, jt in bench))]
+    assert (len(bench), totals) == (36, [1278, 582, 456])
 
 
 def _brute_pivot_solutions(p, images):
@@ -365,14 +375,20 @@ def _brute_pivot_solutions(p, images):
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
-def test_pivot_solutions_match_brute_force(p):
+def test_pivot_solutions_match_brute_force(p, monkeypatch):
     # one solution serves every state with the same residuals, so the
     # solver is checked on its own against all y in F_p^k: seeded random
-    # systems with m <= 4, whose rows lead with every nonzero residue, and
-    # where a row is often a combination of the rows before it
+    # systems with m <= 4, where a row is often a combination of the rows
+    # before it.  Each returned y plus the combinations of its null basis
+    # must give every solution exactly once
+    scaled = []  # the lead of every row the solver makes monic
+
+    def counted_pow(base, exp, mod):
+        scaled.append(base)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(fqoracle, "pow", counted_pow, raising=False)
     rng = random.Random(p)
-    field = GF(p)
-    leads = set()
     nullities = set()
     for _ in range(300):
         m = rng.randint(0, 4)
@@ -388,15 +404,14 @@ def test_pivot_solutions_match_brute_force(p):
         returned = fqoracle._pivot_solutions(p, images)
         assert [k for k, _, _ in returned] == [k for k, ys in brute.items() if ys]
         for k, y, null_basis in returned:
-            assert tuple(y) in brute[k]
-            for v in null_basis:
-                assert not any(sum(c * images[i][j] for i, c in enumerate(v)) % p for j in range(m))
-            basis = SpanBasis()  # independent: each vector enlarges the span of those before it
-            assert all(basis.add([field.of(x) for x in v]) for v in null_basis)
-            assert len(brute[k]) == p ** len(null_basis)
+            expanded = [
+                tuple((v + sum(c * nb[i] for c, nb in zip(coeffs, null_basis))) % p for i, v in enumerate(y))
+                for coeffs in itertools.product(range(p), repeat=len(null_basis))
+            ]
+            assert len(expanded) == len(set(expanded))
+            assert set(expanded) == set(brute[k])
             nullities.add(len(null_basis))
-        leads.update(next((x for x in reversed(img) if x), 0) for img in images)
-    assert leads == set(range(p))
+    assert set(scaled) == set(range(1, p))  # leads 2, 3 and 4 too, where p has them
     assert {0, 1, 2} <= nullities
 
 
